@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet lint test race cover bench planbench factbench compbench asyncbench fleetbench fleet examples experiments artifacts fuzz chaos obs evidence
+.PHONY: all build vet lint test race cover bench benchsmoke planbench factbench compbench asyncbench fleetbench fleet examples experiments artifacts fuzz chaos obs evidence
 
 all: build vet lint test
 
@@ -32,6 +32,16 @@ cover:
 bench:
 	go test -run XXX -bench . -benchmem .
 
+# Smoke of the seeded end-to-end benchmark (bench/, its own module, which
+# the root `go test ./...` does not build): its vet and tests, then every
+# workload untraced and traced. bench/run.sh exits 1 when any output
+# check fails. Six seconds per workload give the traced run's p99 figures
+# about a thousand samples on the RTT workloads.
+benchsmoke:
+	cd bench && go vet ./... && go test ./...
+	bash bench/run.sh --workload all --seed 1 --seconds 6 --trace 0
+	bash bench/run.sh --workload all --seed 1 --seconds 6 --trace 1
+
 # E15: the demand-driven evaluation engine vs the eager whole-contract
 # snapshot, with per-op cloud-GET economy (see EXPERIMENTS.md).
 planbench:
@@ -59,7 +69,7 @@ asyncbench:
 # E20: aggregate throughput of the sharded fleet at N ∈ {1,2,4}
 # instances behind the consistent-hash front, each instance throttled to
 # a small backend connection budget at 1 ms simulated RTT (see
-# EXPERIMENTS.md). The experiment writes BENCH_fleet.json itself and
+# EXPERIMENTS.md). The experiment logs its per-N results as JSON and
 # fails if N=4 is not ≥ 2.5× N=1.
 fleetbench:
 	go test -run TestExperimentE20FleetScaling -v .

@@ -4,9 +4,9 @@
 //	E6  BenchmarkContractGeneration model-size sweep
 //	E7  BenchmarkOCLEval            formula-size sweep (+ parse)
 //	E8  BenchmarkCodegen            resources-count sweep
-//	E13 BenchmarkMonitorThroughput  concurrent hot path: serial vs
-//	    parallel snapshots vs pre-state cache, in-process and with
-//	    simulated network latency
+//	E13 BenchmarkMonitorThroughput  concurrent hot path: defaults vs
+//	    pre-state cache in process, and defaults under simulated network
+//	    latency
 //	E15 BenchmarkEvalPlan           demand-driven evaluation vs eager
 //	    whole-contract snapshots, with per-op cloud-GET economy and
 //	    flight coalescing under simulated latency
@@ -235,26 +235,17 @@ func newThroughputDeployment(b testing.TB, delay time.Duration, mutate func(*cor
 // BenchmarkMonitorThroughput (E13) drives a concurrent monitored GET
 // workload through each hot-path configuration. The in-process variants
 // measure software overhead under contention (sharded log, precomputed
-// state paths, pre-state cache); the netsim variants add 1ms of simulated
-// network latency per backend request, where fanning the five snapshot
-// reads across the worker pool collapses pre+post snapshot cost from
-// ~10 sequential round trips to ~2-4.
+// state paths, pre-state cache); the netsim variant adds 1ms of simulated
+// network latency per backend request, where each pre clause's paths
+// travel in one concurrent wave, so a GET pays two snapshot round trips
+// instead of five.
 func BenchmarkMonitorThroughput(b *testing.B) {
 	variants := []struct {
 		name   string
 		mutate func(*core.Options)
 	}{
-		{"serial", nil},
-		{"parallel-snapshots", func(o *core.Options) {
-			o.ParallelSnapshots = true
-			o.SnapshotWorkers = 5
-		}},
+		{"default", nil},
 		{"cached", func(o *core.Options) {
-			o.PreStateCacheTTL = 10 * time.Millisecond
-		}},
-		{"parallel+cached", func(o *core.Options) {
-			o.ParallelSnapshots = true
-			o.SnapshotWorkers = 5
 			o.PreStateCacheTTL = 10 * time.Millisecond
 		}},
 	}
@@ -287,21 +278,20 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 		})
 	}
 
-	// Simulated network latency: the deployment regime the parallel
-	// snapshot fan-out exists for. Sequential client, latency-bound.
-	const delay = time.Millisecond
-	for _, v := range variants[:2] {
-		b.Run("netsim-1ms/"+v.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, delay, v.mutate)
-			path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
+	// Simulated network latency: the deployment regime waves exist for.
+	// Sequential client, latency-bound.
+	b.Run("netsim-1ms/default", func(b *testing.B) {
+		d := newThroughputDeployment(b, time.Millisecond, nil)
+		path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(d.sys.Monitor.FetchStats().Waves)/float64(b.N), "waves/op")
+	})
 }
 
 // BenchmarkEvalPlan (E15) compares the demand-driven evaluation engine

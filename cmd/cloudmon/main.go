@@ -85,8 +85,6 @@ func run(args []string) error {
 	metricsAddr := fs.String("metrics-addr", "", "optional listen address for the Prometheus-text /metrics endpoint (e.g. 127.0.0.1:8002)")
 	auditDir := fs.String("audit-dir", "", "directory for the append-only audit trail (violations and Unverified outcomes)")
 	auditMaxBytes := fs.Int64("audit-max-bytes", 0, "rotate audit segments at this size (0 = 8 MiB default)")
-	parallelSnapshots := fs.Bool("parallel-snapshots", false,
-		"resolve state snapshots concurrently (recommended when the cloud is across a network)")
 	secReqs := fs.String("secreqs", "", "comma-separated SecReq tags to slice the model to (e.g. 1.3,1.4)")
 	methods := fs.String("methods", "", "comma-separated HTTP methods to slice the model to (e.g. DELETE,PUT)")
 	svcUser := fs.String("svc-user", "cm-svc", "monitor service-account user")
@@ -199,18 +197,17 @@ func run(args []string) error {
 		ServiceAccount: osbinding.ServiceAccount{
 			User: *svcUser, Password: *svcPass, ProjectID: *project,
 		},
-		InstanceID:        *instance,
-		Mode:              mode,
-		Level:             level,
-		Eval:              eval,
-		NoFacts:           *noFacts,
-		Post:              postMode,
-		PostQueueCap:      *postQueue,
-		PostWorkers:       *postWorkers,
-		PostBackpressure:  backpressure,
-		OnVerdict:         onVerdict,
-		ParallelSnapshots: *parallelSnapshots,
-		Audit:             audit,
+		InstanceID:       *instance,
+		Mode:             mode,
+		Level:            level,
+		Eval:             eval,
+		NoFacts:          *noFacts,
+		Post:             postMode,
+		PostQueueCap:     *postQueue,
+		PostWorkers:      *postWorkers,
+		PostBackpressure: backpressure,
+		OnVerdict:        onVerdict,
+		Audit:            audit,
 	})
 	if err != nil {
 		return err

@@ -70,8 +70,6 @@ func run(args []string, out io.Writer) error {
 	postWorkers := fs.Int("post-workers", 0, "async post worker pool size (0 = default)")
 	backpressureName := fs.String("post-backpressure", "block", "saturated async queue policy: block | shed")
 	noFacts := fs.Bool("no-facts", false, "disable compile-time fact pruning in the lazy engine (A/B baseline)")
-	parallel := fs.Bool("parallel-snapshots", false, "resolve state snapshots concurrently")
-	workers := fs.Int("snapshot-workers", 0, "bound the parallel snapshot pool (0 = default)")
 	cacheTTL := fs.Duration("cache-ttl", 0, "pre-state read-cache TTL (0 = disabled)")
 	faultsPath := fs.String("faults", "", "fault-injection profile (JSON) for the in-process cloud")
 	fleetN := fs.Int("fleet", 0, "deploy a sharded fleet of this many monitor instances behind a consistent-hash front (in-process only)")
@@ -196,19 +194,17 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-fail-policy degrade needs -cache-ttl > 0 (the policy falls back to the pre-state cache)")
 		}
 		opts := loadgen.DeployOptions{
-			Mode:              mode,
-			Level:             level,
-			Eval:              evalMode,
-			NoFacts:           *noFacts,
-			FailPolicy:        policy,
-			Post:              postMode,
-			PostQueueCap:      *postQueue,
-			PostWorkers:       *postWorkers,
-			PostBackpressure:  backpressure,
-			ParallelSnapshots: *parallel,
-			SnapshotWorkers:   *workers,
-			PreStateCacheTTL:  *cacheTTL,
-			CloudTimeout:      *cloudTimeout,
+			Mode:             mode,
+			Level:            level,
+			Eval:             evalMode,
+			NoFacts:          *noFacts,
+			FailPolicy:       policy,
+			Post:             postMode,
+			PostQueueCap:     *postQueue,
+			PostWorkers:      *postWorkers,
+			PostBackpressure: backpressure,
+			PreStateCacheTTL: *cacheTTL,
+			CloudTimeout:     *cloudTimeout,
 		}
 		if *retryAttempts > 0 {
 			opts.Retry.MaxAttempts = *retryAttempts

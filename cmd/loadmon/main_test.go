@@ -65,7 +65,7 @@ func TestRunJSON(t *testing.T) {
 func TestRunTextWithOverrides(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-scenario", "cinder-read-heavy", "-requests", "200", "-warmup", "20",
-		"-clients", "4", "-seed", "3", "-cache-ttl", "25ms", "-parallel-snapshots"}, &out)
+		"-clients", "4", "-seed", "3", "-cache-ttl", "25ms"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -78,12 +78,6 @@ type Options struct {
 	// OnVerdict, if set, receives every verdict (e.g. an
 	// monitor.AuditWriter's Record method).
 	OnVerdict func(monitor.Verdict)
-	// ParallelSnapshots resolves state paths concurrently — enable when
-	// the cloud is across a network (see osbinding.Provider.Parallel).
-	ParallelSnapshots bool
-	// SnapshotWorkers bounds the per-snapshot worker pool when
-	// ParallelSnapshots is set (0 = osbinding.DefaultMaxParallel).
-	SnapshotWorkers int
 	// PreStateCacheTTL, when positive, enables the monitor's short-TTL
 	// pre-state read cache (see monitor.Config.PreStateCacheTTL).
 	PreStateCacheTTL time.Duration
@@ -147,8 +141,10 @@ func Build(opts Options) (*System, error) {
 		// The provider's embedded client shares the HTTP client.
 		provider = osbinding.NewProviderWithClient(opts.CloudURL, opts.ServiceAccount, opts.HTTPClient)
 	}
-	provider.Parallel = opts.ParallelSnapshots
-	provider.MaxParallel = opts.SnapshotWorkers
+	// The monitor reads each pre clause's paths in one Snapshot call (a
+	// wave), which pays off at deployment RTT only if they travel
+	// concurrently. One-path calls never reach the fan-out.
+	provider.Parallel = true
 	provider.Retry = opts.Retry
 	if opts.CloudTimeout > 0 && provider.Retry.PerAttemptTimeout <= 0 {
 		provider.Retry.PerAttemptTimeout = opts.CloudTimeout

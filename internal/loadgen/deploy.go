@@ -42,10 +42,6 @@ type DeployOptions struct {
 	PostQueueCap     int
 	PostWorkers      int
 	PostBackpressure monitor.BackpressurePolicy
-	// ParallelSnapshots enables the provider's bounded fan-out.
-	ParallelSnapshots bool
-	// SnapshotWorkers bounds the fan-out pool (0 = default).
-	SnapshotWorkers int
 	// PreStateCacheTTL enables the monitor's pre-state read cache.
 	PreStateCacheTTL time.Duration
 	// DegradeTTL bounds the Degrade policy's stale-cache window (0 =
@@ -155,25 +151,23 @@ func Deploy(opts DeployOptions) (*Deployment, error) {
 		ServiceAccount: osbinding.ServiceAccount{
 			User: "cm-svc", Password: "pw", ProjectID: seed.ProjectID,
 		},
-		Mode:              opts.Mode,
-		Level:             opts.Level,
-		Eval:              opts.Eval,
-		NoFacts:           opts.NoFacts,
-		FailPolicy:        opts.FailPolicy,
-		Post:              opts.Post,
-		PostQueueCap:      opts.PostQueueCap,
-		PostWorkers:       opts.PostWorkers,
-		PostBackpressure:  opts.PostBackpressure,
-		CloudTimeout:      opts.CloudTimeout,
-		Retry:             opts.Retry,
-		Breaker:           opts.Breaker,
-		ParallelSnapshots: opts.ParallelSnapshots,
-		SnapshotWorkers:   opts.SnapshotWorkers,
-		PreStateCacheTTL:  opts.PreStateCacheTTL,
-		DegradeTTL:        opts.DegradeTTL,
-		MaxLog:            opts.MaxLog,
-		HTTPClient:        monitorHTTP,
-		Audit:             audit,
+		Mode:             opts.Mode,
+		Level:            opts.Level,
+		Eval:             opts.Eval,
+		NoFacts:          opts.NoFacts,
+		FailPolicy:       opts.FailPolicy,
+		Post:             opts.Post,
+		PostQueueCap:     opts.PostQueueCap,
+		PostWorkers:      opts.PostWorkers,
+		PostBackpressure: opts.PostBackpressure,
+		CloudTimeout:     opts.CloudTimeout,
+		Retry:            opts.Retry,
+		Breaker:          opts.Breaker,
+		PreStateCacheTTL: opts.PreStateCacheTTL,
+		DegradeTTL:       opts.DegradeTTL,
+		MaxLog:           opts.MaxLog,
+		HTTPClient:       monitorHTTP,
+		Audit:            audit,
 	})
 	if err != nil {
 		if audit != nil {
@@ -203,6 +197,7 @@ func Deploy(opts DeployOptions) (*Deployment, error) {
 				Requests:     int(fs.Requests),
 				PathsFetched: int(fs.PathsFetched),
 				Coalesced:    int(fs.Coalesced),
+				Waves:        int(fs.Waves),
 				CloudGets:    int(sys.Provider.Stats().Gets),
 			}
 		},

@@ -205,27 +205,25 @@ func DeployFleet(opts FleetOptions) (*FleetDeployment, error) {
 			ServiceAccount: osbinding.ServiceAccount{
 				User: "cm-svc", Password: "pw", ProjectID: seed.ProjectID,
 			},
-			InstanceID:        id,
-			OnInvalidate:      bus.OnInvalidate,
-			Mode:              opts.Mode,
-			Level:             opts.Level,
-			Eval:              opts.Eval,
-			NoFacts:           opts.NoFacts,
-			FailPolicy:        opts.FailPolicy,
-			Post:              opts.Post,
-			PostQueueCap:      opts.PostQueueCap,
-			PostWorkers:       opts.PostWorkers,
-			PostBackpressure:  opts.PostBackpressure,
-			CloudTimeout:      opts.CloudTimeout,
-			Retry:             opts.Retry,
-			Breaker:           opts.Breaker,
-			ParallelSnapshots: opts.ParallelSnapshots,
-			SnapshotWorkers:   opts.SnapshotWorkers,
-			PreStateCacheTTL:  opts.PreStateCacheTTL,
-			DegradeTTL:        opts.DegradeTTL,
-			MaxLog:            opts.MaxLog,
-			HTTPClient:        monitorHTTP,
-			Audit:             audit,
+			InstanceID:       id,
+			OnInvalidate:     bus.OnInvalidate,
+			Mode:             opts.Mode,
+			Level:            opts.Level,
+			Eval:             opts.Eval,
+			NoFacts:          opts.NoFacts,
+			FailPolicy:       opts.FailPolicy,
+			Post:             opts.Post,
+			PostQueueCap:     opts.PostQueueCap,
+			PostWorkers:      opts.PostWorkers,
+			PostBackpressure: opts.PostBackpressure,
+			CloudTimeout:     opts.CloudTimeout,
+			Retry:            opts.Retry,
+			Breaker:          opts.Breaker,
+			PreStateCacheTTL: opts.PreStateCacheTTL,
+			DegradeTTL:       opts.DegradeTTL,
+			MaxLog:           opts.MaxLog,
+			HTTPClient:       monitorHTTP,
+			Audit:            audit,
 		})
 		if err != nil {
 			if audit != nil {
@@ -340,6 +338,7 @@ func (d *FleetDeployment) FetchEconomy() FetchEconomy {
 		fe.Requests += int(fs.Requests)
 		fe.PathsFetched += int(fs.PathsFetched)
 		fe.Coalesced += int(fs.Coalesced)
+		fe.Waves += int(fs.Waves)
 		fe.CloudGets += int(in.Sys.Provider.Stats().Gets)
 	}
 	return fe

@@ -181,6 +181,9 @@ type FetchEconomy struct {
 	PathsFetched int `json:"paths_fetched"`
 	// Coalesced counts fetches served by another request's in-flight read.
 	Coalesced int `json:"coalesced"`
+	// Waves counts pre-state Snapshot calls that carried several of a
+	// clause's paths (monitor.FetchStats.Waves).
+	Waves int `json:"waves"`
 	// CloudGets counts the provider's REST GETs (before retries).
 	CloudGets int `json:"cloud_gets"`
 }
@@ -190,6 +193,7 @@ func (f FetchEconomy) sub(before FetchEconomy) FetchEconomy {
 		Requests:     f.Requests - before.Requests,
 		PathsFetched: f.PathsFetched - before.PathsFetched,
 		Coalesced:    f.Coalesced - before.Coalesced,
+		Waves:        f.Waves - before.Waves,
 		CloudGets:    f.CloudGets - before.CloudGets,
 	}
 }

@@ -239,6 +239,62 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestFetchEconomyWaves runs one serial workload in process and through
+// a one-instance fleet whose cloud is 1 ms away. Both monitors send
+// waves. On these passing requests every path a wave reads is demanded,
+// so both read the cloud exactly as often, and each counts every cloud
+// GET as a fetched path.
+func TestFetchEconomyWaves(t *testing.T) {
+	sc := Scenario{
+		Name: "economy-waves",
+		Mix: []OpSpec{
+			{Op: OpGetVolume, Role: RoleMember, Weight: 3},
+			{Op: OpDeleteVolume, Role: RoleAdmin, Weight: 1},
+		},
+		Clients:     1,
+		Requests:    80,
+		Prepopulate: 30,
+		Seed:        11,
+	}
+	run := func(target Target) *Report {
+		t.Helper()
+		report, err := Run(sc, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Errors != 0 || report.Fetch == nil {
+			t.Fatalf("errors %d, fetch economy %v", report.Errors, report.Fetch)
+		}
+		if report.Fetch.PathsFetched != report.Fetch.CloudGets {
+			t.Errorf("%d paths fetched but %d cloud GETs", report.Fetch.PathsFetched, report.Fetch.CloudGets)
+		}
+		return report
+	}
+	dep, err := Deploy(DeployOptions{Mode: monitor.Enforce})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := run(dep.Target)
+	fl, err := DeployFleet(FleetOptions{
+		DeployOptions: DeployOptions{Mode: monitor.Enforce},
+		Instances:     1,
+		TenantCount:   1,
+		RTT:           time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	remote := run(fl.Target)
+	t.Logf("waves: %d in process, %d at 1 ms RTT", local.Fetch.Waves, remote.Fetch.Waves)
+	if local.Fetch.Waves == 0 || remote.Fetch.Waves == 0 {
+		t.Error("a monitor sent no waves")
+	}
+	if local.Fetch.CloudGets != remote.Fetch.CloudGets {
+		t.Errorf("cloud GETs: %d in process, %d with waves", local.Fetch.CloudGets, remote.Fetch.CloudGets)
+	}
+}
+
 // TestFetchEconomyLazyVsEager runs the same serial workload under both
 // evaluation engines and checks the report's fetch-economy section: the
 // lazy engine reads strictly less of the cloud, a serial loop coalesces

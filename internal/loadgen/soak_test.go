@@ -199,13 +199,11 @@ func TestSoakObserve(t *testing.T) {
 	runSoak(t, DeployOptions{}, monitor.Observe)
 }
 
-// TestSoakHardened repeats the soak with every hot-path optimisation
-// enabled at once: bounded parallel snapshots plus the pre-state cache.
+// TestSoakHardened repeats the soak with the pre-state cache on, the one
+// hot-path optimisation that is a deployment choice.
 func TestSoakHardened(t *testing.T) {
 	runSoak(t, DeployOptions{
-		ParallelSnapshots: true,
-		SnapshotWorkers:   4,
-		PreStateCacheTTL:  25 * time.Millisecond,
+		PreStateCacheTTL: 25 * time.Millisecond,
 	}, monitor.Enforce)
 }
 

@@ -185,26 +185,33 @@ func newFlightGroup() *flightGroup {
 	return &flightGroup{m: make(map[string]*flight)}
 }
 
-// do runs fn once per open key: the leader executes it, everyone else waits
-// and shares the result. coalesced counts the waiters.
-func (g *flightGroup) do(key string, fn func() (ocl.Value, bool, error), coalesced *obs.Counter) (ocl.Value, bool, error) {
+// join returns key's open flight, opening it when there is none; lead
+// reports that the caller opened it and must complete it with land.
+func (g *flightGroup) join(key string) (fl *flight, lead bool) {
 	g.mu.Lock()
 	if fl, ok := g.m[key]; ok {
 		g.mu.Unlock()
-		<-fl.done
-		coalesced.Inc()
-		return fl.val, fl.present, fl.err
+		return fl, false
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl = &flight{done: make(chan struct{})}
 	g.m[key] = fl
 	g.mu.Unlock()
-	fl.val, fl.present, fl.err = fn()
+	return fl, true
+}
+
+// land completes a flight the caller leads: its result is final and every
+// waiter wakes to it.
+func (g *flightGroup) land(key string, fl *flight) {
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(fl.done)
-	return fl.val, fl.present, fl.err
 }
+
+// errUnresolved is the result of every path a failed Snapshot call carried
+// when it carried several: the call's error belongs to no path in
+// particular, so whoever needs one of them reads it on its own.
+var errUnresolved = errors.New("monitor: a failed multi-path read left this path unresolved")
 
 // lazyFetcher performs the per-path cloud reads of one lazy check,
 // accounting fetch counts and time per phase.
@@ -214,46 +221,49 @@ type lazyFetcher struct {
 	project string
 	pk      string
 
+	// clause holds the paths of the pre clause under evaluation (nil for
+	// witness and top-up reads): a demand for one of them fetches the
+	// clause's other unfetched paths in the same Snapshot call.
+	clause []string
+	// ahead holds the results of wave reads no demand has consumed yet. A
+	// path enters the evaluation's env only when demanded, so evaluation,
+	// the top-up and post reuse see exactly the paths a one-path-per-call
+	// loop would have read.
+	ahead map[string]*flight
+
 	degraded bool
 	fetched  int
 	preDur   time.Duration
 	postDur  time.Duration
 }
 
-// fetchPre resolves one pre-state path: read cache first, then a coalesced
-// provider fetch, then — under the Degrade policy — a stale cache entry
-// within the degrade window. The flight leader captures the project
-// generation before fetching and is the only writer to the cache, so a
-// waiter can never store a value observed before a write that invalidated
-// it.
+// fetchPre resolves one pre-state path: a result a wave already brought,
+// else the read cache, else a coalesced provider read — a wave with the
+// current clause's other unfetched paths, or the path alone outside a
+// clause and after a failed multi-path read — then, under the Degrade
+// policy, a stale cache entry within the degrade window. The flight leader
+// captures the project generation before fetching and is the only writer
+// to the cache, so a waiter can never store a value observed before a
+// write that invalidated it.
 func (f *lazyFetcher) fetchPre(env *lazyEnv, path string) error {
 	m := f.m
-	if m.cache != nil {
+	clause := f.clause
+	fl := f.ahead[path]
+	if fl != nil {
+		delete(f.ahead, path)
+		clause = nil
+	} else if m.cache != nil {
 		if v, present, ok := m.cache.get(path, f.reqCtx.Token, f.pk, f.project); ok {
 			env.set(path, v, present)
 			return nil
 		}
 	}
-	t0 := time.Now()
-	val, present, err := m.flights.do(cacheKey(path, f.reqCtx.Token, f.pk), func() (ocl.Value, bool, error) {
-		var gen uint64
-		if m.cache != nil {
-			gen = m.cache.projectGen(f.project)
-		}
-		f.fetched++
-		snap, ferr := m.provider.Snapshot(f.reqCtx, []string{path})
-		if ferr != nil {
-			return ocl.Value{}, false, ferr
-		}
-		v, ok := snap[path]
-		if m.cache != nil {
-			m.cache.put(path, f.reqCtx.Token, f.pk, f.project, v, ok, gen)
-		}
-		return v, ok, nil
-	}, &m.coalesced)
-	f.preDur += time.Since(t0)
-	if err == nil {
-		env.set(path, val, present)
+	for fl == nil || fl.err == errUnresolved {
+		fl = f.fetchWave(env, path, clause)
+		clause = nil
+	}
+	if fl.err == nil {
+		env.set(path, fl.val, fl.present)
 		return nil
 	}
 	if m.failPolicy == Degrade && m.cache != nil {
@@ -263,7 +273,131 @@ func (f *lazyFetcher) fetchPre(env *lazyEnv, path string) error {
 			return nil
 		}
 	}
-	return err
+	return fl.err
+}
+
+// wavePath is one path of a wave: a flight the wave leads, or one another
+// request leads that the wave waits on.
+type wavePath struct {
+	path, key string
+	fl        *flight
+	lead      bool
+}
+
+// fetchWave reads a demanded pre-state path, which missed the cache,
+// together with clause's other unfetched paths, and returns the demanded
+// path's flight. Cache hits stay out of the call. The wave opens a flight
+// for every path no other request is reading, sends one Snapshot for all
+// of them and completes those flights before it waits on anyone else's,
+// so two waves that lead each other's paths cannot deadlock. Only the
+// demanded path's result is returned and can fail the clause; the others
+// wait in ahead for their own demand.
+func (f *lazyFetcher) fetchWave(env *lazyEnv, demanded string, clause []string) *flight {
+	m := f.m
+	t0 := time.Now()
+	wave := []wavePath{f.board(demanded)}
+	for _, p := range clause {
+		if p == demanded || env.fetched(p) {
+			continue
+		}
+		if _, ok := f.ahead[p]; ok {
+			continue
+		}
+		if m.cache != nil {
+			if v, present, ok := m.cache.get(p, f.reqCtx.Token, f.pk, f.project); ok {
+				f.stash(p, &flight{val: v, present: present})
+				continue
+			}
+		}
+		wave = append(wave, f.board(p))
+	}
+	f.fly(wave)
+	f.preDur += time.Since(t0)
+	for _, w := range wave[1:] {
+		f.stash(w.path, w.fl)
+	}
+	return wave[0].fl
+}
+
+// board joins path's flight for a wave.
+func (f *lazyFetcher) board(path string) wavePath {
+	key := cacheKey(path, f.reqCtx.Token, f.pk)
+	fl, lead := f.m.flights.join(key)
+	return wavePath{path: path, key: key, fl: fl, lead: lead}
+}
+
+// stash keeps a wave result for a path's later demand.
+func (f *lazyFetcher) stash(path string, fl *flight) {
+	if f.ahead == nil {
+		f.ahead = make(map[string]*flight, 4)
+	}
+	f.ahead[path] = fl
+}
+
+// fly reads every path the wave leads in one Snapshot call and completes
+// their flights, and only then waits for the flights it follows: a wave
+// never waits while it holds a flight open. A follow counts as coalesced
+// when it brings a result.
+func (f *lazyFetcher) fly(wave []wavePath) {
+	f.lead(wave)
+	for _, w := range wave {
+		if !w.lead {
+			<-w.fl.done
+			if w.fl.err != errUnresolved {
+				f.m.coalesced.Inc()
+			}
+		}
+	}
+}
+
+// lead sends one Snapshot call for the paths the wave leads and completes
+// their flights. When a call carrying several paths fails, each of its
+// flights lands errUnresolved: nothing re-reads them now, and a request
+// that demands one later (this one or a waiter) reads it alone, so every
+// fail-policy decision rests on that path's own result, as in a
+// one-path-per-call loop, and a failing cloud sees at most one read more
+// per path than that loop sends it. FetchedPaths counts every path a call
+// carried: exact for a provider that reads them all, as osbinding's fan-out
+// does; for one that stops at its first failure it overstates a failed
+// call.
+func (f *lazyFetcher) lead(wave []wavePath) {
+	m := f.m
+	paths := make([]string, 0, len(wave))
+	for _, w := range wave {
+		if w.lead {
+			paths = append(paths, w.path)
+		}
+	}
+	if len(paths) == 0 {
+		return
+	}
+	var gen uint64
+	if m.cache != nil {
+		gen = m.cache.projectGen(f.project)
+	}
+	f.fetched += len(paths)
+	if len(paths) > 1 {
+		m.waves.Inc()
+	}
+	snap, err := m.provider.Snapshot(f.reqCtx, paths)
+	for _, w := range wave {
+		if !w.lead {
+			continue
+		}
+		fl := w.fl
+		switch {
+		case err == nil:
+			fl.val, fl.present = snap[w.path]
+			if m.cache != nil {
+				m.cache.put(w.path, f.reqCtx.Token, f.pk, f.project, fl.val, fl.present, gen)
+			}
+		case len(paths) == 1:
+			fl.err = err
+		default:
+			fl.err = errUnresolved
+		}
+		m.flights.land(w.key, fl)
+	}
 }
 
 // fetchPost resolves one post-state path straight from the cloud — no
@@ -526,6 +660,9 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 		}
 		var val ocl.Value
 		var err error
+		// A demand fetches the clause's other unfetched paths with it.
+		// Witness and top-up reads stay one path per call.
+		f.clause = cl.Paths
 		if useCompiled {
 			// The program was compiled from the folded form, which is
 			// value-, error- and demand-equivalent to the original
@@ -543,6 +680,7 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 			val, err = evalDemand(expr, preCtx, f.fetchPre)
 			v.DemandedPaths += pre.takeDemands()
 		}
+		f.clause = nil
 		if err != nil {
 			preEvalDur = time.Since(preStart) - f.preDur
 			var fe *fetchError

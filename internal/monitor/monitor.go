@@ -444,6 +444,9 @@ type Monitor struct {
 	onInvalid   func(project string)
 	// flights coalesces identical concurrent pre-state GETs (lazy engine).
 	flights *flightGroup
+	// waves counts the pre-state Snapshot calls that carried several of a
+	// clause's paths (lazy engine).
+	waves obs.Counter
 	// post/postBackpressure/asyncPost form the deferred post-verification
 	// pipeline (asyncpost.go); asyncPost is nil under PostSync.
 	post             PostMode
@@ -1164,6 +1167,9 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 		w.Counter("cloudmon_snapshot_coalesced_total",
 			"Pre-state path fetches that joined another request's in-flight cloud read.",
 			float64(m.coalesced.Value()))
+		w.Counter("cloudmon_snapshot_waves_total",
+			"Pre-state Snapshot calls that fetched several of a clause's paths at once.",
+			float64(m.waves.Value()))
 		w.KeyedCounter("cloudmon_facts_pruned_total",
 			"Clause evaluations decided by compile-time plan facts, by pruning kind.",
 			&m.factsPruned, "kind")
@@ -1225,6 +1231,7 @@ func (m *Monitor) ResetLog() {
 	m.tracer.Reset()
 	m.pathsFetched.Reset()
 	m.coalesced.Reset()
+	m.waves.Reset()
 	m.factsPruned.Reset()
 	m.factsMismatch.Reset()
 	if ap := m.asyncPost; ap != nil {
@@ -1245,6 +1252,9 @@ type FetchStats struct {
 	// Coalesced counts pre-state fetches served by another request's
 	// in-flight read.
 	Coalesced uint64 `json:"coalesced"`
+	// Waves counts pre-state Snapshot calls that carried several of a
+	// clause's paths.
+	Waves uint64 `json:"waves"`
 }
 
 // FetchStats returns the fetch-economy counters.
@@ -1254,6 +1264,7 @@ func (m *Monitor) FetchStats() FetchStats {
 		Requests:     snap.Count,
 		PathsFetched: uint64(snap.Sum + 0.5),
 		Coalesced:    m.coalesced.Value(),
+		Waves:        m.waves.Value(),
 	}
 }
 

@@ -51,18 +51,14 @@ type Provider struct {
 	client  *osclient.Client
 	account ServiceAccount
 
-	// Parallel resolves snapshot paths concurrently. Worth enabling when
-	// the cloud is across a network (snapshot latency becomes the slowest
-	// read instead of the sum); for in-process or same-host deployments
-	// the goroutine and lock-contention overhead outweighs the gain (see
-	// BenchmarkSnapshotParallel).
+	// Parallel resolves the paths of one Snapshot call concurrently, on
+	// at most DefaultMaxParallel workers: the call then costs the slowest
+	// read instead of the sum, and reads every path even when one fails.
+	// core.Build sets it, since the monitor reads each pre clause's paths
+	// in one call; the constructors leave it off, so a caller that times
+	// each call as one sequence of reads (a tracer subtracting nested
+	// spans) still can. Unset, a call stops at its first failed path.
 	Parallel bool
-
-	// MaxParallel bounds the worker pool used when Parallel is set, so a
-	// contract with many paths cannot fan out an unbounded goroutine burst
-	// per request (which multiplies under concurrent proxy load). Zero
-	// selects DefaultMaxParallel.
-	MaxParallel int
 
 	// Retry configures the backoff loop every cloud read runs under. The
 	// zero value selects the defaults (3 attempts, 10ms base, 4x growth,
@@ -269,13 +265,7 @@ func (p *Provider) Snapshot(ctx *monitor.RequestContext, paths []string) (ocl.Ma
 		err  error
 	}
 	results := make([]result, len(paths))
-	workers := p.MaxParallel
-	if workers <= 0 {
-		workers = DefaultMaxParallel
-	}
-	if workers > len(paths) {
-		workers = len(paths)
-	}
+	workers := min(DefaultMaxParallel, len(paths))
 	// Bounded pool: `workers` goroutines pull path indices off a shared
 	// atomic counter until the list is drained.
 	var next atomic.Int64
@@ -305,7 +295,9 @@ func (p *Provider) Snapshot(ctx *monitor.RequestContext, paths []string) (ocl.Ma
 	return env, nil
 }
 
-// DefaultMaxParallel is the default per-snapshot worker-pool size.
+// DefaultMaxParallel bounds the worker pool of a Parallel snapshot, so a
+// contract with many paths cannot fan out an unbounded goroutine burst per
+// request (which multiplies under concurrent proxy load).
 const DefaultMaxParallel = 8
 
 // resolve maps one navigation path to a value. Unknown paths and missing

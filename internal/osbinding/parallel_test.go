@@ -45,9 +45,9 @@ func TestParallelSnapshotPropagatesErrors(t *testing.T) {
 	}
 }
 
-// TestParallelSnapshotBoundedWorkers pins the MaxParallel contract: the
-// fan-out never holds more simultaneous backend requests than the
-// configured worker count.
+// TestParallelSnapshotBoundedWorkers pins the DefaultMaxParallel bound:
+// however many paths one call carries, the fan-out never holds more
+// simultaneous backend requests than the pool size.
 func TestParallelSnapshotBoundedWorkers(t *testing.T) {
 	f := newFixture(t)
 	vol, err := f.cloud.Volumes.Create(f.projectID, "data", 1)
@@ -73,17 +73,24 @@ func TestParallelSnapshotBoundedWorkers(t *testing.T) {
 		User: "cm-svc", Password: "pw", ProjectID: f.projectID,
 	})
 	provider.Parallel = true
-	provider.MaxParallel = 2
 	// Warm the service token outside the measurement.
 	if _, err := provider.Snapshot(f.ctx(vol.ID), []string{"project.id"}); err != nil {
 		t.Fatal(err)
 	}
+	// Three rounds of every path: more reads than the pool has workers.
+	var paths []string
+	for range 3 {
+		paths = append(paths, allPaths...)
+	}
+	if len(paths) <= DefaultMaxParallel {
+		t.Fatalf("%d paths do not exceed the pool of %d", len(paths), DefaultMaxParallel)
+	}
 	peak.Store(0)
-	if _, err := provider.Snapshot(f.ctx(vol.ID), allPaths); err != nil {
+	if _, err := provider.Snapshot(f.ctx(vol.ID), paths); err != nil {
 		t.Fatal(err)
 	}
-	if got := peak.Load(); got > 2 {
-		t.Errorf("observed %d simultaneous backend requests, want <= MaxParallel (2)", got)
+	if got := peak.Load(); got > DefaultMaxParallel {
+		t.Errorf("observed %d simultaneous backend requests, want <= DefaultMaxParallel (%d)", got, DefaultMaxParallel)
 	}
 	if got := peak.Load(); got < 2 {
 		t.Errorf("observed %d simultaneous backend requests; pool never overlapped", got)
