@@ -42,19 +42,21 @@ benchsmoke:
 	bash bench/run.sh --workload all --seed 1 --seconds 6 --trace 0
 	bash bench/run.sh --workload all --seed 1 --seconds 6 --trace 1
 
-# E15: the demand-driven evaluation engine vs the eager whole-contract
-# snapshot, with per-op cloud-GET economy (see EXPERIMENTS.md).
+# E15: the demand-driven evaluation engine's per-op cloud-GET economy,
+# serial and under 1 ms of simulated latency with concurrent clients
+# coalescing their reads (see EXPERIMENTS.md; the whole-snapshot figures
+# it is measured against are the test oracle's).
 planbench:
 	go test -run XXX -bench BenchmarkEvalPlan -benchmem .
 
-# E16: the lazy engine with compile-time facts vs without (witness skips
-# and static clauses; see EXPERIMENTS.md).
+# E16: the engine with compile-time facts vs without (witness skips and
+# static clauses; see EXPERIMENTS.md).
 factbench:
 	go test -run XXX -bench BenchmarkEvalPlanFacts -benchmem .
 
-# E17: the compiled closure-chain engine vs the lazy engine and the
-# single-pass tree walk on the in-process OK path (see EXPERIMENTS.md).
-# Results land in BENCH_compiled.json for cross-commit tracking.
+# E17: the compiled closure-chain clauses vs the single-pass tree walk
+# on the in-process OK path (see EXPERIMENTS.md). Results land in
+# BENCH_compiled.json for cross-commit tracking.
 compbench:
 	go test -run XXX -bench BenchmarkCompiledEval -benchmem . \
 		| go run ./cmd/benchjson -out BENCH_compiled.json
@@ -85,7 +87,7 @@ fleet:
 		-warmup 0 -clients 16 -verify
 
 # Seed-corpus fuzzing already runs under `make test`; this target fuzzes
-# each parser for 30s, plus the compiled OCL engine against the
+# each parser for 30s, plus the compiled clause programs against the
 # tree-walking reference.
 fuzz:
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/ocl/

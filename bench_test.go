@@ -7,11 +7,10 @@
 //	E13 BenchmarkMonitorThroughput  concurrent hot path: defaults vs
 //	    pre-state cache in process, and defaults under simulated network
 //	    latency
-//	E15 BenchmarkEvalPlan           demand-driven evaluation vs eager
-//	    whole-contract snapshots, with per-op cloud-GET economy and
-//	    flight coalescing under simulated latency
+//	E15 BenchmarkEvalPlan           demand-driven evaluation with per-op
+//	    cloud-GET economy and flight coalescing under simulated latency
 //	E16 BenchmarkEvalPlanFacts      compile-time fact pruning vs the
-//	    no-facts lazy baseline, with per-op clause-demand economy
+//	    no-facts baseline, with per-op clause-demand economy
 //	E17 BenchmarkCompiledEval       closure-chain compiled clauses vs the
 //	    tree-walking reference on the in-process OK path
 //
@@ -20,7 +19,6 @@
 package cloudmon_test
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -294,81 +292,73 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkEvalPlan (E15) compares the demand-driven evaluation engine
-// (compiled plans, per-path fetches, effect-frame post reuse) against the
-// eager whole-contract snapshot, on the read and write paths, in process
-// and under 1ms of simulated network latency per backend round trip. Each
-// sub-benchmark also reports the cloud-read economy as cloudGETs/op — the
-// number the lazy engine exists to shrink; with network latency in the
-// loop, saved GETs convert directly into saved milliseconds.
+// BenchmarkEvalPlan (E15) runs the demand-driven evaluation engine
+// (compiled plans, per-path fetches, effect-frame post reuse) on the read
+// and write paths, in process and under 1ms of simulated network latency
+// per backend round trip. Each sub-benchmark reports the cloud-read
+// economy as cloudGETs/op; the paper's whole-contract snapshot workflow
+// reads 8 paths per GET and 10 per DELETE (the monitor package's
+// TestLazyFetchEconomyOnPaperModel pins both against its oracle). With
+// network latency in the loop, saved GETs convert directly into saved
+// milliseconds.
 func BenchmarkEvalPlan(b *testing.B) {
-	engines := []struct {
-		name string
-		eval monitor.EvalMode
-	}{
-		{"lazy", monitor.EvalLazy},
-		{"eager", monitor.EvalEager},
-	}
 	reportGets := func(b *testing.B, d *benchDeployment, before uint64) {
 		b.ReportMetric(float64(d.sys.Provider.Stats().Gets-before)/float64(b.N), "cloudGETs/op")
 	}
-	for _, eng := range engines {
-		eng := eng
-		b.Run("GET/"+eng.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, 0, func(o *core.Options) { o.Eval = eng.eval })
-			path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
-			b.ReportAllocs()
-			before := d.sys.Provider.Stats().Gets
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("GET", func(b *testing.B) {
+		d := newThroughputDeployment(b, 0, nil)
+		path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
+		b.ReportAllocs()
+		before := d.sys.Provider.Stats().Gets
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			reportGets(b, d, before)
-		})
-		b.Run("CreateDelete/"+eng.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, 0, func(o *core.Options) { o.Eval = eng.eval })
-			collection := "/projects/" + d.projectID + "/volumes"
-			in := map[string]map[string]any{"volume": {"name": "x", "size": 1}}
-			b.ReportAllocs()
-			before := d.sys.Provider.Stats().Gets
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var out struct {
-					Volume cinder.Volume `json:"volume"`
-				}
-				if _, err := d.monitored.Do(http.MethodPost, collection, in, &out, nil); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := d.monitored.Do(http.MethodDelete, collection+"/"+out.Volume.ID, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
+		}
+		b.StopTimer()
+		reportGets(b, d, before)
+	})
+	b.Run("CreateDelete", func(b *testing.B) {
+		d := newThroughputDeployment(b, 0, nil)
+		collection := "/projects/" + d.projectID + "/volumes"
+		in := map[string]map[string]any{"volume": {"name": "x", "size": 1}}
+		b.ReportAllocs()
+		before := d.sys.Provider.Stats().Gets
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var out struct {
+				Volume cinder.Volume `json:"volume"`
 			}
-			b.StopTimer()
-			// Two monitored requests per iteration.
-			b.ReportMetric(float64(d.sys.Provider.Stats().Gets-before)/float64(2*b.N), "cloudGETs/req")
-		})
-		b.Run("netsim-1ms/GET/"+eng.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, time.Millisecond, func(o *core.Options) { o.Eval = eng.eval })
-			path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
-			before := d.sys.Provider.Stats().Gets
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := d.monitored.Do(http.MethodPost, collection, in, &out, nil); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			reportGets(b, d, before)
-		})
-	}
-	// Concurrent lazy GETs against a slow backend: identical in-flight
-	// path fetches coalesce onto one leader, so the per-op GET count
-	// drops below the serial figure as parallelism rises.
-	b.Run("netsim-1ms/GET/lazy-parallel", func(b *testing.B) {
-		d := newThroughputDeployment(b, time.Millisecond, func(o *core.Options) { o.Eval = monitor.EvalLazy })
+			if _, err := d.monitored.Do(http.MethodDelete, collection+"/"+out.Volume.ID, nil, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		// Two monitored requests per iteration.
+		b.ReportMetric(float64(d.sys.Provider.Stats().Gets-before)/float64(2*b.N), "cloudGETs/req")
+	})
+	b.Run("netsim-1ms/GET", func(b *testing.B) {
+		d := newThroughputDeployment(b, time.Millisecond, nil)
+		path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
+		before := d.sys.Provider.Stats().Gets
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		reportGets(b, d, before)
+	})
+	// Concurrent GETs against a slow backend: identical in-flight path
+	// fetches coalesce onto one leader, so the per-op GET count drops
+	// below the serial figure as parallelism rises.
+	b.Run("netsim-1ms/GET/parallel", func(b *testing.B) {
+		d := newThroughputDeployment(b, time.Millisecond, nil)
 		path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
 		// The workload is latency-bound, not CPU-bound: pin 8 client
 		// goroutines per proc so in-flight fetches overlap (and so
@@ -390,9 +380,8 @@ func BenchmarkEvalPlan(b *testing.B) {
 	})
 }
 
-// BenchmarkEvalPlanFacts (E16) compares the lazy engine with compile-time
-// facts (the default) against the same engine with facts disabled — the
-// PR-5 baseline. The pruning shows up as fewer per-clause path demands
+// BenchmarkEvalPlanFacts (E16) compares the engine with compile-time
+// facts (the default) against the same engine with facts disabled. The pruning shows up as fewer per-clause path demands
 // (witness skips decide excluded disjuncts with one element), reported as
 // demands/op from the monitor's verdict log; cloud GETs/op stay identical
 // because the skipped elements read already-fetched paths on these routes.
@@ -648,15 +637,15 @@ func BenchmarkOCLEvalPaperDelete(b *testing.B) {
 }
 
 // BenchmarkCompiledEval (E17) pits the compiled closure-chain engine
-// against the lazy engine's tree walk on the in-process OK path: the full
+// against the single-pass tree walk on the in-process OK path: the full
 // pre-check of the paper's DELETE(volume) contract — clause programs in
 // plan order to the first true disjunct — over an already-fetched state.
 // The compiled arm resets and refills a pooled slot frame every
 // iteration (that refill is part of the engine's per-request cost) and
 // must run allocation-free; the tree-walk arm evaluates the same clauses
 // with ocl.Eval over the same map environment. The post sub-benchmarks
-// extend the comparison through the consequent programs with a bound
-// pre-state bank.
+// extend the comparison through the consequent programs over a
+// turned-around frame.
 func BenchmarkCompiledEval(b *testing.B) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -727,46 +716,6 @@ func BenchmarkCompiledEval(b *testing.B) {
 		}
 		return false
 	}
-	// preCheckLazy reproduces monitor.EvalLazy's per-request evaluation
-	// machinery — a fresh demand-signalling environment, the
-	// fetch-and-re-evaluate loop (a clause restarts after every path it
-	// demands), and per-clause demand accounting — with fetches served
-	// from the already-available state. This measures the engine the
-	// compiled programs replace; the tree-walk arm above is the
-	// single-pass floor no demand-driven evaluator can reach.
-	preCheckLazy := func() bool {
-		env := &benchLazyEnv{
-			src:      pre,
-			vals:     make(ocl.MapEnv),
-			have:     make(map[string]bool),
-			demanded: make(map[string]bool, 8),
-		}
-		ctx := ocl.Context{Cur: env}
-		for _, pc := range plan.Pre {
-			clear(env.demanded)
-			var v ocl.Value
-			for {
-				var err error
-				v, err = ocl.Eval(c.Cases[pc.Index].Pre, ctx)
-				if err == nil {
-					break
-				}
-				var uf *benchUnfetched
-				if !errors.As(err, &uf) {
-					b.Fatal(err)
-				}
-				val, ok := pre[uf.path]
-				env.have[uf.path] = true
-				if ok {
-					env.vals[uf.path] = val
-				}
-			}
-			if ok, defined, isBool := ocl.KernelBool(v); isBool && defined && ok {
-				return true
-			}
-		}
-		return false
-	}
 	b.Run("pre/compiled", func(b *testing.B) {
 		fr := comp.NewFrame()
 		defer comp.Release(fr)
@@ -777,16 +726,6 @@ func BenchmarkCompiledEval(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			preCheckCompiled(fr)
-		}
-	})
-	b.Run("pre/lazy-engine", func(b *testing.B) {
-		if !preCheckLazy() {
-			b.Fatal("pre-check did not pass")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			preCheckLazy()
 		}
 	})
 	b.Run("pre/tree-walk", func(b *testing.B) {
@@ -823,9 +762,6 @@ func BenchmarkCompiledEval(b *testing.B) {
 			fr.Reset()
 			fill(fr, preBind)
 			fr.BeginPost()
-			for i := range preBind {
-				fr.SetPreSlot(i, preBind[i].val, preBind[i].present)
-			}
 			fill(fr, postBind)
 			if _, err := comp.PostProgram(active).Run(fr); err != nil {
 				b.Fatal(err)
@@ -853,37 +789,6 @@ func BenchmarkCompiledEval(b *testing.B) {
 		}
 	})
 }
-
-// benchLazyEnv mirrors the lazy engine's demand-signalling environment
-// for the E17 lazy arm: a fetched path resolves from vals (absent paths
-// to Undefined), an unfetched one aborts evaluation with benchUnfetched
-// so the driver can fetch it and re-evaluate — the monitor's
-// lazyEnv/evalDemand discipline against an in-process state source.
-type benchLazyEnv struct {
-	src      ocl.MapEnv
-	vals     ocl.MapEnv
-	have     map[string]bool
-	demanded map[string]bool
-}
-
-// Resolve implements ocl.Environment.
-func (e *benchLazyEnv) Resolve(path []string) (ocl.Value, error) {
-	key := strings.Join(path, ".")
-	if e.have[key] {
-		if e.demanded != nil {
-			e.demanded[key] = true
-		}
-		if v, ok := e.vals[key]; ok {
-			return v, nil
-		}
-		return ocl.Undefined(), nil
-	}
-	return ocl.Value{}, &benchUnfetched{path: key}
-}
-
-type benchUnfetched struct{ path string }
-
-func (e *benchUnfetched) Error() string { return "bench: state path " + e.path + " not fetched" }
 
 // syntheticResourceModel builds a resource model with n normal resources
 // hanging off one collection.

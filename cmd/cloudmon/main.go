@@ -75,8 +75,7 @@ func run(args []string) error {
 	modeName := fs.String("mode", "enforce", "monitor mode: enforce | observe")
 	inspectAddr := fs.String("inspect-addr", "", "optional listen address for the verdict/coverage API (e.g. 127.0.0.1:8001)")
 	levelName := fs.String("level", "full", "contract check level: full | pre-only")
-	evalName := fs.String("eval", "compiled", "contract evaluation engine: compiled (closure-chain programs) | lazy (demand-driven tree walk) | eager (whole-contract snapshots)")
-	noFacts := fs.Bool("no-facts", false, "disable compile-time fact pruning in the lazy engine (A/B baseline)")
+	noFacts := fs.Bool("no-facts", false, "disable compile-time fact pruning (A/B baseline)")
 	postName := fs.String("post", "sync", "post-verification mode: sync | async (defer post-checks to a bounded worker queue)")
 	postQueue := fs.Int("post-queue", 0, "async post queue capacity (0 = default)")
 	postWorkers := fs.Int("post-workers", 0, "async post worker pool size (0 = default)")
@@ -137,10 +136,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown level %q (want full or pre-only)", *levelName)
 	}
-	eval, err := monitor.ParseEvalMode(*evalName)
-	if err != nil {
-		return err
-	}
 	postMode, err := monitor.ParsePostMode(*postName)
 	if err != nil {
 		return err
@@ -200,7 +195,6 @@ func run(args []string) error {
 		InstanceID:       *instance,
 		Mode:             mode,
 		Level:            level,
-		Eval:             eval,
 		NoFacts:          *noFacts,
 		Post:             postMode,
 		PostQueueCap:     *postQueue,
@@ -215,7 +209,7 @@ func run(args []string) error {
 	// Drain deferred post-checks before the audit log closes.
 	defer sys.Monitor.Close()
 
-	fmt.Printf("cloud monitor (%s mode, %s eval) on %s, proxying %s\n", mode, eval, *addr, *cloudURL)
+	fmt.Printf("cloud monitor (%s mode) on %s, proxying %s\n", mode, *addr, *cloudURL)
 	if *instance != "" {
 		fmt.Printf("  fleet instance %s (audit stamp, metric label, invalidation bus on the inspect listener)\n", *instance)
 	}

@@ -64,12 +64,11 @@ func run(args []string, out io.Writer) error {
 	warmup := fs.Int("warmup", -1, "override warmup request count")
 	modeName := fs.String("mode", "enforce", "monitor mode for the in-process deployment: enforce | observe")
 	levelName := fs.String("level", "full", "check level for the in-process deployment: full | pre-only")
-	evalName := fs.String("eval", "compiled", "evaluation engine for the in-process deployment: compiled | lazy | eager")
 	postName := fs.String("post", "sync", "post-verification mode: sync | async (defer post-checks to a bounded worker queue)")
 	postQueue := fs.Int("post-queue", 0, "async post queue capacity (0 = default)")
 	postWorkers := fs.Int("post-workers", 0, "async post worker pool size (0 = default)")
 	backpressureName := fs.String("post-backpressure", "block", "saturated async queue policy: block | shed")
-	noFacts := fs.Bool("no-facts", false, "disable compile-time fact pruning in the lazy engine (A/B baseline)")
+	noFacts := fs.Bool("no-facts", false, "disable compile-time fact pruning (A/B baseline)")
 	cacheTTL := fs.Duration("cache-ttl", 0, "pre-state read-cache TTL (0 = disabled)")
 	faultsPath := fs.String("faults", "", "fault-injection profile (JSON) for the in-process cloud")
 	fleetN := fs.Int("fleet", 0, "deploy a sharded fleet of this many monitor instances behind a consistent-hash front (in-process only)")
@@ -186,17 +185,12 @@ func run(args []string, out io.Writer) error {
 		default:
 			return fmt.Errorf("unknown level %q (want full or pre-only)", *levelName)
 		}
-		evalMode, err := monitor.ParseEvalMode(*evalName)
-		if err != nil {
-			return err
-		}
 		if policy == monitor.Degrade && *cacheTTL <= 0 {
 			return fmt.Errorf("-fail-policy degrade needs -cache-ttl > 0 (the policy falls back to the pre-state cache)")
 		}
 		opts := loadgen.DeployOptions{
 			Mode:             mode,
 			Level:            level,
-			Eval:             evalMode,
 			NoFacts:          *noFacts,
 			FailPolicy:       policy,
 			Post:             postMode,
@@ -665,8 +659,8 @@ func verifyAsync(sc loadgen.Scenario, r *loadgen.Report, dep *loadgen.Deployment
 }
 
 // verifyFetch asserts the run's fetch-economy invariants: the monitor
-// never reads more of the cloud than the eager engine's worst case (two
-// full snapshots per checked request), and a serial closed loop coalesces
+// never reads more of the cloud than the paper's whole-snapshot workflow
+// would (two full snapshots per checked request), and a serial closed loop coalesces
 // nothing — with one client there is never a concurrent identical read in
 // flight to share.
 func verifyFetch(sc loadgen.Scenario, r *loadgen.Report, dep *loadgen.Deployment) error {

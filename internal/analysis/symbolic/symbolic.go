@@ -4,7 +4,7 @@
 // whether a boolean formula is decided (true, false or OclUndefined) for
 // every possible state, and which comparison atoms refute or entail each
 // other. The contract planner compiles these judgements into a
-// contract.Facts artifact that the lazy monitor uses to skip clause
+// contract.Facts artifact that the monitor uses to skip clause
 // evaluations at runtime, and the analysis package reports them as
 // MV700-series model diagnostics.
 //
@@ -112,10 +112,10 @@ func kinds(e ocl.Expr, bound map[string]int) KindSet {
 // NeverErrors reports whether evaluating the expression cannot raise an
 // evaluation error in any environment. It is the gate for treating a
 // clause element as safe to leave unevaluated: if every element before a
-// refuted witness is error-free, skipping them cannot hide an error the
-// eager engine would have surfaced. Fetch failures are a separate class —
-// demand-driven evaluation already fetches less than the eager engine, so
-// they are outside this judgement (see DESIGN.md §3.5).
+// refuted witness is error-free, skipping them cannot hide an error
+// evaluating the whole clause would have surfaced. Fetch failures are a
+// separate class — demand-driven evaluation already fetches less than a
+// whole snapshot, so they are outside this judgement (see DESIGN.md §3.5).
 //
 // pre()/@pre references are conservatively erroring: pre-conditions are
 // evaluated without a pre-state environment, where they raise

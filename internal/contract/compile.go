@@ -9,8 +9,10 @@
 // Soundness is not argued node-by-node here: every coercion rule is a
 // call into the ocl evaluation kernel (ocl/kernel.go), the same
 // functions the tree-walking evaluator runs, and the equivalence of the
-// composition is enforced by the three-way differential suite, the
-// FuzzCompiledEval harness and the seeded compiler mutants below.
+// composition is enforced by the monitor's differential suites (against
+// a whole-snapshot oracle built on the tree walk), the FuzzCompiledEval
+// harness and the seeded compiler mutants below. There is one compiler:
+// the mutants are seeded into the same closures production runs.
 package contract
 
 import (
@@ -29,20 +31,16 @@ type evalFn func(fr *Frame) (ocl.Value, error)
 // Program is one compiled clause.
 type Program struct {
 	fn evalFn
-	// paths are the distinct state paths the clause can demand, in
-	// first-use order (diagnostics; the slot model resolves them).
-	paths []string
 }
 
 // Run evaluates the program over the frame.
 func (p *Program) Run(fr *Frame) (ocl.Value, error) { return p.fn(fr) }
 
-// Paths returns the distinct state paths the program can demand.
-func (p *Program) Paths() []string { return p.paths }
-
 // Compiled is a contract's closure-chain evaluator set: one program per
 // pre-condition disjunct, post-condition consequent and exclusion
-// witness, sharing a single state-path slot table and a Frame pool.
+// witness, sharing a single state-path slot table and a Frame pool. The
+// table holds every path the plan can fetch, not only the ones the
+// programs demand, so a frame can record everything a request read.
 type Compiled struct {
 	paths []string
 	idx   map[string]int
@@ -59,7 +57,7 @@ type Compiled struct {
 	pool    sync.Pool
 }
 
-// Paths returns the slot table: every state path any program can demand.
+// Paths returns the slot table: every state path the plan can fetch.
 func (cp *Compiled) Paths() []string { return cp.paths }
 
 // Cases returns the number of compiled clause pairs.
@@ -79,19 +77,32 @@ func (cp *Compiled) WitnessProgram(i, j int) *Program { return cp.witness[i][j] 
 func (cp *Compiled) Registers() int { return cp.numRegs }
 
 // NewFrame returns a reset Frame from the pool. Frames must go back via
-// Release; a warmed pool makes evaluation allocation-free.
+// Release, exactly once; a warmed pool makes evaluation allocation-free.
 func (cp *Compiled) NewFrame() *Frame {
 	fr := cp.pool.Get().(*Frame)
 	fr.Reset()
+	fr.live = true
 	return fr
 }
 
 // Release returns a frame to the pool. The caller must not retain
-// values aliasing the frame's arena past this point.
-func (cp *Compiled) Release(fr *Frame) { cp.pool.Put(fr) }
+// values aliasing the frame's arena past this point. Releasing a frame
+// twice panics: the pool would hand it to two requests at once.
+func (cp *Compiled) Release(fr *Frame) {
+	if !fr.live {
+		panic("contract: frame released twice")
+	}
+	fr.live = false
+	cp.pool.Put(fr)
+}
 
 // compileContract builds the contract's compiled evaluator set from the
-// plan's folded clause forms.
+// plan's folded clause forms, then gives every path the plan names a slot
+// too — the pre clauses' paths (what waves read), the post clauses'
+// pre-state paths (what the top-up reads) and effect frames — so the
+// frame holds whatever the monitor fetches even where a program does not
+// read it (a hand-built contract's effect need not be part of its
+// post-condition).
 func compileContract(c *Contract, p *Plan) *Compiled {
 	co := newCompiler("")
 	cp := co.cp
@@ -117,6 +128,14 @@ func compileContract(c *Contract, p *Plan) *Compiled {
 				cp.witness[i] = append(cp.witness[i], co.program(ex.Witness))
 			}
 		}
+	}
+	for _, pc := range p.Pre {
+		co.ensurePaths(pc.Paths)
+	}
+	for _, pc := range p.Post {
+		co.ensurePaths(pc.CurPaths)
+		co.ensurePaths(pc.PrePaths)
+		co.ensurePaths(pc.Touched)
 	}
 	co.seal()
 	return cp
@@ -152,22 +171,23 @@ func (ce *CompiledExpr) Paths() []string { return ce.cp.paths }
 // Eval runs the compiled expression against map environments, mirroring
 // ocl.Eval(e, ocl.Context{Cur: cur, Pre: pre}): every slot is filled up
 // front (missing keys resolve to Undefined, as ocl.MapEnv does), so no
-// demand can occur. Collection results are detached from the frame's
-// arena before the frame returns to the pool.
+// demand can occur. A pre-state is filled first and turned around with
+// BeginPost, as the monitor does. Collection results are detached from
+// the frame's arena before the frame returns to the pool.
 func (ce *CompiledExpr) Eval(cur, pre ocl.MapEnv) (ocl.Value, error) {
 	fr := ce.cp.NewFrame()
 	defer ce.cp.Release(fr)
-	for _, path := range ce.cp.paths {
-		v, ok := cur[path]
-		fr.SetCur(path, v, ok)
-	}
-	if pre != nil {
-		fr.hasPre = true
-		for _, path := range ce.cp.paths {
-			v, ok := pre[path]
-			fr.SetPre(path, v, ok)
+	fill := func(env ocl.MapEnv) {
+		for i, path := range ce.cp.paths {
+			v, ok := env[path]
+			fr.SetCurSlot(i, v, ok)
 		}
 	}
+	if pre != nil {
+		fill(pre)
+		fr.BeginPost()
+	}
+	fill(cur)
 	v, err := ce.prog.Run(fr)
 	if err != nil {
 		return ocl.Value{}, err
@@ -243,7 +263,14 @@ func (co *compiler) seal() {
 
 // program compiles one clause.
 func (co *compiler) program(e ocl.Expr) *Program {
-	return &Program{fn: co.compile(e, false), paths: ocl.NavPaths(e)}
+	return &Program{fn: co.compile(e, false)}
+}
+
+// ensurePaths interns each path into the slot table.
+func (co *compiler) ensurePaths(paths []string) {
+	for _, p := range paths {
+		co.ensurePath(p)
+	}
 }
 
 // ensurePath interns a state path into the slot table.
@@ -383,418 +410,10 @@ func (co *compiler) compileUnary(n *ocl.Unary, inPre bool) evalFn {
 	}
 }
 
-// microOp is a compile-time operand descriptor for the fused comparison
-// closures: a direct slot read, a slot read's collection size, or a
-// constant. Loading one is straight-line code — no child closure call, no
-// Value copy through a function boundary.
-type microOp struct {
-	mode uint8 // microSlot, microSize or microConst
-	idx  int
-	pre  bool
-	cv   ocl.Value
-}
-
-const (
-	microSlot uint8 = iota + 1
-	microSize
-	microConst
-)
-
-// load resolves the operand against the frame.
-func (m *microOp) load(fr *Frame) (ocl.Value, error) {
-	switch m.mode {
-	case microSlot:
-		if m.pre {
-			return fr.loadPre(m.idx)
-		}
-		return fr.loadCur(m.idx)
-	case microSize:
-		v, err := fr.loadCur(m.idx)
-		if m.pre {
-			v, err = fr.loadPre(m.idx)
-		}
-		if err != nil {
-			return ocl.Value{}, err
-		}
-		return ocl.IntVal(v.Size()), nil
-	default:
-		return m.cv, nil
-	}
-}
-
-// slotOperand resolves e to a slot read when it is a plain state-path
-// navigation — including pre(path): loadPre's missing-pre-state check is
-// exactly the PreExpr wrapper's, so the fusion preserves error order.
-// Iterator-shadowed heads are lexical error cases and stay unfused.
-func (co *compiler) slotOperand(e ocl.Expr, inPre bool) (idx int, pre, ok bool) {
-	if p, isPre := e.(*ocl.PreExpr); isPre {
-		if nav, isNav := p.Expr.(*ocl.Nav); isNav {
-			if _, shadowed := co.lookupVar(nav.Path[0]); !shadowed {
-				return co.ensurePath(strings.Join(nav.Path, ".")), true, true
-			}
-		}
-		return 0, false, false
-	}
-	nav, isNav := e.(*ocl.Nav)
-	if !isNav {
-		return 0, false, false
-	}
-	if _, shadowed := co.lookupVar(nav.Path[0]); shadowed {
-		return 0, false, false
-	}
-	return co.ensurePath(strings.Join(nav.Path, ".")), inPre || nav.AtPre, true
-}
-
-// micro resolves e to a fused operand when it is a literal, a slot read,
-// or a slot read's size — the operand shapes contract atoms are built of.
-func (co *compiler) micro(e ocl.Expr, inPre bool) (microOp, bool) {
-	if v, ok := litValue(e); ok {
-		return microOp{mode: microConst, cv: v}, true
-	}
-	if idx, pre, ok := co.slotOperand(e, inPre); ok {
-		return microOp{mode: microSlot, idx: idx, pre: pre}, true
-	}
-	if c, ok := e.(*ocl.CollOp); ok && c.Name == "size" && len(c.Args) == 0 {
-		if idx, pre, ok := co.slotOperand(c.Recv, inPre); ok {
-			return microOp{mode: microSize, idx: idx, pre: pre}, true
-		}
-	}
-	return microOp{}, false
-}
-
-// fuseBinary compiles a comparison or arithmetic atom whose operands both
-// resolve to micro operands into one closure. These atoms — role and
-// status literals against slots, volume counts against quotas — dominate
-// the contract corpus, and fusing them removes every child closure call
-// from the clause's leaves. Only the faithful compiler fuses; mutated
-// compilers take the generic paths their seeded faults live on.
-func (co *compiler) fuseBinary(n *ocl.Binary, inPre bool) evalFn {
-	ml, okL := co.micro(n.L, inPre)
-	mr, okR := co.micro(n.R, inPre)
-	if !okL || !okR {
-		return nil
-	}
-	// Slot-vs-constant comparisons — the single hottest atom shape — get
-	// closures with the slot load inlined: no microOp dispatch, no second
-	// operand load, straight-line compare on matching kinds.
-	if mr.mode == microConst && ml.mode != microConst {
-		if fn := fuseSlotConst(n, ml, mr.cv); fn != nil {
-			return fn
-		}
-	}
-	if ml.mode != microConst && mr.mode != microConst {
-		if fn := fuseSlotSlot(n, ml, mr); fn != nil {
-			return fn
-		}
-	}
-	switch op := n.Op; op {
-	case ocl.OpEq:
-		return func(fr *Frame) (ocl.Value, error) {
-			l, err := ml.load(fr)
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			r, err := mr.load(fr)
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			// Same-kind scalars compare field-to-field (equalValues ends in
-			// Value.Equal there); everything else — coercions, Undefined —
-			// takes the kernel.
-			if l.Kind == r.Kind {
-				switch l.Kind {
-				case ocl.KindString:
-					return ocl.BoolVal(l.Str == r.Str), nil
-				case ocl.KindInt:
-					return ocl.BoolVal(l.Int == r.Int), nil
-				case ocl.KindBool:
-					return ocl.BoolVal(l.Bool == r.Bool), nil
-				}
-			}
-			return ocl.KernelEqual(l, r), nil
-		}
-	case ocl.OpNe:
-		return func(fr *Frame) (ocl.Value, error) {
-			l, err := ml.load(fr)
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			r, err := mr.load(fr)
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			if l.Kind == r.Kind {
-				switch l.Kind {
-				case ocl.KindString:
-					return ocl.BoolVal(l.Str != r.Str), nil
-				case ocl.KindInt:
-					return ocl.BoolVal(l.Int != r.Int), nil
-				case ocl.KindBool:
-					return ocl.BoolVal(l.Bool != r.Bool), nil
-				}
-			}
-			eq := ocl.KernelEqual(l, r)
-			if eq.IsUndefined() {
-				return eq, nil
-			}
-			return ocl.BoolVal(!eq.Bool), nil
-		}
-	case ocl.OpLt, ocl.OpLe, ocl.OpGt, ocl.OpGe:
-		return func(fr *Frame) (ocl.Value, error) {
-			l, err := ml.load(fr)
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			r, err := mr.load(fr)
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			if l.Kind == ocl.KindInt && r.Kind == ocl.KindInt {
-				var b bool
-				switch op {
-				case ocl.OpLt:
-					b = l.Int < r.Int
-				case ocl.OpLe:
-					b = l.Int <= r.Int
-				case ocl.OpGt:
-					b = l.Int > r.Int
-				default:
-					b = l.Int >= r.Int
-				}
-				return ocl.BoolVal(b), nil
-			}
-			v, ok := ocl.KernelCompare(op, l, r)
-			if !ok {
-				return ocl.Value{}, &ocl.EvalError{Expr: n, Message: fmt.Sprintf(
-					"cannot order %s and %s", l.Kind, r.Kind)}
-			}
-			return v, nil
-		}
-	case ocl.OpAdd, ocl.OpSub, ocl.OpMul, ocl.OpDiv:
-		return func(fr *Frame) (ocl.Value, error) {
-			l, err := ml.load(fr)
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			r, err := mr.load(fr)
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			v, ok := ocl.KernelArith(op, l, r)
-			if !ok {
-				return ocl.Value{}, &ocl.EvalError{Expr: n, Message: fmt.Sprintf(
-					"arithmetic on %s and %s", l.Kind, r.Kind)}
-			}
-			return v, nil
-		}
-	}
-	return nil
-}
-
-// fuseSlotConst builds the specialized closure for a fused comparison
-// whose left operand is a slot read (optionally its size) and whose right
-// operand is a literal. The slot load is written out inline so the whole
-// atom is one closure call; the kind-mismatch and coercion cases fall
-// back to the kernels, preserving tree-walk semantics exactly.
-func fuseSlotConst(n *ocl.Binary, ml microOp, cv ocl.Value) evalFn {
-	idx, pre, sized := ml.idx, ml.pre, ml.mode == microSize
-	switch op := n.Op; op {
-	case ocl.OpEq, ocl.OpNe:
-		neg := op == ocl.OpNe
-		return func(fr *Frame) (ocl.Value, error) {
-			var l ocl.Value
-			var err error
-			if pre {
-				l, err = fr.loadPre(idx)
-			} else {
-				l, err = fr.loadCur(idx)
-			}
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			if sized {
-				l = ocl.IntVal(l.Size())
-			}
-			if l.Kind == cv.Kind {
-				switch l.Kind {
-				case ocl.KindString:
-					return ocl.BoolVal((l.Str == cv.Str) != neg), nil
-				case ocl.KindInt:
-					return ocl.BoolVal((l.Int == cv.Int) != neg), nil
-				case ocl.KindBool:
-					return ocl.BoolVal((l.Bool == cv.Bool) != neg), nil
-				}
-			}
-			// Membership coercion against a string literal — the role
-			// check `groups = 'admin'` — written out: a string scalar can
-			// only equal a string element, and never triggers the count
-			// coercion, so the kernel's loop reduces to this one.
-			if l.Kind == ocl.KindCollection && cv.Kind == ocl.KindString {
-				hit := false
-				for i := range l.Elems {
-					if l.Elems[i].Kind == ocl.KindString && l.Elems[i].Str == cv.Str {
-						hit = true
-						break
-					}
-				}
-				return ocl.BoolVal(hit != neg), nil
-			}
-			eq := ocl.KernelEqual(l, cv)
-			if neg && !eq.IsUndefined() {
-				return ocl.BoolVal(!eq.Bool), nil
-			}
-			return eq, nil
-		}
-	case ocl.OpLt, ocl.OpLe, ocl.OpGt, ocl.OpGe:
-		return func(fr *Frame) (ocl.Value, error) {
-			var l ocl.Value
-			var err error
-			if pre {
-				l, err = fr.loadPre(idx)
-			} else {
-				l, err = fr.loadCur(idx)
-			}
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			if sized {
-				l = ocl.IntVal(l.Size())
-			}
-			if l.Kind == ocl.KindInt && cv.Kind == ocl.KindInt {
-				var b bool
-				switch op {
-				case ocl.OpLt:
-					b = l.Int < cv.Int
-				case ocl.OpLe:
-					b = l.Int <= cv.Int
-				case ocl.OpGt:
-					b = l.Int > cv.Int
-				default:
-					b = l.Int >= cv.Int
-				}
-				return ocl.BoolVal(b), nil
-			}
-			v, ok := ocl.KernelCompare(op, l, cv)
-			if !ok {
-				return ocl.Value{}, &ocl.EvalError{Expr: n, Message: fmt.Sprintf(
-					"cannot order %s and %s", l.Kind, cv.Kind)}
-			}
-			return v, nil
-		}
-	}
-	return nil
-}
-
-// fuseSlotSlot is fuseSlotConst's two-slot sibling: both operands are
-// slot reads (optionally sized), both loads written out inline. Covers
-// the quota comparison `project.volumes < quota_sets.volume` shape.
-func fuseSlotSlot(n *ocl.Binary, ml, mr microOp) evalFn {
-	li, lp, ls := ml.idx, ml.pre, ml.mode == microSize
-	ri, rp, rs := mr.idx, mr.pre, mr.mode == microSize
-	switch op := n.Op; op {
-	case ocl.OpEq, ocl.OpNe:
-		neg := op == ocl.OpNe
-		return func(fr *Frame) (ocl.Value, error) {
-			var l, r ocl.Value
-			var err error
-			if lp {
-				l, err = fr.loadPre(li)
-			} else {
-				l, err = fr.loadCur(li)
-			}
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			if rp {
-				r, err = fr.loadPre(ri)
-			} else {
-				r, err = fr.loadCur(ri)
-			}
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			if ls {
-				l = ocl.IntVal(l.Size())
-			}
-			if rs {
-				r = ocl.IntVal(r.Size())
-			}
-			if l.Kind == r.Kind {
-				switch l.Kind {
-				case ocl.KindString:
-					return ocl.BoolVal((l.Str == r.Str) != neg), nil
-				case ocl.KindInt:
-					return ocl.BoolVal((l.Int == r.Int) != neg), nil
-				case ocl.KindBool:
-					return ocl.BoolVal((l.Bool == r.Bool) != neg), nil
-				}
-			}
-			eq := ocl.KernelEqual(l, r)
-			if neg && !eq.IsUndefined() {
-				return ocl.BoolVal(!eq.Bool), nil
-			}
-			return eq, nil
-		}
-	case ocl.OpLt, ocl.OpLe, ocl.OpGt, ocl.OpGe:
-		return func(fr *Frame) (ocl.Value, error) {
-			var l, r ocl.Value
-			var err error
-			if lp {
-				l, err = fr.loadPre(li)
-			} else {
-				l, err = fr.loadCur(li)
-			}
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			if rp {
-				r, err = fr.loadPre(ri)
-			} else {
-				r, err = fr.loadCur(ri)
-			}
-			if err != nil {
-				return ocl.Value{}, err
-			}
-			if ls {
-				l = ocl.IntVal(l.Size())
-			}
-			if rs {
-				r = ocl.IntVal(r.Size())
-			}
-			if l.Kind == ocl.KindInt && r.Kind == ocl.KindInt {
-				var b bool
-				switch op {
-				case ocl.OpLt:
-					b = l.Int < r.Int
-				case ocl.OpLe:
-					b = l.Int <= r.Int
-				case ocl.OpGt:
-					b = l.Int > r.Int
-				default:
-					b = l.Int >= r.Int
-				}
-				return ocl.BoolVal(b), nil
-			}
-			v, ok := ocl.KernelCompare(op, l, r)
-			if !ok {
-				return ocl.Value{}, &ocl.EvalError{Expr: n, Message: fmt.Sprintf(
-					"cannot order %s and %s", l.Kind, r.Kind)}
-			}
-			return v, nil
-		}
-	}
-	return nil
-}
-
 func (co *compiler) compileBinary(n *ocl.Binary, inPre bool) evalFn {
 	switch n.Op {
 	case ocl.OpAnd, ocl.OpOr, ocl.OpImplies, ocl.OpXor:
 		return co.compileLogic(n, inPre)
-	}
-	if co.mutant == "" {
-		if fn := co.fuseBinary(n, inPre); fn != nil {
-			return fn
-		}
 	}
 	lf := co.compile(n.L, inPre)
 	rf := co.compile(n.R, inPre)
@@ -967,96 +586,9 @@ func evalPair(fr *Frame, lf, rf evalFn) (ocl.Value, ocl.Value, error) {
 	return l, r, nil
 }
 
-// logicPart is one operand of a flattened and/or chain, paired with the
-// nested connective node the tree walk would attribute a non-boolean
-// operand error to — flattening must not change error text.
-type logicPart struct {
-	fn     evalFn
-	parent *ocl.Binary
-}
-
-// flattenLogic gathers the left-to-right operand sequence of an
-// associative connective chain. Kleene and/or are associative in all
-// three truth values, and short-circuiting on a definite false (and) or
-// true (or) skips exactly the operands the nested closures would skip,
-// so one loop over the flattened sequence is observationally identical
-// to the closure nest — while paying one call frame per chain instead
-// of one per connective.
-func (co *compiler) flattenLogic(n *ocl.Binary, op ocl.BinOp, inPre bool, parts []logicPart) []logicPart {
-	for _, side := range []ocl.Expr{n.L, n.R} {
-		if b, ok := side.(*ocl.Binary); ok && b.Op == op {
-			parts = co.flattenLogic(b, op, inPre, parts)
-		} else {
-			parts = append(parts, logicPart{fn: co.compile(side, inPre), parent: n})
-		}
-	}
-	return parts
-}
-
-// isLogicChain reports whether n has a same-op connective directly under
-// it, i.e. flattening would yield more than two operands.
-func isLogicChain(n *ocl.Binary) bool {
-	if b, ok := n.L.(*ocl.Binary); ok && b.Op == n.Op {
-		return true
-	}
-	b, ok := n.R.(*ocl.Binary)
-	return ok && b.Op == n.Op
-}
-
 // compileLogic compiles the short-circuiting three-valued connectives,
 // including the left-first evaluation order the demand loop depends on.
 func (co *compiler) compileLogic(n *ocl.Binary, inPre bool) evalFn {
-	// Only the faithful compiler flattens: the seeded connective faults
-	// live on the generic two-operand closures.
-	if co.mutant == "" && (n.Op == ocl.OpAnd || n.Op == ocl.OpOr) && isLogicChain(n) {
-		parts := co.flattenLogic(n, n.Op, inPre, nil)
-		if n.Op == ocl.OpAnd {
-			return func(fr *Frame) (ocl.Value, error) {
-				undef := false
-				for i := range parts {
-					v, err := parts[i].fn(fr)
-					if err != nil {
-						return ocl.Value{}, err
-					}
-					b, def, ok := ocl.KernelBool(v)
-					if !ok {
-						return ocl.Value{}, &ocl.EvalError{Expr: parts[i].parent,
-							Message: "boolean operator applied to " + v.Kind.String()}
-					}
-					if def && !b {
-						return ocl.BoolVal(false), nil
-					}
-					undef = undef || !def
-				}
-				if undef {
-					return ocl.Undefined(), nil
-				}
-				return ocl.BoolVal(true), nil
-			}
-		}
-		return func(fr *Frame) (ocl.Value, error) {
-			undef := false
-			for i := range parts {
-				v, err := parts[i].fn(fr)
-				if err != nil {
-					return ocl.Value{}, err
-				}
-				b, def, ok := ocl.KernelBool(v)
-				if !ok {
-					return ocl.Value{}, &ocl.EvalError{Expr: parts[i].parent,
-						Message: "boolean operator applied to " + v.Kind.String()}
-				}
-				if def && b {
-					return ocl.BoolVal(true), nil
-				}
-				undef = undef || !def
-			}
-			if undef {
-				return ocl.Undefined(), nil
-			}
-			return ocl.BoolVal(false), nil
-		}
-	}
 	lf := co.compile(n.L, inPre)
 	rf := co.compile(n.R, inPre)
 	op := n.Op

@@ -105,8 +105,9 @@ func TestCompiledViolationAllocsBounded(t *testing.T) {
 }
 
 // TestCompiledPostZeroAllocs extends the gate through the post-check: the
-// consequent programs over a turned-around frame (pre bank bound, current
-// bank refilled with the post-state) also run allocation-free.
+// consequent programs over a turned-around frame (the pre-state fill
+// becomes the pre bank, the current bank is refilled with the post-state)
+// also run allocation-free.
 func TestCompiledPostZeroAllocs(t *testing.T) {
 	c, plan := paperDeleteCompiled(t)
 	preEnv := okDeleteEnv()
@@ -135,10 +136,6 @@ func TestCompiledPostZeroAllocs(t *testing.T) {
 		fr.Reset()
 		fillCur(fr, preEnv, comp.Paths())
 		fr.BeginPost()
-		for _, p := range comp.Paths() {
-			v, ok := preEnv[p]
-			fr.SetPre(p, v, ok)
-		}
 		fillCur(fr, postEnv, comp.Paths())
 		for _, i := range active {
 			v, err := comp.PostProgram(i).Run(fr)
@@ -194,5 +191,88 @@ func TestCompiledExprMatchesTreeWalkOnContracts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCompiledSlotsCoverPlanPaths: every path the plan names has a frame
+// slot — each pre clause's paths (what a wave reads), each post clause's
+// CurPaths, PrePaths (what the pre-state top-up reads) and Touched (the
+// effect frame post reuse checks) — so a value the monitor fetched always
+// lands in the frame and so in the verdict's snapshot of record. The
+// synthetic contract's effect names a path no program reads.
+func TestCompiledSlotsCoverPlanPaths(t *testing.T) {
+	set, err := Generate(paper.CinderModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	handBuilt := &Contract{Cases: []Case{{
+		Pre:    ocl.MustParse("thing.other->size() >= 1"),
+		Post:   ocl.MustParse("thing.other->size() >= 1"),
+		Effect: ocl.MustParse("thing.items->size() = 0"),
+	}}}
+	for _, c := range append(set.Contracts, handBuilt) {
+		plan := c.Plan()
+		slots := map[string]bool{}
+		for _, p := range plan.Compiled.Paths() {
+			slots[p] = true
+		}
+		var want []string
+		for _, pc := range plan.Pre {
+			want = append(want, pc.Paths...)
+		}
+		for _, pc := range plan.Post {
+			want = append(append(append(want, pc.CurPaths...), pc.PrePaths...), pc.Touched...)
+		}
+		for _, p := range want {
+			if !slots[p] {
+				t.Errorf("%s: plan path %s has no frame slot", c.Trigger, p)
+			}
+		}
+	}
+}
+
+// TestFrameReleaseTwicePanics: a frame pooled twice would be handed to
+// two requests at once, so the second Release refuses it.
+func TestFrameReleaseTwicePanics(t *testing.T) {
+	_, plan := paperDeleteCompiled(t)
+	fr := plan.Compiled.NewFrame()
+	plan.Compiled.Release(fr)
+	defer func() {
+		if recover() == nil {
+			t.Error("second Release of the same frame did not panic")
+		}
+	}()
+	plan.Compiled.Release(fr)
+}
+
+// TestFrameBeginPostTurnsAround: BeginPost makes the pre-state fill the
+// pre bank without copying and starts an empty current bank; the
+// snapshot read back from the current bank is what was filled.
+func TestFrameBeginPostTurnsAround(t *testing.T) {
+	_, plan := paperDeleteCompiled(t)
+	comp := plan.Compiled
+	fr := comp.NewFrame()
+	defer comp.Release(fr)
+	fr.SetCur("project.id", ocl.StringVal("p"), true)
+	fr.SetCur("volume.status", ocl.Value{}, false)
+	if _, _, filled := fr.Pre("project.id"); filled {
+		t.Fatal("pre bank filled before BeginPost")
+	}
+	fr.BeginPost()
+	if v, present, filled := fr.Pre("project.id"); !filled || !present || v.Str != "p" {
+		t.Errorf("pre bank project.id = %v present %v filled %v, want p", v, present, filled)
+	}
+	if _, present, filled := fr.Pre("volume.status"); !filled || present {
+		t.Errorf("pre bank volume.status present %v filled %v, want fetched-but-absent", present, filled)
+	}
+	if _, _, filled := fr.Cur("project.id"); filled {
+		t.Error("current bank not emptied by BeginPost")
+	}
+	fr.SetCur("project.id", ocl.StringVal("q"), true)
+	if v, _, _ := fr.Pre("project.id"); v.Str != "p" {
+		t.Errorf("pre bank project.id = %v after a post-state fill, want p", v)
+	}
+	if got := fr.CurEnv(); len(got) != 1 || got["project.id"].Str != "q" {
+		t.Errorf("CurEnv = %v, want {project.id: q}", got)
 	}
 }

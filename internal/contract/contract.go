@@ -41,7 +41,7 @@ type Case struct {
 	Guard ocl.Expr
 	// Effect is the transition's parsed effect alone (literal true when
 	// absent). Its current-state paths bound what the transition may
-	// change — the lazy post-check's re-fetch frame.
+	// change — the post-check's re-fetch frame.
 	Effect ocl.Expr
 }
 

@@ -17,9 +17,10 @@
 //   - dead paths: state paths no clause can demand once static clauses
 //     are pruned — they drop out of the plan's fetch universe.
 //
-// Every fact carries a human-readable reason trace, and the monitor's
-// FactsDebug mode re-derives each skipped value the slow way and counts
-// mismatches, so an unsound fact cannot hide.
+// Every fact carries a human-readable reason trace, and a test
+// (TestFactsAgreeWithFullEvaluation) checks every fact of the shipped
+// models against ocl.Eval of the full clause over random states, so an
+// unsound fact cannot hide.
 package contract
 
 import (
@@ -34,7 +35,7 @@ import (
 type PreFact struct {
 	// Folded is the disjunct with environment-independent subexpressions
 	// constant-folded. Evaluating it is value- and error-equivalent to
-	// evaluating the original for every state; the lazy engine evaluates
+	// evaluating the original for every state; the monitor evaluates
 	// this form.
 	Folded ocl.Expr
 	// Rewritten marks that folding changed the rendered formula.
@@ -199,7 +200,7 @@ func staticValue(folded ocl.Expr) (*ocl.Value, string) {
 // for a witness refuted by the provider. The scan may only walk past
 // elements that are error-free in every state or literally shared with
 // the (runtime-true, hence error-free here) provider — otherwise skipping
-// them could hide an evaluation error the eager engine surfaces.
+// them could hide an evaluation error the full clause surfaces.
 func findExclusion(provider int, target []ocl.Expr, provSet map[string]bool, provAtoms []symbolic.Atom) (Exclusion, bool) {
 	for m, el := range target {
 		if a, ok := symbolic.AtomOf(el); ok {
@@ -347,8 +348,7 @@ func deadPaths(f *Facts, p *Plan) []DeadPath {
 			demand[path] = true
 		}
 	}
-	// The universe is the union of every clause's declared paths (not
-	// EagerPaths, which is only populated for Generate-built contracts).
+	// The universe is the union of every clause's declared paths.
 	var universe []string
 	seen := make(map[string]bool)
 	add := func(paths []string) {

@@ -1,6 +1,9 @@
 package contract
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"cloudmon/internal/ocl"
@@ -161,7 +164,7 @@ func TestFactsSubsumption(t *testing.T) {
 
 // TestFactsWitnessBlockedByErroringPrefix: an element that may error and
 // is not shared with the provider blocks the witness scan — skipping past
-// it could hide an evaluation error the eager engine reports.
+// it could hide an evaluation error the full clause reports.
 func TestFactsWitnessBlockedByErroringPrefix(t *testing.T) {
 	c := &Contract{
 		Cases: []Case{
@@ -201,5 +204,138 @@ func TestFactsOnShippedModels(t *testing.T) {
 				t.Errorf("%s %s: %v", name, c.Trigger, err)
 			}
 		}
+	}
+}
+
+// randomState draws a state over the given paths, shaped like the monitor
+// differential suites' random corpus: values of the kind each path
+// usually holds (ids, collections, counts, statuses, role lists), one path
+// in four dropped and one in six replaced by a wrong-kind string, so
+// Undefined and evaluation errors flow through every clause.
+func randomState(rng *rand.Rand, paths []string) ocl.MapEnv {
+	roles := []string{"admin", "member", "user", "intruder", ""}
+	statuses := []string{"available", "in-use", "error", ""}
+	env := ocl.MapEnv{}
+	for _, p := range paths {
+		last := p[strings.LastIndex(p, ".")+1:]
+		switch {
+		case p == "user.id.groups":
+			env[p] = ocl.StringsVal(roles[rng.Intn(len(roles))])
+		case last == "id":
+			env[p] = ocl.StringVal("p1")
+		case last == "status":
+			env[p] = ocl.StringVal(statuses[rng.Intn(len(statuses))])
+		case strings.HasSuffix(last, "s"):
+			elems := make([]ocl.Value, rng.Intn(4))
+			for i := range elems {
+				elems[i] = ocl.StringVal("v")
+			}
+			env[p] = ocl.CollectionVal(elems...)
+		default:
+			env[p] = ocl.IntVal(rng.Intn(4))
+		}
+	}
+	if len(paths) > 0 && rng.Intn(4) == 0 {
+		delete(env, paths[rng.Intn(len(paths))])
+	}
+	if len(paths) > 0 && rng.Intn(6) == 0 {
+		env[paths[rng.Intn(len(paths))]] = ocl.StringVal("zz")
+	}
+	return env
+}
+
+// TestFactsAgreeWithFullEvaluation checks every fact the monitor acts on
+// against ocl.Eval of the full clause over a random-state corpus, on the
+// shipped models and the synthetic static-clause contracts: each folded
+// pre- and post-clause evaluates to the original's value or fails with
+// it; each static value is what the disjunct evaluates to; and whenever an
+// exclusion's provider is definitely true and its witness definitely false
+// — the one observation that licenses a skip — the disjunct evaluates to
+// false. A statically false antecedent is a static value, so the vacuous
+// post implications are covered too.
+func TestFactsAgreeWithFullEvaluation(t *testing.T) {
+	var contracts []*Contract
+	for _, m := range []*uml.Model{paper.CinderModel(), paper.NovaModel()} {
+		set, err := Generate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		contracts = append(contracts, set.Contracts...)
+	}
+	contracts = append(contracts,
+		&Contract{Cases: []Case{
+			{Pre: ocl.MustParse("thing.items->size() = 1 and 2 > 3"), Post: ocl.MustParse("thing.items->size() = 0")},
+			{Pre: ocl.MustParse("thing.other->size() >= 1"), Post: ocl.MustParse("thing.other->size() >= 1")},
+		}},
+		&Contract{Cases: []Case{
+			{Pre: ocl.MustParse("2 > 1"), Post: ocl.MustParse("thing.items->size() = 0")},
+		}},
+		// An erroring element before a refuted one: no exclusion may
+		// skip past it (TestFactsWitnessBlockedByErroringPrefix).
+		&Contract{Cases: []Case{
+			{Pre: ocl.MustParse("a.x->size() = 0"), Post: ocl.MustParse("a.x->size() = 0")},
+			{Pre: ocl.MustParse("a.y + 1 = 2 and a.x->size() >= 1"), Post: ocl.MustParse("a.x->size() >= 1")},
+		}},
+	)
+	same := func(v1 ocl.Value, err1 error, v2 ocl.Value, err2 error) bool {
+		if err1 != nil || err2 != nil {
+			return err1 != nil && err2 != nil
+		}
+		return v1.Equal(v2)
+	}
+	isBool := func(v ocl.Value, err error, b bool) bool {
+		return err == nil && v.Kind == ocl.KindBool && v.Bool == b
+	}
+	rng := rand.New(rand.NewSource(7))
+	statics, skips := 0, 0
+	for _, c := range contracts {
+		f := c.Plan().Facts
+		var paths []string
+		seen := map[string]bool{}
+		for _, cs := range c.Cases {
+			for _, p := range append(ocl.NavPaths(cs.Pre), ocl.NavPaths(cs.Post)...) {
+				if !seen[p] {
+					seen[p] = true
+					paths = append(paths, p)
+				}
+			}
+		}
+		for n := 0; n < 300; n++ {
+			pre, post := randomState(rng, paths), randomState(rng, paths)
+			cur := ocl.Context{Cur: pre}
+			both := ocl.Context{Cur: post, Pre: pre}
+			for i, cs := range c.Cases {
+				name := fmt.Sprintf("%s case %d, pre=%v post=%v", c.Trigger, i, pre, post)
+				full, err := ocl.Eval(cs.Pre, cur)
+				if fv, ferr := ocl.Eval(f.Pre[i].Folded, cur); !same(full, err, fv, ferr) {
+					t.Errorf("%s: folded pre-clause %s gives %v (%v), the clause %v (%v)", name, f.Pre[i].Folded, fv, ferr, full, err)
+				}
+				if s := f.Pre[i].Static; s != nil {
+					statics++
+					if err != nil || !full.Equal(*s) {
+						t.Errorf("%s: static value %s, the clause evaluates to %v (%v)", name, s, full, err)
+					}
+				}
+				for _, ex := range f.Exclusions[i] {
+					prov, perr := ocl.Eval(c.Cases[ex.Provider].Pre, cur)
+					w, werr := ocl.Eval(ex.Witness, cur)
+					if !isBool(prov, perr, true) || !isBool(w, werr, false) {
+						continue
+					}
+					skips++
+					if !isBool(full, err, false) {
+						t.Errorf("%s: witness %s skips the clause as false, it evaluates to %v (%v)", name, ex.Witness, full, err)
+					}
+				}
+				pv, perr := ocl.Eval(cs.Post, both)
+				if fv, ferr := ocl.Eval(f.Post[i].Folded, both); !same(pv, perr, fv, ferr) {
+					t.Errorf("%s: folded post-clause %s gives %v (%v), the clause %v (%v)", name, f.Post[i].Folded, fv, ferr, pv, perr)
+				}
+			}
+		}
+	}
+	t.Logf("%d static values and %d witness skips checked", statics, skips)
+	if statics == 0 || skips == 0 {
+		t.Errorf("the corpus exercised %d static values and %d witness skips; want both", statics, skips)
 	}
 }

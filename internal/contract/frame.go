@@ -1,8 +1,11 @@
 // The compiled engine's runtime state: a Frame of generation-stamped
-// value slots, one per state path the contract can demand, plus iterator
-// registers and an append-only arena for collection results. Frames are
-// pooled per Compiled artifact so a warmed monitor evaluates contracts
-// without allocating.
+// value slots, one per state path the contract's plan can fetch, plus
+// iterator registers and an append-only arena for collection results.
+// A frame is a monitored request's one state store: the pre phase fills
+// its current bank, BeginPost turns that bank into the pre-state and
+// starts an empty one for the post-state, and the verdict's snapshots
+// are read back out of the banks. Frames are pooled per Compiled
+// artifact so a warmed monitor evaluates contracts without allocating.
 package contract
 
 import (
@@ -13,7 +16,7 @@ import (
 // state-path slot that has not been filled this evaluation. Demands are
 // preallocated per slot at compile time, so signalling one costs nothing;
 // the demand loop (internal/monitor) fetches the path, fills the slot and
-// re-runs the program — the mirror of the lazy engine's unfetchedError.
+// re-runs the program.
 type Demand struct {
 	// Path is the dotted state path the program demanded.
 	Path string
@@ -43,16 +46,17 @@ type slot struct {
 }
 
 // Frame is the mutable evaluation state of one monitored request. It is
-// not safe for concurrent use; obtain one per evaluation from
-// Compiled.NewFrame and return it with Compiled.Release.
+// not safe for concurrent use; obtain one per request from
+// Compiled.NewFrame and return it exactly once with Compiled.Release.
 type Frame struct {
 	c *Compiled
 	// cur and pre are the current- and pre-state slot banks, indexed by
 	// the Compiled path table.
 	cur, pre []slot
 	// curGen/preGen are the banks' fill generations: a slot is filled iff
-	// its gen matches. Bumping a generation invalidates the bank.
-	curGen, preGen uint64
+	// its gen matches. Both are drawn from epoch, which only increases,
+	// so a bank swapped by BeginPost can never match a stale stamp.
+	curGen, preGen, epoch uint64
 	// clauseGen identifies the open demand-accounting window; demanded
 	// counts the distinct slot reads within it.
 	clauseGen uint64
@@ -60,6 +64,10 @@ type Frame struct {
 	// hasPre reports whether a pre-state environment is bound: pre()/
 	// @pre without one is ocl.ErrNoPreState, exactly as in the tree walk.
 	hasPre bool
+	// live is set while the frame is out of the pool; Release refuses a
+	// frame that is not, because a twice-pooled frame would hand one
+	// request's state to two requests at once.
+	live bool
 	// regs holds iterator-variable bindings, indexed by lexical depth.
 	regs []ocl.Value
 	// arena backs collection results built during evaluation
@@ -69,12 +77,17 @@ type Frame struct {
 	arena []ocl.Value
 }
 
+// nextGen hands out a fresh generation.
+func (fr *Frame) nextGen() uint64 {
+	fr.epoch++
+	return fr.epoch
+}
+
 // Reset empties both banks, closes the accounting window and recycles the
-// arena. Generations only ever increase, so stale slot stamps from
-// earlier evaluations can never read as filled.
+// arena.
 func (fr *Frame) Reset() {
-	fr.curGen++
-	fr.preGen++
+	fr.curGen = fr.nextGen()
+	fr.preGen = fr.nextGen()
 	fr.clauseGen++
 	fr.demanded = 0
 	fr.hasPre = false
@@ -82,8 +95,8 @@ func (fr *Frame) Reset() {
 }
 
 // SetCur fills the current-state slot for path (present=false marks it
-// fetched but absent, resolving to Undefined). Paths outside the
-// contract's table are ignored.
+// fetched but absent, resolving to Undefined). Every path the plan names
+// has a slot (TestCompiledSlotsCoverPlanPaths); others are ignored.
 func (fr *Frame) SetCur(path string, v ocl.Value, present bool) {
 	if i, ok := fr.c.idx[path]; ok {
 		fr.cur[i] = slot{val: v, gen: fr.curGen, present: present}
@@ -92,41 +105,56 @@ func (fr *Frame) SetCur(path string, v ocl.Value, present bool) {
 
 // SetCurSlot fills current-state slot i directly. Callers that resolved
 // the path table once (Compiled.Paths order, or a Demand's Index) fill
-// per request without re-hashing path strings — the point of resolving
-// paths at compile time.
+// per request without re-hashing path strings.
 func (fr *Frame) SetCurSlot(i int, v ocl.Value, present bool) {
 	fr.cur[i] = slot{val: v, gen: fr.curGen, present: present}
 }
 
-// SetPreSlot fills pre-state slot i directly and marks the pre-state
-// bound.
-func (fr *Frame) SetPreSlot(i int, v ocl.Value, present bool) {
-	fr.hasPre = true
-	fr.pre[i] = slot{val: v, gen: fr.preGen, present: present}
+// Cur reports the current-state slot for path: its value, whether the
+// value is present, and whether the slot is filled at all.
+func (fr *Frame) Cur(path string) (v ocl.Value, present, filled bool) {
+	return lookup(fr.c.idx, fr.cur, fr.curGen, path)
 }
 
-// SetPre fills the pre-state slot for path and marks the pre-state bound.
-func (fr *Frame) SetPre(path string, v ocl.Value, present bool) {
-	fr.hasPre = true
-	if i, ok := fr.c.idx[path]; ok {
-		fr.pre[i] = slot{val: v, gen: fr.preGen, present: present}
+// Pre is Cur for the pre-state bank.
+func (fr *Frame) Pre(path string) (v ocl.Value, present, filled bool) {
+	return lookup(fr.c.idx, fr.pre, fr.preGen, path)
+}
+
+func lookup(idx map[string]int, bank []slot, gen uint64, path string) (ocl.Value, bool, bool) {
+	i, ok := idx[path]
+	if !ok || bank[i].gen != gen {
+		return ocl.Value{}, false, false
 	}
+	return bank[i].val, bank[i].present, true
 }
 
-// BeginPost turns the frame around for the post-check: the current bank
-// is emptied (it now describes the post-state, fetched on demand) and the
-// pre-state bank is bound. Callers then copy the captured pre-state in
-// via SetPre.
+// CurEnv copies the current bank's present values into a new map: the
+// state the request observed, as a verdict records it. Filled-but-absent
+// slots are left out, which is how ocl.MapEnv spells Undefined.
+func (fr *Frame) CurEnv() ocl.MapEnv {
+	env := make(ocl.MapEnv, len(fr.cur))
+	for i := range fr.cur {
+		if fr.cur[i].gen == fr.curGen && fr.cur[i].present {
+			env[fr.c.paths[i]] = fr.cur[i].val
+		}
+	}
+	return env
+}
+
+// BeginPost turns the frame around for the post-check: the current bank,
+// which holds the pre-state as fetched, becomes the pre-state bank, and an
+// empty current bank starts the post-state. Nothing is copied.
 func (fr *Frame) BeginPost() {
-	fr.curGen++
-	fr.preGen++
+	fr.cur, fr.pre = fr.pre, fr.cur
+	fr.preGen = fr.curGen
+	fr.curGen = fr.nextGen()
 	fr.hasPre = true
 }
 
 // BeginClause opens a demand-accounting window; TakeDemands closes it and
-// reports the distinct slot reads since — the compiled engine's
-// equivalent of lazyEnv.beginClause/takeDemands, feeding the same
-// Verdict.DemandedPaths measure.
+// reports the distinct slot reads since, the Verdict.DemandedPaths
+// measure.
 func (fr *Frame) BeginClause() {
 	fr.clauseGen++
 	fr.demanded = 0

@@ -66,11 +66,8 @@ type Plan struct {
 	// Post holds the post-condition implications in model order.
 	Post []PostClause
 	// PrePaths is the union of all pre-clause paths in plan order — equal
-	// as a set to the paths the eager pre-snapshot fetches.
+	// as a set to the paths a whole pre-condition snapshot fetches.
 	PrePaths []string
-	// EagerPaths is StatePaths(): what the eager engine fetches for each
-	// of its two snapshots. Kept on the plan so observers can compare.
-	EagerPaths []string
 	// Facts is the statically proven clause knowledge (see facts.go).
 	// The plan's clause lists above stay fact-neutral — a contract is
 	// shared by monitors with facts on and off — so every pruning
@@ -78,8 +75,7 @@ type Plan struct {
 	Facts *Facts
 	// Compiled is the closure-chain evaluator set (see compile.go):
 	// every clause translated once into slot-model programs, compiled
-	// from the facts' folded forms. The compiled engine shares the lazy
-	// engine's workflow and swaps only the per-node evaluation.
+	// from the facts' folded forms, with a slot for every path above.
 	Compiled *Compiled
 }
 
@@ -94,7 +90,7 @@ func (c *Contract) Plan() *Plan {
 
 // compilePlan decomposes the contract into per-clause path demands.
 func compilePlan(c *Contract) *Plan {
-	p := &Plan{EagerPaths: c.StatePaths()}
+	p := &Plan{}
 	for i, cs := range c.Cases {
 		cur, _ := ocl.ContextPaths(cs.Pre)
 		p.Pre = append(p.Pre, PreClause{

@@ -37,7 +37,7 @@ func TestPlanMemoized(t *testing.T) {
 
 // TestPlanCoversEveryCase: each case appears exactly once in both clause
 // lists, post-clauses stay in model order, and the pre-clause union equals
-// the eager snapshot set.
+// the contract's whole state-path set.
 func TestPlanCoversEveryCase(t *testing.T) {
 	set := generate(t)
 	for _, c := range set.Contracts {
@@ -59,11 +59,11 @@ func TestPlanCoversEveryCase(t *testing.T) {
 			}
 		}
 		union := append([]string(nil), p.PrePaths...)
-		eager := append([]string(nil), p.EagerPaths...)
+		whole := append([]string(nil), c.StatePaths()...)
 		sort.Strings(union)
-		sort.Strings(eager)
-		if !reflect.DeepEqual(union, eager) {
-			t.Errorf("%s: pre-clause union %v != eager paths %v", c.Trigger, union, eager)
+		sort.Strings(whole)
+		if !reflect.DeepEqual(union, whole) {
+			t.Errorf("%s: pre-clause union %v != state paths %v", c.Trigger, union, whole)
 		}
 	}
 }

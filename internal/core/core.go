@@ -39,13 +39,9 @@ type Options struct {
 	// Level defaults to monitor.CheckFull; CheckPreOnly ablates the
 	// post-condition verification.
 	Level monitor.CheckLevel
-	// Eval selects the evaluation engine (defaults to
-	// monitor.EvalCompiled; monitor.EvalLazy re-walks the OCL trees,
-	// monitor.EvalEager restores whole-contract snapshots).
-	Eval monitor.EvalMode
-	// NoFacts disables compile-time fact pruning in the lazy engine
-	// (static clause assignment and witness-based sibling skips) — the
-	// A/B knob behind EXPERIMENTS.md E16.
+	// NoFacts disables compile-time fact pruning (static clause
+	// assignment and witness-based sibling skips) — the A/B knob behind
+	// EXPERIMENTS.md E16.
 	NoFacts bool
 	// NoPostReuse disables the post-check's effect-frame reuse: every
 	// contract path is re-fetched after the forward (the full re-check
@@ -163,7 +159,6 @@ func Build(opts Options) (*System, error) {
 		},
 		Mode:             opts.Mode,
 		Level:            opts.Level,
-		Eval:             opts.Eval,
 		NoFacts:          opts.NoFacts,
 		NoPostReuse:      opts.NoPostReuse,
 		FailPolicy:       opts.FailPolicy,

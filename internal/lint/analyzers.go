@@ -13,33 +13,37 @@ func Analyzers() []*Analyzer {
 }
 
 // hotFuncs names the per-request hot path, per package: the monitor's
-// check dispatch and the demand-driven evaluators it re-enters once per
-// clause, and the compiled engine's slot accessors and program entry —
-// the functions every fused closure funnels through, where a stray
-// allocation multiplies by the atom count. Everything reachable per
-// request but outside these (snapshotting, forwarding, verdict
-// recording) already allocates by design.
+// demand loop, which runs once per clause and re-enters once per demanded
+// path, the witness skip it tries per disjunct, and the per-path pre-state
+// read (a cache hit returns from it without leaving); and the compiled
+// engine's slot accessors and program entry, which every clause closure
+// funnels through, where a stray allocation multiplies by the atom count.
+// Everything reachable per request but outside these (stage timing,
+// provider calls, forwarding, verdict recording) allocates or reads the
+// clock by design. TestHotFuncsNameRealFunctions keeps every entry
+// pointing at a function that exists.
 var hotFuncs = map[string]map[string]bool{
 	"monitor": {
-		"(*Monitor).check": true,
-		"evalDemand":       true,
-		"evalProgram":      true,
+		"evalProgram":            true,
+		"(*Monitor).witnessSkip": true,
+		"(*fetcher).fetchPre":    true,
 	},
 	"contract": {
 		"(*Frame).loadCur":    true,
 		"(*Frame).loadPre":    true,
 		"(*Frame).SetCur":     true,
-		"(*Frame).SetPre":     true,
 		"(*Frame).SetCurSlot": true,
-		"(*Frame).SetPreSlot": true,
+		"(*Frame).Cur":        true,
+		"(*Frame).Pre":        true,
+		"(*Frame).Filled":     true,
 		"(*Program).Run":      true,
 	},
 }
 
 // HotPath forbids wall-clock reads, string formatting, and map
 // allocation inside the monitor's hot-path functions. Each of those
-// showed up in profiles before the lazy engine's rewrite; the rule keeps
-// them from creeping back.
+// has shown up in the monitor's CPU profiles; the rule keeps them from
+// creeping back.
 func HotPath() *Analyzer {
 	return &Analyzer{
 		Name: "hotpath",

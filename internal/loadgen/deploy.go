@@ -23,13 +23,8 @@ type DeployOptions struct {
 	Mode monitor.Mode
 	// Level defaults to monitor.CheckFull.
 	Level monitor.CheckLevel
-	// Eval selects the evaluation engine (default monitor.EvalCompiled;
-	// monitor.EvalLazy re-walks the OCL trees, monitor.EvalEager restores
-	// whole-contract snapshots — the A/B knobs behind EXPERIMENTS.md
-	// E15/E17).
-	Eval monitor.EvalMode
-	// NoFacts disables the lazy engine's compile-time fact pruning (the
-	// A/B knob behind EXPERIMENTS.md E16).
+	// NoFacts disables compile-time fact pruning (the A/B knob behind
+	// EXPERIMENTS.md E16).
 	NoFacts bool
 	// FailPolicy decides the monitor's verdict when a snapshot fails
 	// (default monitor.FailClosed; Degrade needs PreStateCacheTTL).
@@ -153,7 +148,6 @@ func Deploy(opts DeployOptions) (*Deployment, error) {
 		},
 		Mode:             opts.Mode,
 		Level:            opts.Level,
-		Eval:             opts.Eval,
 		NoFacts:          opts.NoFacts,
 		FailPolicy:       opts.FailPolicy,
 		Post:             opts.Post,

@@ -24,8 +24,8 @@ import (
 // cloud, N monitor instances with disjoint project ownership, and a
 // routing front tier.
 type FleetOptions struct {
-	// DeployOptions carries the per-instance monitor knobs (eval engine,
-	// fail policy, post mode, cache TTL, faults, ...). AuditDir, when set,
+	// DeployOptions carries the per-instance monitor knobs (fail policy,
+	// post mode, cache TTL, faults, ...). AuditDir, when set,
 	// is the fleet root: each instance writes its trail to a subdirectory
 	// named after its id.
 	DeployOptions
@@ -209,7 +209,6 @@ func DeployFleet(opts FleetOptions) (*FleetDeployment, error) {
 			OnInvalidate:     bus.OnInvalidate,
 			Mode:             opts.Mode,
 			Level:            opts.Level,
-			Eval:             opts.Eval,
 			NoFacts:          opts.NoFacts,
 			FailPolicy:       opts.FailPolicy,
 			Post:             opts.Post,

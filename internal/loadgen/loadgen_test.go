@@ -295,54 +295,54 @@ func TestFetchEconomyWaves(t *testing.T) {
 	}
 }
 
-// TestFetchEconomyLazyVsEager runs the same serial workload under both
-// evaluation engines and checks the report's fetch-economy section: the
-// lazy engine reads strictly less of the cloud, a serial loop coalesces
-// nothing, and the eager engine's reads match its two-snapshots-per-check
-// arithmetic.
-func TestFetchEconomyLazyVsEager(t *testing.T) {
-	run := func(eval monitor.EvalMode) *Report {
-		t.Helper()
-		dep, err := Deploy(DeployOptions{Mode: monitor.Enforce, Eval: eval})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := Scenario{
-			Name: "economy",
-			Mix: []OpSpec{
-				{Op: OpGetVolume, Role: RoleMember, Weight: 3},
-				{Op: OpDeleteVolume, Role: RoleAdmin, Weight: 1},
-			},
-			Clients:     1,
-			Requests:    120,
-			Prepopulate: 40,
-			Seed:        11,
-		}
-		report, err := Run(sc, dep.Target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.Fetch == nil {
-			t.Fatal("report has no fetch economy despite Fetch source")
-		}
-		return report
+// TestFetchEconomySerial runs a serial workload and checks the report's
+// fetch-economy section against the whole-snapshot arithmetic: the monitor
+// reads strictly less of the cloud than reading every contract path before
+// each forward and again after each checked effect would, a serial loop
+// coalesces nothing, and in process every path fetch is one cloud GET.
+func TestFetchEconomySerial(t *testing.T) {
+	dep, err := Deploy(DeployOptions{Mode: monitor.Enforce})
+	if err != nil {
+		t.Fatal(err)
 	}
-	lazy := run(monitor.EvalLazy)
-	eager := run(monitor.EvalEager)
-	if lazy.Fetch.Requests != eager.Fetch.Requests {
-		t.Fatalf("checked requests diverge: lazy %d, eager %d", lazy.Fetch.Requests, eager.Fetch.Requests)
+	sc := Scenario{
+		Name: "economy",
+		Mix: []OpSpec{
+			{Op: OpGetVolume, Role: RoleMember, Weight: 3},
+			{Op: OpDeleteVolume, Role: RoleAdmin, Weight: 1},
+		},
+		Clients:     1,
+		Requests:    120,
+		Prepopulate: 40,
+		Seed:        11,
 	}
-	if lazy.Fetch.CloudGets >= eager.Fetch.CloudGets {
-		t.Errorf("lazy used %d cloud GETs, eager %d — lazy must read strictly less",
-			lazy.Fetch.CloudGets, eager.Fetch.CloudGets)
+	report, err := Run(sc, dep.Target)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lazy.Fetch.Coalesced != 0 || eager.Fetch.Coalesced != 0 {
-		t.Errorf("serial run coalesced fetches: lazy %d, eager %d", lazy.Fetch.Coalesced, eager.Fetch.Coalesced)
+	if report.Fetch == nil {
+		t.Fatal("report has no fetch economy despite Fetch source")
 	}
-	// In process, every monitor-side path fetch is exactly one cloud GET.
-	for name, r := range map[string]*Report{"lazy": lazy, "eager": eager} {
-		if r.Fetch.PathsFetched != r.Fetch.CloudGets {
-			t.Errorf("%s: %d paths fetched but %d cloud GETs", name, r.Fetch.PathsFetched, r.Fetch.CloudGets)
+	fetched, whole := 0, 0
+	for _, v := range dep.Sys.Monitor.Log() {
+		c, ok := dep.Sys.Contracts.For(v.Trigger)
+		if !ok {
+			t.Fatalf("verdict for %s has no contract", v.Trigger)
 		}
+		fetched += v.FetchedPaths
+		whole += len(c.StatePaths())
+		if v.Outcome == monitor.OK || v.Outcome == monitor.ViolationPostcondition {
+			whole += len(c.StatePaths())
+		}
+	}
+	if fetched >= whole {
+		t.Errorf("the monitor fetched %d paths, the whole-snapshot workflow %d — demand must read strictly less",
+			fetched, whole)
+	}
+	if report.Fetch.Coalesced != 0 {
+		t.Errorf("serial run coalesced %d fetches", report.Fetch.Coalesced)
+	}
+	if report.Fetch.PathsFetched != report.Fetch.CloudGets {
+		t.Errorf("%d paths fetched but %d cloud GETs", report.Fetch.PathsFetched, report.Fetch.CloudGets)
 	}
 }

@@ -94,8 +94,8 @@ func ParseBackpressure(s string) (BackpressurePolicy, error) {
 
 // asyncPost is the bounded post-verification pipeline: a channel of
 // captured records drained by a fixed worker pool. Lifecycle: ServeHTTP
-// enqueues after the response is written, workers run the identical
-// post-evaluation the synchronous engines use (postVerify), and every
+// enqueues before the response is written, workers run the identical
+// post-evaluation the synchronous path uses (postVerify), and every
 // capture ends as exactly one recorded verdict — verified, or shed as
 // Unverified by the caller when the queue is saturated under the shed
 // policy.
@@ -109,7 +109,7 @@ type asyncPost struct {
 	mu     sync.RWMutex
 	closed atomic.Bool
 	// pending counts captures created but not yet recorded. It is
-	// incremented the moment checkLazy defers a verdict — before the
+	// incremented the moment check defers a verdict — before the
 	// response is written — so the write fence and DrainPost see every
 	// outstanding capture, and decremented only after the verdict (verified
 	// or shed) is in the log, the counters and the audit trail.
@@ -166,8 +166,8 @@ func (ap *asyncPost) enqueue(pc *postCapture, policy BackpressurePolicy) bool {
 // fenceWrites blocks a mutating forward until every pending deferred post
 // check has completed. Deferred checks read the cloud's post-state after
 // the response returns; letting the next write land first would hand them
-// interfered state and fabricate violations the synchronous engines never
-// see. The fence restores the synchronous ordering exactly where it
+// interfered state and fabricate violations the synchronous path never
+// sees. The fence restores the synchronous ordering exactly where it
 // matters — reads stream through unfenced, and a write's wait overlaps the
 // pending captures' fetches, which started at the previous response — so
 // serial workloads get verdict-for-verdict equivalence by construction.
@@ -187,11 +187,12 @@ func (m *Monitor) fenceWrites(method string) {
 
 // completePost runs the deferred post phase for one capture and records
 // the request's single, complete verdict. The evaluation is byte-for-byte
-// the synchronous engines' (postVerify); only the timestamps differ: the
-// verdict carries both when the response returned and how long detection
-// lagged behind it, so stage timings and audit summaries stay monotonic.
+// the synchronous path's (postVerify, over the frame the pre phase
+// filled); only the timestamps differ: the verdict carries both when the
+// response returned and how long detection lagged behind it, so stage
+// timings and audit summaries stay monotonic.
 func (m *Monitor) completePost(pc *postCapture) {
-	v := m.postVerify(pc, &pc.trace, nil)
+	v := m.postVerify(pc, &pc.trace)
 	v.Late = true
 	v.Returned = pc.returned
 	v.DetectionLag = time.Since(pc.returned)
@@ -207,10 +208,12 @@ func (m *Monitor) completePost(pc *postCapture) {
 }
 
 // shedVerdict finalizes a capture the queue did not accept: the post phase
-// is abandoned and the request is recorded as Unverified — the same
-// "forwarded but unchecked" outcome a fail-open snapshot failure yields —
-// tagged Shed so audits can tell saturation from fault-policy decisions.
+// is abandoned, the capture's frame is released, and the request is
+// recorded as Unverified — the same "forwarded but unchecked" outcome a
+// fail-open snapshot failure yields — tagged Shed so audits can tell
+// saturation from fault-policy decisions.
 func (m *Monitor) shedVerdict(pc *postCapture) {
+	pc.release()
 	m.asyncPost.shed.Inc()
 	v := pc.v
 	v.Outcome = Unverified

@@ -2,8 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -36,11 +34,10 @@ func (p *slowPostProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.Ma
 	return out, nil
 }
 
-// newAsyncMonitor builds a compiled monitor with the async post pipeline
-// and the given knobs over the standard test routes.
+// newAsyncMonitor builds a monitor with the async post pipeline and the
+// given knobs over the standard test routes.
 func newAsyncMonitor(t *testing.T, cfg Config) *Monitor {
 	t.Helper()
-	cfg.Eval = EvalCompiled
 	cfg.Post = PostAsync
 	if cfg.Mode == 0 {
 		cfg.Mode = Enforce
@@ -48,15 +45,6 @@ func newAsyncMonitor(t *testing.T, cfg Config) *Monitor {
 	m := newPolicyMonitor(t, cfg)
 	t.Cleanup(m.Close)
 	return m
-}
-
-func doAsyncGet(t *testing.T, m *Monitor) *httptest.ResponseRecorder {
-	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, "/projects/p1/volumes/v1", nil)
-	req.Header.Set("X-Auth-Token", "tok")
-	rec := httptest.NewRecorder()
-	m.ServeHTTP(rec, req)
-	return rec
 }
 
 // TestAsyncBackpressureMatrix crosses both backpressure policies with all
@@ -94,7 +82,7 @@ func TestAsyncBackpressureMatrix(t *testing.T) {
 				}
 				m := newAsyncMonitor(t, cfg)
 				for i := 0; i < burst; i++ {
-					if rec := doAsyncGet(t, m); rec.Code != 200 {
+					if rec := doGet(t, m); rec.Code != 200 {
 						t.Fatalf("request %d: status %d, want 200", i, rec.Code)
 					}
 				}

@@ -2,7 +2,7 @@ package monitor
 
 import (
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,11 +107,17 @@ func (c *snapshotCache) invalidateProject(project string) {
 
 // cacheKey builds the entry key. The token partitions requester-dependent
 // paths (user.id.groups); the params partition resource-dependent ones.
+// Neither a dotted state path nor a header value (net/http rejects control
+// characters in them) can contain the \x1f separator, and paramsCacheKey
+// is unambiguous on its own, so distinct triples never share a key.
 func cacheKey(path, token, paramsKey string) string {
 	return path + "\x1f" + token + "\x1f" + paramsKey
 }
 
-// paramsCacheKey flattens the URI captures into a stable string.
+// paramsCacheKey flattens the URI captures into a stable string that
+// tells every capture set apart: names and values are length-prefixed, so
+// no value can pose as a separator (a captured "p1;volume_id=v1" must not
+// share a key with {p1, v1}).
 func paramsCacheKey(params map[string]string) string {
 	if len(params) == 0 {
 		return ""
@@ -121,14 +127,15 @@ func paramsCacheKey(params map[string]string) string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var sb strings.Builder
+	var b []byte
 	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(params[k])
-		sb.WriteByte(';')
+		for _, s := range [2]string{k, params[k]} {
+			b = strconv.AppendInt(b, int64(len(s)), 10)
+			b = append(b, ':')
+			b = append(b, s...)
+		}
 	}
-	return sb.String()
+	return string(b)
 }
 
 func (c *snapshotCache) shardFor(key string) *cacheShard {
@@ -190,70 +197,4 @@ func (c *snapshotCache) getStale(path, token, paramsKey, project string, maxAge 
 	}
 	c.staleHits.Inc()
 	return e.val, e.present, true
-}
-
-// cachedPre serves the full pre-state from the cache alone — the Degrade
-// fail policy's fallback when the live snapshot fails. Entries may be
-// older than the read-cache TTL (a live snapshot would otherwise have
-// succeeded) but must be younger than the degrade window and of the
-// project's current generation. Every path must be served; one miss and
-// the fallback is refused (a partial pre-state would evaluate formulas
-// over silently-undefined values).
-func (m *Monitor) cachedPre(reqCtx *RequestContext, paths []string) (ocl.MapEnv, bool) {
-	if m.cache == nil {
-		return nil, false
-	}
-	project := reqCtx.Params["project_id"]
-	pk := paramsCacheKey(reqCtx.Params)
-	env := make(ocl.MapEnv, len(paths))
-	for _, p := range paths {
-		v, present, ok := m.cache.getStale(p, reqCtx.Token, pk, project, m.degradeTTL)
-		if !ok {
-			return nil, false
-		}
-		if present {
-			env[p] = v
-		}
-	}
-	return env, true
-}
-
-// preSnapshot resolves the pre-state, serving paths from the cache when
-// enabled and fetching only the misses from the provider. The second
-// return is the number of paths actually fetched from the provider.
-func (m *Monitor) preSnapshot(reqCtx *RequestContext, paths []string) (ocl.MapEnv, int, error) {
-	if m.cache == nil {
-		env, err := m.provider.Snapshot(reqCtx, paths)
-		return env, len(paths), err
-	}
-	project := reqCtx.Params["project_id"]
-	pk := paramsCacheKey(reqCtx.Params)
-	env := make(ocl.MapEnv, len(paths))
-	var missing []string
-	for _, p := range paths {
-		v, present, ok := m.cache.get(p, reqCtx.Token, pk, project)
-		if !ok {
-			missing = append(missing, p)
-			continue
-		}
-		if present {
-			env[p] = v
-		}
-	}
-	if len(missing) == 0 {
-		return env, 0, nil
-	}
-	gen := m.cache.projectGen(project)
-	fetched, err := m.provider.Snapshot(reqCtx, missing)
-	if err != nil {
-		return nil, len(missing), err
-	}
-	for _, p := range missing {
-		v, present := fetched[p]
-		if present {
-			env[p] = v
-		}
-		m.cache.put(p, reqCtx.Token, pk, project, v, present, gen)
-	}
-	return env, len(missing), nil
 }

@@ -28,8 +28,8 @@ func (p *counterProvider) Snapshot(_ *RequestContext, paths []string) (ocl.MapEn
 // invalidation against concurrent forwarded writes. Writers advance the
 // cloud counter and then bump the project generation (exactly what a
 // forwarded write does); readers record the writers' published progress
-// before snapshotting and demand the served pre-state is at least that
-// fresh — a stale value surviving a generation bump is the bug the
+// before each pre-state read (the cache, else a coalesced provider read)
+// and demand the value served is at least that fresh — a stale value surviving a generation bump is the bug the
 // per-entry generation stamp exists to prevent. Run with -race.
 func TestCacheGenerationRace(t *testing.T) {
 	p := &counterProvider{}
@@ -38,8 +38,9 @@ func TestCacheGenerationRace(t *testing.T) {
 		Forward:          &fakeForwarder{status: 200},
 		PreStateCacheTTL: time.Hour, // entries never expire; only generations invalidate
 	})
-	paths := []string{"quota_sets.volume"}
-	reqCtx := &RequestContext{Params: map[string]string{"project_id": "p1"}, Token: "tok"}
+	const path = "quota_sets.volume"
+	params := map[string]string{"project_id": "p1"}
+	comp := m.routes[0].plan.Compiled
 
 	// progress publishes the counter value whose invalidation has
 	// completed: any snapshot starting after must serve >= progress.
@@ -76,13 +77,16 @@ func TestCacheGenerationRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				floor := progress.Load()
-				env, _, err := m.preSnapshot(reqCtx, paths)
+				f := &fetcher{m: m, project: "p1", pk: paramsCacheKey(params), fr: comp.NewFrame(),
+					reqCtx: &RequestContext{Params: params, Token: "tok", Phase: PhasePre}}
+				err := f.fetchPre(path)
+				v, present, _ := f.fr.Cur(path)
+				comp.Release(f.fr)
 				if err != nil {
 					errs <- "snapshot error: " + err.Error()
 					return
 				}
-				v, ok := env["quota_sets.volume"]
-				if !ok {
+				if !present {
 					errs <- "snapshot missing path"
 					return
 				}

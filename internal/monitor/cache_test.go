@@ -10,22 +10,25 @@ import (
 	"cloudmon/internal/contract"
 	"cloudmon/internal/ocl"
 	"cloudmon/internal/paper"
-	"cloudmon/internal/uml"
 )
 
 // countingProvider serves a fixed env and counts how many paths it was
-// asked to resolve.
+// asked to resolve, in all and in the pre phase.
 type countingProvider struct {
-	mu    sync.Mutex
-	env   ocl.MapEnv
-	paths int
-	calls int
+	mu       sync.Mutex
+	env      ocl.MapEnv
+	paths    int
+	calls    int
+	prePaths int
 }
 
-func (p *countingProvider) Snapshot(_ *RequestContext, paths []string) (ocl.MapEnv, error) {
+func (p *countingProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error) {
 	p.mu.Lock()
 	p.calls++
 	p.paths += len(paths)
+	if ctx.Phase == PhasePre {
+		p.prePaths += len(paths)
+	}
 	p.mu.Unlock()
 	out := make(ocl.MapEnv, len(paths))
 	for _, path := range paths {
@@ -40,6 +43,13 @@ func (p *countingProvider) stats() (int, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.calls, p.paths
+}
+
+// preStats is the number of paths read in the pre phase.
+func (p *countingProvider) preStats() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.prePaths
 }
 
 // okForwarder is a stateless (and therefore race-free) backend stub for
@@ -57,22 +67,11 @@ func newCachedMonitor(t *testing.T, ttl time.Duration, p StateProvider, f Forwar
 		t.Fatal(err)
 	}
 	m, err := New(Config{
-		Contracts: set,
-		Routes: []Route{
-			{Trigger: uml.Trigger{Method: uml.GET, Resource: "volume"},
-				Pattern: "/projects/{project_id}/volumes/{volume_id}",
-				Backend: "/v/{project_id}/{volume_id}"},
-			{Trigger: uml.Trigger{Method: uml.DELETE, Resource: "volume"},
-				Pattern: "/projects/{project_id}/volumes/{volume_id}",
-				Backend: "/v/{project_id}/{volume_id}"},
-		},
-		Provider: p,
-		Forward:  f,
-		Mode:     Enforce,
-		// These tests assert the eager engine's whole-snapshot call and
-		// path arithmetic; the lazy engine's fetch economy is covered by
-		// the differential and plan tests.
-		Eval:             EvalEager,
+		Contracts:        set,
+		Routes:           diffRoutes(),
+		Provider:         p,
+		Forward:          f,
+		Mode:             Enforce,
 		PreStateCacheTTL: ttl,
 	})
 	if err != nil {
@@ -90,7 +89,7 @@ func doReq(m *Monitor, method, path, token string) *httptest.ResponseRecorder {
 }
 
 // TestPreStateCacheHit: a second identical GET within the TTL resolves its
-// pre-state entirely from the cache. (Post-state snapshots always hit the
+// pre-state entirely from the cache. (Post-state reads always hit the
 // provider: GET/full-level needs one provider call per request even on a
 // cache hit.)
 func TestPreStateCacheHit(t *testing.T) {
@@ -99,8 +98,9 @@ func TestPreStateCacheHit(t *testing.T) {
 
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
 	calls1, paths1 := p.stats()
+	pre1 := p.preStats()
 	if calls1 != 2 {
-		t.Fatalf("first request made %d provider calls, want 2 (pre+post)", calls1)
+		t.Fatalf("first request made %d provider calls, want 2 (one pre wave + post)", calls1)
 	}
 
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
@@ -108,9 +108,13 @@ func TestPreStateCacheHit(t *testing.T) {
 	if calls2 != 3 {
 		t.Errorf("second request made %d extra calls, want 1 (post only)", calls2-calls1)
 	}
-	// The post snapshot still fetches every path; the pre side fetched none.
-	if paths2-paths1 != paths1/2 {
-		t.Errorf("second request fetched %d paths, want %d", paths2-paths1, paths1/2)
+	// The post phase reads what it read the first time; the pre phase
+	// read nothing.
+	if pre2 := p.preStats(); pre2 != pre1 {
+		t.Errorf("second request read %d pre-state paths, want 0", pre2-pre1)
+	}
+	if paths2-paths1 != paths1-pre1 {
+		t.Errorf("second request fetched %d paths, want %d", paths2-paths1, paths1-pre1)
 	}
 
 	for _, v := range m.Log() {
@@ -143,15 +147,16 @@ func TestPreStateCacheInvalidatedByWrite(t *testing.T) {
 	m := newCachedMonitor(t, time.Minute, p, &fakeForwarder{status: 200})
 
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a") // fills cache
+	_, cold := p.stats()
 	doReq(m, http.MethodDelete, "/projects/p1/volumes/v1", "tok-a")
 	_, pathsBefore := p.stats()
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
 	_, pathsAfter := p.stats()
-	perSnapshot := len(m.routes[0].paths)
-	// Pre and post both fetched: the write invalidated the cached pre-state.
-	if pathsAfter-pathsBefore != 2*perSnapshot {
+	// The read after the write costs what the cold read did: the write
+	// invalidated the cached pre-state.
+	if pathsAfter-pathsBefore != cold {
 		t.Errorf("read after write fetched %d paths, want %d (cache must be invalidated)",
-			pathsAfter-pathsBefore, 2*perSnapshot)
+			pathsAfter-pathsBefore, cold)
 	}
 }
 
@@ -235,5 +240,101 @@ func TestShardedCountersAggregate(t *testing.T) {
 		if log[i-1].seq >= log[i].seq {
 			t.Fatalf("log out of order at %d: %d then %d", i, log[i-1].seq, log[i].seq)
 		}
+	}
+}
+
+// TestParamsCacheKeyInjective: distinct capture sets never share a key,
+// however their values are spelled — a value may contain any byte a URL
+// path segment can carry, separators included — and equal sets always do.
+func TestParamsCacheKeyInjective(t *testing.T) {
+	sets := []map[string]string{
+		nil,
+		{"project_id": "p1"},
+		{"project_id": "p1;volume_id=v1"},
+		{"project_id": "p1", "volume_id": "v1"},
+		{"project_id": "p1;", "volume_id": "v1"},
+		{"project_id": "p1", "volume_id": ";v1"},
+		{"project_id": "p1=volume_id", "volume_id": "v1"},
+		{"a": "1", "b": ""},
+		{"a": "1;b="},
+		{"a": "1", "b": "2"},
+		{"a": "12", "b": ""},
+		{"a=1;b": "2"},
+		{"a": "1:2"},
+		{"a": "1", "1:2": ""},
+		{"": ""},
+	}
+	seen := map[string]int{}
+	for i, params := range sets {
+		key := paramsCacheKey(params)
+		if j, dup := seen[key]; dup {
+			t.Errorf("capture sets %v and %v share key %q", sets[j], params, key)
+		}
+		seen[key] = i
+		clone := map[string]string{}
+		for k, v := range params {
+			clone[k] = v
+		}
+		if again := paramsCacheKey(clone); again != key {
+			t.Errorf("equal capture sets %v keyed %q and %q", params, key, again)
+		}
+	}
+}
+
+// projectProvider serves a pre- and post-state per project and counts
+// each project's reads per phase.
+type projectProvider struct {
+	pre, post map[string]ocl.MapEnv
+	mu        sync.Mutex
+	reads     map[string]int // project + "/" + phase
+}
+
+func (p *projectProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error) {
+	project := ctx.Params["project_id"]
+	p.mu.Lock()
+	p.reads[project+"/"+ctx.Phase] += len(paths)
+	p.mu.Unlock()
+	src := p.pre[project]
+	if ctx.Phase == PhasePost {
+		src = p.post[project]
+	}
+	out := make(ocl.MapEnv, len(paths))
+	for _, path := range paths {
+		if v, ok := src[path]; ok {
+			out[path] = v
+		}
+	}
+	return out, nil
+}
+
+// TestPreStateCacheKeepsLookalikeProjectsApart: a GET of volume v1 in
+// project p1 caches p1's pre-state; a POST to the project whose id is the
+// literal "p1;volume_id=v1" must read its own pre-state, not be judged on
+// p1's — with a shared cache key it was, and the correct creation it
+// forwarded was recorded as a postcondition violation.
+func TestPreStateCacheKeepsLookalikeProjectsApart(t *testing.T) {
+	const other = "p1;volume_id=v1"
+	p := &projectProvider{
+		pre: map[string]ocl.MapEnv{
+			"p1":  env(2, 10, "available", "admin"),
+			other: env(0, 10, "available", "admin"),
+		},
+		post: map[string]ocl.MapEnv{
+			"p1":  env(2, 10, "available", "admin"),
+			other: env(1, 10, "available", "admin"),
+		},
+		reads: map[string]int{},
+	}
+	m := newCachedMonitor(t, time.Minute, p, &fakeForwarder{status: http.StatusAccepted})
+	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok")
+	if v := lastVerdict(t, m); v.Outcome != OK {
+		t.Fatalf("GET outcome %s (%s), want ok", v.Outcome, v.Detail)
+	}
+	doReq(m, http.MethodPost, "/projects/"+other+"/volumes", "tok")
+	if v := lastVerdict(t, m); v.Outcome != OK {
+		t.Errorf("POST to %q: outcome %s (%s), want ok", other, v.Outcome, v.Detail)
+	}
+	if n := p.reads[other+"/"+PhasePre]; n == 0 {
+		t.Errorf("POST to %q read none of its own pre-state: served from p1's cache", other)
 	}
 }

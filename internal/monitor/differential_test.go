@@ -15,19 +15,18 @@ import (
 	"cloudmon/internal/uml"
 )
 
-// The differential suite proves the engines' safety claim: the compiled
-// closure-chain engine, the lazy tree-walking plan engine — each with and
-// without compile-time fact pruning — and the eager whole-snapshot engine
-// produce bit-identical verdicts: same outcome, pre/post truth, failing
-// clause and SecReq attribution on every request. Only the fetch economy
-// may differ between eager and the plan engines; between lazy and
-// compiled even the economy counters (fetches, reuses, clause demands,
-// fact skips) must agree exactly, because the compiled engine swaps only
-// the per-node evaluator inside the shared demand-driven workflow. Each
-// sweep runs five arms (eager; lazy and compiled, facts off and on) and
-// compares every plan arm against eager, then lazy against compiled.
+// The differential suites hold the monitor's one evaluation engine — the
+// demand-driven check over compiled clause programs — to the oracle, the
+// paper's whole-snapshot workflow (oracle_test.go): same outcome, pre/post
+// truth, failing clause, detail and SecReq attribution on every request,
+// and never more cloud reads. Each sweep runs the engine in every arm:
+// facts on and off, synchronous and async post, with effect-frame reuse
+// off on unconstrained states and on where the post-state respects the
+// effect frame. A sync arm and its async twin must also agree on every
+// economy counter (fetches, reuses, clause demands, fact skips).
 
-// diffRoutes mirrors newMonitor's route table.
+// diffRoutes is the paper model's volume route table the monitor tests
+// share.
 func diffRoutes() []Route {
 	return []Route{
 		{Trigger: uml.Trigger{Method: uml.GET, Resource: "volume"},
@@ -45,51 +44,47 @@ func diffRoutes() []Route {
 	}
 }
 
-// runEngine drives one request through a freshly built monitor in the given
-// eval mode and returns its verdict and response code.
-func runEngine(t *testing.T, set *contract.Set, eval EvalMode, noReuse, noFacts bool, mode Mode,
-	method, path string, pre, post ocl.MapEnv, status int) (Verdict, int) {
-	t.Helper()
-	m, err := New(Config{
-		Contracts:   set,
-		Routes:      diffRoutes(),
-		Provider:    &fakeProvider{pre: pre, post: post},
-		Forward:     &fakeForwarder{status: status},
-		Mode:        mode,
-		Eval:        eval,
-		NoPostReuse: noReuse,
-		NoFacts:     noFacts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest(method, path, nil)
-	req.Header.Set("X-Auth-Token", "tok")
-	rec := httptest.NewRecorder()
-	m.ServeHTTP(rec, req)
-	return lastVerdict(t, m), rec.Code
+// arm is one engine configuration the differential suites run.
+type arm struct {
+	name             string
+	noReuse, noFacts bool
+	async            bool
 }
 
-// runEngineAsync drives one request through a compiled monitor deferring
-// post verification to the async pipeline, drains it, and returns the late
-// verdict and the response code the client saw. Against the fixed fake
-// states the drained verdict must be indistinguishable from the
-// synchronous arms — same outcome, failing clause and fetch economy — the
-// sixth differential arm.
-func runEngineAsync(t *testing.T, set *contract.Set, noFacts bool, mode Mode,
+// arms returns the facts × sync/async arms at one reuse setting.
+func arms(reuse bool) []arm {
+	var out []arm
+	for _, noFacts := range []bool{true, false} {
+		for _, async := range []bool{false, true} {
+			name := fmt.Sprintf("reuse=%v/facts=%v", reuse, !noFacts)
+			if async {
+				name += "/async"
+			}
+			out = append(out, arm{name: name, noReuse: !reuse, noFacts: noFacts, async: async})
+		}
+	}
+	return out
+}
+
+// runEngine drives one request through a freshly built monitor and
+// returns its verdict and response code; an async arm drains the
+// deferred post phase first.
+func runEngine(t *testing.T, set *contract.Set, a arm, mode Mode,
 	method, path string, pre, post ocl.MapEnv, status int) (Verdict, int) {
 	t.Helper()
-	m, err := New(Config{
+	cfg := Config{
 		Contracts:   set,
 		Routes:      diffRoutes(),
 		Provider:    &fakeProvider{pre: pre, post: post},
 		Forward:     &fakeForwarder{status: status},
 		Mode:        mode,
-		Eval:        EvalCompiled,
-		NoPostReuse: true,
-		NoFacts:     noFacts,
-		Post:        PostAsync,
-	})
+		NoPostReuse: a.noReuse,
+		NoFacts:     a.noFacts,
+	}
+	if a.async {
+		cfg.Post = PostAsync
+	}
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +97,36 @@ func runEngineAsync(t *testing.T, set *contract.Set, noFacts bool, mode Mode,
 	return lastVerdict(t, m), rec.Code
 }
 
-// diffCompare asserts the equivalence contract between a reference verdict
-// (the eager arm) and a plan-engine verdict. Detail is compared except on
-// Error outcomes: plan order may surface a different (equally real)
-// evaluation error than the monolithic formula does.
+// diffArms runs every arm against the oracle on one request and state,
+// and each async arm against the economy of the sync arm before it.
+func diffArms(t *testing.T, set *contract.Set, name string, configs []arm, mode Mode,
+	rq diffRequest, pre, post ocl.MapEnv, status int) {
+	t.Helper()
+	ref, refCode := oracle(t, set, mode, rq.method, pre, post, status)
+	var sync Verdict
+	for _, a := range configs {
+		got, code := runEngine(t, set, a, mode, rq.method, rq.path, pre, post, status)
+		want := refCode
+		if got.Late {
+			// The async arm's one designed observable difference: a
+			// verdict decided in the deferred post phase (violation or
+			// evaluation error) lands after the client already has the
+			// backend's answer, so the wire code is the backend's, not the
+			// 409/502 the synchronous monitor substitutes.
+			want = got.BackendStatus
+		}
+		diffCompare(t, name+"/"+a.name, ref, got, want, code)
+		if a.async {
+			diffEconomy(t, name+"/"+a.name, sync, got)
+		}
+		sync = got
+	}
+}
+
+// diffCompare asserts the equivalence contract between the oracle's
+// verdict and the engine's. Detail is compared except on Error outcomes:
+// plan order may surface a different (equally real) evaluation error than
+// the monolithic formula does.
 func diffCompare(t *testing.T, name string, ref, got Verdict, refCode, gotCode int) {
 	t.Helper()
 	fail := func(field string, e, l interface{}) {
@@ -141,29 +162,26 @@ func diffCompare(t *testing.T, name string, ref, got Verdict, refCode, gotCode i
 		fail("Detail", ref.Detail, got.Detail)
 	}
 	if got.FetchedPaths > ref.FetchedPaths {
-		fail("FetchedPaths (plan engine must not fetch more)", ref.FetchedPaths, got.FetchedPaths)
+		fail("FetchedPaths (the engine must not fetch more)", ref.FetchedPaths, got.FetchedPaths)
 	}
 }
 
-// diffEconomy asserts exact economy-counter agreement between the lazy and
-// compiled arms of one configuration. The compiled engine reuses the lazy
-// workflow (fetch cache, flights, facts pruning, effect-frame reuse) and
-// swaps only per-node evaluation, so fetches, reuses, per-clause demands
-// and fact skips must match to the unit — any drift means the closure
-// chains demand state the tree walk does not, or vice versa.
-func diffEconomy(t *testing.T, name string, lazy, comp Verdict) {
+// diffEconomy asserts exact economy-counter agreement between a sync arm
+// and its async twin: deferring the post phase moves it off the response
+// path and changes nothing it reads or decides.
+func diffEconomy(t *testing.T, name string, sync, async Verdict) {
 	t.Helper()
-	if lazy.FetchedPaths != comp.FetchedPaths {
-		t.Errorf("%s: FetchedPaths diverged: lazy %d, compiled %d", name, lazy.FetchedPaths, comp.FetchedPaths)
+	if sync.FetchedPaths != async.FetchedPaths {
+		t.Errorf("%s: FetchedPaths diverged: sync %d, async %d", name, sync.FetchedPaths, async.FetchedPaths)
 	}
-	if lazy.ReusedPaths != comp.ReusedPaths {
-		t.Errorf("%s: ReusedPaths diverged: lazy %d, compiled %d", name, lazy.ReusedPaths, comp.ReusedPaths)
+	if sync.ReusedPaths != async.ReusedPaths {
+		t.Errorf("%s: ReusedPaths diverged: sync %d, async %d", name, sync.ReusedPaths, async.ReusedPaths)
 	}
-	if lazy.DemandedPaths != comp.DemandedPaths {
-		t.Errorf("%s: DemandedPaths diverged: lazy %d, compiled %d", name, lazy.DemandedPaths, comp.DemandedPaths)
+	if sync.DemandedPaths != async.DemandedPaths {
+		t.Errorf("%s: DemandedPaths diverged: sync %d, async %d", name, sync.DemandedPaths, async.DemandedPaths)
 	}
-	if lazy.FactsSkipped != comp.FactsSkipped {
-		t.Errorf("%s: FactsSkipped diverged: lazy %d, compiled %d", name, lazy.FactsSkipped, comp.FactsSkipped)
+	if sync.FactsSkipped != async.FactsSkipped {
+		t.Errorf("%s: FactsSkipped diverged: sync %d, async %d", name, sync.FactsSkipped, async.FactsSkipped)
 	}
 }
 
@@ -182,8 +200,8 @@ func diffRequests() []diffRequest {
 
 // TestDifferentialExampleStates sweeps hand-picked states covering every
 // outcome class: pre pass/fail, post pass/fail, backend accept/reject, in
-// both modes — eager vs lazy with post-state reuse disabled (the
-// unconditionally equivalent configuration).
+// both modes, with post-state reuse disabled (the unconditionally
+// equivalent configuration).
 func TestDifferentialExampleStates(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -217,29 +235,7 @@ func TestDifferentialExampleStates(t *testing.T) {
 		for _, rq := range diffRequests() {
 			for _, st := range states {
 				name := fmt.Sprintf("%s/%s/%s", mode, rq.method, st.name)
-				ve, ce := runEngine(t, set, EvalEager, false, false, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				vl, cl := runEngine(t, set, EvalLazy, true, true, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				vf, cf := runEngine(t, set, EvalLazy, true, false, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				vc, cc := runEngine(t, set, EvalCompiled, true, true, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				vcf, ccf := runEngine(t, set, EvalCompiled, true, false, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				va, ca := runEngineAsync(t, set, true, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				diffCompare(t, name, ve, vl, ce, cl)
-				diffCompare(t, name+"/facts", ve, vf, ce, cf)
-				diffCompare(t, name+"/compiled", ve, vc, ce, cc)
-				diffCompare(t, name+"/compiled+facts", ve, vcf, ce, ccf)
-				// The async arm's one designed observable difference: a
-				// verdict decided in the deferred post phase (violation or
-				// evaluation error) lands after the client already has the
-				// backend's answer, so the wire code is the backend's, not
-				// the 409/502 the synchronous monitor substitutes.
-				wantCode := ce
-				if va.Late {
-					wantCode = va.BackendStatus
-				}
-				diffCompare(t, name+"/async", ve, va, wantCode, ca)
-				diffEconomy(t, name+"/economy", vl, vc)
-				diffEconomy(t, name+"/economy+facts", vf, vcf)
-				diffEconomy(t, name+"/economy+async", vc, va)
+				diffArms(t, set, name, arms(false), mode, rq, st.pre, st.post, st.status)
 			}
 		}
 	}
@@ -262,9 +258,9 @@ func randomEnv(rng *rand.Rand) ocl.MapEnv {
 	return e
 }
 
-// TestDifferentialFuzzStates drives both engines over seeded random pre and
-// post states and demands verdict equivalence (reuse off: post states are
-// unconstrained, so the frame assumption does not hold).
+// TestDifferentialFuzzStates drives the engine over seeded random pre and
+// post states and demands verdict equivalence with the oracle (reuse off:
+// post states are unconstrained, so the frame assumption does not hold).
 func TestDifferentialFuzzStates(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -282,34 +278,17 @@ func TestDifferentialFuzzStates(t *testing.T) {
 			mode = Observe
 		}
 		name := fmt.Sprintf("fuzz-%d/%s/%s", i, mode, rq.method)
-		ve, ce := runEngine(t, set, EvalEager, false, false, mode, rq.method, rq.path, pre, post, status)
-		vl, cl := runEngine(t, set, EvalLazy, true, true, mode, rq.method, rq.path, pre, post, status)
-		vf, cf := runEngine(t, set, EvalLazy, true, false, mode, rq.method, rq.path, pre, post, status)
-		vc, cc := runEngine(t, set, EvalCompiled, true, true, mode, rq.method, rq.path, pre, post, status)
-		vcf, ccf := runEngine(t, set, EvalCompiled, true, false, mode, rq.method, rq.path, pre, post, status)
-		va, ca := runEngineAsync(t, set, true, mode, rq.method, rq.path, pre, post, status)
-		diffCompare(t, name, ve, vl, ce, cl)
-		diffCompare(t, name+"/facts", ve, vf, ce, cf)
-		diffCompare(t, name+"/compiled", ve, vc, ce, cc)
-		diffCompare(t, name+"/compiled+facts", ve, vcf, ce, ccf)
-		wantCode := ce
-		if va.Late {
-			wantCode = va.BackendStatus
-		}
-		diffCompare(t, name+"/async", ve, va, wantCode, ca)
-		diffEconomy(t, name+"/economy", vl, vc)
-		diffEconomy(t, name+"/economy+facts", vf, vcf)
-		diffEconomy(t, name+"/economy+async", vc, va)
+		diffArms(t, set, name, arms(false), mode, rq, pre, post, status)
 		if t.Failed() {
 			t.Fatalf("first divergence at iteration %d: pre=%v post=%v status=%d", i, pre, post, status)
 		}
 	}
 }
 
-// TestDifferentialPostReuseOnFrameRespectingStates checks the default lazy
-// configuration (effect-frame reuse ON) against eager, on post states that
-// honor the frame: only paths inside the active transitions' effect frame
-// change across the call. This is the soundness condition the reuse
+// TestDifferentialPostReuseOnFrameRespectingStates checks the default
+// configuration (effect-frame reuse ON) against the oracle, on post states
+// that honor the frame: only paths inside the active transitions' effect
+// frame change across the call. This is the soundness condition the reuse
 // optimization rests on — the cloud moved only what the model says the
 // transition touches.
 func TestDifferentialPostReuseOnFrameRespectingStates(t *testing.T) {
@@ -334,39 +313,28 @@ func TestDifferentialPostReuseOnFrameRespectingStates(t *testing.T) {
 		}
 		post["project.volumes"] = ocl.CollectionVal(elems...)
 		name := fmt.Sprintf("reuse-%d/%s", i, rq.method)
-		ve, ce := runEngine(t, set, EvalEager, false, false, Enforce, rq.method, rq.path, pre, post, 204)
-		vl, cl := runEngine(t, set, EvalLazy, false, true, Enforce, rq.method, rq.path, pre, post, 204)
-		vf, cf := runEngine(t, set, EvalLazy, false, false, Enforce, rq.method, rq.path, pre, post, 204)
-		vc, cc := runEngine(t, set, EvalCompiled, false, true, Enforce, rq.method, rq.path, pre, post, 204)
-		vcf, ccf := runEngine(t, set, EvalCompiled, false, false, Enforce, rq.method, rq.path, pre, post, 204)
-		diffCompare(t, name, ve, vl, ce, cl)
-		diffCompare(t, name+"/facts", ve, vf, ce, cf)
-		diffCompare(t, name+"/compiled", ve, vc, ce, cc)
-		diffCompare(t, name+"/compiled+facts", ve, vcf, ce, ccf)
-		diffEconomy(t, name+"/economy", vl, vc)
-		diffEconomy(t, name+"/economy+facts", vf, vcf)
+		diffArms(t, set, name, arms(true), Enforce, rq, pre, post, 204)
 		if t.Failed() {
 			t.Fatalf("first divergence at iteration %d: pre=%v post=%v", i, pre, post)
 		}
 	}
 }
 
-// TestLazyFetchEconomyOnPaperModel pins the headline numbers the plan
-// engines claim for the paper's Cinder model: a clean GET needs 5 cloud
-// reads under the plan engines against the eager engine's 8, and a clean
-// DELETE 6 against 10. Both demand-driven engines — lazy tree walk and
-// compiled closure chains — must hit the same pins.
+// TestLazyFetchEconomyOnPaperModel pins the headline numbers demand-driven
+// evaluation claims for the paper's Cinder model: a clean GET needs 5
+// cloud reads against the whole-snapshot oracle's 8, and a clean DELETE 6
+// against 10.
 func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		method, path        string
-		pre, post           ocl.MapEnv
-		status              int
-		wantPlan, wantEager int
-		wantReused          int
+		method, path          string
+		pre, post             ocl.MapEnv
+		status                int
+		wantFetch, wantOracle int
+		wantReused            int
 	}{
 		// GET: 4 pre paths + post re-fetch of project.volumes; the other
 		// 2 consequent reads reuse the pre-state (project.id, quota).
@@ -377,41 +345,39 @@ func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 			env(2, 10, "available", "admin"), env(1, 10, "available", "admin"), 204, 6, 10, 2},
 	}
 	for _, tc := range cases {
-		ve, _ := runEngine(t, set, EvalEager, false, false, Enforce, tc.method, tc.path, tc.pre, tc.post, tc.status)
-		if ve.Outcome != OK {
-			t.Fatalf("%s: eager outcome %s, want ok", tc.method, ve.Outcome)
+		ref, _ := oracle(t, set, Enforce, tc.method, tc.pre, tc.post, tc.status)
+		if ref.Outcome != OK {
+			t.Fatalf("%s: oracle outcome %s, want ok", tc.method, ref.Outcome)
 		}
-		if ve.FetchedPaths != tc.wantEager {
-			t.Errorf("%s: eager fetched %d paths, want %d", tc.method, ve.FetchedPaths, tc.wantEager)
+		if ref.FetchedPaths != tc.wantOracle {
+			t.Errorf("%s: oracle fetched %d paths, want %d", tc.method, ref.FetchedPaths, tc.wantOracle)
 		}
-		for _, eval := range []EvalMode{EvalLazy, EvalCompiled} {
-			vp, _ := runEngine(t, set, eval, false, false, Enforce, tc.method, tc.path, tc.pre, tc.post, tc.status)
-			if vp.Outcome != OK {
-				t.Fatalf("%s/%s: outcome %s, want ok", tc.method, eval, vp.Outcome)
-			}
-			if vp.FetchedPaths != tc.wantPlan {
-				t.Errorf("%s/%s: fetched %d paths, want %d", tc.method, eval, vp.FetchedPaths, tc.wantPlan)
-			}
-			if vp.ReusedPaths != tc.wantReused {
-				t.Errorf("%s/%s: reused %d paths, want %d", tc.method, eval, vp.ReusedPaths, tc.wantReused)
-			}
+		v, _ := runEngine(t, set, arm{}, Enforce, tc.method, tc.path, tc.pre, tc.post, tc.status)
+		if v.Outcome != OK {
+			t.Fatalf("%s: outcome %s, want ok", tc.method, v.Outcome)
+		}
+		if v.FetchedPaths != tc.wantFetch {
+			t.Errorf("%s: fetched %d paths, want %d", tc.method, v.FetchedPaths, tc.wantFetch)
+		}
+		if v.ReusedPaths != tc.wantReused {
+			t.Errorf("%s: reused %d paths, want %d", tc.method, v.ReusedPaths, tc.wantReused)
 		}
 	}
 }
 
-// TestDifferentialFailPolicies checks that every snapshot-failure policy
-// degrades identically under the lazy and compiled engines, with facts on
-// and off: a cloud outage must yield the same outcome, attribution and
-// economy regardless of how clauses are evaluated. Three fault shapes are
-// driven per policy: pre-phase failure (cold), post-phase failure, and —
-// for Degrade — a warmed cache followed by an outage, which must serve the
-// cached pre-state in both engines.
+// TestDifferentialFailPolicies pins how each snapshot-failure policy
+// degrades, with facts on and off: a cloud outage yields a fixed outcome,
+// response code, forwarding decision and read count per policy, and
+// facts change none of them. Three fault shapes are driven per policy:
+// pre-phase failure (cold), post-phase failure, and — for Degrade — a
+// warmed cache followed by an outage, which must serve the cached
+// pre-state and mark the verdict degraded.
 func TestDifferentialFailPolicies(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(eval EvalMode, noFacts bool, policy FailPolicy, prov StateProvider) *Monitor {
+	build := func(noFacts bool, policy FailPolicy, prov StateProvider) *Monitor {
 		t.Helper()
 		cfg := Config{
 			Contracts:  set,
@@ -419,7 +385,6 @@ func TestDifferentialFailPolicies(t *testing.T) {
 			Provider:   prov,
 			Forward:    &fakeForwarder{status: 204},
 			Mode:       Enforce,
-			Eval:       eval,
 			NoFacts:    noFacts,
 			FailPolicy: policy,
 		}
@@ -441,60 +406,71 @@ func TestDifferentialFailPolicies(t *testing.T) {
 		m.ServeHTTP(rec, req)
 		return lastVerdict(t, m), rec.Code
 	}
-	send := func(m *Monitor) (Verdict, int) { return sendReq(m, http.MethodDelete) }
 	good := env(2, 10, "available", "admin")
-	for _, policy := range []FailPolicy{FailClosed, FailOpen, Degrade} {
+	shapes := map[string]func(noFacts bool, policy FailPolicy) (Verdict, int){
+		// Pre-phase outage from the first request: the DELETE's first
+		// clause wave fails, then its demanded path alone.
+		"pre-fault": func(noFacts bool, policy FailPolicy) (Verdict, int) {
+			prov := &switchProvider{env: good}
+			prov.fail.Store(true)
+			return sendReq(build(noFacts, policy, prov), http.MethodDelete)
+		},
+		// Post-phase outage: the pre-check passes, the post snapshot
+		// fails mid-request.
+		"post-fault": func(noFacts bool, policy FailPolicy) (Verdict, int) {
+			return sendReq(build(noFacts, policy, &prePostProvider{pre: good}), http.MethodDelete)
+		},
+		// Warm cache, then outage: a GET keeps the state fixpoint-clean
+		// across both requests; the read cache lapses so the live
+		// snapshot really fails while the degrade window is still open.
+		"degrade-warm": func(noFacts bool, policy FailPolicy) (Verdict, int) {
+			prov := &switchProvider{env: good}
+			m := build(noFacts, policy, prov)
+			if v, _ := sendReq(m, http.MethodGet); v.Outcome != OK {
+				t.Fatalf("warm request outcome %s, want ok", v.Outcome)
+			}
+			time.Sleep(30 * time.Millisecond)
+			prov.fail.Store(true)
+			return sendReq(m, http.MethodGet)
+		},
+	}
+	type want struct {
+		outcome   Outcome
+		code      int
+		forwarded bool
+		degraded  bool
+		fetched   int
+		detail    string
+	}
+	preClosed := want{Error, http.StatusBadGateway, false, false, 6, "pre-state snapshot: fake failure"}
+	cells := []struct {
+		policy FailPolicy
+		shape  string
+		want   want
+	}{
+		{FailClosed, "pre-fault", preClosed},
+		{FailClosed, "post-fault", want{Error, http.StatusBadGateway, true, false, 6,
+			"post-state snapshot: fake failure"}},
+		{FailOpen, "pre-fault", want{Unverified, http.StatusNoContent, true, false, 6,
+			"pre-state snapshot failed (fail-open): fake failure"}},
+		{FailOpen, "post-fault", want{Unverified, http.StatusNoContent, true, false, 6,
+			"post-state snapshot failed (fail-open): fake failure"}},
+		// A cold cache has nothing to stand in: Degrade fails closed.
+		{Degrade, "pre-fault", preClosed},
+		{Degrade, "post-fault", want{Unverified, http.StatusNoContent, true, false, 6,
+			"post-state snapshot failed (degrade): fake failure"}},
+		// The stale pre-state stands in; the post phase cannot be
+		// rescued, the request's own effect must be read live.
+		{Degrade, "degrade-warm", want{Unverified, http.StatusNoContent, true, true, 9,
+			"post-state snapshot failed (degrade): fake failure"}},
+	}
+	for _, cell := range cells {
 		for _, noFacts := range []bool{true, false} {
-			tag := fmt.Sprintf("%s/facts=%v", policy, !noFacts)
-
-			// Pre-phase outage from the first request.
-			run := func(eval EvalMode) (Verdict, int) {
-				prov := &switchProvider{env: good}
-				prov.fail.Store(true)
-				return send(build(eval, noFacts, policy, prov))
-			}
-			vl, cl := run(EvalLazy)
-			vc, cc := run(EvalCompiled)
-			diffCompare(t, tag+"/pre-fault", vl, vc, cl, cc)
-			diffEconomy(t, tag+"/pre-fault", vl, vc)
-			if vl.DegradedPre != vc.DegradedPre {
-				t.Errorf("%s/pre-fault: DegradedPre diverged: lazy %v, compiled %v", tag, vl.DegradedPre, vc.DegradedPre)
-			}
-
-			// Post-phase outage: the pre-check passes, the post snapshot
-			// fails mid-request.
-			runPost := func(eval EvalMode) (Verdict, int) {
-				return send(build(eval, noFacts, policy, &prePostProvider{pre: good}))
-			}
-			vl, cl = runPost(EvalLazy)
-			vc, cc = runPost(EvalCompiled)
-			diffCompare(t, tag+"/post-fault", vl, vc, cl, cc)
-			diffEconomy(t, tag+"/post-fault", vl, vc)
-
-			if policy != Degrade {
-				continue
-			}
-			// Warm cache, then outage: Degrade must serve the cached
-			// pre-state and mark the verdict degraded in both engines.
-			// GET keeps the state fixpoint-clean across both requests.
-			runWarm := func(eval EvalMode) (Verdict, int) {
-				prov := &switchProvider{env: good}
-				m := build(eval, noFacts, policy, prov)
-				if v, _ := sendReq(m, http.MethodGet); v.Outcome != OK {
-					t.Fatalf("%s/%s: warm request outcome %s, want ok", tag, eval, v.Outcome)
-				}
-				// Let the read cache lapse so the live snapshot really
-				// fails; the degrade window is still wide open.
-				time.Sleep(30 * time.Millisecond)
-				prov.fail.Store(true)
-				return sendReq(m, http.MethodGet)
-			}
-			vl, cl = runWarm(EvalLazy)
-			vc, cc = runWarm(EvalCompiled)
-			diffCompare(t, tag+"/degrade-warm", vl, vc, cl, cc)
-			diffEconomy(t, tag+"/degrade-warm", vl, vc)
-			if !vl.DegradedPre || !vc.DegradedPre {
-				t.Errorf("%s/degrade-warm: DegradedPre lazy=%v compiled=%v, want both true", tag, vl.DegradedPre, vc.DegradedPre)
+			name := fmt.Sprintf("%s/%s/facts=%v", cell.policy, cell.shape, !noFacts)
+			v, code := shapes[cell.shape](noFacts, cell.policy)
+			got := want{v.Outcome, code, v.Forwarded, v.DegradedPre, v.FetchedPaths, v.Detail}
+			if got != cell.want {
+				t.Errorf("%s: got %+v, want %+v", name, got, cell.want)
 			}
 		}
 	}

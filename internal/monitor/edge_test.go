@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -138,5 +139,48 @@ func TestHTTPForwarderUnreachableBackend(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
 	if _, err := f.Forward(req, &Route{Backend: "/x"}, nil); err == nil {
 		t.Error("unreachable backend accepted")
+	}
+}
+
+// TestHTTPForwarderRejectsOversizedBody sends a POST whose first MiB is
+// valid JSON and whose whole body is not: a forwarder that cut the body at
+// its limit would deliver a different, valid request. The forward must
+// fail instead, the verdict be Error, and nothing reach the cloud; a body
+// of exactly the limit still goes through whole.
+func TestHTTPForwarderRejectsOversizedBody(t *testing.T) {
+	var hits int
+	var gotLen int
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits++
+		b, _ := io.ReadAll(r.Body)
+		gotLen = len(b)
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	defer backend.Close()
+	m := newMonitor(t, Enforce, &fakeProvider{pre: env(0, 10, "available", "admin"),
+		post: env(1, 10, "available", "admin")}, &HTTPForwarder{BaseURL: backend.URL})
+
+	head := `{"volume":{"size":1}}`
+	oversized := head + strings.Repeat(" ", maxForwardBody-len(head)) + `,"junk"`
+	req := httptest.NewRequest(http.MethodPost, "/projects/p1/volumes", strings.NewReader(oversized))
+	req.Header.Set("X-Auth-Token", "tok")
+	rec := httptest.NewRecorder()
+	m.ServeHTTP(rec, req)
+	v := lastVerdict(t, m)
+	if v.Outcome != Error || v.Forwarded || rec.Code != http.StatusBadGateway {
+		t.Errorf("oversized body: outcome %s forwarded %v code %d, want error, not forwarded, 502 (%s)",
+			v.Outcome, v.Forwarded, rec.Code, v.Detail)
+	}
+	if hits != 0 {
+		t.Fatalf("the cloud received %d requests carrying a cut body", hits)
+	}
+
+	exact := head + strings.Repeat(" ", maxForwardBody-len(head))
+	req = httptest.NewRequest(http.MethodPost, "/projects/p1/volumes", strings.NewReader(exact))
+	req.Header.Set("X-Auth-Token", "tok")
+	m.ServeHTTP(httptest.NewRecorder(), req)
+	if v := lastVerdict(t, m); v.Outcome != OK || hits != 1 || gotLen != maxForwardBody {
+		t.Errorf("body at the limit: outcome %s (%s), %d cloud requests, %d bytes received; want ok, 1, %d",
+			v.Outcome, v.Detail, hits, gotLen, maxForwardBody)
 	}
 }

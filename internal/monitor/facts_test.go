@@ -1,9 +1,7 @@
 package monitor
 
 import (
-	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"cloudmon/internal/contract"
@@ -38,8 +36,8 @@ func TestFactsPruneOnPaperModel(t *testing.T) {
 			3, 11, 16},
 	}
 	for _, tc := range cases {
-		vf, _ := runEngine(t, set, EvalLazy, false, false, Enforce, tc.method, tc.path, tc.pre, tc.post, 204)
-		vl, _ := runEngine(t, set, EvalLazy, false, true, Enforce, tc.method, tc.path, tc.pre, tc.post, 204)
+		vf, _ := runEngine(t, set, arm{}, Enforce, tc.method, tc.path, tc.pre, tc.post, 204)
+		vl, _ := runEngine(t, set, arm{noFacts: true}, Enforce, tc.method, tc.path, tc.pre, tc.post, 204)
 		if vf.Outcome != OK || vl.Outcome != OK {
 			t.Fatalf("%s: outcomes facts=%s plain=%s, want ok/ok", tc.name, vf.Outcome, vl.Outcome)
 		}
@@ -60,43 +58,6 @@ func TestFactsPruneOnPaperModel(t *testing.T) {
 	}
 }
 
-// TestFactsDebugRecheck drives the FactsDebug tripwire over seeded random
-// states: every fact-decided clause value is re-derived the slow way, and
-// the mismatch counter must stay zero while prunes actually fire.
-func TestFactsDebugRecheck(t *testing.T) {
-	set, err := contract.Generate(paper.CinderModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(Config{
-		Contracts:  set,
-		Routes:     diffRoutes(),
-		Provider:   &fakeProvider{},
-		Forward:    &fakeForwarder{status: 204},
-		FactsDebug: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := m.provider.(*fakeProvider)
-	rng := rand.New(rand.NewSource(7))
-	reqs := diffRequests()
-	for i := 0; i < 200; i++ {
-		rq := reqs[rng.Intn(len(reqs))]
-		p.pre, p.post = randomEnv(rng), randomEnv(rng)
-		req := httptest.NewRequest(rq.method, rq.path, nil)
-		req.Header.Set("X-Auth-Token", "tok")
-		m.ServeHTTP(httptest.NewRecorder(), req)
-	}
-	if n := m.factsMismatch.Value(); n != 0 {
-		t.Fatalf("FactsDebug found %d mismatches: a fact decided a value the evaluator disagrees with", n)
-	}
-	pruned := m.factsPruned.Snapshot()
-	if pruned[factsPrunedPreSibling] == 0 {
-		t.Errorf("no witness skips fired over 200 random states: %v", pruned)
-	}
-}
-
 // TestFactsMetricsAndReset: the pruning counters surface in /metrics under
 // cloudmon_facts_* and ResetLog clears them.
 func TestFactsMetricsAndReset(t *testing.T) {
@@ -110,24 +71,5 @@ func TestFactsMetricsAndReset(t *testing.T) {
 	m.ResetLog()
 	if got := m.factsPruned.Snapshot()[factsPrunedPreSibling]; got != 0 {
 		t.Errorf("prune counter survived ResetLog: %d", got)
-	}
-	if m.factsMismatch.Value() != 0 {
-		t.Errorf("mismatch counter non-zero after reset")
-	}
-}
-
-// TestEagerLeavesDemandAccountingZero: DemandedPaths and FactsSkipped are
-// lazy-engine measures; the eager engine must leave them untouched.
-func TestEagerLeavesDemandAccountingZero(t *testing.T) {
-	set, err := contract.Generate(paper.CinderModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := runEngine(t, set, EvalEager, false, false, Enforce,
-		http.MethodDelete, "/projects/p1/volumes/v1",
-		env(1, 10, "available", "admin"), env(0, 10, "available", "admin"), 204)
-	if v.DemandedPaths != 0 || v.FactsSkipped != 0 {
-		t.Errorf("eager verdict has DemandedPaths=%d FactsSkipped=%d, want 0/0",
-			v.DemandedPaths, v.FactsSkipped)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"cloudmon/internal/contract"
 	"cloudmon/internal/ocl"
 	"cloudmon/internal/paper"
-	"cloudmon/internal/uml"
 )
 
 // switchProvider serves a fixed snapshot until fail is flipped, then
@@ -62,23 +61,12 @@ func newPolicyMonitor(t *testing.T, cfg Config) *Monitor {
 		t.Fatal(err)
 	}
 	cfg.Contracts = set
-	cfg.Routes = testRoutes()
+	cfg.Routes = diffRoutes()
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
-}
-
-func testRoutes() []Route {
-	return []Route{
-		{Trigger: uml.Trigger{Method: uml.GET, Resource: "volume"},
-			Pattern: "/projects/{project_id}/volumes/{volume_id}",
-			Backend: "/volume/v3/{project_id}/volumes/{volume_id}"},
-		{Trigger: uml.Trigger{Method: uml.DELETE, Resource: "volume"},
-			Pattern: "/projects/{project_id}/volumes/{volume_id}",
-			Backend: "/volume/v3/{project_id}/volumes/{volume_id}"},
-	}
 }
 
 func doGet(t *testing.T, m *Monitor) *httptest.ResponseRecorder {
@@ -109,7 +97,7 @@ func TestNewRejectsDegradeWithoutCache(t *testing.T) {
 	}
 	_, err = New(Config{
 		Contracts:  set,
-		Routes:     testRoutes(),
+		Routes:     diffRoutes(),
 		Provider:   &fakeProvider{},
 		Forward:    &fakeForwarder{},
 		FailPolicy: Degrade,

@@ -82,7 +82,7 @@ func (m *Monitor) InspectHandler() http.Handler {
 			By   []int `json:"by"`
 		}
 		// factsDoc surfaces the plan's compile-time facts — what the
-		// lazy engine prunes with (cloudmon_facts_pruned_total).
+		// monitor prunes with (cloudmon_facts_pruned_total).
 		type factsDoc struct {
 			Static       []staticDoc    `json:"static,omitempty"`
 			Folded       []foldDoc      `json:"folded,omitempty"`

@@ -23,6 +23,7 @@
 package monitor
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -166,9 +167,8 @@ func (o Outcome) IsViolation() bool {
 }
 
 // Snapshot phases, carried on RequestContext so providers (and test fakes)
-// can tell a pre-state read from a post-state read — under lazy evaluation
-// each phase may issue several Snapshot calls, so call counting no longer
-// identifies the phase.
+// can tell a pre-state read from a post-state read — each phase may issue
+// several Snapshot calls, so call counting does not identify the phase.
 const (
 	PhasePre  = "pre"
 	PhasePost = "post"
@@ -265,14 +265,13 @@ type Verdict struct {
 	// free and not counted).
 	FetchedPaths int
 	// ReusedPaths counts post-state paths served from the pre-state
-	// snapshot because no active transition's effect could touch them
-	// (lazy evaluation only).
+	// snapshot because no active transition's effect could touch them.
 	ReusedPaths int
 	// DemandedPaths counts the per-clause path demands the evaluator
-	// issued (lazy engine only; eager leaves it zero). A path demanded by
-	// two clauses counts twice — the number measures evaluation work, not
-	// fetch traffic, so it shows what fact-based pruning saves even when
-	// every path was already fetched by an earlier clause.
+	// issued. A path demanded by two clauses counts twice — the number
+	// measures evaluation work, not fetch traffic, so it shows what
+	// fact-based pruning saves even when every path was already fetched
+	// by an earlier clause.
 	DemandedPaths int
 	// FactsSkipped counts the clause evaluations a compile-time fact
 	// decided without full evaluation: statically valued disjuncts,
@@ -345,27 +344,18 @@ type Config struct {
 	Mode Mode
 	// Level defaults to CheckFull.
 	Level CheckLevel
-	// Eval selects the evaluation engine (defaults to EvalCompiled, the
-	// closure-chain programs over pooled slot frames; EvalLazy re-walks
-	// the OCL trees clause by clause; EvalEager restores the
-	// whole-contract snapshot workflow).
-	Eval EvalMode
-	// NoPostReuse disables the lazy post-check's effect-frame reuse of
+	// NoPostReuse disables the post-check's effect-frame reuse of
 	// pre-state values: every demanded post path is re-fetched from the
 	// cloud. Reuse assumes the cloud honors the model's effect frames;
-	// differential tests turn it off to compare against arbitrary states.
+	// differential tests and replay turn it off to compare against
+	// arbitrary states.
 	NoPostReuse bool
 	// NoFacts disables the plan's compile-time facts artifact (static
-	// clause values, witness-based sibling skips, constant-folded clause
-	// forms): the lazy engine evaluates every disjunct in full. Facts
-	// change no verdict — the differential suite proves field-for-field
-	// equality — only the work a verdict costs.
+	// clause values, witness-based sibling skips): every disjunct is
+	// evaluated in full. Facts change no verdict — the differential
+	// suites prove field-for-field equality — only the work a verdict
+	// costs.
 	NoFacts bool
-	// FactsDebug re-derives every fact-decided clause value the slow way
-	// and counts disagreements in cloudmon_facts_mismatch_total — a
-	// soundness tripwire for development, not for production paths (the
-	// re-check fetches the state the fact avoided fetching).
-	FactsDebug bool
 	// FailPolicy decides the verdict when a state snapshot fails
 	// (defaults to FailClosed). Degrade additionally requires
 	// PreStateCacheTTL > 0.
@@ -399,7 +389,6 @@ type Config struct {
 	// PostSync). PostAsync returns the cloud response as soon as the
 	// forward completes and verifies the effect on a bounded worker
 	// queue, emitting late verdicts with detection-lag accounting.
-	// Requires a demand-driven engine (EvalCompiled or EvalLazy).
 	Post PostMode
 	// PostQueueCap bounds the async post queue (default 1024).
 	PostQueueCap int
@@ -431,10 +420,8 @@ type Monitor struct {
 	forward     Forwarder
 	mode        Mode
 	level       CheckLevel
-	eval        EvalMode
 	noPostReuse bool
 	noFacts     bool
-	factsDebug  bool
 	failPolicy  FailPolicy
 	degradeTTL  time.Duration
 	onVerdict   func(Verdict)
@@ -442,10 +429,10 @@ type Monitor struct {
 	audit       *obs.AuditLog
 	instanceID  string
 	onInvalid   func(project string)
-	// flights coalesces identical concurrent pre-state GETs (lazy engine).
+	// flights coalesces identical concurrent pre-state GETs.
 	flights *flightGroup
 	// waves counts the pre-state Snapshot calls that carried several of a
-	// clause's paths (lazy engine).
+	// clause's paths.
 	waves obs.Counter
 	// post/postBackpressure/asyncPost form the deferred post-verification
 	// pipeline (asyncpost.go); asyncPost is nil under PostSync.
@@ -475,11 +462,8 @@ type Monitor struct {
 	pathsFetched *obs.Histogram
 	coalesced    obs.Counter
 	// factsPruned counts clause evaluations decided by compile-time facts,
-	// keyed by pruning kind (pre-clause, pre-sibling, post-clause);
-	// factsMismatch counts FactsDebug re-checks that disagreed with a
-	// fact-assigned value — any non-zero value is a soundness bug.
-	factsPruned   obs.KeyedCounter
-	factsMismatch obs.Counter
+	// keyed by pruning kind (pre-clause, pre-sibling, post-clause).
+	factsPruned obs.KeyedCounter
 }
 
 // numOutcomes sizes the outcome counter array (outcomes are 1-based).
@@ -502,10 +486,7 @@ type compiledRoute struct {
 	route    Route
 	segments []string
 	contract *contract.Contract
-	// paths is the contract's StatePaths, computed once at build time so
-	// the per-request hot path never re-walks the formulas.
-	paths []string
-	// plan is the contract's compiled evaluation plan (lazy engine).
+	// plan is the contract's compiled evaluation plan.
 	plan *contract.Plan
 	// digest is the contract's content digest, computed once at build time
 	// and stamped on every verdict (and audit record) the route produces.
@@ -540,10 +521,6 @@ func New(cfg Config) (*Monitor, error) {
 	if policy == 0 {
 		policy = FailClosed
 	}
-	eval := cfg.Eval
-	if eval == 0 {
-		eval = EvalCompiled
-	}
 	if policy == Degrade && cfg.PreStateCacheTTL <= 0 {
 		return nil, fmt.Errorf("monitor: fail policy %s requires PreStateCacheTTL > 0", policy)
 	}
@@ -554,9 +531,6 @@ func New(cfg Config) (*Monitor, error) {
 	backpressure := cfg.PostBackpressure
 	if backpressure == 0 {
 		backpressure = BackpressureBlock
-	}
-	if post == PostAsync && eval == EvalEager {
-		return nil, fmt.Errorf("monitor: post mode %s requires the compiled or lazy engine", post)
 	}
 	if post == PostAsync && level == CheckPreOnly {
 		return nil, fmt.Errorf("monitor: post mode %s is meaningless at check level %s", post, level)
@@ -571,10 +545,8 @@ func New(cfg Config) (*Monitor, error) {
 		forward:      cfg.Forward,
 		mode:         mode,
 		level:        level,
-		eval:         eval,
 		noPostReuse:  cfg.NoPostReuse,
 		noFacts:      cfg.NoFacts,
-		factsDebug:   cfg.FactsDebug,
 		failPolicy:   policy,
 		onVerdict:    cfg.OnVerdict,
 		audit:        cfg.Audit,
@@ -625,7 +597,6 @@ func New(cfg Config) (*Monitor, error) {
 			route:    r,
 			segments: splitPath(r.Pattern),
 			contract: c,
-			paths:    c.StatePaths(),
 			plan:     c.Plan(),
 			digest:   c.Digest(),
 		})
@@ -650,9 +621,6 @@ func (m *Monitor) Level() CheckLevel { return m.level }
 
 // FailPolicy returns the monitor's snapshot-failure policy.
 func (m *Monitor) FailPolicy() FailPolicy { return m.failPolicy }
-
-// Eval returns the monitor's evaluation engine.
-func (m *Monitor) Eval() EvalMode { return m.eval }
 
 // Post returns the monitor's post-verification mode.
 func (m *Monitor) Post() PostMode { return m.post }
@@ -704,195 +672,6 @@ func (m *Monitor) match(r *http.Request) (*compiledRoute, map[string]string, boo
 		}
 	}
 	return nil, nil, false
-}
-
-// check runs the monitoring workflow for a matched request and returns the
-// verdict plus the backend response (nil when not forwarded), dispatching
-// to the configured evaluation engine. A non-nil capture (PostAsync only)
-// means the verdict is deferred: the caller must enqueue or shed it.
-func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]string, trace *obs.Trace) (Verdict, *BackendResponse, *postCapture) {
-	if m.eval == EvalEager {
-		v, resp := m.checkEager(r, cr, params, trace)
-		return v, resp, nil
-	}
-	return m.checkLazy(r, cr, params, trace)
-}
-
-// checkEager is the whole-contract snapshot workflow: fetch every state
-// path the contract mentions, evaluate, forward, fetch them all again,
-// evaluate the post-condition. Stage boundaries are written into trace as
-// the pipeline advances.
-func (m *Monitor) checkEager(r *http.Request, cr *compiledRoute, params map[string]string, trace *obs.Trace) (Verdict, *BackendResponse) {
-	start := time.Now()
-	c := cr.contract
-	reqCtx := &RequestContext{
-		Method:   c.Trigger.Method,
-		Resource: c.Trigger.Resource,
-		Params:   params,
-		Token:    r.Header.Get("X-Auth-Token"),
-		Phase:    PhasePre,
-	}
-	v := Verdict{Trigger: c.Trigger, SecReqs: c.SecReqs, ContractDigest: cr.digest}
-	finish := func(outcome Outcome, detail string) Verdict {
-		v.Outcome = outcome
-		v.Detail = detail
-		v.Elapsed = time.Since(start)
-		// A negative verdict names the clause that decided it — the
-		// traceability link the audit trail indexes.
-		switch outcome {
-		case Blocked, Rejected, ViolationForbiddenAccepted, ViolationAllowedRejected:
-			v.FailingClause = c.Pre.String()
-		case ViolationPostcondition:
-			v.FailingClause = c.Post.String()
-		}
-		return v
-	}
-	// Stage spans are boundary-to-boundary: one clock read per stage
-	// transition (not two per stage), each span absorbing the thin glue
-	// code that precedes its stage.
-	now := start
-	mark := func(stage obs.Stage) {
-		t := time.Now()
-		trace[stage] = t.Sub(now)
-		now = t
-	}
-
-	paths := cr.paths
-	pre, fetched, err := m.preSnapshot(reqCtx, paths)
-	v.FetchedPaths = fetched
-	if err != nil && m.failPolicy == Degrade {
-		// Degrade: a recent cached pre-state (within the degrade window,
-		// generation-valid) substitutes for the failed live snapshot;
-		// without one the policy falls through to fail-closed below.
-		if cached, ok := m.cachedPre(reqCtx, paths); ok {
-			pre, err = cached, nil
-			v.DegradedPre = true
-		}
-	}
-	mark(obs.StagePreSnapshot)
-	if err != nil {
-		if m.failPolicy == FailOpen {
-			// FailOpen: forward unverified rather than amplify the cloud's
-			// flakiness into blocked requests; the gap is recorded.
-			resp, ferr := m.forward.Forward(r, &cr.route, params)
-			mark(obs.StageForward)
-			if ferr != nil {
-				return finish(Error, fmt.Sprintf(
-					"pre-state snapshot: %v; forward to cloud: %v", err, ferr)), nil
-			}
-			v.Forwarded = true
-			v.BackendStatus = resp.StatusCode
-			m.forwardedWrite(r.Method, params["project_id"])
-			return finish(Unverified, fmt.Sprintf("pre-state snapshot failed (fail-open): %v", err)), resp
-		}
-		// FailClosed (and Degrade with a cold cache): nothing
-		// unverifiable reaches the cloud.
-		return finish(Error, fmt.Sprintf("pre-state snapshot: %v", err)), nil
-	}
-	v.PreSnapshot = pre
-
-	preOK, matched, matchedTrans, err := evalPre(c, pre)
-	mark(obs.StagePreEval)
-	if err != nil {
-		return finish(Error, fmt.Sprintf("pre-condition evaluation: %v", err)), nil
-	}
-	v.PreOK = preOK
-	v.MatchedSecReqs = matched
-	v.MatchedTransitions = matchedTrans
-
-	if !preOK && m.mode == Enforce {
-		return finish(Blocked, "pre-condition failed; request not forwarded"), nil
-	}
-
-	resp, err := m.forward.Forward(r, &cr.route, params)
-	mark(obs.StageForward)
-	if err != nil {
-		return finish(Error, fmt.Sprintf("forward to cloud: %v", err)), nil
-	}
-	v.Forwarded = true
-	v.BackendStatus = resp.StatusCode
-	// A forwarded write may change any state the project's contracts
-	// read: drop the project's cached pre-state and tell the fleet hook.
-	m.forwardedWrite(r.Method, params["project_id"])
-
-	if !preOK {
-		// Observe mode with a forbidden request: the cloud must reject it.
-		if resp.Succeeded() {
-			return finish(ViolationForbiddenAccepted, fmt.Sprintf(
-				"contract forbids %s but cloud answered %d", c.Trigger, resp.StatusCode)), resp
-		}
-		return finish(Rejected, ""), resp
-	}
-
-	// Pre-condition held: the cloud must accept and produce the specified
-	// effect.
-	if !resp.Succeeded() {
-		return finish(ViolationAllowedRejected, fmt.Sprintf(
-			"contract permits %s but cloud answered %d", c.Trigger, resp.StatusCode)), resp
-	}
-
-	if m.level == CheckPreOnly {
-		// Ablated monitor: skip the post-state snapshot and effect check.
-		v.PostOK = true
-		return finish(OK, ""), resp
-	}
-
-	reqCtx.Phase = PhasePost
-	post, err := m.provider.Snapshot(reqCtx, paths)
-	v.FetchedPaths += len(paths)
-	mark(obs.StagePostSnapshot)
-	if err != nil {
-		// The response is already in hand; under FailOpen and Degrade the
-		// missing effect-check is recorded as an enforcement gap rather
-		// than a monitor error (Degrade cannot substitute a cache here —
-		// the post-condition verifies this request's own effect).
-		if m.failPolicy == FailOpen || m.failPolicy == Degrade {
-			return finish(Unverified, fmt.Sprintf(
-				"post-state snapshot failed (%s): %v", m.failPolicy, err)), resp
-		}
-		return finish(Error, fmt.Sprintf("post-state snapshot: %v", err)), resp
-	}
-	v.PostSnapshot = post
-	postOK, err := ocl.EvalBool(c.Post, ocl.Context{Cur: post, Pre: pre})
-	mark(obs.StagePostEval)
-	if err != nil {
-		return finish(Error, fmt.Sprintf("post-condition evaluation: %v", err)), resp
-	}
-	v.PostOK = postOK
-	if !postOK {
-		return finish(ViolationPostcondition, fmt.Sprintf(
-			"post-condition of %s failed: %s", c.Trigger, c.Post)), resp
-	}
-	return finish(OK, ""), resp
-}
-
-// evalPre evaluates the combined pre-condition and reports which cases'
-// SecReqs and transitions matched (for coverage).
-func evalPre(c *contract.Contract, env ocl.MapEnv) (bool, []string, []string, error) {
-	ctx := ocl.Context{Cur: env}
-	anyOK := false
-	var matched, matchedTrans []string
-	seen := make(map[string]bool)
-	for _, cs := range c.Cases {
-		ok, err := ocl.EvalBool(cs.Pre, ctx)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		if !ok {
-			continue
-		}
-		anyOK = true
-		matchedTrans = append(matchedTrans,
-			cs.Transition.From+"->"+cs.Transition.To+" on "+cs.Transition.Trigger.String())
-		for _, s := range cs.Transition.SecReqs {
-			if !seen[s] {
-				seen[s] = true
-				matched = append(matched, s)
-			}
-		}
-	}
-	sort.Strings(matched)
-	return anyOK, matched, matchedTrans, nil
 }
 
 // violationBody is the invalid-response document returned to the CM user.
@@ -1173,9 +952,6 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 		w.KeyedCounter("cloudmon_facts_pruned_total",
 			"Clause evaluations decided by compile-time plan facts, by pruning kind.",
 			&m.factsPruned, "kind")
-		w.Counter("cloudmon_facts_mismatch_total",
-			"FactsDebug re-checks that disagreed with a fact-assigned clause value.",
-			float64(m.factsMismatch.Value()))
 		if ap := m.asyncPost; ap != nil {
 			w.Histogram("cloudmon_post_lag_seconds",
 				"Detection lag of async post verdicts (verdict time minus response-return time).",
@@ -1233,7 +1009,6 @@ func (m *Monitor) ResetLog() {
 	m.coalesced.Reset()
 	m.waves.Reset()
 	m.factsPruned.Reset()
-	m.factsMismatch.Reset()
 	if ap := m.asyncPost; ap != nil {
 		ap.enqueued.Reset()
 		ap.shed.Reset()
@@ -1331,7 +1106,12 @@ var defaultForwardClient = &http.Client{
 	}(),
 }
 
-// Forward implements Forwarder.
+// maxForwardBody bounds the request and response bodies the forwarder
+// carries.
+const maxForwardBody = 1 << 20
+
+// Forward implements Forwarder. A request body over maxForwardBody fails
+// the forward: a cut body could be a different, valid request.
 func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string]string) (*BackendResponse, error) {
 	target := route.Backend
 	for k, val := range params {
@@ -1339,12 +1119,15 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 	}
 	var body io.Reader
 	if r.Body != nil {
-		data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		data, err := io.ReadAll(io.LimitReader(r.Body, maxForwardBody+1))
 		if err != nil {
 			return nil, fmt.Errorf("monitor: read request body: %w", err)
 		}
+		if len(data) > maxForwardBody {
+			return nil, fmt.Errorf("monitor: request body exceeds %d bytes", maxForwardBody)
+		}
 		if len(data) > 0 {
-			body = strings.NewReader(string(data))
+			body = bytes.NewReader(data)
 		}
 	}
 	ctx := r.Context()
@@ -1371,7 +1154,7 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 		return nil, fmt.Errorf("monitor: backend request: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBody))
 	if err != nil {
 		return nil, fmt.Errorf("monitor: read backend response: %w", err)
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // fakeProvider returns scripted snapshots: pre-phase reads serve pre,
-// post-phase reads serve post (the lazy engine issues several Snapshot
+// post-phase reads serve post (the monitor issues several Snapshot
 // calls per phase, so the phase on the request context — not the call
 // count — selects the script).
 type fakeProvider struct {
@@ -85,23 +85,9 @@ func newMonitor(t *testing.T, mode Mode, p StateProvider, f Forwarder) *Monitor 
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes := []Route{
-		{Trigger: uml.Trigger{Method: uml.GET, Resource: "volume"},
-			Pattern: "/projects/{project_id}/volumes/{volume_id}",
-			Backend: "/volume/v3/{project_id}/volumes/{volume_id}"},
-		{Trigger: uml.Trigger{Method: uml.PUT, Resource: "volume"},
-			Pattern: "/projects/{project_id}/volumes/{volume_id}",
-			Backend: "/volume/v3/{project_id}/volumes/{volume_id}"},
-		{Trigger: uml.Trigger{Method: uml.POST, Resource: "volume"},
-			Pattern: "/projects/{project_id}/volumes",
-			Backend: "/volume/v3/{project_id}/volumes"},
-		{Trigger: uml.Trigger{Method: uml.DELETE, Resource: "volume"},
-			Pattern: "/projects/{project_id}/volumes/{volume_id}",
-			Backend: "/volume/v3/{project_id}/volumes/{volume_id}"},
-	}
 	m, err := New(Config{
 		Contracts: set,
-		Routes:    routes,
+		Routes:    diffRoutes(),
 		Provider:  p,
 		Forward:   f,
 		Mode:      mode,

@@ -14,8 +14,8 @@ import (
 // Replayer re-evaluates audited verdicts without a live cloud: the state
 // provider serves the pre/post snapshots the original verdict recorded,
 // the forwarder replays the recorded backend status, and the regular
-// demand-driven check pipeline (compiled engine, facts pruning, the same
-// postVerify) runs over them. Because evaluation demands are a
+// demand-driven check pipeline (compiled clause programs, facts pruning,
+// the same postVerify) runs over them. Because evaluation demands are a
 // deterministic function of the plan and the served values, a faithful
 // record reproduces its outcome and failing clause exactly — which is
 // what makes the audit trail independently checkable evidence rather
@@ -65,12 +65,12 @@ func NewReplayer(set *contract.Set) (*Replayer, error) {
 			Forward:   (*replayForwarder)(r),
 			Mode:      mode,
 			Level:     CheckFull,
-			// Reuse would read untouched post paths from the pre env; the
-			// recorded post snapshot already contains every value the
-			// original post phase saw (reused ones included, written back
-			// through env.set), so the full re-fetch against the packed
-			// post state is both simpler and engine-agnostic: it replays
-			// trails recorded with or without reuse identically.
+			// Reuse would read untouched post paths from the pre-state;
+			// the recorded post snapshot already contains every value the
+			// original post phase saw (reused ones included: reuse fills
+			// the frame's post-state bank), so the full re-fetch against
+			// the packed post state is simpler and replays trails
+			// recorded with or without reuse identically.
 			NoPostReuse: true,
 			FailPolicy:  FailClosed,
 			MaxLog:      1,
@@ -96,7 +96,7 @@ func NewReplayer(set *contract.Set) (*Replayer, error) {
 }
 
 // replayProvider serves snapshots from the current record. A path absent
-// from the recorded snapshot is served as absent, which the lazy env
+// from the recorded snapshot is served as absent, which the frame
 // resolves to OclUndefined — the same value the original evaluation saw
 // for a fetched-but-missing resource.
 type replayProvider Replayer

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -168,5 +169,56 @@ func TestContractDigestStability(t *testing.T) {
 		if c.Digest() == "" {
 			t.Fatalf("contract %s has empty digest", c.Trigger)
 		}
+	}
+}
+
+// TestReplayFuzzCorpus replays every verdict of the differential fuzz
+// corpus (TestDifferentialFuzzStates' 300 draws of request, pre- and
+// post-state, status and mode, each run with post reuse on and off) from
+// its own audit record. Every non-error verdict must reproduce its outcome
+// and failing clause from the snapshots it recorded: the snapshot of
+// record holds everything the verdict read, on arbitrary states too. Error
+// verdicts carry no complete state and are skipped.
+func TestReplayFuzzCorpus(t *testing.T) {
+	set, err := contract.Generate(paper.CinderModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplayer(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	reqs := diffRequests()
+	statuses := []int{200, 204, 403, 500}
+	replayed, skipped := 0, 0
+	for i := 0; i < 300; i++ {
+		rq := reqs[rng.Intn(len(reqs))]
+		pre, post := randomEnv(rng), randomEnv(rng)
+		status := statuses[rng.Intn(len(statuses))]
+		mode := Enforce
+		if rng.Intn(2) == 0 {
+			mode = Observe
+		}
+		for _, reuse := range []bool{true, false} {
+			v, _ := runEngine(t, set, arm{noReuse: !reuse}, mode, rq.method, rq.path, pre, post, status)
+			res := r.Replay(auditRecord(&v))
+			switch {
+			case res.Skipped != "":
+				if v.Outcome != Error {
+					t.Errorf("fuzz-%d/reuse=%v: %s verdict skipped: %s", i, reuse, v.Outcome, res.Skipped)
+				}
+				skipped++
+			case res.Diverged || res.ContractMismatch:
+				t.Errorf("fuzz-%d/reuse=%v: %s (pre=%v post=%v)", i, reuse, res.Reason, v.PreSnapshot, v.PostSnapshot)
+			default:
+				replayed++
+			}
+		}
+	}
+	// The corpus is seeded, so the split is fixed: 537 verdicts replay
+	// and 63 are errors.
+	if replayed != 537 || skipped != 63 {
+		t.Errorf("replayed %d and skipped %d of 600 verdicts, want 537 and 63", replayed, skipped)
 	}
 }

@@ -166,7 +166,7 @@ type waveRun struct {
 
 // runWaves is runEngine with the provider's reads recorded, on a monitor
 // that sends waves or, with one set, reads one path per call.
-func runWaves(t *testing.T, set *contract.Set, eval EvalMode, noReuse, noFacts bool, mode Mode,
+func runWaves(t *testing.T, set *contract.Set, noReuse, noFacts bool, mode Mode,
 	method, path string, pre, post ocl.MapEnv, status int, one bool) waveRun {
 	t.Helper()
 	prov := &waveProvider{pre: pre, post: samePost(post)}
@@ -176,7 +176,6 @@ func runWaves(t *testing.T, set *contract.Set, eval EvalMode, noReuse, noFacts b
 		Provider:    prov,
 		Forward:     &fakeForwarder{status: status},
 		Mode:        mode,
-		Eval:        eval,
 		NoPostReuse: noReuse,
 		NoFacts:     noFacts,
 	})
@@ -268,17 +267,15 @@ func waveReads(t *testing.T, name string, seq, wave waveRun) {
 	}
 }
 
-// waveArms are the engine configurations the wave differential sweeps.
+// waveArms are the monitor configurations the wave differential sweeps.
 var waveArms = []struct {
 	name             string
-	eval             EvalMode
 	noReuse, noFacts bool
 }{
-	{"compiled", EvalCompiled, false, false},
-	{"compiled/no-facts", EvalCompiled, false, true},
-	{"compiled/no-reuse", EvalCompiled, true, false},
-	{"lazy", EvalLazy, false, false},
-	{"lazy/no-facts+no-reuse", EvalLazy, true, true},
+	{"default", false, false},
+	{"no-facts", false, true},
+	{"no-reuse", true, false},
+	{"no-facts+no-reuse", true, true},
 }
 
 // TestDifferentialWavesExampleStates runs the differential suite's example
@@ -320,9 +317,9 @@ func TestDifferentialWavesExampleStates(t *testing.T) {
 			for _, rq := range diffRequests() {
 				for _, st := range states {
 					name := fmt.Sprintf("%s/%s/%s/%s", arm.name, mode, rq.method, st.name)
-					seq := runWaves(t, set, arm.eval, arm.noReuse, arm.noFacts, mode,
+					seq := runWaves(t, set, arm.noReuse, arm.noFacts, mode,
 						rq.method, rq.path, st.pre, st.post, st.status, true)
-					wave := runWaves(t, set, arm.eval, arm.noReuse, arm.noFacts, mode,
+					wave := runWaves(t, set, arm.noReuse, arm.noFacts, mode,
 						rq.method, rq.path, st.pre, st.post, st.status, false)
 					waveCompare(t, name, seq.v, wave.v, seq.code, wave.code, st.exact)
 					waveReads(t, name, seq, wave)
@@ -360,8 +357,8 @@ func TestDifferentialWavesFuzzStates(t *testing.T) {
 		}
 		arm := waveArms[i%len(waveArms)]
 		name := fmt.Sprintf("fuzz-%d/%s/%s/%s", i, arm.name, mode, rq.method)
-		seq := runWaves(t, set, arm.eval, arm.noReuse, arm.noFacts, mode, rq.method, rq.path, pre, post, status, true)
-		wave := runWaves(t, set, arm.eval, arm.noReuse, arm.noFacts, mode, rq.method, rq.path, pre, post, status, false)
+		seq := runWaves(t, set, arm.noReuse, arm.noFacts, mode, rq.method, rq.path, pre, post, status, true)
+		wave := runWaves(t, set, arm.noReuse, arm.noFacts, mode, rq.method, rq.path, pre, post, status, false)
 		waveCompare(t, name, seq.v, wave.v, seq.code, wave.code, false)
 		waveReads(t, name, seq, wave)
 		if t.Failed() {
@@ -614,11 +611,11 @@ func TestWaveMutualLead(t *testing.T) {
 	}}
 	m := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
 	params := map[string]string{"project_id": "p1", "volume_id": "v1"}
-	fetcher := func() *lazyFetcher {
-		return &lazyFetcher{m: m, project: "p1", pk: paramsCacheKey(params),
+	newFetcher := func() *fetcher {
+		return &fetcher{m: m, project: "p1", pk: paramsCacheKey(params),
 			reqCtx: &RequestContext{Method: uml.GET, Resource: "volume", Params: params, Token: "tok", Phase: PhasePre}}
 	}
-	a, b := fetcher(), fetcher()
+	a, b := newFetcher(), newFetcher()
 	const pa, pb = "project.id", "project.volumes"
 	// Interleave the boarding so that each wave leads one path and
 	// follows the other's.

@@ -92,7 +92,7 @@ type ProviderStats struct {
 	// AuthRefreshes counts 401-triggered token invalidations.
 	AuthRefreshes uint64 `json:"auth_refreshes"`
 	// Gets counts state-path resolutions — one per navigation path read,
-	// each one REST GET against the cloud (before retries). The lazy
+	// each one REST GET against the cloud (before retries). The
 	// monitor's fetch economy is measured against this.
 	Gets uint64 `json:"gets"`
 }
