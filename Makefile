@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet lint test race cover bench benchsmoke planbench factbench compbench asyncbench fleetbench fleet examples experiments artifacts fuzz chaos obs evidence
+.PHONY: all build vet lint test race cover bench benchsmoke planbench compbench asyncbench fleetbench fleet examples experiments artifacts fuzz chaos obs evidence
 
 all: build vet lint test
 
@@ -48,11 +48,6 @@ benchsmoke:
 # it is measured against are the test oracle's).
 planbench:
 	go test -run XXX -bench BenchmarkEvalPlan -benchmem .
-
-# E16: the engine with compile-time facts vs without (witness skips and
-# static clauses; see EXPERIMENTS.md).
-factbench:
-	go test -run XXX -bench BenchmarkEvalPlanFacts -benchmem .
 
 # E17: the compiled closure-chain clauses vs the single-pass tree walk
 # on the in-process OK path (see EXPERIMENTS.md). Results land in

@@ -9,8 +9,6 @@
 //	    latency
 //	E15 BenchmarkEvalPlan           demand-driven evaluation with per-op
 //	    cloud-GET economy and flight coalescing under simulated latency
-//	E16 BenchmarkEvalPlanFacts      compile-time fact pruning vs the
-//	    no-facts baseline, with per-op clause-demand economy
 //	E17 BenchmarkCompiledEval       closure-chain compiled clauses vs the
 //	    tree-walking reference on the in-process OK path
 //
@@ -378,72 +376,6 @@ func BenchmarkEvalPlan(b *testing.B) {
 		fs := d.sys.Monitor.FetchStats()
 		b.ReportMetric(float64(fs.Coalesced)/float64(b.N), "coalesced/op")
 	})
-}
-
-// BenchmarkEvalPlanFacts (E16) compares the engine with compile-time
-// facts (the default) against the same engine with facts disabled. The pruning shows up as fewer per-clause path demands
-// (witness skips decide excluded disjuncts with one element), reported as
-// demands/op from the monitor's verdict log; cloud GETs/op stay identical
-// because the skipped elements read already-fetched paths on these routes.
-func BenchmarkEvalPlanFacts(b *testing.B) {
-	variants := []struct {
-		name    string
-		noFacts bool
-	}{
-		{"facts", false},
-		{"no-facts", true},
-	}
-	reportWork := func(b *testing.B, d *benchDeployment, before uint64) {
-		b.ReportMetric(float64(d.sys.Provider.Stats().Gets-before)/float64(b.N), "cloudGETs/op")
-		var demands, skips, n int
-		for _, v := range d.sys.Monitor.Log() {
-			demands += v.DemandedPaths
-			skips += v.FactsSkipped
-			n++
-		}
-		if n > 0 {
-			b.ReportMetric(float64(demands)/float64(n), "demands/op")
-			b.ReportMetric(float64(skips)/float64(n), "factskips/op")
-		}
-	}
-	for _, v := range variants {
-		v := v
-		b.Run("GET/"+v.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, 0, func(o *core.Options) { o.NoFacts = v.noFacts })
-			path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
-			b.ReportAllocs()
-			before := d.sys.Provider.Stats().Gets
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportWork(b, d, before)
-		})
-		b.Run("CreateDelete/"+v.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, 0, func(o *core.Options) { o.NoFacts = v.noFacts })
-			collection := "/projects/" + d.projectID + "/volumes"
-			in := map[string]map[string]any{"volume": {"name": "x", "size": 1}}
-			b.ReportAllocs()
-			before := d.sys.Provider.Stats().Gets
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var out struct {
-					Volume cinder.Volume `json:"volume"`
-				}
-				if _, err := d.monitored.Do(http.MethodPost, collection, in, &out, nil); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := d.monitored.Do(http.MethodDelete, collection+"/"+out.Volume.ID, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportWork(b, d, before)
-		})
-	}
 }
 
 // BenchmarkMonitorAblation compares the full workflow against the
@@ -880,55 +812,40 @@ func BenchmarkXMIRoundTrip(b *testing.B) {
 // pair — both carry post-conditions, so the synchronous monitor pays the
 // post-state round trips on the response path while the async pipeline
 // overlaps them with the next request's pre phase (the write fence keeps
-// the verdicts equivalent). The payoff scales with post-phase weight:
-// frame-reuse keeps the sync post down to ~1 round trip per request, so
-// deferral buys ~1.25×; the full re-check (reuse off — the paper's
-// re-snapshot-everything workflow) pays 4-5 post round trips per request
-// synchronously and deferral buys well past 1.5×. The async arms drain
-// outside the timed window, mirroring loadgen, and report the p99
-// detection lag the overlap costs.
+// the verdicts equivalent). Effect-frame reuse keeps the sync post down
+// to ~1 round trip per request. The async arm drains outside the timed
+// window, mirroring loadgen, and reports the p99 detection lag the
+// overlap costs.
 func BenchmarkAsyncPost(b *testing.B) {
 	const delay = time.Millisecond
-	configs := []struct {
-		name    string
-		noReuse bool
-	}{
-		{"frame-reuse", false},
-		{"full-recheck", true},
-	}
-	for _, cfg := range configs {
-		for _, mode := range []monitor.PostMode{monitor.PostSync, monitor.PostAsync} {
-			cfg, mode := cfg, mode
-			b.Run("create-delete/"+cfg.name+"/"+mode.String(), func(b *testing.B) {
-				d := newThroughputDeployment(b, delay, func(o *core.Options) {
-					o.Post = mode
-					o.NoPostReuse = cfg.noReuse
-				})
-				defer d.sys.Monitor.Close()
-				collection := "/projects/" + d.projectID + "/volumes"
-				in := map[string]map[string]any{"volume": {"name": "bench-async", "size": 1}}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var out struct {
-						Volume struct {
-							ID string `json:"id"`
-						} `json:"volume"`
-					}
-					if _, err := d.monitored.Do(http.MethodPost, collection, in, &out, nil); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := d.monitored.Do(http.MethodDelete, collection+"/"+out.Volume.ID, nil, nil, nil); err != nil {
-						b.Fatal(err)
-					}
+	for _, mode := range []monitor.PostMode{monitor.PostSync, monitor.PostAsync} {
+		mode := mode
+		b.Run("create-delete/frame-reuse/"+mode.String(), func(b *testing.B) {
+			d := newThroughputDeployment(b, delay, func(o *core.Options) { o.Post = mode })
+			defer d.sys.Monitor.Close()
+			collection := "/projects/" + d.projectID + "/volumes"
+			in := map[string]map[string]any{"volume": {"name": "bench-async", "size": 1}}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var out struct {
+					Volume struct {
+						ID string `json:"id"`
+					} `json:"volume"`
 				}
-				b.StopTimer()
-				if mode == monitor.PostAsync {
-					d.sys.Monitor.DrainPost()
-					st := d.sys.Monitor.AsyncPostStats()
-					b.ReportMetric(float64(st.Lag.Quantile(0.99).Microseconds())/1e3, "p99-lag-ms")
-					b.ReportMetric(float64(st.Shed), "shed")
+				if _, err := d.monitored.Do(http.MethodPost, collection, in, &out, nil); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if _, err := d.monitored.Do(http.MethodDelete, collection+"/"+out.Volume.ID, nil, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if mode == monitor.PostAsync {
+				d.sys.Monitor.DrainPost()
+				st := d.sys.Monitor.AsyncPostStats()
+				b.ReportMetric(float64(st.Lag.Quantile(0.99).Microseconds())/1e3, "p99-lag-ms")
+				b.ReportMetric(float64(st.Shed), "shed")
+			}
+		})
 	}
 }

@@ -75,7 +75,6 @@ func run(args []string) error {
 	modeName := fs.String("mode", "enforce", "monitor mode: enforce | observe")
 	inspectAddr := fs.String("inspect-addr", "", "optional listen address for the verdict/coverage API (e.g. 127.0.0.1:8001)")
 	levelName := fs.String("level", "full", "contract check level: full | pre-only")
-	noFacts := fs.Bool("no-facts", false, "disable compile-time fact pruning (A/B baseline)")
 	postName := fs.String("post", "sync", "post-verification mode: sync | async (defer post-checks to a bounded worker queue)")
 	postQueue := fs.Int("post-queue", 0, "async post queue capacity (0 = default)")
 	postWorkers := fs.Int("post-workers", 0, "async post worker pool size (0 = default)")
@@ -195,7 +194,6 @@ func run(args []string) error {
 		InstanceID:       *instance,
 		Mode:             mode,
 		Level:            level,
-		NoFacts:          *noFacts,
 		Post:             postMode,
 		PostQueueCap:     *postQueue,
 		PostWorkers:      *postWorkers,
@@ -232,7 +230,7 @@ func run(args []string) error {
 	// single inspect URL in its -fleet-front member spec.
 	var aux []*http.Server
 	if *inspectAddr != "" {
-		fmt.Printf("  inspect API on %s (/log /violations /coverage /outcomes /contracts /stages)\n", *inspectAddr)
+		fmt.Printf("  inspect API on %s (/log /violations /coverage /outcomes /contracts /stats /stages)\n", *inspectAddr)
 		handler := sys.Monitor.InspectHandler()
 		if *instance != "" {
 			mux := http.NewServeMux()

@@ -68,7 +68,6 @@ func run(args []string, out io.Writer) error {
 	postQueue := fs.Int("post-queue", 0, "async post queue capacity (0 = default)")
 	postWorkers := fs.Int("post-workers", 0, "async post worker pool size (0 = default)")
 	backpressureName := fs.String("post-backpressure", "block", "saturated async queue policy: block | shed")
-	noFacts := fs.Bool("no-facts", false, "disable compile-time fact pruning (A/B baseline)")
 	cacheTTL := fs.Duration("cache-ttl", 0, "pre-state read-cache TTL (0 = disabled)")
 	faultsPath := fs.String("faults", "", "fault-injection profile (JSON) for the in-process cloud")
 	fleetN := fs.Int("fleet", 0, "deploy a sharded fleet of this many monitor instances behind a consistent-hash front (in-process only)")
@@ -191,7 +190,6 @@ func run(args []string, out io.Writer) error {
 		opts := loadgen.DeployOptions{
 			Mode:             mode,
 			Level:            level,
-			NoFacts:          *noFacts,
 			FailPolicy:       policy,
 			Post:             postMode,
 			PostQueueCap:     *postQueue,
@@ -660,9 +658,9 @@ func verifyAsync(sc loadgen.Scenario, r *loadgen.Report, dep *loadgen.Deployment
 
 // verifyFetch asserts the run's fetch-economy invariants: the monitor
 // never reads more of the cloud than the paper's whole-snapshot workflow
-// would (two full snapshots per checked request), and a serial closed loop coalesces
-// nothing — with one client there is never a concurrent identical read in
-// flight to share.
+// would (the whole-snapshot bound: two full snapshots per checked
+// request), and a serial closed loop coalesces nothing — with one client
+// there is never a concurrent identical read in flight to share.
 func verifyFetch(sc loadgen.Scenario, r *loadgen.Report, dep *loadgen.Deployment) error {
 	if dep == nil || r.Fetch == nil || r.Fetch.Requests == 0 {
 		return nil
@@ -675,7 +673,7 @@ func verifyFetch(sc loadgen.Scenario, r *loadgen.Report, dep *loadgen.Deployment
 	}
 	bound := perRequest * r.Fetch.Requests
 	if r.Fetch.CloudGets > bound {
-		return fmt.Errorf("verify: %d cloud GETs for %d checked requests exceeds the eager bound %d (2 snapshots × %d paths each)",
+		return fmt.Errorf("verify: %d cloud GETs for %d checked requests exceeds the whole-snapshot bound %d (2 snapshots × %d paths each)",
 			r.Fetch.CloudGets, r.Fetch.Requests, bound, perRequest/2)
 	}
 	if sc.Clients == 1 && sc.Rate == 0 && r.Fetch.Coalesced != 0 {

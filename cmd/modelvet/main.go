@@ -17,12 +17,12 @@
 //	                cinder, nova, or cinder-secreq-1.4
 //	-list-passes    print the registered passes and their codes, then exit
 //	-facts          additionally print the compile-time clause facts the
-//	                symbolic pass proved per contract (static disjuncts,
-//	                witness exclusions, dead paths), after machine-checking
-//	                each facts artifact
+//	                symbolic pass proved per contract (fold rewrites, static
+//	                disjuncts, subsumed disjuncts, vacuous post implications,
+//	                dead paths), after machine-checking each facts artifact
 //	-compiled       additionally print each contract's compiled artifact
 //	                (state-path slot table, program counts, iterator
-//	                registers) — what the monitor's default engine executes
+//	                registers) — what the monitor executes
 //
 // Exit status: 0 when the model is clean or carries only warnings and
 // infos, 1 when any error-severity diagnostic is reported, 2 on usage or

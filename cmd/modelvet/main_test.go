@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cloudmon/internal/paper"
+	"cloudmon/internal/uml"
 	"cloudmon/internal/xmi"
 )
 
@@ -137,22 +138,43 @@ func TestUnknownPassRejected(t *testing.T) {
 	}
 }
 
+// TestFactsOutput pins the -facts report on a model with a statically
+// decided guard, read from XMI: the Cinder model with the full-quota
+// DELETE guard made contradictory. Its disjunct is listed as static false
+// with its reason, the implication as vacuous, and every facts artifact
+// passes its machine check.
 func TestFactsOutput(t *testing.T) {
+	m := paper.CinderModel()
+	found := false
+	for i := range m.Behavioral.Transitions {
+		tr := m.Behavioral.Transitions[i]
+		if tr.Trigger.Method == uml.DELETE && tr.From == paper.StateFullQuota {
+			tr.Guard += " and 2 > 3"
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("no full-quota DELETE transition in the Cinder model")
+	}
+	path := filepath.Join(t.TempDir(), "static-guard.xmi")
+	if err := xmi.WriteFile(path, m); err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
-	failed, err := run([]string{"-facts", "-example", "cinder"}, &out)
+	failed, err := run([]string{"-facts", path}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if failed {
-		t.Fatalf("cinder with -facts reports errors:\n%s", out.String())
+		t.Fatalf("the static-guard model with -facts reports errors:\n%s", out.String())
 	}
 	s := out.String()
-	// The pinned DELETE exclusion: once the size()=1 disjunct is true,
-	// the size()>1 sibling is decided by its witness element alone.
+	label := paper.StateFullQuota + "->" + paper.StateNotFullQuota
 	for _, needle := range []string{
-		"DELETE(volume)",
-		"witness project.volumes->size() > 1",
-		"skippable once",
+		"MV700 warning transition DELETE(volume) " + label,
+		"  pre[2] " + label + " static false — pre-condition disjunct decides to false for every state\n",
+		"  post[2] " + label + " vacuous — antecedent is statically false",
+		"GET(volume) /projects/{project_id}/volumes/{volume_id}\n  (nothing proven beyond per-state evaluation)\n",
 	} {
 		if !strings.Contains(s, needle) {
 			t.Errorf("-facts output missing %q:\n%s", needle, s)

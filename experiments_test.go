@@ -8,7 +8,6 @@ package cloudmon_test
 import (
 	"crypto/ed25519"
 	"encoding/json"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"cloudmon/internal/contract"
-	"cloudmon/internal/core"
 	"cloudmon/internal/evidence"
 	"cloudmon/internal/loadgen"
 	"cloudmon/internal/mbt"
@@ -336,60 +334,6 @@ func TestExperimentCoverage(t *testing.T) {
 			t.Errorf("SecReq %s (%s) not covered", row.SecReq, row.Request)
 		}
 		t.Logf("coverage | SecReq %-4s (%s volume): %d hits", row.SecReq, row.Request, cov[row.SecReq])
-	}
-}
-
-// TestExperimentE16FactPruning (E16): symbolic facts proven at
-// plan-compile time prune per-clause evaluation work on the paper's
-// Cinder model with verdicts unchanged. End-to-end through the simulated
-// cloud: deleting the project's last volume arms the size()=1 disjunct
-// and decides its size()>1 sibling by one witness element; creating into
-// the empty project decides all three siblings of the NoVolume disjunct
-// the same way. The demanded-path counts are pinned against the no-facts
-// baseline (the PR-5 engine).
-func TestExperimentE16FactPruning(t *testing.T) {
-	run := func(noFacts bool) []monitor.Verdict {
-		d := newThroughputDeployment(t, 0, func(o *core.Options) { o.NoFacts = noFacts })
-		// DELETE the seeded (and only) volume, then POST into the now
-		// empty project.
-		if _, err := d.monitored.Do(http.MethodDelete,
-			"/projects/"+d.projectID+"/volumes/"+d.volumeID, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		in := map[string]map[string]any{"volume": {"name": "x", "size": 1}}
-		if _, err := d.monitored.Do(http.MethodPost,
-			"/projects/"+d.projectID+"/volumes", in, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		return d.sys.Monitor.Log()
-	}
-	facts, plain := run(false), run(true)
-	if len(facts) != 2 || len(plain) != 2 {
-		t.Fatalf("verdict logs: %d/%d entries, want 2/2", len(facts), len(plain))
-	}
-	want := []struct {
-		op                 string
-		skipped            int
-		demFacts, demPlain int
-	}{
-		{"DELETE last volume", 1, 12, 14},
-		{"POST into empty project", 3, 11, 16},
-	}
-	for i, w := range want {
-		vf, vp := facts[i], plain[i]
-		if vf.Outcome != vp.Outcome {
-			t.Errorf("%s: outcome diverged: facts %s vs plain %s", w.op, vf.Outcome, vp.Outcome)
-		}
-		if vp.FactsSkipped != 0 {
-			t.Errorf("%s: no-facts arm reports %d skips", w.op, vp.FactsSkipped)
-		}
-		if vf.FactsSkipped != w.skipped || vf.DemandedPaths != w.demFacts || vp.DemandedPaths != w.demPlain {
-			t.Errorf("%s: skipped=%d demands=%d/%d (facts/plain), want %d and %d/%d",
-				w.op, vf.FactsSkipped, vf.DemandedPaths, vp.DemandedPaths,
-				w.skipped, w.demFacts, w.demPlain)
-		}
-		t.Logf("E16 | %-24s demanded paths %d -> %d (%d fact skips), outcome %s",
-			w.op, vp.DemandedPaths, vf.DemandedPaths, vf.FactsSkipped, vf.Outcome)
 	}
 }
 

@@ -17,9 +17,8 @@ import (
 // The prover is deliberately idealized: it reads `=` as equality under
 // the same integer coercion the ordering operators use. The concrete
 // evaluator's membership coercion (collection = scalar) can diverge from
-// that reading, so atom-level conclusions select candidate facts but
-// never decide a verdict on their own — the monitor confirms every
-// refutation by evaluating the witness element at runtime.
+// that reading, so atom-level conclusions feed diagnostics only and
+// never decide a verdict.
 type Atom struct {
 	// Subject is the canonical rendering of the constrained expression
 	// (the lexically smaller side for subject-pair atoms).
@@ -99,20 +98,6 @@ func (a Atom) sameSubjects(b Atom) bool {
 	return a.Pair == b.Pair && a.Subject == b.Subject && a.Other == b.Other
 }
 
-// Refutes reports whether a and b cannot both hold: their satisfying sets
-// are disjoint under the idealized integer reading. Used to find witness
-// elements — once one disjunct is definitely true, a sibling containing
-// an element refuted by it is expected to be false.
-func (a Atom) Refutes(b Atom) bool {
-	if !a.sameSubjects(b) {
-		return false
-	}
-	if a.Pair {
-		return cmpSet(a.Op)&cmpSet(b.Op) == 0
-	}
-	return intervalsDisjoint(a, b)
-}
-
 // Entails reports whether a holding forces b to hold: a's satisfying set
 // is contained in b's. Used for subsumption diagnostics (MV702).
 func (a Atom) Entails(b Atom) bool {
@@ -164,21 +149,6 @@ func interval(a Atom) (lo, hi int64, ok bool) {
 		return c, math.MaxInt64, true
 	}
 	return 0, 0, false
-}
-
-func intervalsDisjoint(a, b Atom) bool {
-	alo, ahi, aok := interval(a)
-	blo, bhi, bok := interval(b)
-	switch {
-	case aok && bok:
-		return alo > bhi || blo > ahi
-	case aok: // b is <> c: disjoint only if a's interval is exactly {c}
-		return a.Op == ocl.OpEq && a.Const == b.Const
-	case bok:
-		return b.Op == ocl.OpEq && b.Const == a.Const
-	default: // two punctured lines always intersect
-		return false
-	}
 }
 
 func intervalSubset(a, b Atom) bool {

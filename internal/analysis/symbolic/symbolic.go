@@ -2,11 +2,12 @@
 // about contract clauses without an environment: which value kinds an
 // expression can produce, whether its evaluation can ever raise an error,
 // whether a boolean formula is decided (true, false or OclUndefined) for
-// every possible state, and which comparison atoms refute or entail each
-// other. The contract planner compiles these judgements into a
-// contract.Facts artifact that the monitor uses to skip clause
-// evaluations at runtime, and the analysis package reports them as
-// MV700-series model diagnostics.
+// every possible state, and which comparison atoms entail each other. The
+// contract planner compiles these judgements into a contract.Facts
+// artifact: its folded clause forms are what the monitor's programs are
+// compiled from (a statically decided disjunct compiles to its constant),
+// and the analysis package reports the rest as MV700-series model
+// diagnostics.
 //
 // Soundness contract: every exported judgement is conservative with
 // respect to the concrete evaluator in package ocl. Kinds over-
@@ -16,9 +17,8 @@
 // Fold only rewrites environment-independent subtrees whose concrete
 // value it computed with the real evaluator. The one deliberately
 // idealized component is the atom prover (see atoms.go): its entailments
-// assume declared attribute types, so its conclusions must be guarded by
-// a runtime observation before they may decide a verdict — which is
-// exactly how the monitor consumes them.
+// assume declared attribute types, so its conclusions feed diagnostics
+// and never decide a verdict.
 package symbolic
 
 import "cloudmon/internal/ocl"

@@ -4,8 +4,9 @@
 // a constant for every state, disjuncts subsumed by a sibling, state
 // paths no clause can ever demand, and — as a hard error — a facts
 // artifact that fails its own machine check. These findings are modeling
-// smells the monitor silently optimizes around at runtime; modelvet makes
-// them visible at design time.
+// smells: the monitor compiles a statically decided disjunct to its
+// constant and never notices the rest; modelvet makes them visible at
+// design time.
 package analysis
 
 import (
@@ -23,7 +24,7 @@ func symbolicPass() Pass {
 			"MV700", // disjunct statically false or undefined: the case can never fire
 			"MV701", // disjunct statically true: the case fires for every state
 			"MV702", // disjunct subsumed by a sibling: redundant in pre(m)
-			"MV703", // state path never demanded once static clauses are pruned
+			"MV703", // state path never demanded once static clauses are constants
 			"MV704", // facts artifact failed its machine check
 		},
 		Run: runSymbolic,

@@ -37,10 +37,10 @@ type Program struct {
 func (p *Program) Run(fr *Frame) (ocl.Value, error) { return p.fn(fr) }
 
 // Compiled is a contract's closure-chain evaluator set: one program per
-// pre-condition disjunct, post-condition consequent and exclusion
-// witness, sharing a single state-path slot table and a Frame pool. The
-// table holds every path the plan can fetch, not only the ones the
-// programs demand, so a frame can record everything a request read.
+// pre-condition disjunct and post-condition consequent, sharing a single
+// state-path slot table and a Frame pool. The table holds every path the
+// plan can fetch, not only the ones the programs demand, so a frame can
+// record everything a request read.
 type Compiled struct {
 	paths []string
 	idx   map[string]int
@@ -48,11 +48,9 @@ type Compiled struct {
 	// signalling a demand on the OK path allocates nothing.
 	curDemand []*Demand
 	preDemand []*Demand
-	// pre and post are indexed like Contract.Cases; witness is parallel
-	// to Facts.Exclusions.
+	// pre and post are indexed like Contract.Cases.
 	pre     []*Program
 	post    []*Program
-	witness [][]*Program
 	numRegs int
 	pool    sync.Pool
 }
@@ -68,9 +66,6 @@ func (cp *Compiled) PreProgram(i int) *Program { return cp.pre[i] }
 
 // PostProgram returns the compiled post-condition consequent for case i.
 func (cp *Compiled) PostProgram(i int) *Program { return cp.post[i] }
-
-// WitnessProgram returns the compiled witness for Facts.Exclusions[i][j].
-func (cp *Compiled) WitnessProgram(i, j int) *Program { return cp.witness[i][j] }
 
 // Registers returns the iterator-register bank size the programs need —
 // the deepest lexical iterator nesting across all compiled clauses.
@@ -97,37 +92,25 @@ func (cp *Compiled) Release(fr *Frame) {
 }
 
 // compileContract builds the contract's compiled evaluator set from the
-// plan's folded clause forms, then gives every path the plan names a slot
-// too — the pre clauses' paths (what waves read), the post clauses'
-// pre-state paths (what the top-up reads) and effect frames — so the
-// frame holds whatever the monitor fetches even where a program does not
-// read it (a hand-built contract's effect need not be part of its
-// post-condition).
+// plan's folded clause forms — a statically decided disjunct compiles to
+// a constant program, which reads no path — then gives every path the
+// plan names a slot too: the pre clauses' paths (what waves read), the
+// post clauses' pre-state paths (what the top-up reads) and effect
+// frames, so the frame holds whatever the monitor fetches even where a
+// program does not read it (a hand-built contract's effect need not be
+// part of its post-condition).
 func compileContract(c *Contract, p *Plan) *Compiled {
 	co := newCompiler("")
 	cp := co.cp
 	cp.pre = make([]*Program, len(c.Cases))
 	cp.post = make([]*Program, len(c.Cases))
-	for i, cs := range c.Cases {
-		preExpr, postExpr := cs.Pre, cs.Post
-		if p.Facts != nil {
-			if f := p.Facts.Pre[i].Folded; f != nil {
-				preExpr = f
-			}
-			if f := p.Facts.Post[i].Folded; f != nil {
-				postExpr = f
-			}
+	for i := range c.Cases {
+		pre := p.Facts.Pre[i].Folded
+		if s := p.Facts.Pre[i].Static; s != nil {
+			pre = &ocl.Lit{Value: *s}
 		}
-		cp.pre[i] = co.program(preExpr)
-		cp.post[i] = co.program(postExpr)
-	}
-	if p.Facts != nil {
-		cp.witness = make([][]*Program, len(p.Facts.Exclusions))
-		for i, exs := range p.Facts.Exclusions {
-			for _, ex := range exs {
-				cp.witness[i] = append(cp.witness[i], co.program(ex.Witness))
-			}
-		}
+		cp.pre[i] = co.program(pre)
+		cp.post[i] = co.program(p.Facts.Post[i].Folded)
 	}
 	for _, pc := range p.Pre {
 		co.ensurePaths(pc.Paths)

@@ -18,12 +18,8 @@ func RenderCompiled(set *Set) string {
 			fmt.Fprintf(&b, "  (not compiled)\n")
 			continue
 		}
-		witnesses := 0
-		for _, ws := range cp.witness {
-			witnesses += len(ws)
-		}
-		fmt.Fprintf(&b, "  programs: %d pre, %d post, %d witness; %d iterator registers\n",
-			cp.Cases(), cp.Cases(), witnesses, cp.Registers())
+		fmt.Fprintf(&b, "  programs: %d pre, %d post; %d iterator registers\n",
+			cp.Cases(), cp.Cases(), cp.Registers())
 		fmt.Fprintf(&b, "  slots (%d):\n", len(cp.Paths()))
 		for i, p := range cp.Paths() {
 			fmt.Fprintf(&b, "    [%d] %s\n", i, p)

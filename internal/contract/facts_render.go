@@ -41,14 +41,6 @@ func renderContractFacts(b *strings.Builder, c *Contract) {
 			proved = true
 		}
 	}
-	for j, exs := range f.Exclusions {
-		for _, ex := range exs {
-			fmt.Fprintf(b, "  pre[%d] %s skippable once pre[%d] %s is true: witness %s (element %d of %d)\n",
-				j, caseLabel(c, j), ex.Provider, caseLabel(c, ex.Provider),
-				ex.Witness, ex.WitnessPos+1, ex.Elements)
-			proved = true
-		}
-	}
 	for i := range f.Post {
 		if f.Post[i].Vacuous() {
 			fmt.Fprintf(b, "  post[%d] %s vacuous — %s\n", i, caseLabel(c, i), f.Post[i].Reason)

@@ -34,15 +34,13 @@ func (d *Demand) Error() string {
 	return "contract: state path " + d.Path + " not resolved"
 }
 
-// slot is one state-path value. gen stamps the fill (valid when it equals
-// the bank's generation — bumping the generation empties the whole bank
-// in O(1)); demandGen stamps the last clause window that read the slot,
-// for per-clause distinct-demand accounting.
+// slot is one state-path value. gen stamps the fill: it is valid when it
+// equals the bank's generation, so bumping the generation empties the
+// whole bank in O(1).
 type slot struct {
-	val       ocl.Value
-	gen       uint64
-	demandGen uint64
-	present   bool
+	val     ocl.Value
+	gen     uint64
+	present bool
 }
 
 // Frame is the mutable evaluation state of one monitored request. It is
@@ -57,10 +55,6 @@ type Frame struct {
 	// its gen matches. Both are drawn from epoch, which only increases,
 	// so a bank swapped by BeginPost can never match a stale stamp.
 	curGen, preGen, epoch uint64
-	// clauseGen identifies the open demand-accounting window; demanded
-	// counts the distinct slot reads within it.
-	clauseGen uint64
-	demanded  int
 	// hasPre reports whether a pre-state environment is bound: pre()/
 	// @pre without one is ocl.ErrNoPreState, exactly as in the tree walk.
 	hasPre bool
@@ -83,13 +77,10 @@ func (fr *Frame) nextGen() uint64 {
 	return fr.epoch
 }
 
-// Reset empties both banks, closes the accounting window and recycles the
-// arena.
+// Reset empties both banks and recycles the arena.
 func (fr *Frame) Reset() {
 	fr.curGen = fr.nextGen()
 	fr.preGen = fr.nextGen()
-	fr.clauseGen++
-	fr.demanded = 0
 	fr.hasPre = false
 	fr.arena = fr.arena[:0]
 }
@@ -152,22 +143,6 @@ func (fr *Frame) BeginPost() {
 	fr.hasPre = true
 }
 
-// BeginClause opens a demand-accounting window; TakeDemands closes it and
-// reports the distinct slot reads since, the Verdict.DemandedPaths
-// measure.
-func (fr *Frame) BeginClause() {
-	fr.clauseGen++
-	fr.demanded = 0
-}
-
-// TakeDemands closes the window and returns its distinct demand count.
-func (fr *Frame) TakeDemands() int {
-	n := fr.demanded
-	fr.clauseGen++
-	fr.demanded = 0
-	return n
-}
-
 // Filled reports whether the demanded slot has been filled — the demand
 // loop's progress guard (a fetch that does not fill its slot would loop
 // forever).
@@ -178,15 +153,11 @@ func (fr *Frame) Filled(d *Demand) bool {
 	return fr.cur[d.Index].gen == fr.curGen
 }
 
-// loadCur reads a current-state slot, accounting the demand window.
+// loadCur reads a current-state slot.
 func (fr *Frame) loadCur(i int) (ocl.Value, error) {
 	s := &fr.cur[i]
 	if s.gen != fr.curGen {
 		return ocl.Value{}, fr.c.curDemand[i]
-	}
-	if s.demandGen != fr.clauseGen {
-		s.demandGen = fr.clauseGen
-		fr.demanded++
 	}
 	if !s.present {
 		return ocl.Value{Kind: ocl.KindUndefined}, nil
@@ -202,10 +173,6 @@ func (fr *Frame) loadPre(i int) (ocl.Value, error) {
 	s := &fr.pre[i]
 	if s.gen != fr.preGen {
 		return ocl.Value{}, fr.c.preDemand[i]
-	}
-	if s.demandGen != fr.clauseGen {
-		s.demandGen = fr.clauseGen
-		fr.demanded++
 	}
 	if !s.present {
 		return ocl.Value{Kind: ocl.KindUndefined}, nil

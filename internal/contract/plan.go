@@ -68,14 +68,13 @@ type Plan struct {
 	// PrePaths is the union of all pre-clause paths in plan order — equal
 	// as a set to the paths a whole pre-condition snapshot fetches.
 	PrePaths []string
-	// Facts is the statically proven clause knowledge (see facts.go).
-	// The plan's clause lists above stay fact-neutral — a contract is
-	// shared by monitors with facts on and off — so every pruning
-	// decision is the runtime's, guided by this artifact.
+	// Facts is the statically proven clause knowledge (see facts.go):
+	// modelvet's diagnostics, and the folded forms Compiled is built from.
 	Facts *Facts
 	// Compiled is the closure-chain evaluator set (see compile.go):
 	// every clause translated once into slot-model programs, compiled
-	// from the facts' folded forms, with a slot for every path above.
+	// from the facts' folded forms (a static disjunct to its constant),
+	// with a slot for every path above.
 	Compiled *Compiled
 }
 

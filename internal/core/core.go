@@ -39,14 +39,6 @@ type Options struct {
 	// Level defaults to monitor.CheckFull; CheckPreOnly ablates the
 	// post-condition verification.
 	Level monitor.CheckLevel
-	// NoFacts disables compile-time fact pruning (static clause
-	// assignment and witness-based sibling skips) — the A/B knob behind
-	// EXPERIMENTS.md E16.
-	NoFacts bool
-	// NoPostReuse disables the post-check's effect-frame reuse: every
-	// contract path is re-fetched after the forward (the full re-check
-	// the paper's workflow describes; see monitor.Config.NoPostReuse).
-	NoPostReuse bool
 	// FailPolicy decides the verdict when a state snapshot fails
 	// (defaults to monitor.FailClosed; Degrade requires
 	// PreStateCacheTTL > 0).
@@ -159,8 +151,6 @@ func Build(opts Options) (*System, error) {
 		},
 		Mode:             opts.Mode,
 		Level:            opts.Level,
-		NoFacts:          opts.NoFacts,
-		NoPostReuse:      opts.NoPostReuse,
 		FailPolicy:       opts.FailPolicy,
 		Post:             opts.Post,
 		PostQueueCap:     opts.PostQueueCap,

@@ -14,19 +14,18 @@ func Analyzers() []*Analyzer {
 
 // hotFuncs names the per-request hot path, per package: the monitor's
 // demand loop, which runs once per clause and re-enters once per demanded
-// path, the witness skip it tries per disjunct, and the per-path pre-state
-// read (a cache hit returns from it without leaving); and the compiled
-// engine's slot accessors and program entry, which every clause closure
-// funnels through, where a stray allocation multiplies by the atom count.
+// path, and the per-path pre-state read (a cache hit returns from it
+// without leaving); and the compiled engine's slot accessors and program
+// entry, which every clause closure funnels through, where a stray
+// allocation multiplies by the atom count.
 // Everything reachable per request but outside these (stage timing,
 // provider calls, forwarding, verdict recording) allocates or reads the
 // clock by design. TestHotFuncsNameRealFunctions keeps every entry
 // pointing at a function that exists.
 var hotFuncs = map[string]map[string]bool{
 	"monitor": {
-		"evalProgram":            true,
-		"(*Monitor).witnessSkip": true,
-		"(*fetcher).fetchPre":    true,
+		"evalProgram":         true,
+		"(*fetcher).fetchPre": true,
 	},
 	"contract": {
 		"(*Frame).loadCur":    true,

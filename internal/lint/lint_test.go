@@ -119,11 +119,11 @@ func TestAtomicCountersFlagsRawSharedInts(t *testing.T) {
 
 type Monitor struct {
 	requestCount uint64
-	factsPruned  int64
+	retryCount   int64
 }
 `)
 	wantFinding(t, findings, "atomiccounter", "requestCount")
-	wantFinding(t, findings, "atomiccounter", "factsPruned")
+	wantFinding(t, findings, "atomiccounter", "retryCount")
 }
 
 func TestAtomicCountersAllowsObsTypesAndSnapshots(t *testing.T) {

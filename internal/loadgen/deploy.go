@@ -23,9 +23,6 @@ type DeployOptions struct {
 	Mode monitor.Mode
 	// Level defaults to monitor.CheckFull.
 	Level monitor.CheckLevel
-	// NoFacts disables compile-time fact pruning (the A/B knob behind
-	// EXPERIMENTS.md E16).
-	NoFacts bool
 	// FailPolicy decides the monitor's verdict when a snapshot fails
 	// (default monitor.FailClosed; Degrade needs PreStateCacheTTL).
 	FailPolicy monitor.FailPolicy
@@ -148,7 +145,6 @@ func Deploy(opts DeployOptions) (*Deployment, error) {
 		},
 		Mode:             opts.Mode,
 		Level:            opts.Level,
-		NoFacts:          opts.NoFacts,
 		FailPolicy:       opts.FailPolicy,
 		Post:             opts.Post,
 		PostQueueCap:     opts.PostQueueCap,

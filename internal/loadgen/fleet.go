@@ -209,7 +209,6 @@ func DeployFleet(opts FleetOptions) (*FleetDeployment, error) {
 			OnInvalidate:     bus.OnInvalidate,
 			Mode:             opts.Mode,
 			Level:            opts.Level,
-			NoFacts:          opts.NoFacts,
 			FailPolicy:       opts.FailPolicy,
 			Post:             opts.Post,
 			PostQueueCap:     opts.PostQueueCap,

@@ -84,8 +84,8 @@ type fetcher struct {
 	fr *contract.Frame
 
 	// clause holds the paths of the pre clause under evaluation (nil for
-	// witness and top-up reads): a demand for one of them fetches the
-	// clause's other unfetched paths in the same Snapshot call.
+	// top-up reads): a demand for one of them fetches the clause's other
+	// unfetched paths in the same Snapshot call.
 	clause []string
 	// ahead holds the results of wave reads no demand has consumed yet. A
 	// path enters the frame only when demanded, so evaluation, the top-up
@@ -313,45 +313,6 @@ func boolValue(v ocl.Value) (bool, bool) {
 	return v.Kind == ocl.KindBool, v.Kind == ocl.KindBool && v.Bool
 }
 
-// Pruning kinds of the cloudmon_facts_pruned_total metric.
-const (
-	factsPrunedPreClause  = "pre-clause"  // disjunct assigned a static value
-	factsPrunedPreSibling = "pre-sibling" // disjunct decided by a witness element
-	factsPrunedPostClause = "post-clause" // implication statically vacuous
-)
-
-// witnessSkip tries to decide disjunct i through an armed exclusion: a
-// sibling already observed definitely true whose elements refute one of
-// i's. Only a definite-false observation of the witness element licenses
-// the skip — the prover is idealized (facts.go), so the observation is
-// the soundness guard. Every other outcome (true, undefined, non-boolean,
-// evaluation or fetch error) falls back to full evaluation, which
-// reproduces the no-facts evaluation exactly: the witness's fetched
-// values stay in the frame, and fetchPre retries failed paths on
-// re-demand.
-func (m *Monitor) witnessSkip(facts *contract.Facts, comp *contract.Compiled, i int, anteVals []ocl.Value, fr *contract.Frame, demand func(*contract.Demand) error, v *Verdict) (ocl.Value, bool) {
-	for j, ex := range facts.Exclusions[i] {
-		if isBool, b := boolValue(anteVals[ex.Provider]); !isBool || !b {
-			continue
-		}
-		fr.BeginClause()
-		wval, err := evalProgram(comp.WitnessProgram(i, j), fr, demand)
-		v.DemandedPaths += fr.TakeDemands()
-		if err == nil {
-			if isBool, b := boolValue(wval); isBool && !b {
-				v.FactsSkipped++
-				m.factsPruned.Add(factsPrunedPreSibling, 1)
-				return ocl.BoolVal(false), true
-			}
-		}
-		// Per request only the first armed exclusion is tried: its witness
-		// observation already paid the fetches, and after a non-false
-		// observation the full evaluation reuses them anyway.
-		return ocl.Value{}, false
-	}
-	return ocl.Value{}, false
-}
-
 // check runs the monitoring workflow for a matched request and returns the
 // verdict plus the backend response (nil when not forwarded). It is the
 // paper's workflow (snapshot, pre, forward, re-query, post) with the
@@ -366,7 +327,7 @@ func (m *Monitor) witnessSkip(facts *contract.Facts, comp *contract.Compiled, i 
 // paths pay once. Post-check: implications whose antecedent was false in
 // the pre-state are skipped outright; active consequents re-fetch only
 // paths inside the transitions' effect frame and reuse the pre-state
-// for untouched paths (disable with Config.NoPostReuse).
+// for untouched paths.
 //
 // The third return value is non-nil only under PostAsync: the pre phase
 // and the forward are complete, the verdict is deferred, and the capture
@@ -441,40 +402,18 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 	// Pre phase: evaluate every disjunct, cheapest-planned first. The
 	// tri-state value is kept per case: the post-check derives each
 	// implication's antecedent from it without re-reading the pre-state.
-	// With facts on, a statically decided disjunct is assigned its value
-	// without evaluation, and a disjunct with an armed exclusion (a
-	// sibling already observed definitely true) is decided by its witness
-	// element alone when that witness is observed definitely false — every
-	// other observation falls back to full evaluation, reproducing the
-	// no-facts verdict exactly. The programs were compiled from the folded
-	// clause forms, which are value-, error- and demand-equivalent to the
-	// originals (facts.go), so one program serves facts-on and facts-off.
+	// A statically decided disjunct's program is its constant, so it
+	// reads nothing.
 	preStart := time.Now()
-	facts := plan.Facts
-	useFacts := !m.noFacts && facts != nil
 	anteVals := make([]ocl.Value, len(c.Cases))
 	fr := f.fr
 	demandPre := func(d *contract.Demand) error { return f.fetchPre(d.Path) }
 	for _, cl := range plan.Pre {
 		i := cl.Index
-		if useFacts {
-			if s := facts.Pre[i].Static; s != nil {
-				anteVals[i] = *s
-				v.FactsSkipped++
-				m.factsPruned.Add(factsPrunedPreClause, 1)
-				continue
-			}
-			if val, ok := m.witnessSkip(facts, comp, i, anteVals, fr, demandPre, &v); ok {
-				anteVals[i] = val
-				continue
-			}
-		}
 		// A demand fetches the clause's other unfetched paths with it.
-		// Witness and top-up reads stay one path per call.
+		// Top-up reads stay one path per call.
 		f.clause = cl.Paths
-		fr.BeginClause()
 		val, err := evalProgram(comp.PreProgram(i), fr, demandPre)
-		v.DemandedPaths += fr.TakeDemands()
 		f.clause = nil
 		if err != nil {
 			preEvalDur = time.Since(preStart) - f.preDur
@@ -652,8 +591,6 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace) Verdict {
 	fr := f.fr
 	anteVals := cap.anteVals
 	v := &cap.v
-	facts := plan.Facts
-	useFacts := !m.noFacts && facts != nil
 	var postEvalDur time.Duration
 	finish := func(outcome Outcome, detail string) Verdict {
 		v.Outcome = outcome
@@ -671,16 +608,13 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace) Verdict {
 	}
 	f.reqCtx.Phase = PhasePost
 	postStart := time.Now()
-	var touched map[string]bool
-	if !m.noPostReuse {
-		touched = make(map[string]bool)
-		for _, pc := range plan.Post {
-			if isBool, b := boolValue(anteVals[pc.Index]); isBool && !b {
-				continue
-			}
-			for _, p := range pc.Touched {
-				touched[p] = true
-			}
+	touched := make(map[string]bool)
+	for _, pc := range plan.Post {
+		if isBool, b := boolValue(anteVals[pc.Index]); isBool && !b {
+			continue
+		}
+		for _, p := range pc.Touched {
+			touched[p] = true
 		}
 	}
 	// Turn the frame around: the pre-state becomes the pre bank, and the
@@ -692,7 +626,7 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace) Verdict {
 			// active consequent was topped up before the forward.
 			return fmt.Errorf("monitor: pre-state path %s demanded after forward", d.Path)
 		}
-		if touched != nil && !touched[d.Path] {
+		if !touched[d.Path] {
 			if val, present, ok := fr.Pre(d.Path); ok {
 				fr.SetCur(d.Path, val, present)
 				v.ReusedPaths++
@@ -707,12 +641,6 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace) Verdict {
 		ante := anteVals[pc.Index]
 		anteBool, anteTrue := boolValue(ante)
 		if anteBool && !anteTrue {
-			if useFacts && facts.Post[pc.Index].Vacuous() {
-				// The skip is ordinary Kleene vacuity, but the antecedent
-				// was decided statically — attribute the avoided clause.
-				v.FactsSkipped++
-				m.factsPruned.Add(factsPrunedPostClause, 1)
-			}
 			continue // antecedent false: implication holds, nothing to read
 		}
 		if !anteBool && ante.Kind != ocl.KindUndefined {
@@ -722,9 +650,7 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace) Verdict {
 			return finish(Error, fmt.Sprintf("post-condition evaluation: %v",
 				&ocl.EvalError{Expr: c.Post, Message: "boolean operator applied to " + ante.Kind.String()}))
 		}
-		fr.BeginClause()
 		consVal, err := evalProgram(comp.PostProgram(pc.Index), fr, demandPost)
-		v.DemandedPaths += fr.TakeDemands()
 		if err != nil {
 			postEvalDur = time.Since(postStart) - f.postDur
 			var fe *fetchError

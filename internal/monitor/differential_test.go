@@ -19,11 +19,11 @@ import (
 // demand-driven check over compiled clause programs — to the oracle, the
 // paper's whole-snapshot workflow (oracle_test.go): same outcome, pre/post
 // truth, failing clause, detail and SecReq attribution on every request,
-// and never more cloud reads. Each sweep runs the engine in every arm:
-// facts on and off, synchronous and async post, with effect-frame reuse
-// off on unconstrained states and on where the post-state respects the
-// effect frame. A sync arm and its async twin must also agree on every
-// economy counter (fetches, reuses, clause demands, fact skips).
+// and never more cloud reads. Each sweep runs the engine synchronously and
+// with async post, as the monitor ships (effect-frame reuse) where the
+// post-state respects the effect frame, and under the full re-check
+// (fullRecheck, wave_test.go) on unconstrained states. A sync arm and its
+// async twin must also agree on every economy counter (fetches, reuses).
 
 // diffRoutes is the paper model's volume route table the monitor tests
 // share.
@@ -46,22 +46,24 @@ func diffRoutes() []Route {
 
 // arm is one engine configuration the differential suites run.
 type arm struct {
-	name             string
-	noReuse, noFacts bool
-	async            bool
+	name        string
+	fullRecheck bool
+	async       bool
 }
 
-// arms returns the facts × sync/async arms at one reuse setting.
+// arms returns the sync and async arms, with effect-frame reuse or
+// under the full re-check.
 func arms(reuse bool) []arm {
 	var out []arm
-	for _, noFacts := range []bool{true, false} {
-		for _, async := range []bool{false, true} {
-			name := fmt.Sprintf("reuse=%v/facts=%v", reuse, !noFacts)
-			if async {
-				name += "/async"
-			}
-			out = append(out, arm{name: name, noReuse: !reuse, noFacts: noFacts, async: async})
+	for _, async := range []bool{false, true} {
+		name := "reuse"
+		if !reuse {
+			name = "full-recheck"
 		}
+		if async {
+			name += "/async"
+		}
+		out = append(out, arm{name: name, fullRecheck: !reuse, async: async})
 	}
 	return out
 }
@@ -73,13 +75,11 @@ func runEngine(t *testing.T, set *contract.Set, a arm, mode Mode,
 	method, path string, pre, post ocl.MapEnv, status int) (Verdict, int) {
 	t.Helper()
 	cfg := Config{
-		Contracts:   set,
-		Routes:      diffRoutes(),
-		Provider:    &fakeProvider{pre: pre, post: post},
-		Forward:     &fakeForwarder{status: status},
-		Mode:        mode,
-		NoPostReuse: a.noReuse,
-		NoFacts:     a.noFacts,
+		Contracts: set,
+		Routes:    diffRoutes(),
+		Provider:  &fakeProvider{pre: pre, post: post},
+		Forward:   &fakeForwarder{status: status},
+		Mode:      mode,
 	}
 	if a.async {
 		cfg.Post = PostAsync
@@ -89,6 +89,9 @@ func runEngine(t *testing.T, set *contract.Set, a arm, mode Mode,
 		t.Fatal(err)
 	}
 	defer m.Close()
+	if a.fullRecheck {
+		fullRecheck(m)
+	}
 	req := httptest.NewRequest(method, path, nil)
 	req.Header.Set("X-Auth-Token", "tok")
 	rec := httptest.NewRecorder()
@@ -177,12 +180,6 @@ func diffEconomy(t *testing.T, name string, sync, async Verdict) {
 	if sync.ReusedPaths != async.ReusedPaths {
 		t.Errorf("%s: ReusedPaths diverged: sync %d, async %d", name, sync.ReusedPaths, async.ReusedPaths)
 	}
-	if sync.DemandedPaths != async.DemandedPaths {
-		t.Errorf("%s: DemandedPaths diverged: sync %d, async %d", name, sync.DemandedPaths, async.DemandedPaths)
-	}
-	if sync.FactsSkipped != async.FactsSkipped {
-		t.Errorf("%s: FactsSkipped diverged: sync %d, async %d", name, sync.FactsSkipped, async.FactsSkipped)
-	}
 }
 
 type diffRequest struct {
@@ -200,8 +197,10 @@ func diffRequests() []diffRequest {
 
 // TestDifferentialExampleStates sweeps hand-picked states covering every
 // outcome class: pre pass/fail, post pass/fail, backend accept/reject, in
-// both modes, with post-state reuse disabled (the unconditionally
-// equivalent configuration).
+// both modes, in every arm. The full re-check is equivalent on any state;
+// reuse is too here, because across the call these states change only the
+// effect frame's project.volumes, or (absent-status) a path no post clause
+// reads.
 func TestDifferentialExampleStates(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -235,7 +234,7 @@ func TestDifferentialExampleStates(t *testing.T) {
 		for _, rq := range diffRequests() {
 			for _, st := range states {
 				name := fmt.Sprintf("%s/%s/%s", mode, rq.method, st.name)
-				diffArms(t, set, name, arms(false), mode, rq, st.pre, st.post, st.status)
+				diffArms(t, set, name, append(arms(false), arms(true)...), mode, rq, st.pre, st.post, st.status)
 			}
 		}
 	}
@@ -259,8 +258,9 @@ func randomEnv(rng *rand.Rand) ocl.MapEnv {
 }
 
 // TestDifferentialFuzzStates drives the engine over seeded random pre and
-// post states and demands verdict equivalence with the oracle (reuse off:
-// post states are unconstrained, so the frame assumption does not hold).
+// post states and demands verdict equivalence with the oracle under the
+// full re-check: post states are unconstrained, so the frame assumption
+// reuse rests on does not hold.
 func TestDifferentialFuzzStates(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -285,8 +285,8 @@ func TestDifferentialFuzzStates(t *testing.T) {
 	}
 }
 
-// TestDifferentialPostReuseOnFrameRespectingStates checks the default
-// configuration (effect-frame reuse ON) against the oracle, on post states
+// TestDifferentialPostReuseOnFrameRespectingStates checks the monitor as
+// it ships (effect-frame reuse) against the oracle, on post states
 // that honor the frame: only paths inside the active transitions' effect
 // frame change across the call. This is the soundness condition the reuse
 // optimization rests on — the cloud moved only what the model says the
@@ -366,18 +366,17 @@ func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 }
 
 // TestDifferentialFailPolicies pins how each snapshot-failure policy
-// degrades, with facts on and off: a cloud outage yields a fixed outcome,
-// response code, forwarding decision and read count per policy, and
-// facts change none of them. Three fault shapes are driven per policy:
-// pre-phase failure (cold), post-phase failure, and — for Degrade — a
-// warmed cache followed by an outage, which must serve the cached
-// pre-state and mark the verdict degraded.
+// degrades: a cloud outage yields a fixed outcome, response code,
+// forwarding decision and read count per policy. Three fault shapes are
+// driven per policy: pre-phase failure (cold), post-phase failure, and —
+// for Degrade — a warmed cache followed by an outage, which must serve
+// the cached pre-state and mark the verdict degraded.
 func TestDifferentialFailPolicies(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(noFacts bool, policy FailPolicy, prov StateProvider) *Monitor {
+	build := func(policy FailPolicy, prov StateProvider) *Monitor {
 		t.Helper()
 		cfg := Config{
 			Contracts:  set,
@@ -385,7 +384,6 @@ func TestDifferentialFailPolicies(t *testing.T) {
 			Provider:   prov,
 			Forward:    &fakeForwarder{status: 204},
 			Mode:       Enforce,
-			NoFacts:    noFacts,
 			FailPolicy: policy,
 		}
 		if policy == Degrade {
@@ -407,25 +405,25 @@ func TestDifferentialFailPolicies(t *testing.T) {
 		return lastVerdict(t, m), rec.Code
 	}
 	good := env(2, 10, "available", "admin")
-	shapes := map[string]func(noFacts bool, policy FailPolicy) (Verdict, int){
+	shapes := map[string]func(policy FailPolicy) (Verdict, int){
 		// Pre-phase outage from the first request: the DELETE's first
 		// clause wave fails, then its demanded path alone.
-		"pre-fault": func(noFacts bool, policy FailPolicy) (Verdict, int) {
+		"pre-fault": func(policy FailPolicy) (Verdict, int) {
 			prov := &switchProvider{env: good}
 			prov.fail.Store(true)
-			return sendReq(build(noFacts, policy, prov), http.MethodDelete)
+			return sendReq(build(policy, prov), http.MethodDelete)
 		},
 		// Post-phase outage: the pre-check passes, the post snapshot
 		// fails mid-request.
-		"post-fault": func(noFacts bool, policy FailPolicy) (Verdict, int) {
-			return sendReq(build(noFacts, policy, &prePostProvider{pre: good}), http.MethodDelete)
+		"post-fault": func(policy FailPolicy) (Verdict, int) {
+			return sendReq(build(policy, &prePostProvider{pre: good}), http.MethodDelete)
 		},
 		// Warm cache, then outage: a GET keeps the state fixpoint-clean
 		// across both requests; the read cache lapses so the live
 		// snapshot really fails while the degrade window is still open.
-		"degrade-warm": func(noFacts bool, policy FailPolicy) (Verdict, int) {
+		"degrade-warm": func(policy FailPolicy) (Verdict, int) {
 			prov := &switchProvider{env: good}
-			m := build(noFacts, policy, prov)
+			m := build(policy, prov)
 			if v, _ := sendReq(m, http.MethodGet); v.Outcome != OK {
 				t.Fatalf("warm request outcome %s, want ok", v.Outcome)
 			}
@@ -465,13 +463,10 @@ func TestDifferentialFailPolicies(t *testing.T) {
 			"post-state snapshot failed (degrade): fake failure"}},
 	}
 	for _, cell := range cells {
-		for _, noFacts := range []bool{true, false} {
-			name := fmt.Sprintf("%s/%s/facts=%v", cell.policy, cell.shape, !noFacts)
-			v, code := shapes[cell.shape](noFacts, cell.policy)
-			got := want{v.Outcome, code, v.Forwarded, v.DegradedPre, v.FetchedPaths, v.Detail}
-			if got != cell.want {
-				t.Errorf("%s: got %+v, want %+v", name, got, cell.want)
-			}
+		v, code := shapes[cell.shape](cell.policy)
+		got := want{v.Outcome, code, v.Forwarded, v.DegradedPre, v.FetchedPaths, v.Detail}
+		if got != cell.want {
+			t.Errorf("%s/%s: got %+v, want %+v", cell.policy, cell.shape, got, cell.want)
 		}
 	}
 }

@@ -146,15 +146,20 @@ func TestHTTPForwarderUnreachableBackend(t *testing.T) {
 // valid JSON and whose whole body is not: a forwarder that cut the body at
 // its limit would deliver a different, valid request. The forward must
 // fail instead, the verdict be Error, and nothing reach the cloud; a body
-// of exactly the limit still goes through whole.
+// of exactly the limit still goes through whole. The response side is held
+// to the same limit: a cloud answer of exactly the limit reaches the client
+// whole, and one byte more fails the forward (Error, 502) rather than
+// reaching the client cut.
 func TestHTTPForwarderRejectsOversizedBody(t *testing.T) {
 	var hits int
 	var gotLen int
+	respLen := 0
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits++
 		b, _ := io.ReadAll(r.Body)
 		gotLen = len(b)
 		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, strings.Repeat("x", respLen))
 	}))
 	defer backend.Close()
 	m := newMonitor(t, Enforce, &fakeProvider{pre: env(0, 10, "available", "admin"),
@@ -182,5 +187,31 @@ func TestHTTPForwarderRejectsOversizedBody(t *testing.T) {
 	if v := lastVerdict(t, m); v.Outcome != OK || hits != 1 || gotLen != maxForwardBody {
 		t.Errorf("body at the limit: outcome %s (%s), %d cloud requests, %d bytes received; want ok, 1, %d",
 			v.Outcome, v.Detail, hits, gotLen, maxForwardBody)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		n       int
+		outcome Outcome
+		code    int
+	}{
+		{"response at the limit", maxForwardBody, OK, http.StatusAccepted},
+		{"oversized response", maxForwardBody + 1, Error, http.StatusBadGateway},
+	} {
+		respLen = tc.n
+		req = httptest.NewRequest(http.MethodPost, "/projects/p1/volumes", strings.NewReader(head))
+		req.Header.Set("X-Auth-Token", "tok")
+		rec := httptest.NewRecorder()
+		m.ServeHTTP(rec, req)
+		v := lastVerdict(t, m)
+		if v.Outcome != tc.outcome || rec.Code != tc.code {
+			t.Errorf("%s: outcome %s code %d, want %s %d (%s)", tc.name, v.Outcome, rec.Code, tc.outcome, tc.code, v.Detail)
+		}
+		switch body := rec.Body.String(); {
+		case tc.outcome == OK && body != strings.Repeat("x", tc.n):
+			t.Errorf("%s: the client got %d bytes, want the cloud's %d intact", tc.name, len(body), tc.n)
+		case tc.outcome == Error && strings.Contains(body, "xxxx"):
+			t.Errorf("%s: %d bytes of the cut cloud answer reached the client", tc.name, strings.Count(body, "x"))
+		}
 	}
 }

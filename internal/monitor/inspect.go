@@ -17,7 +17,8 @@ import (
 //	GET /violations   only contract violations
 //	GET /coverage     SecReq -> hit count (zero-hit requirements included)
 //	GET /outcomes     outcome class -> count
-//	GET /contracts    the generated contracts (trigger, URI, pre, post)
+//	GET /contracts    the generated contracts (trigger, URI, pre, post, plan)
+//	GET /stats        per-trigger verdict counts and monitoring cost
 //	GET /stages       per-pipeline-stage latency summaries (p50/p95/p99)
 //	POST /reset       clear the log and counters
 //
@@ -61,41 +62,10 @@ func (m *Monitor) InspectHandler() http.Handler {
 			Touched  []string `json:"touched,omitempty"`
 			Cost     int      `json:"cost"`
 		}
-		type staticDoc struct {
-			Case   int    `json:"case"`
-			Value  string `json:"value"`
-			Reason string `json:"reason,omitempty"`
-		}
-		type foldDoc struct {
-			Case   int    `json:"case"`
-			Folded string `json:"folded"`
-		}
-		type exclusionDoc struct {
-			Case       int    `json:"case"`
-			Provider   int    `json:"provider"`
-			Witness    string `json:"witness"`
-			WitnessPos int    `json:"witness_pos"`
-			Elements   int    `json:"elements"`
-		}
-		type subsumedDoc struct {
-			Case int   `json:"case"`
-			By   []int `json:"by"`
-		}
-		// factsDoc surfaces the plan's compile-time facts — what the
-		// monitor prunes with (cloudmon_facts_pruned_total).
-		type factsDoc struct {
-			Static       []staticDoc    `json:"static,omitempty"`
-			Folded       []foldDoc      `json:"folded,omitempty"`
-			Exclusions   []exclusionDoc `json:"exclusions,omitempty"`
-			Subsumed     []subsumedDoc  `json:"subsumed,omitempty"`
-			VacuousPosts []int          `json:"vacuous_posts,omitempty"`
-			DeadPaths    []string       `json:"dead_paths,omitempty"`
-		}
 		type planDoc struct {
 			Pre      []preClauseDoc  `json:"pre"`
 			Post     []postClauseDoc `json:"post"`
 			PrePaths []string        `json:"pre_paths"`
-			Facts    *factsDoc       `json:"facts,omitempty"`
 		}
 		type contractDoc struct {
 			Trigger    string   `json:"trigger"`
@@ -120,40 +90,6 @@ func (m *Monitor) InspectHandler() http.Handler {
 					Case: cl.Index, CurPaths: cl.CurPaths, PrePaths: cl.PrePaths,
 					Touched: cl.Touched, Cost: cl.Cost,
 				})
-			}
-			if f := plan.Facts; f != nil {
-				fd := &factsDoc{}
-				for i := range f.Pre {
-					pf := &f.Pre[i]
-					if pf.Static != nil {
-						fd.Static = append(fd.Static, staticDoc{
-							Case: i, Value: pf.Static.String(), Reason: pf.Reason,
-						})
-					}
-					if pf.Rewritten {
-						fd.Folded = append(fd.Folded, foldDoc{Case: i, Folded: pf.Folded.String()})
-					}
-					if len(pf.SubsumedBy) > 0 {
-						fd.Subsumed = append(fd.Subsumed, subsumedDoc{Case: i, By: pf.SubsumedBy})
-					}
-				}
-				for j, exs := range f.Exclusions {
-					for _, ex := range exs {
-						fd.Exclusions = append(fd.Exclusions, exclusionDoc{
-							Case: j, Provider: ex.Provider, Witness: ex.Witness.String(),
-							WitnessPos: ex.WitnessPos, Elements: ex.Elements,
-						})
-					}
-				}
-				for i := range f.Post {
-					if f.Post[i].Vacuous() {
-						fd.VacuousPosts = append(fd.VacuousPosts, i)
-					}
-				}
-				for _, d := range f.DeadPaths {
-					fd.DeadPaths = append(fd.DeadPaths, d.Path)
-				}
-				pd.Facts = fd
 			}
 			docs = append(docs, contractDoc{
 				Trigger:    c.Trigger.String(),
@@ -238,8 +174,6 @@ type verdictDoc struct {
 	Detail         string            `json:"detail,omitempty"`
 	FetchedPaths   int               `json:"fetched_paths"`
 	ReusedPaths    int               `json:"reused_paths,omitempty"`
-	DemandedPaths  int               `json:"demanded_paths,omitempty"`
-	FactsSkipped   int               `json:"facts_skipped,omitempty"`
 	ElapsedMicros  int64             `json:"elapsed_micros"`
 	StageNanos     map[string]int64  `json:"stage_nanos,omitempty"`
 	PreSnapshot    map[string]string `json:"pre_snapshot,omitempty"`
@@ -262,8 +196,6 @@ func verdictDocs(vs []Verdict) []verdictDoc {
 			Detail:         v.Detail,
 			FetchedPaths:   v.FetchedPaths,
 			ReusedPaths:    v.ReusedPaths,
-			DemandedPaths:  v.DemandedPaths,
-			FactsSkipped:   v.FactsSkipped,
 			ElapsedMicros:  v.Elapsed.Microseconds(),
 			StageNanos:     v.Trace.Map(),
 			PreSnapshot:    snapshotDoc(v.PreSnapshot),

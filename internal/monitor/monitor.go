@@ -267,16 +267,6 @@ type Verdict struct {
 	// ReusedPaths counts post-state paths served from the pre-state
 	// snapshot because no active transition's effect could touch them.
 	ReusedPaths int
-	// DemandedPaths counts the per-clause path demands the evaluator
-	// issued. A path demanded by two clauses counts twice — the number
-	// measures evaluation work, not fetch traffic, so it shows what
-	// fact-based pruning saves even when every path was already fetched
-	// by an earlier clause.
-	DemandedPaths int
-	// FactsSkipped counts the clause evaluations a compile-time fact
-	// decided without full evaluation: statically valued disjuncts,
-	// witness-based sibling skips, statically vacuous post implications.
-	FactsSkipped int
 	// Elapsed is the total monitoring duration. For late verdicts
 	// (PostAsync) it spans from request arrival to the deferred
 	// post-evaluation's completion — queue wait included.
@@ -344,18 +334,6 @@ type Config struct {
 	Mode Mode
 	// Level defaults to CheckFull.
 	Level CheckLevel
-	// NoPostReuse disables the post-check's effect-frame reuse of
-	// pre-state values: every demanded post path is re-fetched from the
-	// cloud. Reuse assumes the cloud honors the model's effect frames;
-	// differential tests and replay turn it off to compare against
-	// arbitrary states.
-	NoPostReuse bool
-	// NoFacts disables the plan's compile-time facts artifact (static
-	// clause values, witness-based sibling skips): every disjunct is
-	// evaluated in full. Facts change no verdict — the differential
-	// suites prove field-for-field equality — only the work a verdict
-	// costs.
-	NoFacts bool
 	// FailPolicy decides the verdict when a state snapshot fails
 	// (defaults to FailClosed). Degrade additionally requires
 	// PreStateCacheTTL > 0.
@@ -413,22 +391,20 @@ type Config struct {
 
 // Monitor is the cloud monitor. Safe for concurrent use.
 type Monitor struct {
-	contracts   *contract.Set
-	routes      []compiledRoute
-	byMethod    map[string][]*compiledRoute
-	provider    StateProvider
-	forward     Forwarder
-	mode        Mode
-	level       CheckLevel
-	noPostReuse bool
-	noFacts     bool
-	failPolicy  FailPolicy
-	degradeTTL  time.Duration
-	onVerdict   func(Verdict)
-	cache       *snapshotCache
-	audit       *obs.AuditLog
-	instanceID  string
-	onInvalid   func(project string)
+	contracts  *contract.Set
+	routes     []compiledRoute
+	byMethod   map[string][]*compiledRoute
+	provider   StateProvider
+	forward    Forwarder
+	mode       Mode
+	level      CheckLevel
+	failPolicy FailPolicy
+	degradeTTL time.Duration
+	onVerdict  func(Verdict)
+	cache      *snapshotCache
+	audit      *obs.AuditLog
+	instanceID string
+	onInvalid  func(project string)
 	// flights coalesces identical concurrent pre-state GETs.
 	flights *flightGroup
 	// waves counts the pre-state Snapshot calls that carried several of a
@@ -461,9 +437,6 @@ type Monitor struct {
 	// counts pre-state fetches that joined another request's flight.
 	pathsFetched *obs.Histogram
 	coalesced    obs.Counter
-	// factsPruned counts clause evaluations decided by compile-time facts,
-	// keyed by pruning kind (pre-clause, pre-sibling, post-clause).
-	factsPruned obs.KeyedCounter
 }
 
 // numOutcomes sizes the outcome counter array (outcomes are 1-based).
@@ -545,8 +518,6 @@ func New(cfg Config) (*Monitor, error) {
 		forward:      cfg.Forward,
 		mode:         mode,
 		level:        level,
-		noPostReuse:  cfg.NoPostReuse,
-		noFacts:      cfg.NoFacts,
 		failPolicy:   policy,
 		onVerdict:    cfg.OnVerdict,
 		audit:        cfg.Audit,
@@ -949,9 +920,6 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 		w.Counter("cloudmon_snapshot_waves_total",
 			"Pre-state Snapshot calls that fetched several of a clause's paths at once.",
 			float64(m.waves.Value()))
-		w.KeyedCounter("cloudmon_facts_pruned_total",
-			"Clause evaluations decided by compile-time plan facts, by pruning kind.",
-			&m.factsPruned, "kind")
 		if ap := m.asyncPost; ap != nil {
 			w.Histogram("cloudmon_post_lag_seconds",
 				"Detection lag of async post verdicts (verdict time minus response-return time).",
@@ -1008,11 +976,11 @@ func (m *Monitor) ResetLog() {
 	m.pathsFetched.Reset()
 	m.coalesced.Reset()
 	m.waves.Reset()
-	m.factsPruned.Reset()
 	if ap := m.asyncPost; ap != nil {
 		ap.enqueued.Reset()
 		ap.shed.Reset()
 		ap.lateViol.Reset()
+		ap.fenceWaits.Reset()
 		ap.lag.Reset()
 	}
 }
@@ -1110,8 +1078,10 @@ var defaultForwardClient = &http.Client{
 // carries.
 const maxForwardBody = 1 << 20
 
-// Forward implements Forwarder. A request body over maxForwardBody fails
-// the forward: a cut body could be a different, valid request.
+// Forward implements Forwarder. A request or response body over
+// maxForwardBody fails the forward: a cut request body could be a
+// different, valid request, and a cut response would reach the client as
+// a short answer no verdict records.
 func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string]string) (*BackendResponse, error) {
 	target := route.Backend
 	for k, val := range params {
@@ -1154,9 +1124,12 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 		return nil, fmt.Errorf("monitor: backend request: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBody))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBody+1))
 	if err != nil {
 		return nil, fmt.Errorf("monitor: read backend response: %w", err)
+	}
+	if len(data) > maxForwardBody {
+		return nil, fmt.Errorf("monitor: backend response body exceeds %d bytes", maxForwardBody)
 	}
 	return &BackendResponse{
 		StatusCode: resp.StatusCode,

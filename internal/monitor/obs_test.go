@@ -4,9 +4,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"cloudmon/internal/contract"
 	"cloudmon/internal/obs"
+	"cloudmon/internal/ocl"
 	"cloudmon/internal/paper"
 	"cloudmon/internal/uml"
 )
@@ -192,4 +194,64 @@ func TestResetLogClearsObsState(t *testing.T) {
 			t.Errorf("Coverage[%s] = %d after reset", sr, n)
 		}
 	}
+
+	// An async monitor whose second DELETE waited on the write fence for
+	// the first's deferred check: every async counter must reset with the
+	// log.
+	gate := make(chan struct{})
+	gp := &gatedPostProvider{env: env(2, 10, "available", "admin"), gate: gate}
+	am, err := New(Config{
+		Contracts:   m.contracts,
+		Routes:      diffRoutes(),
+		Provider:    gp,
+		Forward:     &fakeForwarder{status: http.StatusNoContent},
+		Mode:        Enforce,
+		Post:        PostAsync,
+		PostWorkers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer am.Close()
+	doDelete(t, am)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		doDelete(t, am)
+	}()
+	for am.AsyncPostStats().FenceWaits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	<-done
+	am.DrainPost()
+	st := am.AsyncPostStats()
+	if st.Enqueued != 2 || st.LateViolations != 2 || st.FenceWaits != 1 || st.Lag.Count != 2 {
+		t.Fatalf("before reset: %+v, want 2 enqueued, 2 late violations, 1 fence wait, 2 lag samples", st)
+	}
+	am.ResetLog()
+	if st := am.AsyncPostStats(); st.Enqueued != 0 || st.Shed != 0 || st.LateViolations != 0 ||
+		st.FenceWaits != 0 || st.Pending != 0 || st.Lag.Count != 0 {
+		t.Errorf("AsyncPostStats after reset = %+v, want every counter 0", st)
+	}
+}
+
+// gatedPostProvider serves one state in both phases and holds every
+// post-phase read until gate closes.
+type gatedPostProvider struct {
+	env  ocl.MapEnv
+	gate chan struct{}
+}
+
+func (p *gatedPostProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error) {
+	if ctx.Phase == PhasePost {
+		<-p.gate
+	}
+	out := make(ocl.MapEnv, len(paths))
+	for _, path := range paths {
+		if v, ok := p.env[path]; ok {
+			out[path] = v
+		}
+	}
+	return out, nil
 }

@@ -14,8 +14,8 @@ import (
 // Replayer re-evaluates audited verdicts without a live cloud: the state
 // provider serves the pre/post snapshots the original verdict recorded,
 // the forwarder replays the recorded backend status, and the regular
-// demand-driven check pipeline (compiled clause programs, facts pruning,
-// the same postVerify) runs over them. Because evaluation demands are a
+// demand-driven check pipeline (compiled clause programs, the same
+// postVerify with its effect-frame reuse) runs over them. Because evaluation demands are a
 // deterministic function of the plan and the served values, a faithful
 // record reproduces its outcome and failing clause exactly — which is
 // what makes the audit trail independently checkable evidence rather
@@ -65,15 +65,13 @@ func NewReplayer(set *contract.Set) (*Replayer, error) {
 			Forward:   (*replayForwarder)(r),
 			Mode:      mode,
 			Level:     CheckFull,
-			// Reuse would read untouched post paths from the pre-state;
-			// the recorded post snapshot already contains every value the
-			// original post phase saw (reused ones included: reuse fills
-			// the frame's post-state bank), so the full re-fetch against
-			// the packed post state is simpler and replays trails
-			// recorded with or without reuse identically.
-			NoPostReuse: true,
-			FailPolicy:  FailClosed,
-			MaxLog:      1,
+			// Replay re-decides with effect-frame reuse, as the monitor
+			// does: an untouched post path is read from the replayed
+			// pre-state, which is the value the original post phase
+			// reused (reuse fills the frame's post-state bank, so the
+			// recorded post snapshot holds it too).
+			FailPolicy: FailClosed,
+			MaxLog:     1,
 		})
 		if err != nil {
 			return nil, nil, err

@@ -174,11 +174,11 @@ func TestContractDigestStability(t *testing.T) {
 
 // TestReplayFuzzCorpus replays every verdict of the differential fuzz
 // corpus (TestDifferentialFuzzStates' 300 draws of request, pre- and
-// post-state, status and mode, each run with post reuse on and off) from
-// its own audit record. Every non-error verdict must reproduce its outcome
-// and failing clause from the snapshots it recorded: the snapshot of
-// record holds everything the verdict read, on arbitrary states too. Error
-// verdicts carry no complete state and are skipped.
+// post-state, status and mode, run as the monitor ships, with post reuse)
+// from its own audit record. Every non-error verdict must reproduce its
+// outcome and failing clause from the snapshots it recorded: the snapshot
+// of record holds everything the verdict read, on arbitrary states too.
+// Error verdicts carry no complete state and are skipped.
 func TestReplayFuzzCorpus(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -200,25 +200,23 @@ func TestReplayFuzzCorpus(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			mode = Observe
 		}
-		for _, reuse := range []bool{true, false} {
-			v, _ := runEngine(t, set, arm{noReuse: !reuse}, mode, rq.method, rq.path, pre, post, status)
-			res := r.Replay(auditRecord(&v))
-			switch {
-			case res.Skipped != "":
-				if v.Outcome != Error {
-					t.Errorf("fuzz-%d/reuse=%v: %s verdict skipped: %s", i, reuse, v.Outcome, res.Skipped)
-				}
-				skipped++
-			case res.Diverged || res.ContractMismatch:
-				t.Errorf("fuzz-%d/reuse=%v: %s (pre=%v post=%v)", i, reuse, res.Reason, v.PreSnapshot, v.PostSnapshot)
-			default:
-				replayed++
+		v, _ := runEngine(t, set, arm{}, mode, rq.method, rq.path, pre, post, status)
+		res := r.Replay(auditRecord(&v))
+		switch {
+		case res.Skipped != "":
+			if v.Outcome != Error {
+				t.Errorf("fuzz-%d: %s verdict skipped: %s", i, v.Outcome, res.Skipped)
 			}
+			skipped++
+		case res.Diverged || res.ContractMismatch:
+			t.Errorf("fuzz-%d: %s (pre=%v post=%v)", i, res.Reason, v.PreSnapshot, v.PostSnapshot)
+		default:
+			replayed++
 		}
 	}
-	// The corpus is seeded, so the split is fixed: 537 verdicts replay
-	// and 63 are errors.
-	if replayed != 537 || skipped != 63 {
-		t.Errorf("replayed %d and skipped %d of 600 verdicts, want 537 and 63", replayed, skipped)
+	// The corpus is seeded, so the split is fixed: 269 verdicts replay
+	// and 31 are errors.
+	if replayed != 269 || skipped != 31 {
+		t.Errorf("replayed %d and skipped %d of 300 verdicts, want 269 and 31", replayed, skipped)
 	}
 }

@@ -36,6 +36,20 @@ func oneByOne(m *Monitor) {
 	}
 }
 
+// fullRecheck turns m into the paper's full re-check: with each post
+// clause's effect frame widened to every path its consequent reads, the
+// post phase re-reads every path it demands and reuses none.
+func fullRecheck(m *Monitor) {
+	for i := range m.routes {
+		plan := *m.routes[i].plan
+		plan.Post = append([]contract.PostClause(nil), plan.Post...)
+		for j := range plan.Post {
+			plan.Post[j].Touched = plan.Post[j].CurPaths
+		}
+		m.routes[i].plan = &plan
+	}
+}
+
 // waveProvider serves a fixed pre-state and a post-state per HTTP method
 // and records every call with the paths it read. Once broken, it fails
 // the pre-phase reads of the paths in fail. By default a failing call
@@ -165,22 +179,25 @@ type waveRun struct {
 }
 
 // runWaves is runEngine with the provider's reads recorded, on a monitor
-// that sends waves or, with one set, reads one path per call.
-func runWaves(t *testing.T, set *contract.Set, noReuse, noFacts bool, mode Mode,
+// that sends waves or, with one set, reads one path per call, and that
+// reuses post paths outside the effect frame or, with recheck set,
+// re-reads them all.
+func runWaves(t *testing.T, set *contract.Set, recheck bool, mode Mode,
 	method, path string, pre, post ocl.MapEnv, status int, one bool) waveRun {
 	t.Helper()
 	prov := &waveProvider{pre: pre, post: samePost(post)}
 	m, err := New(Config{
-		Contracts:   set,
-		Routes:      diffRoutes(),
-		Provider:    prov,
-		Forward:     &fakeForwarder{status: status},
-		Mode:        mode,
-		NoPostReuse: noReuse,
-		NoFacts:     noFacts,
+		Contracts: set,
+		Routes:    diffRoutes(),
+		Provider:  prov,
+		Forward:   &fakeForwarder{status: status},
+		Mode:      mode,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if recheck {
+		fullRecheck(m)
 	}
 	if one {
 		oneByOne(m)
@@ -218,8 +235,6 @@ func waveCompare(t *testing.T, name string, seq, wave Verdict, seqCode, waveCode
 		{"FailingClause", seq.FailingClause, wave.FailingClause},
 		{"MatchedSecReqs", seq.MatchedSecReqs, wave.MatchedSecReqs},
 		{"MatchedTransitions", seq.MatchedTransitions, wave.MatchedTransitions},
-		{"DemandedPaths", seq.DemandedPaths, wave.DemandedPaths},
-		{"FactsSkipped", seq.FactsSkipped, wave.FactsSkipped},
 		{"ReusedPaths", seq.ReusedPaths, wave.ReusedPaths},
 		{"PreSnapshot", seq.PreSnapshot, wave.PreSnapshot},
 		{"PostSnapshot", seq.PostSnapshot, wave.PostSnapshot},
@@ -267,15 +282,14 @@ func waveReads(t *testing.T, name string, seq, wave waveRun) {
 	}
 }
 
-// waveArms are the monitor configurations the wave differential sweeps.
+// waveArms are the monitor configurations the wave differential sweeps:
+// the monitor as it ships, and under the full re-check.
 var waveArms = []struct {
-	name             string
-	noReuse, noFacts bool
+	name    string
+	recheck bool
 }{
-	{"default", false, false},
-	{"no-facts", false, true},
-	{"no-reuse", true, false},
-	{"no-facts+no-reuse", true, true},
+	{"default", false},
+	{"full-recheck", true},
 }
 
 // TestDifferentialWavesExampleStates runs the differential suite's example
@@ -317,9 +331,9 @@ func TestDifferentialWavesExampleStates(t *testing.T) {
 			for _, rq := range diffRequests() {
 				for _, st := range states {
 					name := fmt.Sprintf("%s/%s/%s/%s", arm.name, mode, rq.method, st.name)
-					seq := runWaves(t, set, arm.noReuse, arm.noFacts, mode,
+					seq := runWaves(t, set, arm.recheck, mode,
 						rq.method, rq.path, st.pre, st.post, st.status, true)
-					wave := runWaves(t, set, arm.noReuse, arm.noFacts, mode,
+					wave := runWaves(t, set, arm.recheck, mode,
 						rq.method, rq.path, st.pre, st.post, st.status, false)
 					waveCompare(t, name, seq.v, wave.v, seq.code, wave.code, st.exact)
 					waveReads(t, name, seq, wave)
@@ -357,8 +371,8 @@ func TestDifferentialWavesFuzzStates(t *testing.T) {
 		}
 		arm := waveArms[i%len(waveArms)]
 		name := fmt.Sprintf("fuzz-%d/%s/%s/%s", i, arm.name, mode, rq.method)
-		seq := runWaves(t, set, arm.noReuse, arm.noFacts, mode, rq.method, rq.path, pre, post, status, true)
-		wave := runWaves(t, set, arm.noReuse, arm.noFacts, mode, rq.method, rq.path, pre, post, status, false)
+		seq := runWaves(t, set, arm.recheck, mode, rq.method, rq.path, pre, post, status, true)
+		wave := runWaves(t, set, arm.recheck, mode, rq.method, rq.path, pre, post, status, false)
 		waveCompare(t, name, seq.v, wave.v, seq.code, wave.code, false)
 		waveReads(t, name, seq, wave)
 		if t.Failed() {
