@@ -74,12 +74,15 @@ fleetbench:
 # Fleet soundness: the fleet package and in-process fleet scenarios
 # (verdict conservation, mid-run resize remap invariant, chaos soak
 # through the front) under the race detector, then a full
-# loadmon -fleet run with aggregate invariant verification.
+# loadmon -fleet run with -verify's checks, and a serial async fleet run
+# whose verdicts must match a synchronous twin fleet's.
 fleet:
 	go test -race ./internal/fleet/
 	go test -race -run 'TestFleet' ./internal/loadgen/
 	go run ./cmd/loadmon -fleet 4 -fleet-projects 16 -requests 1200 \
 		-warmup 0 -clients 16 -verify
+	go run ./cmd/loadmon -fleet 2 -fleet-projects 4 -requests 300 \
+		-clients 1 -post async -verify
 
 # Seed-corpus fuzzing already runs under `make test`; this target fuzzes
 # each parser for 30s, plus the compiled clause programs against the

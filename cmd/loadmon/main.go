@@ -36,6 +36,7 @@ import (
 	"sort"
 	"strings"
 
+	"cloudmon/internal/core"
 	"cloudmon/internal/evidence"
 	"cloudmon/internal/faults"
 	"cloudmon/internal/loadgen"
@@ -71,9 +72,9 @@ func run(args []string, out io.Writer) error {
 	cacheTTL := fs.Duration("cache-ttl", 0, "pre-state read-cache TTL (0 = disabled)")
 	faultsPath := fs.String("faults", "", "fault-injection profile (JSON) for the in-process cloud")
 	fleetN := fs.Int("fleet", 0, "deploy a sharded fleet of this many monitor instances behind a consistent-hash front (in-process only)")
-	fleetProjects := fs.Int("fleet-projects", 0, "tenant projects the fleet workload spreads across (0 = 4 × fleet size)")
-	fleetRTT := fs.Duration("fleet-rtt", 0, "simulated network round trip on every monitor→cloud request (fleet runs)")
-	fleetConns := fs.Int("fleet-conns", 0, "per-instance backend connection budget (fleet runs; 0 = unlimited)")
+	fleetProjects := fs.Int("fleet-projects", 0, "tenant projects the fleet workload spreads across (needs -fleet; 0 = 4 × fleet size)")
+	fleetRTT := fs.Duration("fleet-rtt", 0, "simulated network round trip on every monitor→cloud request (needs -fleet)")
+	fleetConns := fs.Int("fleet-conns", 0, "per-instance backend connection budget (needs -fleet; 0 = unlimited)")
 	policyName := fs.String("fail-policy", "closed", "snapshot-failure policy: closed | open | degrade")
 	cloudTimeout := fs.Duration("cloud-timeout", 0, "shared cloud-facing deadline (snapshot attempts and forwards; 0 = default)")
 	retryAttempts := fs.Int("retry-attempts", 0, "override snapshot retry attempts (0 = default)")
@@ -147,10 +148,22 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	if *fleetN == 0 {
+		// The fleet knobs shape a fleet; a lone monitor would ignore them.
+		var stray string
+		fs.Visit(func(f *flag.Flag) {
+			if stray == "" && strings.HasPrefix(f.Name, "fleet-") {
+				stray = f.Name
+			}
+		})
+		if stray != "" {
+			return fmt.Errorf("-%s needs -fleet", stray)
+		}
+	}
+
 	var tgt loadgen.Target
 	var dep *loadgen.Deployment
-	var fdep *loadgen.FleetDeployment
-	var depOpts loadgen.DeployOptions
+	var opts loadgen.Options
 	if *target != "" {
 		if *fleetN > 0 {
 			return fmt.Errorf("-fleet deploys in process and cannot combine with -target")
@@ -187,22 +200,28 @@ func run(args []string, out io.Writer) error {
 		if policy == monitor.Degrade && *cacheTTL <= 0 {
 			return fmt.Errorf("-fail-policy degrade needs -cache-ttl > 0 (the policy falls back to the pre-state cache)")
 		}
-		opts := loadgen.DeployOptions{
-			Mode:             mode,
-			Level:            level,
-			FailPolicy:       policy,
-			Post:             postMode,
-			PostQueueCap:     *postQueue,
-			PostWorkers:      *postWorkers,
-			PostBackpressure: backpressure,
-			PreStateCacheTTL: *cacheTTL,
-			CloudTimeout:     *cloudTimeout,
+		opts = loadgen.Options{
+			Monitor: core.Options{
+				Mode:             mode,
+				Level:            level,
+				FailPolicy:       policy,
+				Post:             postMode,
+				PostQueueCap:     *postQueue,
+				PostWorkers:      *postWorkers,
+				PostBackpressure: backpressure,
+				PreStateCacheTTL: *cacheTTL,
+				CloudTimeout:     *cloudTimeout,
+			},
+			Instances:   *fleetN,
+			TenantCount: *fleetProjects,
+			RTT:         *fleetRTT,
+			Conns:       *fleetConns,
 		}
 		if *retryAttempts > 0 {
-			opts.Retry.MaxAttempts = *retryAttempts
+			opts.Monitor.Retry.MaxAttempts = *retryAttempts
 		}
 		if *breakerThreshold > 0 {
-			opts.Breaker = &osclient.BreakerConfig{
+			opts.Monitor.Breaker = &osclient.BreakerConfig{
 				FailureThreshold: *breakerThreshold,
 				Cooldown:         *breakerCooldown,
 			}
@@ -213,11 +232,6 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			opts.Faults = profile
-		}
-		if *verify && sc.Requests > 0 {
-			// Keep every verdict so the counters can be cross-checked
-			// against the log.
-			opts.MaxLog = sc.Requests + 1024
 		}
 		opts.AuditDir = *auditDir
 		if opts.AuditDir == "" && (*verify || *packOut != "") {
@@ -230,28 +244,12 @@ func run(args []string, out io.Writer) error {
 			defer os.RemoveAll(tmp)
 			opts.AuditDir = tmp
 		}
-		if *fleetN > 0 {
-			fdep, err = loadgen.DeployFleet(loadgen.FleetOptions{
-				DeployOptions: opts,
-				Instances:     *fleetN,
-				TenantCount:   *fleetProjects,
-				RTT:           *fleetRTT,
-				Conns:         *fleetConns,
-			})
-			if err != nil {
-				return err
-			}
-			defer fdep.Close()
-			tgt = fdep.Target
-		} else {
-			dep, err = loadgen.Deploy(opts)
-			if err != nil {
-				return err
-			}
-			defer dep.Close()
-			tgt = dep.Target
+		dep, err = loadgen.Deploy(opts)
+		if err != nil {
+			return err
 		}
-		depOpts = opts
+		defer dep.Close()
+		tgt = dep.Target
 	}
 
 	report, err := loadgen.Run(sc, tgt)
@@ -272,56 +270,48 @@ func run(args []string, out io.Writer) error {
 	} else if _, err := fmt.Fprint(out, report.Text()); err != nil {
 		return err
 	}
-	if fdep != nil {
-		printFleetSummary(fdep, out)
+	if dep != nil && dep.Front != nil {
+		printFleetSummary(dep, out)
 	}
 	if *verify {
-		if err := verifyReport(sc, report, policy, postMode, report.AsyncPost); err != nil {
+		if err := verifyRun(dep, opts, sc, report, out); err != nil {
 			return err
-		}
-		if fdep != nil {
-			if err := verifyFleet(fdep, sc, report, depOpts, out); err != nil {
-				return err
-			}
-			fmt.Fprintln(out, "verify: fleet invariants hold (aggregate verdicts ≡ federated metrics ≡ merged audit; routing stable; resize bounded)")
-		} else {
-			if err := verifyObs(dep, report); err != nil {
-				return err
-			}
-			if err := verifyFetch(sc, report, dep); err != nil {
-				return err
-			}
-			if err := verifyAsync(sc, report, dep, depOpts, out); err != nil {
-				return err
-			}
-			if err := verifyPackReplay(dep, sc, out); err != nil {
-				return err
-			}
-			fmt.Fprintln(out, "verify: structural invariants hold (verdicts ≡ metrics ≡ audit ≡ fetch economy)")
 		}
 	}
 	if *packOut != "" {
-		if fdep != nil {
-			if err := emitFleetPacks(fdep, sc, *packOut, *packKey, out); err != nil {
-				return err
-			}
-		} else if err := emitPack(dep, sc, *packOut, *packKey, out); err != nil {
+		if err := emitPack(dep, sc, *packOut, *packKey, out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emitPack cuts a signed evidence pack of the run's audit trail: the
-// verdicts, their snapshots and the contract-set digest, hashed,
-// signed and portable — what -pack hands to an external auditor.
+// who names an instance in -verify and -pack lines: "m-00: " for a fleet
+// member, nothing for a lone monitor.
+func who(in *loadgen.Instance) string {
+	if in.ID == "" {
+		return ""
+	}
+	return in.ID + ": "
+}
+
+// buildPack cuts a signed evidence pack of one instance's audit trail:
+// the verdicts, their snapshots and the contract-set digest, hashed,
+// signed and portable.
+func buildPack(in *loadgen.Instance, sc loadgen.Scenario, path string, key ed25519.PrivateKey) (*evidence.BuildResult, error) {
+	return evidence.BuildPack(in.Audit.Dir(), path, evidence.PackOptions{
+		Key:       key,
+		Scenario:  sc.Name,
+		SetDigest: in.Sys.Contracts.Digest(),
+		Tool:      "loadmon",
+	})
+}
+
+// emitPack writes what -pack hands to an external auditor: one signed
+// evidence pack per instance, a lone monitor's at outPath itself and a
+// fleet member's at outPath/<id>. An instance whose trail is empty
+// judged nothing non-OK and gets no pack.
 func emitPack(dep *loadgen.Deployment, sc loadgen.Scenario, outPath, keyFile string, out io.Writer) error {
-	if dep == nil || dep.Audit == nil {
-		return fmt.Errorf("-pack needs the in-process deployment with an audit trail")
-	}
-	if err := dep.Audit.Sync(); err != nil {
-		return fmt.Errorf("pack: sync audit log: %w", err)
-	}
 	var priv ed25519.PrivateKey
 	var err error
 	if keyFile != "" {
@@ -335,80 +325,25 @@ func emitPack(dep *loadgen.Deployment, sc loadgen.Scenario, outPath, keyFile str
 			return err
 		}
 	}
-	res, err := evidence.BuildPack(dep.Audit.Dir(), outPath, evidence.PackOptions{
-		Key:       priv,
-		Scenario:  sc.Name,
-		SetDigest: dep.Sys.Contracts.Digest(),
-		Tool:      "loadmon",
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "pack: %d records in %d segments -> %s (pack %s, key %s)\n",
-		res.Records, res.Segments, res.Path, res.PackID, res.KeyID)
-	return nil
-}
-
-// verifyPackReplay closes the evidence loop on every -verify run: pack
-// the trail, verify the pack envelope, then replay each packed verdict
-// against its packed snapshots and require zero divergence — the trail
-// must reproduce the monitor's decisions, not merely describe them.
-func verifyPackReplay(dep *loadgen.Deployment, sc loadgen.Scenario, out io.Writer) error {
-	if dep == nil || dep.Audit == nil {
-		return nil
-	}
-	if err := dep.Audit.Sync(); err != nil {
-		return fmt.Errorf("verify: sync audit log: %w", err)
-	}
-	tmp, err := os.MkdirTemp("", "loadmon-pack-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	_, priv, err := evidence.GenerateKey(nil)
-	if err != nil {
-		return err
-	}
-	packPath := filepath.Join(tmp, "pack")
-	if _, err := evidence.BuildPack(dep.Audit.Dir(), packPath, evidence.PackOptions{
-		Key:       priv,
-		Scenario:  sc.Name,
-		SetDigest: dep.Sys.Contracts.Digest(),
-		Tool:      "loadmon",
-	}); err != nil {
-		return fmt.Errorf("verify: build evidence pack: %w", err)
-	}
-	p, err := evidence.OpenPack(packPath)
-	if err != nil {
-		return fmt.Errorf("verify: open evidence pack: %w", err)
-	}
-	defer p.Close()
-	rep, err := p.Verify(priv.Public().(ed25519.PublicKey))
-	if err != nil {
-		return fmt.Errorf("verify: verify evidence pack: %w", err)
-	}
-	if !rep.PackOK() {
-		return fmt.Errorf("verify: evidence pack envelope failed: %s", strings.Join(rep.Problems, "; "))
-	}
-	recs, err := p.Records()
-	if err != nil {
-		return fmt.Errorf("verify: read packed records: %w", err)
-	}
-	replayer, err := monitor.NewReplayer(dep.Sys.Contracts)
-	if err != nil {
-		return fmt.Errorf("verify: build replayer: %w", err)
-	}
-	sum := replayer.ReplayAll(recs.Records)
-	if !sum.OK() {
-		msg := fmt.Sprintf("verify: evidence replay diverged on %d of %d packed verdicts", sum.Diverged, sum.Total)
-		if len(sum.Failures) > 0 {
-			f := sum.Failures[0]
-			msg += fmt.Sprintf(" (first: seq %d %s: %s)", f.Seq, f.Trigger, f.Reason)
+	for _, in := range dep.Instances {
+		if err := in.Audit.Sync(); err != nil {
+			return fmt.Errorf("pack: %ssync audit log: %w", who(in), err)
 		}
-		return fmt.Errorf("%s", msg)
+		segs, err := obs.AuditSegments(in.Audit.Dir())
+		if err != nil {
+			return fmt.Errorf("pack: %s%w", who(in), err)
+		}
+		if len(segs) == 0 {
+			fmt.Fprintf(out, "pack: %saudit trail is empty (no non-OK verdicts), no pack written\n", who(in))
+			continue
+		}
+		res, err := buildPack(in, sc, filepath.Join(outPath, in.ID), priv)
+		if err != nil {
+			return fmt.Errorf("pack: %s%w", who(in), err)
+		}
+		fmt.Fprintf(out, "pack: %s%d records in %d segments -> %s (pack %s, key %s)\n",
+			who(in), res.Records, res.Segments, res.Path, res.PackID, res.KeyID)
 	}
-	fmt.Fprintf(out, "verify: evidence pack replays clean (%d/%d packed verdicts reproduced, %d skipped)\n",
-		sum.Matched, sum.Total, sum.Skipped)
 	return nil
 }
 
@@ -463,39 +398,77 @@ func scrapeMetrics(addr string, r *loadgen.Report, out io.Writer) error {
 	return nil
 }
 
-// verifyObs cross-checks the run's three observability signals against
-// each other: the report's verdict tallies (diffed monitor counters),
-// the /metrics registry (scraped in process), and the audit trail on
-// disk. All three must agree exactly — they claim to be views of the
-// same requests.
-func verifyObs(dep *loadgen.Deployment, r *loadgen.Report) error {
-	if dep == nil {
-		return nil
+// verifyRun is -verify's one pipeline over the deployment's instances.
+// Per instance: /metrics agrees with the outcome counters, the trail
+// verifies on disk, every record carries the instance's stamp, every
+// Rejected record names a SecReq, and the trail packs and replays clean.
+// Over all instances: the report's verdict invariants, audit records ≡
+// verdicts, the merged trail replays clean, the fetch economy and the
+// async pipeline. A fleet adds the front's checks.
+func verifyRun(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scenario, r *loadgen.Report, out io.Writer) error {
+	if err := verifyReport(sc, r, opts.Monitor.FailPolicy, opts.Monitor.Post); err != nil {
+		return err
 	}
-	// 1. The metrics registry must agree with the monitor's cumulative
-	// outcome counters (both read the same atomics; a drift means a
-	// collector bug).
-	samples, err := obs.ParseText([]byte(dep.Sys.Metrics.Render()))
+	// Every instance's verdict counters, read back through the merged
+	// exposition under its instance label ("" for a lone monitor) — both
+	// read the same atomics, so a drift is a collector or federation bug.
+	samples, err := obs.ParseText([]byte(dep.Metrics()))
 	if err != nil {
-		return fmt.Errorf("verify: render /metrics: %w", err)
+		return fmt.Errorf("verify: parse /metrics: %w", err)
 	}
-	scraped := obs.CounterByLabel(samples, "cloudmon_verdicts_total", "outcome")
-	for outcome, n := range dep.Sys.Monitor.Outcomes() {
-		if int(scraped[outcome.String()]) != n {
-			return fmt.Errorf("verify: /metrics reports %s=%.0f, monitor counters say %d",
-				outcome.String(), scraped[outcome.String()], n)
+	scraped := map[string]map[string]float64{}
+	for _, s := range obs.Find(samples, "cloudmon_verdicts_total") {
+		id := s.Labels["instance"]
+		if scraped[id] == nil {
+			scraped[id] = map[string]float64{}
 		}
+		scraped[id][s.Labels["outcome"]] += s.Value
 	}
-	if dep.Audit == nil {
-		return nil
+
+	tmp, err := os.MkdirTemp("", "loadmon-pack-")
+	if err != nil {
+		return err
 	}
-	// 2. The audit diff must match the verdict diff on every non-OK
-	// outcome: each violation produced exactly one audit record.
-	for outcome, n := range r.Verdicts {
-		if outcome == monitor.OK.String() {
+	defer os.RemoveAll(tmp)
+	_, priv, err := evidence.GenerateKey(nil)
+	if err != nil {
+		return err
+	}
+	replayer, err := monitor.NewReplayer(dep.Instances[0].Sys.Contracts)
+	if err != nil {
+		return fmt.Errorf("verify: build replayer: %w", err)
+	}
+	var merged []obs.AuditRecord
+	var tally trailTally
+	packs := 0
+	for _, in := range dep.Instances {
+		for outcome, n := range in.Sys.Monitor.Outcomes() {
+			if got := int(scraped[in.ID][outcome.String()]); got != n {
+				return fmt.Errorf("verify: %s/metrics reports %s=%d, monitor counters say %d", who(in), outcome, got, n)
+			}
+		}
+		empty, err := verifyTrail(in, &tally)
+		if err != nil {
+			return err
+		}
+		if empty {
+			// Nothing non-OK was judged here; the audit ≡ verdict check
+			// below confirms it.
+			fmt.Fprintf(out, "verify: %saudit trail is empty (no non-OK verdicts), nothing to pack or replay\n", who(in))
 			continue
 		}
-		if r.Audit[outcome] != n {
+		recs, err := packReplay(in, sc, filepath.Join(tmp, "pack", in.ID), priv, replayer)
+		if err != nil {
+			return err
+		}
+		merged = append(merged, recs...)
+		packs++
+	}
+
+	// The audit diff must match the verdict diff on every non-OK
+	// outcome: each violation produced exactly one audit record.
+	for outcome, n := range r.Verdicts {
+		if outcome != monitor.OK.String() && r.Audit[outcome] != n {
 			return fmt.Errorf("verify: %d %s verdicts but %d audit records", n, outcome, r.Audit[outcome])
 		}
 	}
@@ -504,30 +477,111 @@ func verifyObs(dep *loadgen.Deployment, r *loadgen.Report) error {
 			return fmt.Errorf("verify: %d audit records for %s but %d verdicts", n, outcome, r.Verdicts[outcome])
 		}
 	}
-	if err := dep.Audit.Sync(); err != nil {
-		return fmt.Errorf("verify: sync audit log: %w", err)
+	sum := replayer.ReplayAll(merged)
+	if !sum.OK() {
+		return fmt.Errorf("verify: merged trail replay diverged on %d of %d verdicts", sum.Diverged, sum.Total)
 	}
-	// 3. The trail on disk must verify (contiguous chain, no torn lines)
-	// and every Rejected record must carry at least one SecReq ID — the
-	// trail's purpose is tracing violations back to requirements.
-	res, err := obs.VerifyAuditDir(dep.Audit.Dir())
+	if err := verifyFetch(sc, r, dep); err != nil {
+		return err
+	}
+	if err := verifyAsync(dep, opts, sc, r, tally, out); err != nil {
+		return err
+	}
+	if packs > 0 {
+		what := "evidence pack replays"
+		if dep.Front != nil {
+			what = fmt.Sprintf("%d instance pack(s) and the merged trail replay", packs)
+		}
+		fmt.Fprintf(out, "verify: %s clean (%d/%d packed verdicts reproduced, %d skipped)\n",
+			what, sum.Matched, sum.Total, sum.Skipped)
+	}
+	fmt.Fprintln(out, "verify: structural invariants hold (verdicts ≡ metrics ≡ audit ≡ fetch economy)")
+	if dep.Front == nil {
+		return nil
+	}
+	return verifyFront(dep, opts, out)
+}
+
+// trailTally counts the async records across every instance's trail.
+type trailTally struct {
+	shed, lateViolations int
+}
+
+// verifyTrail checks one instance's trail on disk: the chain verifies
+// (contiguous, no torn lines), every record carries the instance's stamp,
+// every Rejected record names at least one SecReq — the trail's purpose
+// is tracing violations back to requirements — and every async record is
+// well-formed. It reports whether the trail is empty.
+func verifyTrail(in *loadgen.Instance, tally *trailTally) (bool, error) {
+	if err := in.Audit.Sync(); err != nil {
+		return false, fmt.Errorf("verify: %ssync audit log: %w", who(in), err)
+	}
+	read, err := obs.ReadAuditDir(in.Audit.Dir())
 	if err != nil {
-		return fmt.Errorf("verify: audit chain: %w", err)
+		return false, fmt.Errorf("verify: %sread audit dir: %w", who(in), err)
 	}
-	if !res.OK() {
-		return fmt.Errorf("verify: audit chain problems: %s", strings.Join(res.Problems, "; "))
-	}
-	read, err := obs.ReadAuditDir(dep.Audit.Dir())
-	if err != nil {
-		return fmt.Errorf("verify: read audit dir: %w", err)
+	if res := obs.VerifyChain(read); !res.OK() {
+		return false, fmt.Errorf("verify: %saudit chain problems: %s", who(in), strings.Join(res.Problems, "; "))
 	}
 	for _, rec := range read.Records {
-		if rec.Outcome == monitor.Rejected.String() && len(rec.SecReqs) == 0 {
-			return fmt.Errorf("verify: audit record %d (%s %s) is Rejected but names no SecReq",
-				rec.Seq, rec.Trigger, rec.Resource)
+		switch {
+		case rec.Instance != in.ID:
+			return false, fmt.Errorf("verify: %saudit record %d is stamped %q", who(in), rec.Seq, rec.Instance)
+		case rec.Outcome == monitor.Rejected.String() && len(rec.SecReqs) == 0:
+			return false, fmt.Errorf("verify: %saudit record %d (%s %s) is Rejected but names no SecReq",
+				who(in), rec.Seq, rec.Trigger, rec.Resource)
+		case rec.Shed && rec.Outcome != monitor.Unverified.String():
+			return false, fmt.Errorf("verify: %saudit record %d is shed but %s, want %s",
+				who(in), rec.Seq, rec.Outcome, monitor.Unverified)
+		case rec.Late && rec.LagNanos < 0:
+			return false, fmt.Errorf("verify: %saudit record %d has negative detection lag %d ns", who(in), rec.Seq, rec.LagNanos)
+		case rec.Late && rec.ReturnUnixNano <= 0:
+			return false, fmt.Errorf("verify: %slate audit record %d lacks a response-return timestamp", who(in), rec.Seq)
+		}
+		if rec.Shed {
+			tally.shed++
+		}
+		if rec.Late && rec.Outcome == monitor.ViolationPostcondition.String() {
+			tally.lateViolations++
 		}
 	}
-	return nil
+	return len(read.Segments) == 0, nil
+}
+
+// packReplay closes one instance's evidence loop: pack the trail, verify
+// the pack envelope, then replay each packed verdict against its packed
+// snapshots and require zero divergence — the trail must reproduce the
+// monitor's decisions, not merely describe them. It returns the packed
+// records.
+func packReplay(in *loadgen.Instance, sc loadgen.Scenario, path string, priv ed25519.PrivateKey, replayer *monitor.Replayer) ([]obs.AuditRecord, error) {
+	if _, err := buildPack(in, sc, path, priv); err != nil {
+		return nil, fmt.Errorf("verify: %sbuild evidence pack: %w", who(in), err)
+	}
+	p, err := evidence.OpenPack(path)
+	if err != nil {
+		return nil, fmt.Errorf("verify: %sopen evidence pack: %w", who(in), err)
+	}
+	defer p.Close()
+	rep, err := p.Verify(priv.Public().(ed25519.PublicKey))
+	if err != nil {
+		return nil, fmt.Errorf("verify: %sverify evidence pack: %w", who(in), err)
+	}
+	if !rep.PackOK() {
+		return nil, fmt.Errorf("verify: %sevidence pack envelope failed: %s", who(in), strings.Join(rep.Problems, "; "))
+	}
+	recs, err := p.Records()
+	if err != nil {
+		return nil, fmt.Errorf("verify: %sread packed records: %w", who(in), err)
+	}
+	if sum := replayer.ReplayAll(recs.Records); !sum.OK() {
+		msg := fmt.Sprintf("verify: %sevidence replay diverged on %d of %d packed verdicts", who(in), sum.Diverged, sum.Total)
+		if len(sum.Failures) > 0 {
+			f := sum.Failures[0]
+			msg += fmt.Sprintf(" (first: seq %d %s: %s)", f.Seq, f.Trigger, f.Reason)
+		}
+		return nil, fmt.Errorf("%s", msg)
+	}
+	return recs.Records, nil
 }
 
 // verifyReport asserts the structural verdict invariants a chaotic run
@@ -536,7 +590,7 @@ func verifyObs(dep *loadgen.Deployment, r *loadgen.Report) error {
 // fail-closed monitor never recorded an unverified forward — except the
 // explicitly accounted async-queue sheds, which must match the shed
 // counter one-for-one.
-func verifyReport(sc loadgen.Scenario, r *loadgen.Report, policy monitor.FailPolicy, post monitor.PostMode, ap *loadgen.AsyncPostReport) error {
+func verifyReport(sc loadgen.Scenario, r *loadgen.Report, policy monitor.FailPolicy, post monitor.PostMode) error {
 	if r.Errors > 0 {
 		return fmt.Errorf("verify: %d transport errors — the monitor itself failed under faults", r.Errors)
 	}
@@ -556,8 +610,8 @@ func verifyReport(sc loadgen.Scenario, r *loadgen.Report, policy monitor.FailPol
 		// verdict must be an accounted queue shed, and without async
 		// there must be none at all.
 		var shed int
-		if post == monitor.PostAsync && ap != nil {
-			shed = int(ap.Shed)
+		if post == monitor.PostAsync && r.AsyncPost != nil {
+			shed = int(r.AsyncPost.Shed)
 		}
 		if unverified != shed {
 			return fmt.Errorf("verify: fail-closed run recorded %d unverified verdicts, want %d (= async sheds)",
@@ -567,69 +621,37 @@ func verifyReport(sc loadgen.Scenario, r *loadgen.Report, policy monitor.FailPol
 	return nil
 }
 
-// verifyAsync asserts the deferred-verification invariants of a -post
-// async run: every shed surfaced as exactly one shed-tagged Unverified
-// audit record, every late record's detection lag is non-negative and
-// every accepted capture landed one lag histogram sample; on a serial,
-// fault-free run it then replays the identical scenario against a
-// synchronous twin deployment and requires the verdict multisets to be
-// identical — the async pipeline may delay verdicts, never change them.
-func verifyAsync(sc loadgen.Scenario, r *loadgen.Report, dep *loadgen.Deployment, opts loadgen.DeployOptions, out io.Writer) error {
-	if dep == nil || opts.Post != monitor.PostAsync {
-		return nil
-	}
-	st := dep.Sys.Monitor.AsyncPostStats()
+// verifyAsync asserts the deferred-verification invariants (all zero
+// under synchronous post): the queues drained, every accepted capture
+// landed one lag histogram sample, and the trails hold one shed-tagged
+// record per shed capture and one late postcondition violation per
+// counted one. On a serial, fault-free async run it then replays the
+// identical scenario against a synchronous twin deployment and requires
+// the verdict multisets to be identical — the async pipeline may delay
+// verdicts, never change them.
+func verifyAsync(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scenario, r *loadgen.Report, tally trailTally, out io.Writer) error {
+	st := dep.AsyncPostStats()
 	if st.Pending != 0 {
-		return fmt.Errorf("verify: async post queue still holds %d captures after drain", st.Pending)
+		return fmt.Errorf("verify: async post queues still hold %d captures after drain", st.Pending)
 	}
 	if st.Lag.Count != st.Enqueued {
 		return fmt.Errorf("verify: %d captures enqueued but %d lag samples observed", st.Enqueued, st.Lag.Count)
 	}
-	if dep.Audit != nil {
-		if err := dep.Audit.Sync(); err != nil {
-			return fmt.Errorf("verify: sync audit log: %w", err)
-		}
-		read, err := obs.ReadAuditDir(dep.Audit.Dir())
-		if err != nil {
-			return fmt.Errorf("verify: read audit dir: %w", err)
-		}
-		shedRecs, lateViol := 0, 0
-		for _, rec := range read.Records {
-			if rec.Shed {
-				shedRecs++
-				if rec.Outcome != monitor.Unverified.String() {
-					return fmt.Errorf("verify: audit record %d is shed but %s, want %s",
-						rec.Seq, rec.Outcome, monitor.Unverified)
-				}
-			}
-			if rec.Late {
-				if rec.LagNanos < 0 {
-					return fmt.Errorf("verify: audit record %d has negative detection lag %d ns", rec.Seq, rec.LagNanos)
-				}
-				if rec.ReturnUnixNano <= 0 {
-					return fmt.Errorf("verify: late audit record %d lacks a response-return timestamp", rec.Seq)
-				}
-				if rec.Outcome == monitor.ViolationPostcondition.String() {
-					lateViol++
-				}
-			}
-		}
-		if shedRecs != int(st.Shed) {
-			return fmt.Errorf("verify: monitor shed %d captures but the trail holds %d shed records", st.Shed, shedRecs)
-		}
-		if lateViol != int(st.LateViolations) {
-			return fmt.Errorf("verify: monitor counted %d late violations but the trail holds %d", st.LateViolations, lateViol)
-		}
+	if tally.shed != int(st.Shed) {
+		return fmt.Errorf("verify: monitors shed %d captures but the trails hold %d shed records", st.Shed, tally.shed)
+	}
+	if tally.lateViolations != int(st.LateViolations) {
+		return fmt.Errorf("verify: monitors counted %d late violations but the trails hold %d", st.LateViolations, tally.lateViolations)
 	}
 	// The sync twin needs a deterministic replay: one client, closed
 	// loop, no fault injection, nothing shed (a shed abandons a post
 	// phase the twin will evaluate, so the multisets could not match).
-	if sc.Clients != 1 || sc.Rate != 0 || opts.Faults != nil || st.Shed != 0 {
+	if opts.Monitor.Post != monitor.PostAsync || sc.Clients != 1 || sc.Rate != 0 || opts.Faults != nil || st.Shed != 0 {
 		return nil
 	}
 	twin := opts
-	twin.Post = monitor.PostSync
-	twin.PostQueueCap, twin.PostWorkers, twin.PostBackpressure = 0, 0, 0
+	twin.Monitor.Post = monitor.PostSync
+	twin.Monitor.PostQueueCap, twin.Monitor.PostWorkers, twin.Monitor.PostBackpressure = 0, 0, 0
 	twin.AuditDir = ""
 	tdep, err := loadgen.Deploy(twin)
 	if err != nil {
@@ -640,33 +662,29 @@ func verifyAsync(sc loadgen.Scenario, r *loadgen.Report, dep *loadgen.Deployment
 	if err != nil {
 		return fmt.Errorf("verify: run sync twin: %w", err)
 	}
-	for outcome, n := range r.Verdicts {
-		if trep.Verdicts[outcome] != n {
-			return fmt.Errorf("verify: async run saw %d %s verdicts, sync twin %d — deferred verification changed a verdict",
-				n, outcome, trep.Verdicts[outcome])
-		}
-	}
-	for outcome, n := range trep.Verdicts {
-		if r.Verdicts[outcome] != n {
-			return fmt.Errorf("verify: sync twin saw %d %s verdicts, async run %d — deferred verification changed a verdict",
-				n, outcome, r.Verdicts[outcome])
+	for _, verdicts := range []map[string]int{r.Verdicts, trep.Verdicts} {
+		for outcome := range verdicts {
+			if r.Verdicts[outcome] != trep.Verdicts[outcome] {
+				return fmt.Errorf("verify: async run saw %d %s verdicts, sync twin %d — deferred verification changed a verdict",
+					r.Verdicts[outcome], outcome, trep.Verdicts[outcome])
+			}
 		}
 	}
 	fmt.Fprintln(out, "verify: async verdict multiset ≡ synchronous twin")
 	return nil
 }
 
-// verifyFetch asserts the run's fetch-economy invariants: the monitor
-// never reads more of the cloud than the paper's whole-snapshot workflow
+// verifyFetch asserts the run's fetch-economy invariants: the monitors
+// never read more of the cloud than the paper's whole-snapshot workflow
 // would (the whole-snapshot bound: two full snapshots per checked
 // request), and a serial closed loop coalesces nothing — with one client
 // there is never a concurrent identical read in flight to share.
 func verifyFetch(sc loadgen.Scenario, r *loadgen.Report, dep *loadgen.Deployment) error {
-	if dep == nil || r.Fetch == nil || r.Fetch.Requests == 0 {
+	if r.Fetch == nil || r.Fetch.Requests == 0 {
 		return nil
 	}
 	perRequest := 0
-	for _, c := range dep.Sys.Contracts.Contracts {
+	for _, c := range dep.Instances[0].Sys.Contracts.Contracts {
 		if n := 2 * len(c.StatePaths()); n > perRequest {
 			perRequest = n
 		}
@@ -711,8 +729,7 @@ func externalTarget(targetURL, cloudURL, project, creds string) (loadgen.Target,
 		tokens[role] = tok
 	}
 	return loadgen.Target{
-		BaseURL:   targetURL,
-		ProjectID: project,
-		Tokens:    tokens,
+		BaseURL: targetURL,
+		Tenants: []loadgen.Tenant{{ProjectID: project, Tokens: tokens}},
 	}, nil
 }

@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"cloudmon/internal/evidence"
 	"cloudmon/internal/obs"
 )
 
@@ -83,6 +87,9 @@ func TestBadArgs(t *testing.T) {
 		{"-mode", "panic"},
 		{"-level", "extreme"},
 		{"-target", "http://127.0.0.1:1"}, // missing -cloud/-project
+		{"-fleet-projects", "4"},          // fleet knobs need -fleet
+		{"-fleet-rtt", "1ms"},
+		{"-fleet-conns", "2"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer
@@ -118,5 +125,47 @@ func TestVerifyWithAudit(t *testing.T) {
 	}
 	if !res.OK() || res.Records == 0 {
 		t.Fatalf("audit chain: %+v problems %v", res, res.Problems)
+	}
+}
+
+// TestEmptyTrailsAndPacks: an instance whose trail is empty judged
+// nothing non-OK, so -verify reports it instead of replaying and -pack
+// writes no pack for it — on a clean lone run, and on a fleet where
+// rendezvous hashing leaves members without a project. A lone monitor's
+// pack goes at -pack itself, a fleet member's at -pack/<id>, and a fleet
+// report carries the merged stage breakdown.
+func TestEmptyTrailsAndPacks(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		args     []string
+		manifest string // the pack's directory under -pack ("" = no pack at all)
+		want     []string
+	}{
+		{[]string{"-scenario", "cinder-read-heavy"}, "", []string{"verify: audit trail is empty", "no pack written"}},
+		{[]string{"-fleet", "4", "-fleet-projects", "1"}, "",
+			[]string{"verify: m-00: audit trail is empty", "stage pre_snapshot", "verify: fleet invariants hold"}},
+		{[]string{"-scenario", "cinder-forbidden"}, ".", nil},
+		{[]string{"-fleet", "1", "-scenario", "cinder-forbidden"}, "m-00", nil},
+	}
+	for i, c := range cases {
+		pack := filepath.Join(dir, fmt.Sprintf("run-%d.pack", i))
+		args := append(c.args, "-requests", "60", "-clients", "1", "-verify", "-pack", pack)
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Errorf("run(%v): %v\n%s", args, err, out.String())
+			continue
+		}
+		for _, want := range append(c.want, "verify: structural invariants hold") {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("run(%v) output lacks %q:\n%s", args, want, out.String())
+			}
+		}
+		if c.manifest == "" {
+			if _, err := os.Stat(pack); !os.IsNotExist(err) {
+				t.Errorf("run(%v) wrote %s for empty trails (stat: %v)", args, pack, err)
+			}
+		} else if _, err := os.Stat(filepath.Join(pack, c.manifest, evidence.ManifestName)); err != nil {
+			t.Errorf("run(%v): no pack where expected: %v\n%s", args, err, out.String())
+		}
 	}
 }

@@ -351,7 +351,7 @@ func TestExperimentE19EvidencePack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Requests, sc.Warmup = 400, 0
-	dep, err := loadgen.Deploy(loadgen.DeployOptions{AuditDir: t.TempDir()})
+	dep, err := loadgen.Deploy(loadgen.Options{AuditDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,8 @@ func TestExperimentE19EvidencePack(t *testing.T) {
 	if _, err := loadgen.Run(sc, dep.Target); err != nil {
 		t.Fatal(err)
 	}
-	if err := dep.Audit.Sync(); err != nil {
+	inst := dep.Instances[0]
+	if err := inst.Audit.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -368,10 +369,10 @@ func TestExperimentE19EvidencePack(t *testing.T) {
 		t.Fatal(err)
 	}
 	packPath := filepath.Join(t.TempDir(), "run.pack")
-	res, err := evidence.BuildPack(dep.Audit.Dir(), packPath, evidence.PackOptions{
+	res, err := evidence.BuildPack(inst.Audit.Dir(), packPath, evidence.PackOptions{
 		Key:       priv,
 		Scenario:  sc.Name,
-		SetDigest: dep.Sys.Contracts.Digest(),
+		SetDigest: inst.Sys.Contracts.Digest(),
 		Tool:      "experiments",
 	})
 	if err != nil {
@@ -397,7 +398,7 @@ func TestExperimentE19EvidencePack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayer, err := monitor.NewReplayer(dep.Sys.Contracts)
+	replayer, err := monitor.NewReplayer(inst.Sys.Contracts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +478,7 @@ func TestExperimentE20FleetScaling(t *testing.T) {
 	}
 	var results []result
 	for _, n := range []int{1, 2, 4} {
-		fdep, err := loadgen.DeployFleet(loadgen.FleetOptions{
+		fdep, err := loadgen.Deploy(loadgen.Options{
 			Instances: n, TenantCount: tenants, RTT: rtt, Conns: connsPerInst,
 		})
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudmon/internal/core"
 	"cloudmon/internal/faults"
 	"cloudmon/internal/loadgen"
 	"cloudmon/internal/monitor"
@@ -39,16 +40,18 @@ func matrixRule(kind faults.Kind) faults.Rule {
 // deployCell builds a fresh deployment for one matrix cell.
 func deployCell(t *testing.T, kind faults.Kind, policy monitor.FailPolicy) *loadgen.Deployment {
 	t.Helper()
-	opts := loadgen.DeployOptions{
-		Level:        monitor.CheckPreOnly,
-		FailPolicy:   policy,
-		CloudTimeout: 200 * time.Millisecond,
-		Retry:        osclient.RetryPolicy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond},
-		Faults:       &faults.Profile{Rules: []faults.Rule{matrixRule(kind)}},
+	opts := loadgen.Options{
+		Monitor: core.Options{
+			Level:        monitor.CheckPreOnly,
+			FailPolicy:   policy,
+			CloudTimeout: 200 * time.Millisecond,
+			Retry:        osclient.RetryPolicy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond},
+		},
+		Faults: &faults.Profile{Rules: []faults.Rule{matrixRule(kind)}},
 	}
 	if policy == monitor.Degrade {
-		opts.PreStateCacheTTL = 30 * time.Millisecond
-		opts.DegradeTTL = 10 * time.Second
+		opts.Monitor.PreStateCacheTTL = 30 * time.Millisecond
+		opts.Monitor.DegradeTTL = 10 * time.Second
 	}
 	dep, err := loadgen.Deploy(opts)
 	if err != nil {
@@ -61,7 +64,7 @@ func deployCell(t *testing.T, kind faults.Kind, policy monitor.FailPolicy) *load
 func adminClient(dep *loadgen.Deployment) *osclient.Client {
 	return &osclient.Client{
 		BaseURL:    dep.Target.BaseURL,
-		Token:      dep.Target.Tokens[loadgen.RoleAdmin],
+		Token:      dep.Tenants[0].Tokens[loadgen.RoleAdmin],
 		HTTPClient: dep.Target.HTTPClient,
 	}
 }
@@ -95,13 +98,14 @@ func TestFaultPolicyMatrix(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", kind, policy), func(t *testing.T) {
 				t.Parallel()
 				dep := deployCell(t, kind, policy)
-				mon := dep.Sys.Monitor
+				mon := dep.Instances[0].Sys.Monitor
 
 				// Phase 1, faults off: seed a volume and warm the
 				// pre-state cache with an identical read.
 				dep.Injector.SetEnabled(false)
 				admin := adminClient(dep)
-				volPath := "/projects/" + dep.ProjectID + "/volumes/" + mustCreateVolume(t, admin, dep.ProjectID)
+				project := dep.Tenants[0].ProjectID
+				volPath := "/projects/" + project + "/volumes/" + mustCreateVolume(t, admin, project)
 				if status, err := admin.Do(http.MethodGet, volPath, nil, nil, nil); err != nil || status != http.StatusOK {
 					t.Fatalf("warm read: status %d err %v", status, err)
 				}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cloudmon/internal/core"
 	"cloudmon/internal/monitor"
 	"cloudmon/internal/obs"
 )
@@ -24,11 +25,11 @@ func fleetScenario(clients, requests int) Scenario {
 // and sweeps every instance's verdict log with the single-instance
 // invariant checker. Under -race this is the concurrency proof for the
 // front's fence and the per-instance pipelines together.
-func runFleet(t *testing.T, opts FleetOptions, requests int) (*FleetDeployment, *Report) {
+func runFleet(t *testing.T, opts Options, requests int) (*Deployment, *Report) {
 	t.Helper()
-	opts.Mode = monitor.Enforce
-	opts.MaxLog = requests + 1024
-	dep, err := DeployFleet(opts)
+	opts.Monitor.Mode = monitor.Enforce
+	opts.Monitor.MaxLog = requests + 1024
+	dep, err := Deploy(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func runFleet(t *testing.T, opts FleetOptions, requests int) (*FleetDeployment, 
 		t.Errorf("%d transport errors through the front", rep.Errors)
 	}
 	for _, in := range dep.Instances {
-		checkVerdictInvariants(t, in.Sys.Monitor.Log(), monitor.Enforce, opts.FailPolicy)
+		checkVerdictInvariants(t, in.Sys.Monitor.Log(), monitor.Enforce, opts.Monitor.FailPolicy)
 	}
 	return dep, rep
 }
@@ -55,7 +56,7 @@ func TestFleetVerdictConservation(t *testing.T) {
 	if testing.Short() {
 		requests = 800
 	}
-	dep, rep := runFleet(t, FleetOptions{Instances: 3, TenantCount: 12}, requests)
+	dep, rep := runFleet(t, Options{Instances: 3, TenantCount: 12}, requests)
 
 	total := 0
 	for _, n := range rep.Verdicts {
@@ -97,11 +98,7 @@ func TestFleetVerdictConservation(t *testing.T) {
 
 	// The federated exposition parses, one header per family, and carries
 	// each instance's verdict counters under its instance label.
-	doc, err := dep.FederatedMetrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseText([]byte(doc))
+	samples, err := obs.ParseText([]byte(dep.Metrics()))
 	if err != nil {
 		t.Fatalf("federated exposition does not parse: %v", err)
 	}
@@ -131,10 +128,11 @@ func TestFleetResizeRemap(t *testing.T) {
 	if testing.Short() {
 		requests = 1200
 	}
-	opts := FleetOptions{Instances: 4, TenantCount: 32}
-	opts.Mode = monitor.Enforce
-	opts.MaxLog = requests + 1024
-	dep, err := DeployFleet(opts)
+	dep, err := Deploy(Options{
+		Monitor:     core.Options{Mode: monitor.Enforce, MaxLog: requests + 1024},
+		Instances:   4,
+		TenantCount: 32,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +216,9 @@ func TestFleetChaosSoak(t *testing.T) {
 	if testing.Short() {
 		requests = 800
 	}
-	base := chaosOpts(t, monitor.FailOpen)
-	dep, rep := runFleet(t, FleetOptions{
-		DeployOptions: base,
-		Instances:     3,
-		TenantCount:   12,
-	}, requests)
+	opts := chaosOpts(t, monitor.FailOpen)
+	opts.Instances, opts.TenantCount = 3, 12
+	dep, rep := runFleet(t, opts, requests)
 	if dep.Injector == nil || dep.Injector.Total() == 0 {
 		t.Fatal("fleet chaos soak injected no faults; the profile is not wired in")
 	}
@@ -243,10 +238,10 @@ func TestFleetAsyncPostAggregation(t *testing.T) {
 	if testing.Short() {
 		requests = 600
 	}
-	dep, rep := runFleet(t, FleetOptions{
-		DeployOptions: DeployOptions{Post: monitor.PostAsync},
-		Instances:     2,
-		TenantCount:   8,
+	dep, rep := runFleet(t, Options{
+		Monitor:     core.Options{Post: monitor.PostAsync},
+		Instances:   2,
+		TenantCount: 8,
 	}, requests)
 	st := dep.AsyncPostStats()
 	if st.Enqueued == 0 {
@@ -272,19 +267,15 @@ func TestFleetAuditStamping(t *testing.T) {
 	if testing.Short() {
 		requests = 600
 	}
-	dep, rep := runFleet(t, FleetOptions{
-		DeployOptions: DeployOptions{AuditDir: dir},
-		Instances:     3,
-		TenantCount:   9,
-	}, requests)
+	dep, rep := runFleet(t, Options{AuditDir: dir, Instances: 3, TenantCount: 9}, requests)
 	if err := dep.Close(); err != nil {
 		t.Fatal(err)
 	}
 	stamped := 0
 	for _, in := range dep.Instances {
-		recs, err := obs.ReadAuditDir(in.AuditDir)
+		recs, err := obs.ReadAuditDir(in.Audit.Dir())
 		if err != nil {
-			t.Fatalf("scan %s: %v", in.AuditDir, err)
+			t.Fatalf("scan %s: %v", in.Audit.Dir(), err)
 		}
 		for _, rec := range recs.Records {
 			if rec.Instance != in.ID {

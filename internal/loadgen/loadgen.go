@@ -117,7 +117,9 @@ type Scenario struct {
 type Tenant struct {
 	// ProjectID is the tenant's project.
 	ProjectID string
-	// Tokens maps role name -> X-Auth-Token for this project.
+	// Tokens maps role name -> X-Auth-Token for this project. The
+	// anonymous role maps to the empty token; roles absent from the map
+	// are issued unauthenticated.
 	Tokens map[string]string
 }
 
@@ -129,16 +131,11 @@ type Target struct {
 	// HTTPClient performs the requests (httpkit.HandlerClient for
 	// in-process runs; nil means http.DefaultClient).
 	HTTPClient *http.Client
-	// ProjectID is the project whose volume API the workload addresses.
-	ProjectID string
-	// Tokens maps role name -> X-Auth-Token. The anonymous role maps to
-	// the empty token; roles absent from the map are issued unauthenticated.
-	Tokens map[string]string
-	// Tenants, when non-empty, spreads the workload across multiple
-	// projects: each request draws a tenant uniformly, and every tenant
-	// keeps its own volume pool and role clients. ProjectID/Tokens are
-	// ignored in that case. Fleet runs route per-project, so a
-	// multi-tenant workload is what exercises the sharding.
+	// Tenants are the projects whose volume API the workload addresses
+	// (at least one). With several, each request draws a tenant
+	// uniformly, and every tenant keeps its own volume pool and role
+	// clients; fleet runs route per project, so a multi-tenant workload
+	// is what exercises the sharding.
 	Tenants []Tenant
 	// Outcomes, if set, supplies the monitor's outcome counters; Run
 	// diffs it around the run to produce the report's verdict tallies.
@@ -147,9 +144,9 @@ type Target struct {
 	// (faults.Injector.Counts); Run diffs it around the run to report how
 	// much chaos the run actually absorbed.
 	Faults func() map[string]int
-	// Stages, if set, supplies the monitor's per-pipeline-stage latency
-	// summaries (monitor.StageSummaries); sampled after the run for the
-	// report's stage breakdown.
+	// Stages, if set, supplies the per-pipeline-stage latency summaries
+	// (Deployment.Stages); sampled after the run for the report's stage
+	// breakdown.
 	Stages func() map[string]obs.StageSummary
 	// Audit, if set, supplies the audit sink's per-outcome record counts
 	// (obs.AuditLog.Counts); Run diffs it around the run so the report's
@@ -277,10 +274,7 @@ func Run(sc Scenario, tgt Target) (*Report, error) {
 	}
 	tenants := tgt.Tenants
 	if len(tenants) == 0 {
-		if tgt.ProjectID == "" {
-			return nil, fmt.Errorf("loadgen: target has no project id")
-		}
-		tenants = []Tenant{{ProjectID: tgt.ProjectID, Tokens: tgt.Tokens}}
+		return nil, fmt.Errorf("loadgen: target has no tenants")
 	}
 
 	// One volume pool per tenant: ops on a tenant only ever address its

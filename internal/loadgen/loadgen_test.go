@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudmon/internal/core"
 	"cloudmon/internal/monitor"
 )
 
@@ -106,7 +107,7 @@ func TestVolumePool(t *testing.T) {
 // TestRunSmoke drives a small closed-loop run end to end in process and
 // checks the report's accounting.
 func TestRunSmoke(t *testing.T) {
-	dep, err := Deploy(DeployOptions{Mode: monitor.Enforce})
+	dep, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRunSmoke(t *testing.T) {
 
 // TestRunOpenLoop exercises the rate-paced dispatcher.
 func TestRunOpenLoop(t *testing.T) {
-	dep, err := Deploy(DeployOptions{Mode: monitor.Enforce})
+	dep, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestRunOpenLoop(t *testing.T) {
 // TestReportJSONShape pins the report's JSON field names — the contract of
 // `loadmon -json`.
 func TestReportJSONShape(t *testing.T) {
-	dep, err := Deploy(DeployOptions{Mode: monitor.Enforce})
+	dep, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestReportJSONShape(t *testing.T) {
 
 // TestRunValidation rejects malformed scenarios and targets.
 func TestRunValidation(t *testing.T) {
-	tgt := Target{ProjectID: "p"}
+	tgt := Target{Tenants: []Tenant{{ProjectID: "p"}}}
 	if _, err := Run(Scenario{Name: "x"}, tgt); err == nil {
 		t.Error("empty mix accepted")
 	}
@@ -235,12 +236,22 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Scenario{Name: "x",
 		Mix: []OpSpec{{Op: OpGetVolume, Role: RoleAdmin, Weight: 1}}, Requests: 1}, Target{}); err == nil {
-		t.Error("missing project accepted")
+		t.Error("target without tenants accepted")
 	}
 }
 
-// TestFetchEconomyWaves runs one serial workload in process and through
-// a one-instance fleet whose cloud is 1 ms away. Both monitors send
+// TestDeployValidation rejects options Deploy would otherwise ignore.
+func TestDeployValidation(t *testing.T) {
+	for _, opts := range []Options{{Instances: -1}, {TenantCount: 4}} {
+		if dep, err := Deploy(opts); err == nil {
+			dep.Close()
+			t.Errorf("Deploy(%+v) accepted", opts)
+		}
+	}
+}
+
+// TestFetchEconomyWaves runs one serial workload in process and against
+// a lone monitor whose cloud is 1 ms away. Both monitors send
 // waves. On these passing requests every path a wave reads is demanded,
 // so both read the cloud exactly as often, and each counts every cloud
 // GET as a fetched path.
@@ -270,22 +281,17 @@ func TestFetchEconomyWaves(t *testing.T) {
 		}
 		return report
 	}
-	dep, err := Deploy(DeployOptions{Mode: monitor.Enforce})
+	dep, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	local := run(dep.Target)
-	fl, err := DeployFleet(FleetOptions{
-		DeployOptions: DeployOptions{Mode: monitor.Enforce},
-		Instances:     1,
-		TenantCount:   1,
-		RTT:           time.Millisecond,
-	})
+	far, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce}, RTT: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
-	remote := run(fl.Target)
+	defer far.Close()
+	remote := run(far.Target)
 	t.Logf("waves: %d in process, %d at 1 ms RTT", local.Fetch.Waves, remote.Fetch.Waves)
 	if local.Fetch.Waves == 0 || remote.Fetch.Waves == 0 {
 		t.Error("a monitor sent no waves")
@@ -301,7 +307,7 @@ func TestFetchEconomyWaves(t *testing.T) {
 // each forward and again after each checked effect would, a serial loop
 // coalesces nothing, and in process every path fetch is one cloud GET.
 func TestFetchEconomySerial(t *testing.T) {
-	dep, err := Deploy(DeployOptions{Mode: monitor.Enforce})
+	dep, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +330,9 @@ func TestFetchEconomySerial(t *testing.T) {
 		t.Fatal("report has no fetch economy despite Fetch source")
 	}
 	fetched, whole := 0, 0
-	for _, v := range dep.Sys.Monitor.Log() {
-		c, ok := dep.Sys.Contracts.For(v.Trigger)
+	sys := dep.Instances[0].Sys
+	for _, v := range sys.Monitor.Log() {
+		c, ok := sys.Contracts.For(v.Trigger)
 		if !ok {
 			t.Fatalf("verdict for %s has no contract", v.Trigger)
 		}

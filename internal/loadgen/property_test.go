@@ -3,6 +3,7 @@ package loadgen
 import (
 	"testing"
 
+	"cloudmon/internal/core"
 	"cloudmon/internal/monitor"
 )
 
@@ -24,10 +25,11 @@ func TestObserveZeroViolationsProperty(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		requests := 400
-		dep, err := Deploy(DeployOptions{Mode: monitor.Observe, MaxLog: requests + 64})
+		dep, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Observe, MaxLog: requests + 64}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		mon := dep.Instances[0].Sys.Monitor
 		sc := Scenario{
 			Name: "property",
 			Mix: []OpSpec{
@@ -54,23 +56,23 @@ func TestObserveZeroViolationsProperty(t *testing.T) {
 		if report.Errors != 0 {
 			t.Errorf("seed %d: %d transport errors", seed, report.Errors)
 		}
-		for outcome, n := range dep.Sys.Monitor.Outcomes() {
+		for outcome, n := range mon.Outcomes() {
 			if outcome.IsViolation() && n > 0 {
 				t.Errorf("seed %d: %d %s verdicts on an unmutated cloud", seed, n, outcome)
 			}
 		}
-		if len(dep.Sys.Monitor.Violations()) != 0 {
-			t.Errorf("seed %d: violation log not empty: %+v", seed, dep.Sys.Monitor.Violations())
+		if len(mon.Violations()) != 0 {
+			t.Errorf("seed %d: violation log not empty: %+v", seed, mon.Violations())
 		}
 
 		// Coverage bookkeeping: the counters the inspect API reports must
 		// sum to the matched pairs actually recorded.
 		matched := 0
-		for _, v := range dep.Sys.Monitor.Log() {
+		for _, v := range mon.Log() {
 			matched += len(v.MatchedSecReqs)
 		}
 		covered := 0
-		for _, n := range dep.Sys.Monitor.Coverage() {
+		for _, n := range mon.Coverage() {
 			covered += n
 		}
 		if covered != matched {

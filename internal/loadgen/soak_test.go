@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudmon/internal/core"
 	"cloudmon/internal/faults"
 	"cloudmon/internal/monitor"
 	"cloudmon/internal/osclient"
@@ -150,14 +151,14 @@ func checkVerdictInvariants(t *testing.T, log []monitor.Verdict, mode monitor.Mo
 // clients, and checks every recorded verdict. Run under -race this is the
 // concurrency proof for the sharded log, the snapshot fan-out and the
 // pre-state cache.
-func runSoak(t *testing.T, opts DeployOptions, mode monitor.Mode) *Deployment {
+func runSoak(t *testing.T, opts Options, mode monitor.Mode) *Deployment {
 	t.Helper()
 	clients, requests := 32, 4000
 	if testing.Short() {
 		requests = 1200
 	}
-	opts.Mode = mode
-	opts.MaxLog = requests + 256 // retain every verdict for the invariant sweep
+	opts.Monitor.Mode = mode
+	opts.Monitor.MaxLog = requests + 256 // retain every verdict for the invariant sweep
 	dep, err := Deploy(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -169,18 +170,19 @@ func runSoak(t *testing.T, opts DeployOptions, mode monitor.Mode) *Deployment {
 	if report.Errors != 0 {
 		t.Errorf("%d transport errors during soak", report.Errors)
 	}
-	log := dep.Sys.Monitor.Log()
+	mon := dep.Instances[0].Sys.Monitor
+	log := mon.Log()
 	if len(log) == 0 {
 		t.Fatal("no verdicts recorded")
 	}
-	checkVerdictInvariants(t, log, mode, opts.FailPolicy)
+	checkVerdictInvariants(t, log, mode, opts.Monitor.FailPolicy)
 
 	// The sharded outcome counters must agree with the retained log.
 	fromLog := make(map[monitor.Outcome]int)
 	for _, v := range log {
 		fromLog[v.Outcome]++
 	}
-	for outcome, n := range dep.Sys.Monitor.Outcomes() {
+	for outcome, n := range mon.Outcomes() {
 		if fromLog[outcome] != n {
 			t.Errorf("outcome %s: counter %d, log %d", outcome, n, fromLog[outcome])
 		}
@@ -191,20 +193,20 @@ func runSoak(t *testing.T, opts DeployOptions, mode monitor.Mode) *Deployment {
 // TestSoakEnforce is the satellite -race soak: 32 concurrent clients, all
 // verdict classes, serial snapshots.
 func TestSoakEnforce(t *testing.T) {
-	runSoak(t, DeployOptions{}, monitor.Enforce)
+	runSoak(t, Options{}, monitor.Enforce)
 }
 
 // TestSoakObserve repeats the soak in Observe (test-oracle) mode.
 func TestSoakObserve(t *testing.T) {
-	runSoak(t, DeployOptions{}, monitor.Observe)
+	runSoak(t, Options{}, monitor.Observe)
 }
 
 // TestSoakHardened repeats the soak with the pre-state cache on, the one
 // hot-path optimisation that is a deployment choice.
 func TestSoakHardened(t *testing.T) {
-	runSoak(t, DeployOptions{
+	runSoak(t, Options{Monitor: core.Options{
 		PreStateCacheTTL: 25 * time.Millisecond,
-	}, monitor.Enforce)
+	}}, monitor.Enforce)
 }
 
 // TestSoakAsyncPost is the async-pipeline concurrency soak: 32 clients,
@@ -214,9 +216,9 @@ func TestSoakHardened(t *testing.T) {
 // is checked by the counter cross-check in runSoak (Run drains before
 // diffing).
 func TestSoakAsyncPost(t *testing.T) {
-	dep := runSoak(t, DeployOptions{Post: monitor.PostAsync}, monitor.Enforce)
+	dep := runSoak(t, Options{Monitor: core.Options{Post: monitor.PostAsync}}, monitor.Enforce)
 	defer dep.Close()
-	st := dep.Sys.Monitor.AsyncPostStats()
+	st := dep.Instances[0].Sys.Monitor.AsyncPostStats()
 	if st.Enqueued == 0 {
 		t.Fatal("async soak enqueued nothing; the pipeline is not wired in")
 	}
@@ -231,24 +233,26 @@ func TestSoakAsyncPost(t *testing.T) {
 	}
 }
 
-// chaosOpts returns DeployOptions under the checked-in ~20% mixed-fault
+// chaosOpts returns deployment options under the checked-in ~20% mixed-fault
 // profile, with a fast retry policy so the soak finishes quickly while
 // still exercising the backoff and per-attempt-deadline paths.
-func chaosOpts(t *testing.T, policy monitor.FailPolicy) DeployOptions {
+func chaosOpts(t *testing.T, policy monitor.FailPolicy) Options {
 	t.Helper()
 	profile, err := faults.LoadProfile("../faults/testdata/chaos.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return DeployOptions{
-		FailPolicy: policy,
-		Faults:     profile,
-		Retry: osclient.RetryPolicy{
-			MaxAttempts:       2,
-			BaseDelay:         time.Millisecond,
-			MaxDelay:          5 * time.Millisecond,
-			PerAttemptTimeout: 500 * time.Millisecond,
+	return Options{
+		Monitor: core.Options{
+			FailPolicy: policy,
+			Retry: osclient.RetryPolicy{
+				MaxAttempts:       2,
+				BaseDelay:         time.Millisecond,
+				MaxDelay:          5 * time.Millisecond,
+				PerAttemptTimeout: 500 * time.Millisecond,
+			},
 		},
+		Faults: profile,
 	}
 }
 
@@ -262,7 +266,7 @@ func TestSoakChaosFailClosed(t *testing.T) {
 	if dep.Injector == nil || dep.Injector.Total() == 0 {
 		t.Fatal("chaos soak injected no faults; the profile is not wired in")
 	}
-	if n := dep.Sys.Monitor.Outcomes()[monitor.Unverified]; n != 0 {
+	if n := dep.Instances[0].Sys.Monitor.Outcomes()[monitor.Unverified]; n != 0 {
 		t.Fatalf("fail-closed recorded %d Unverified verdicts, want 0", n)
 	}
 }
@@ -283,13 +287,13 @@ func TestSoakChaosFailOpen(t *testing.T) {
 // sweep (including the late-timestamp checks) runs over all of them.
 func TestSoakChaosAsyncFailOpen(t *testing.T) {
 	opts := chaosOpts(t, monitor.FailOpen)
-	opts.Post = monitor.PostAsync
+	opts.Monitor.Post = monitor.PostAsync
 	dep := runSoak(t, opts, monitor.Enforce)
 	defer dep.Close()
 	if dep.Injector == nil || dep.Injector.Total() == 0 {
 		t.Fatal("chaos soak injected no faults; the profile is not wired in")
 	}
-	if st := dep.Sys.Monitor.AsyncPostStats(); st.Enqueued == 0 || st.Pending != 0 {
+	if st := dep.Instances[0].Sys.Monitor.AsyncPostStats(); st.Enqueued == 0 || st.Pending != 0 {
 		t.Fatalf("async stats after chaos soak: %+v", st)
 	}
 }
@@ -300,17 +304,18 @@ func TestSoakChaosAsyncFailOpen(t *testing.T) {
 // record — and the counts must agree exactly.
 func TestSoakChaosAsyncShed(t *testing.T) {
 	opts := chaosOpts(t, monitor.FailClosed)
-	opts.Post = monitor.PostAsync
-	opts.PostQueueCap = 1
-	opts.PostWorkers = 1
-	opts.PostBackpressure = monitor.BackpressureShed
+	opts.Monitor.Post = monitor.PostAsync
+	opts.Monitor.PostQueueCap = 1
+	opts.Monitor.PostWorkers = 1
+	opts.Monitor.PostBackpressure = monitor.BackpressureShed
 	dep := runSoak(t, opts, monitor.Enforce)
 	defer dep.Close()
-	st := dep.Sys.Monitor.AsyncPostStats()
+	mon := dep.Instances[0].Sys.Monitor
+	st := mon.AsyncPostStats()
 	if st.Shed == 0 {
 		t.Fatal("one-slot queue under 32 clients shed nothing")
 	}
-	if got := dep.Sys.Monitor.Outcomes()[monitor.Unverified]; got != int(st.Shed) {
+	if got := mon.Outcomes()[monitor.Unverified]; got != int(st.Shed) {
 		t.Fatalf("Unverified verdicts %d, shed counter %d", got, st.Shed)
 	}
 }
@@ -320,6 +325,6 @@ func TestSoakChaosAsyncShed(t *testing.T) {
 // invalidation against the fault-ridden snapshot fan-out.
 func TestSoakChaosDegrade(t *testing.T) {
 	opts := chaosOpts(t, monitor.Degrade)
-	opts.PreStateCacheTTL = 25 * time.Millisecond
+	opts.Monitor.PreStateCacheTTL = 25 * time.Millisecond
 	runSoak(t, opts, monitor.Enforce)
 }
