@@ -39,6 +39,7 @@ import (
 	"cloudmon/internal/core"
 	"cloudmon/internal/evidence"
 	"cloudmon/internal/faults"
+	"cloudmon/internal/httpkit"
 	"cloudmon/internal/loadgen"
 	"cloudmon/internal/monitor"
 	"cloudmon/internal/obs"
@@ -358,7 +359,7 @@ func scrapeMetrics(addr string, r *loadgen.Report, out io.Writer) error {
 		return fmt.Errorf("scrape %s: %w", url, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err := httpkit.ReadBounded(resp.Body, httpkit.MaxScrapeBytes)
 	if err != nil {
 		return fmt.Errorf("scrape %s: %w", url, err)
 	}

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"cloudmon/internal/httpkit"
 	"cloudmon/internal/obs"
 	"cloudmon/internal/osclient"
 )
@@ -25,6 +25,10 @@ type busMessage struct {
 
 // maxBusBody bounds what the invalidate handler will read.
 const maxBusBody = 64
+
+// maxBusReply bounds the reply to a bump PostInvalidate reads: a 204, or
+// a one-line refusal.
+const maxBusReply = 4 << 10
 
 // Bus is the cross-instance invalidation fan-out: wired into a monitor's
 // OnInvalidate hook, it checks whether the mutated project belongs to
@@ -116,8 +120,8 @@ func InvalidateHandler(inv Invalidator) http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBusBody+1))
-		if err != nil || len(body) > maxBusBody {
+		body, err := httpkit.ReadBounded(r.Body, maxBusBody)
+		if err != nil {
 			http.Error(w, "bump exceeds 64 bytes", http.StatusBadRequest)
 			return
 		}
@@ -149,7 +153,9 @@ func PostInvalidate(client *http.Client, baseURL, project string) error {
 		return err
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
+	if _, err := httpkit.ReadBounded(resp.Body, maxBusReply); err != nil {
+		return fmt.Errorf("fleet: bump reply: %w", err)
+	}
 	if resp.StatusCode >= 300 {
 		return fmt.Errorf("fleet: bump rejected: %s", resp.Status)
 	}

@@ -2,10 +2,11 @@ package fleet
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+
+	"cloudmon/internal/httpkit"
 )
 
 // NewRemoteMember builds a Member over a network-reachable cloudmon
@@ -40,8 +41,11 @@ func NewRemoteMember(id, proxyURL, inspectURL string, client *http.Client) (*Mem
 		if resp.StatusCode != http.StatusOK {
 			return "", fmt.Errorf("fleet: instance %s metrics: %s", id, resp.Status)
 		}
-		body, err := io.ReadAll(resp.Body)
-		return string(body), err
+		body, err := httpkit.ReadBounded(resp.Body, httpkit.MaxScrapeBytes)
+		if err != nil {
+			return "", fmt.Errorf("fleet: instance %s metrics: %w", id, err)
+		}
+		return string(body), nil
 	}
 	m.Invalidate = func(project string) error {
 		return PostInvalidate(httpc, inspectURL, project)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 )
 
@@ -111,10 +112,45 @@ func WriteError(w http.ResponseWriter, err error) {
 	WriteJSON(w, apiErr.Status, body)
 }
 
+// MaxBodyBytes bounds the JSON bodies exchanged with the cloud and the
+// monitor: the requests they accept and the responses their clients read.
+const MaxBodyBytes = 1 << 20
+
+// MaxScrapeBytes bounds a scraped /metrics exposition document.
+const MaxScrapeBytes = 16 << 20
+
+// BodyTooLargeError is ReadBounded's answer to a body over its limit.
+type BodyTooLargeError struct {
+	Limit int
+}
+
+// Error implements the error interface.
+func (e *BodyTooLargeError) Error() string {
+	if e.Limit%(1<<20) == 0 {
+		return "body exceeds " + strconv.Itoa(e.Limit>>20) + " MiB"
+	}
+	return "body exceeds " + strconv.Itoa(e.Limit) + " bytes"
+}
+
+// ReadBounded reads r to its end. A body longer than limit bytes fails
+// with a *BodyTooLargeError rather than being cut: a cut JSON document
+// fails to decode with a misleading error, or decodes to a different
+// one, and a cut metrics page parses as a shorter page.
+func ReadBounded(r io.Reader, limit int) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, int64(limit)+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > limit {
+		return nil, &BodyTooLargeError{Limit: limit}
+	}
+	return data, nil
+}
+
 // ReadJSON decodes the request body into v, returning a BadRequest APIError
 // on malformed input.
 func ReadJSON(r *http.Request, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := ReadBounded(r.Body, MaxBodyBytes)
 	if err != nil {
 		return BadRequest("read body: %v", err)
 	}

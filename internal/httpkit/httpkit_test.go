@@ -239,3 +239,25 @@ func TestWriteJSONNilBody(t *testing.T) {
 		t.Errorf("code=%d body=%q", rec.Code, rec.Body.String())
 	}
 }
+
+func TestReadBounded(t *testing.T) {
+	for _, tc := range []struct {
+		n, limit int
+		wantErr  string
+	}{
+		{0, 8, ""},
+		{8, 8, ""},
+		{9, 8, "body exceeds 8 bytes"},
+		{MaxBodyBytes, MaxBodyBytes, ""},
+		{MaxBodyBytes + 1, MaxBodyBytes, "body exceeds 1 MiB"},
+	} {
+		data, err := ReadBounded(strings.NewReader(strings.Repeat("x", tc.n)), tc.limit)
+		var tooLarge *BodyTooLargeError
+		switch {
+		case tc.wantErr == "" && (err != nil || len(data) != tc.n):
+			t.Errorf("%d bytes under a %d limit: %d bytes, %v", tc.n, tc.limit, len(data), err)
+		case tc.wantErr != "" && (!errors.As(err, &tooLarge) || err.Error() != tc.wantErr || data != nil):
+			t.Errorf("%d bytes under a %d limit: %v, want %q", tc.n, tc.limit, err, tc.wantErr)
+		}
+	}
+}

@@ -15,13 +15,15 @@ func Analyzers() []*Analyzer {
 // hotFuncs names the per-request hot path, per package: the monitor's
 // demand loop, which runs once per clause and re-enters once per demanded
 // path, and the per-path pre-state read (a cache hit returns from it
-// without leaving); and the compiled engine's slot accessors and program
+// without leaving); the compiled engine's slot accessors and program
 // entry, which every clause closure funnels through, where a stray
-// allocation multiplies by the atom count.
-// Everything reachable per request but outside these (stage timing,
-// provider calls, forwarding, verdict recording) allocates or reads the
-// clock by design. TestHotFuncsNameRealFunctions keeps every entry
-// pointing at a function that exists.
+// allocation multiplies by the atom count; and the state provider's
+// per-read resolver and its response scanner, which runs over every body
+// the cloud returns.
+// Everything reachable per request but outside these (stage timing, the
+// provider's retry loop, forwarding, verdict recording) allocates or
+// reads the clock by design. TestHotFuncsNameRealFunctions keeps every
+// entry pointing at a function that exists.
 var hotFuncs = map[string]map[string]bool{
 	"monitor": {
 		"evalProgram":         true,
@@ -36,6 +38,17 @@ var hotFuncs = map[string]map[string]bool{
 		"(*Frame).Pre":        true,
 		"(*Frame).Filled":     true,
 		"(*Program).Run":      true,
+	},
+	"osbinding": {
+		"(*Provider).resolve":   true,
+		"(*binding).target":     true,
+		"(*shape).decode":       true,
+		"(*shape).scan":         true,
+		"(*scanner).object":     true,
+		"(*scanner).value":      true,
+		"(*scanner).array":      true,
+		"(*scanner).skip":       true,
+		"(*scanner).collection": true,
 	},
 }
 

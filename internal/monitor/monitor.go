@@ -1076,7 +1076,7 @@ var defaultForwardClient = &http.Client{
 
 // maxForwardBody bounds the request and response bodies the forwarder
 // carries.
-const maxForwardBody = 1 << 20
+const maxForwardBody = httpkit.MaxBodyBytes
 
 // Forward implements Forwarder. A request or response body over
 // maxForwardBody fails the forward: a cut request body could be a
@@ -1089,12 +1089,9 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 	}
 	var body io.Reader
 	if r.Body != nil {
-		data, err := io.ReadAll(io.LimitReader(r.Body, maxForwardBody+1))
+		data, err := httpkit.ReadBounded(r.Body, maxForwardBody)
 		if err != nil {
 			return nil, fmt.Errorf("monitor: read request body: %w", err)
-		}
-		if len(data) > maxForwardBody {
-			return nil, fmt.Errorf("monitor: request body exceeds %d bytes", maxForwardBody)
 		}
 		if len(data) > 0 {
 			body = bytes.NewReader(data)
@@ -1124,12 +1121,9 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 		return nil, fmt.Errorf("monitor: backend request: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBody+1))
+	data, err := httpkit.ReadBounded(resp.Body, maxForwardBody)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: read backend response: %w", err)
-	}
-	if len(data) > maxForwardBody {
-		return nil, fmt.Errorf("monitor: backend response body exceeds %d bytes", maxForwardBody)
 	}
 	return &BackendResponse{
 		StatusCode: resp.StatusCode,

@@ -11,20 +11,26 @@
 //	                  200 -> the project id; otherwise OclUndefined
 //	project.volumes   GET  /volume/v3/{project_id}/volumes
 //	                  200 -> collection of volume ids
+//	project.servers   GET  /compute/v2.1/{project_id}/servers
+//	                  200 -> collection of server ids
 //	quota_sets.volume GET  /volume/v3/{project_id}/quota_sets
 //	                  200 -> the volume quota integer
 //	volume.status     GET  /volume/v3/{project_id}/volumes/{volume_id}
 //	                  200 -> the status string; otherwise OclUndefined
+//	server.status     GET  /compute/v2.1/{project_id}/servers/{server_id}
+//	                  200 -> the status string; otherwise OclUndefined
 //	user.id.groups    GET  /identity/v3/auth/tokens (X-Subject-Token =
 //	                  requester token) -> the requester's project roles
 //
-// The provider authenticates as a dedicated monitoring service account
-// with read access, exactly like a real monitoring deployment would.
+// Each read decodes only the field its path binds (decode.go). The
+// provider authenticates as a dedicated monitoring service account with
+// read access, exactly like a real monitoring deployment would.
 package osbinding
 
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,6 +40,9 @@ import (
 	"cloudmon/internal/monitor"
 	"cloudmon/internal/obs"
 	"cloudmon/internal/ocl"
+	"cloudmon/internal/openstack/cinder"
+	"cloudmon/internal/openstack/keystone"
+	"cloudmon/internal/openstack/nova"
 	"cloudmon/internal/osclient"
 	"cloudmon/internal/uml"
 )
@@ -300,206 +309,127 @@ func (p *Provider) Snapshot(ctx *monitor.RequestContext, paths []string) (ocl.Ma
 // request (which multiplies under concurrent proxy load).
 const DefaultMaxParallel = 8
 
+// binding is one state path's REST read.
+type binding struct {
+	// url is the GET's path; each {name} segment takes the request param
+	// of that name, and a request without it reads OclUndefined.
+	url string
+	// subject sends the requester's token as X-Subject-Token, and a
+	// request without one reads OclUndefined.
+	subject bool
+	// resp is the response type the typed client decodes the body into,
+	// and bind the dotted JSON path of the one field the state path reads.
+	resp any
+	bind string
+
+	lits, params []string // url around and at its {name} segments
+	shape        shape
+}
+
+// bindings maps each state path to its read (see the package doc).
+var bindings = map[string]*binding{
+	"project.id": {url: "/identity/v3/projects/{project_id}", bind: "project.id",
+		resp: struct {
+			Project keystone.Project `json:"project"`
+		}{}},
+	"project.volumes": {url: "/volume/v3/{project_id}/volumes", bind: "volumes.id",
+		resp: struct {
+			Volumes []cinder.Volume `json:"volumes"`
+		}{}},
+	"project.servers": {url: "/compute/v2.1/{project_id}/servers", bind: "servers.id",
+		resp: struct {
+			Servers []nova.Server `json:"servers"`
+		}{}},
+	"quota_sets.volume": {url: "/volume/v3/{project_id}/quota_sets", bind: "quota_set.volumes",
+		resp: struct {
+			QuotaSet cinder.QuotaSet `json:"quota_set"`
+		}{}},
+	"volume.status": {url: "/volume/v3/{project_id}/volumes/{volume_id}", bind: "volume.status",
+		resp: struct {
+			Volume cinder.Volume `json:"volume"`
+		}{}},
+	"server.status": {url: "/compute/v2.1/{project_id}/servers/{server_id}", bind: "server.status",
+		resp: struct {
+			Server nova.Server `json:"server"`
+		}{}},
+	// The paper's guards write `user.id.groups='admin'` where 'admin' is
+	// the role the user's group holds (Table I maps groups to roles);
+	// Keystone reports those roles in token validation.
+	"user.id.groups": {url: "/identity/v3/auth/tokens", subject: true, bind: "token.roles",
+		resp: struct {
+			Token keystone.Token `json:"token"`
+		}{}},
+}
+
+func init() {
+	for _, b := range bindings {
+		rest := b.url
+		for {
+			lit, after, ok := strings.Cut(rest, "{")
+			b.lits = append(b.lits, lit)
+			if !ok {
+				break
+			}
+			name, after, _ := strings.Cut(after, "}")
+			b.params = append(b.params, name)
+			rest = after
+		}
+		b.shape = newShape(reflect.TypeOf(b.resp), b.bind)
+	}
+}
+
+// target expands the binding's URL with the request's params; ok is false
+// when the request lacks one.
+func (b *binding) target(ctx *monitor.RequestContext) (string, bool) {
+	if b.subject && ctx.Token == "" {
+		return "", false
+	}
+	var buf [128]byte
+	u := append(buf[:0], b.lits[0]...)
+	for i, name := range b.params {
+		v := ctx.Params[name]
+		if v == "" {
+			return "", false
+		}
+		u = append(append(u, v...), b.lits[i+1]...)
+	}
+	return string(u), true
+}
+
 // resolve maps one navigation path to a value. Unknown paths and missing
 // resources are OclUndefined, never errors — that is how "GET was not 200"
 // enters the formulas.
 func (p *Provider) resolve(ctx *monitor.RequestContext, path string) (ocl.Value, error) {
 	p.gets.Inc()
-	switch path {
-	case "project.id":
-		return p.resolveProjectID(ctx)
-	case "project.volumes":
-		return p.resolveProjectVolumes(ctx)
-	case "project.servers":
-		return p.resolveProjectServers(ctx)
-	case "quota_sets.volume":
-		return p.resolveQuota(ctx)
-	case "volume.status":
-		return p.resolveVolumeStatus(ctx)
-	case "server.status":
-		return p.resolveServerStatus(ctx)
-	case "user.id.groups":
-		return p.resolveUserGroups(ctx)
-	default:
+	b := bindings[path]
+	if b == nil {
 		return ocl.Undefined(), nil
 	}
-}
-
-func (p *Provider) resolveProjectID(ctx *monitor.RequestContext) (ocl.Value, error) {
-	pid := ctx.Params["project_id"]
-	if pid == "" {
+	target, ok := b.target(ctx)
+	if !ok {
 		return ocl.Undefined(), nil
+	}
+	var header string
+	if b.subject {
+		header = "X-Subject-Token"
 	}
 	var out ocl.Value
 	err := p.withRetry(func(c *osclient.Client) error {
-		proj, _, err := c.GetProject(pid)
+		body, err := c.GetRaw(target, header, ctx.Token)
 		if err != nil {
 			return err
 		}
-		out = ocl.StringVal(proj.ID)
-		return nil
+		out, err = b.shape.decode(body)
+		return err
 	})
-	if osclient.IsStatus(err, http.StatusNotFound) {
+	switch {
+	case err == nil:
+		return out, nil
+	case osclient.IsStatus(err, http.StatusNotFound):
+		// A missing resource, or an invalid requester token: no value.
 		return ocl.Undefined(), nil
 	}
-	if err != nil {
-		return ocl.Value{}, err
-	}
-	return out, nil
-}
-
-func (p *Provider) resolveProjectVolumes(ctx *monitor.RequestContext) (ocl.Value, error) {
-	pid := ctx.Params["project_id"]
-	if pid == "" {
-		return ocl.Undefined(), nil
-	}
-	var out ocl.Value
-	err := p.withRetry(func(c *osclient.Client) error {
-		vols, _, err := c.ListVolumes(pid)
-		if err != nil {
-			return err
-		}
-		ids := make([]ocl.Value, len(vols))
-		for i, v := range vols {
-			ids[i] = ocl.StringVal(v.ID)
-		}
-		out = ocl.CollectionVal(ids...)
-		return nil
-	})
-	if osclient.IsStatus(err, http.StatusNotFound) {
-		return ocl.Undefined(), nil
-	}
-	if err != nil {
-		return ocl.Value{}, err
-	}
-	return out, nil
-}
-
-func (p *Provider) resolveProjectServers(ctx *monitor.RequestContext) (ocl.Value, error) {
-	pid := ctx.Params["project_id"]
-	if pid == "" {
-		return ocl.Undefined(), nil
-	}
-	var out ocl.Value
-	err := p.withRetry(func(c *osclient.Client) error {
-		servers, _, err := c.ListServers(pid)
-		if err != nil {
-			return err
-		}
-		ids := make([]ocl.Value, len(servers))
-		for i, s := range servers {
-			ids[i] = ocl.StringVal(s.ID)
-		}
-		out = ocl.CollectionVal(ids...)
-		return nil
-	})
-	if osclient.IsStatus(err, http.StatusNotFound) {
-		return ocl.Undefined(), nil
-	}
-	if err != nil {
-		return ocl.Value{}, err
-	}
-	return out, nil
-}
-
-func (p *Provider) resolveServerStatus(ctx *monitor.RequestContext) (ocl.Value, error) {
-	pid := ctx.Params["project_id"]
-	sid := ctx.Params["server_id"]
-	if pid == "" || sid == "" {
-		return ocl.Undefined(), nil
-	}
-	var out ocl.Value
-	err := p.withRetry(func(c *osclient.Client) error {
-		s, _, err := c.GetServer(pid, sid)
-		if err != nil {
-			return err
-		}
-		out = ocl.StringVal(s.Status)
-		return nil
-	})
-	if osclient.IsStatus(err, http.StatusNotFound) {
-		return ocl.Undefined(), nil
-	}
-	if err != nil {
-		return ocl.Value{}, err
-	}
-	return out, nil
-}
-
-func (p *Provider) resolveQuota(ctx *monitor.RequestContext) (ocl.Value, error) {
-	pid := ctx.Params["project_id"]
-	if pid == "" {
-		return ocl.Undefined(), nil
-	}
-	var out ocl.Value
-	err := p.withRetry(func(c *osclient.Client) error {
-		q, _, err := c.GetQuota(pid)
-		if err != nil {
-			return err
-		}
-		out = ocl.IntVal(q.Volumes)
-		return nil
-	})
-	if osclient.IsStatus(err, http.StatusNotFound) {
-		return ocl.Undefined(), nil
-	}
-	if err != nil {
-		return ocl.Value{}, err
-	}
-	return out, nil
-}
-
-func (p *Provider) resolveVolumeStatus(ctx *monitor.RequestContext) (ocl.Value, error) {
-	pid := ctx.Params["project_id"]
-	vid := ctx.Params["volume_id"]
-	if pid == "" || vid == "" {
-		// POST on the collection has no volume id; the formula's
-		// volume.status conjuncts then evaluate over OclUndefined.
-		return ocl.Undefined(), nil
-	}
-	var out ocl.Value
-	err := p.withRetry(func(c *osclient.Client) error {
-		v, _, err := c.GetVolume(pid, vid)
-		if err != nil {
-			return err
-		}
-		out = ocl.StringVal(v.Status)
-		return nil
-	})
-	if osclient.IsStatus(err, http.StatusNotFound) {
-		return ocl.Undefined(), nil
-	}
-	if err != nil {
-		return ocl.Value{}, err
-	}
-	return out, nil
-}
-
-// resolveUserGroups resolves the requester's roles in the project. The
-// paper's guards write `user.id.groups='admin'` where 'admin' is the role
-// the user's group holds (Table I maps groups to roles); Keystone reports
-// those roles in token validation.
-func (p *Provider) resolveUserGroups(ctx *monitor.RequestContext) (ocl.Value, error) {
-	if ctx.Token == "" {
-		return ocl.Undefined(), nil
-	}
-	var out ocl.Value
-	err := p.withRetry(func(c *osclient.Client) error {
-		tok, err := c.ValidateToken(ctx.Token)
-		if err != nil {
-			return err
-		}
-		out = ocl.StringsVal(tok.Roles...)
-		return nil
-	})
-	if osclient.IsStatus(err, http.StatusNotFound) {
-		// Invalid requester token: no roles.
-		return ocl.Undefined(), nil
-	}
-	if err != nil {
-		return ocl.Value{}, err
-	}
-	return out, nil
+	return ocl.Value{}, err
 }
 
 // Routes derives the monitor's proxy routes from the generated contracts:

@@ -2,12 +2,15 @@ package osbinding
 
 import (
 	"errors"
+	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cloudmon/internal/httpkit"
+	"cloudmon/internal/monitor"
 	"cloudmon/internal/osclient"
 )
 
@@ -231,5 +234,29 @@ func TestRetryBudgetCapsTheLoop(t *testing.T) {
 	}
 	if _, calls := cloud.counts(); calls != 1 {
 		t.Fatalf("endpoint called %d times, want 1 (first backoff exceeds the budget)", calls)
+	}
+}
+
+// TestOversizedReadFailsLikeAnUndecodableRead: a listing over the 1 MiB
+// body bound fails the read as a body that does not decode does — retried
+// on every attempt and counted by the breaker — instead of being cut.
+func TestOversizedReadFailsLikeAnUndecodableRead(t *testing.T) {
+	big := `{"volumes":[]` + strings.Repeat(" ", httpkit.MaxBodyBytes) + `}`
+	cloud := &scriptedCloud{handler: func(call int, w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, big)
+	}}
+	p := scriptedProvider(cloud, fastRetry)
+	p.Breaker = osclient.NewBreaker(osclient.BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour})
+	ctx := &monitor.RequestContext{Params: map[string]string{"project_id": "p1"}}
+	_, err := p.Snapshot(ctx, []string{"project.volumes"})
+	var tooLarge *httpkit.BodyTooLargeError
+	if !errors.As(err, &tooLarge) {
+		t.Fatalf("snapshot of an oversized listing: %v, want a body-exceeds error", err)
+	}
+	if _, calls := cloud.counts(); calls != 3 {
+		t.Errorf("oversized read sent %d times, want 3 (retried like an undecodable body)", calls)
+	}
+	if got := p.Breaker.State(); got != osclient.StateOpen {
+		t.Errorf("breaker %s after 3 oversized reads, want open", got)
 	}
 }

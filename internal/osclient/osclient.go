@@ -104,11 +104,8 @@ func (c *Client) Do(method, path string, in, out any, extraHeaders map[string]st
 // arms a per-request deadline, so a retry loop passing a long-lived ctx
 // still gets fresh per-attempt deadlines.
 func (c *Client) DoCtx(ctx context.Context, method, path string, in, out any, extraHeaders map[string]string) (int, error) {
-	if c.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := c.attemptContext(ctx)
+	defer cancel()
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -117,38 +114,91 @@ func (c *Client) DoCtx(ctx context.Context, method, path string, in, out any, ex
 		}
 		body = bytes.NewReader(data)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
+	req, err := c.request(ctx, method, path, body)
 	if err != nil {
-		return 0, fmt.Errorf("osclient: new request: %w", err)
+		return 0, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if c.Token != "" {
-		req.Header.Set("X-Auth-Token", c.Token)
-	}
 	for k, v := range extraHeaders {
 		req.Header.Set(k, v)
 	}
+	status, data, err := c.send(req, path)
+	if err != nil {
+		return status, err
+	}
+	return status, Decode(data, out)
+}
+
+// GetRaw GETs path and returns the 2xx response's body undecoded, for a
+// caller that decodes only part of it. header, when non-empty, is sent
+// with value (e.g. X-Subject-Token). A non-2xx response is a
+// *StatusError, as from Do.
+func (c *Client) GetRaw(path, header, value string) ([]byte, error) {
+	// No context unless Timeout asks for one: a request then carries no
+	// cancellable context, just like Do's.
+	ctx, cancel := c.attemptContext(context.Background())
+	defer cancel()
+	req, err := c.request(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return nil, err
+	}
+	if header != "" {
+		req.Header.Set(header, value)
+	}
+	_, data, err := c.send(req, path)
+	return data, err
+}
+
+// attemptContext arms the client's per-request deadline on ctx, if any.
+func (c *Client) attemptContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.Timeout > 0 {
+		return context.WithTimeout(ctx, c.Timeout)
+	}
+	return ctx, func() {}
+}
+
+// request builds a request for path carrying the client's token.
+func (c *Client) request(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
+	if err != nil {
+		return nil, fmt.Errorf("osclient: new request: %w", err)
+	}
+	if c.Token != "" {
+		req.Header.Set("X-Auth-Token", c.Token)
+	}
+	return req, nil
+}
+
+// send issues req and reads the body, bounded by httpkit.MaxBodyBytes. A
+// non-2xx status is a *StatusError carrying the body's error message.
+func (c *Client) send(req *http.Request, path string) (int, []byte, error) {
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("osclient: %s %s: %w", method, path, err)
+		return 0, nil, fmt.Errorf("osclient: %s %s: %w", req.Method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	data, err := httpkit.ReadBounded(resp.Body, httpkit.MaxBodyBytes)
 	if err != nil {
-		return resp.StatusCode, fmt.Errorf("osclient: read response: %w", err)
+		return resp.StatusCode, nil, fmt.Errorf("osclient: read response: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		msg := extractErrorMessage(data)
-		return resp.StatusCode, &StatusError{Status: resp.StatusCode, Message: msg}
+		return resp.StatusCode, nil, &StatusError{Status: resp.StatusCode, Message: msg}
 	}
+	return resp.StatusCode, data, nil
+}
+
+// Decode decodes a 2xx response body into out, as Do does: an empty body
+// or a nil out leaves out as it is.
+func Decode(data []byte, out any) error {
 	if out != nil && len(data) > 0 {
 		if err := json.Unmarshal(data, out); err != nil {
-			return resp.StatusCode, fmt.Errorf("osclient: decode response: %w", err)
+			return fmt.Errorf("osclient: decode response: %w", err)
 		}
 	}
-	return resp.StatusCode, nil
+	return nil
 }
 
 // extractErrorMessage pulls the message out of an OpenStack-style error
@@ -196,12 +246,8 @@ func (c *Client) Authenticate(userName, password, projectID string) (string, err
 	if err != nil {
 		return "", fmt.Errorf("osclient: marshal auth: %w", err)
 	}
-	ctx := context.Background()
-	if c.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := c.attemptContext(context.Background())
+	defer cancel()
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/identity/v3/auth/tokens", bytes.NewReader(body))
 	if err != nil {
 		return "", fmt.Errorf("osclient: new auth request: %w", err)
@@ -212,7 +258,10 @@ func (c *Client) Authenticate(userName, password, projectID string) (string, err
 		return "", fmt.Errorf("osclient: auth: %w", err)
 	}
 	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	data, err := httpkit.ReadBounded(resp.Body, httpkit.MaxBodyBytes)
+	if err != nil {
+		return "", fmt.Errorf("osclient: read auth response: %w", err)
+	}
 	if resp.StatusCode != http.StatusCreated {
 		return "", &StatusError{Status: resp.StatusCode, Message: extractErrorMessage(data)}
 	}

@@ -1,7 +1,10 @@
 package osclient
 
 import (
+	"errors"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"cloudmon/internal/httpkit"
@@ -196,5 +199,61 @@ func TestDoErrorPaths(t *testing.T) {
 		t.Error("unreachable host should error")
 	} else if IsStatus(err, 0) {
 		t.Error("transport error must not be a StatusError")
+	}
+}
+
+// listingOfSize is a volume listing padded with whitespace to n bytes.
+func listingOfSize(n int) string {
+	head, tail := `{"volumes":[{"id":"v1"}]`, `}`
+	return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+}
+
+// TestBodyLimit: a response of exactly httpkit.MaxBodyBytes decodes, and
+// one byte more fails as too large rather than being cut and failing to
+// decode. The failure is a read failure, not a StatusError, so retry
+// loops and breakers treat it as they treat an undecodable body.
+func TestBodyLimit(t *testing.T) {
+	var body string
+	c := New("http://cloud.internal")
+	c.HTTPClient = httpkit.HandlerClient(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, body)
+	}))
+
+	body = listingOfSize(httpkit.MaxBodyBytes)
+	vols, _, err := c.ListVolumes("p1")
+	if err != nil || len(vols) != 1 || vols[0].ID != "v1" {
+		t.Fatalf("listing of exactly 1 MiB = %v, %v", vols, err)
+	}
+	if raw, err := c.GetRaw("/volume/v3/p1/volumes", "", ""); err != nil || len(raw) != httpkit.MaxBodyBytes {
+		t.Fatalf("GetRaw of exactly 1 MiB: %d bytes, %v", len(raw), err)
+	}
+
+	body = listingOfSize(httpkit.MaxBodyBytes + 1)
+	_, _, listErr := c.ListVolumes("p1")
+	_, rawErr := c.GetRaw("/volume/v3/p1/volumes", "", "")
+	_, tokErr := c.ValidateToken("subject")
+	for name, err := range map[string]error{"ListVolumes": listErr, "GetRaw": rawErr, "ValidateToken": tokErr} {
+		var tooLarge *httpkit.BodyTooLargeError
+		if !errors.As(err, &tooLarge) || !strings.Contains(err.Error(), "body exceeds 1 MiB") {
+			t.Errorf("%s of 1 MiB + 1 byte: %v, want a body-exceeds-1-MiB error", name, err)
+		}
+		if IsStatus(err, http.StatusOK) || !RetryableFor(err, true) || RetryableFor(err, false) || !Infrastructure(err) {
+			t.Errorf("%s: %v is not classified as an undecodable read", name, err)
+		}
+	}
+}
+
+// TestAuthenticateReportsOversizedBody: the auth answer is read under the
+// same bound, and a read failure is reported rather than dropped.
+func TestAuthenticateReportsOversizedBody(t *testing.T) {
+	c := New("http://cloud.internal")
+	c.HTTPClient = httpkit.HandlerClient(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Subject-Token", "tok")
+		w.WriteHeader(http.StatusCreated)
+		_, _ = io.WriteString(w, listingOfSize(httpkit.MaxBodyBytes+1))
+	}))
+	var tooLarge *httpkit.BodyTooLargeError
+	if _, err := c.Authenticate("alice", "pw", "p1"); !errors.As(err, &tooLarge) {
+		t.Errorf("Authenticate with an oversized answer: %v, want a body-exceeds error", err)
 	}
 }
