@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet lint test race cover bench benchsmoke planbench compbench asyncbench fleetbench fleet examples experiments artifacts fuzz chaos obs evidence
+.PHONY: all build vet lint test race cover bench benchsmoke planbench compbench asyncbench fleetbench fleet fleet-oop examples experiments artifacts fuzz chaos obs evidence
 
 all: build vet lint test
 
@@ -83,6 +83,13 @@ fleet:
 		-warmup 0 -clients 16 -verify
 	go run ./cmd/loadmon -fleet 2 -fleet-projects 4 -requests 300 \
 		-clients 1 -post async -verify
+
+# The fleet out of process: cloudsim, two `cloudmon -instance` members
+# and a `cloudmon -fleet-front`, each its own process on a loopback port,
+# driven by `loadmon -target` through the front. Fails on any request
+# error or a member missing from the front's federated /metrics.
+fleet-oop:
+	bash scripts/fleet-oop.sh
 
 # Seed-corpus fuzzing already runs under `make test`; this target fuzzes
 # each parser for 30s, plus the compiled clause programs against the

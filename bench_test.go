@@ -4,9 +4,8 @@
 //	E6  BenchmarkContractGeneration model-size sweep
 //	E7  BenchmarkOCLEval            formula-size sweep (+ parse)
 //	E8  BenchmarkCodegen            resources-count sweep
-//	E13 BenchmarkMonitorThroughput  concurrent hot path: defaults vs
-//	    pre-state cache in process, and defaults under simulated network
-//	    latency
+//	E13 BenchmarkMonitorThroughput  concurrent hot path in process, and
+//	    under simulated network latency
 //	E15 BenchmarkEvalPlan           demand-driven evaluation with per-op
 //	    cloud-GET economy and flight coalescing under simulated latency
 //	E17 BenchmarkCompiledEval       closure-chain compiled clauses vs the
@@ -229,23 +228,12 @@ func newThroughputDeployment(b testing.TB, delay time.Duration, mutate func(*cor
 }
 
 // BenchmarkMonitorThroughput (E13) drives a concurrent monitored GET
-// workload through each hot-path configuration. The in-process variants
-// measure software overhead under contention (sharded log, precomputed
-// state paths, pre-state cache); the netsim variant adds 1ms of simulated
-// network latency per backend request, where each pre clause's paths
-// travel in one concurrent wave, so a GET pays two snapshot round trips
-// instead of five.
+// workload. The in-process variant measures software overhead under
+// contention (sharded log, precomputed state paths) against the direct
+// cloud call; the netsim variant adds 1ms of simulated network latency per
+// backend request, where each pre clause's paths travel in one concurrent
+// wave, so a GET pays two snapshot round trips instead of five.
 func BenchmarkMonitorThroughput(b *testing.B) {
-	variants := []struct {
-		name   string
-		mutate func(*core.Options)
-	}{
-		{"default", nil},
-		{"cached", func(o *core.Options) {
-			o.PreStateCacheTTL = 10 * time.Millisecond
-		}},
-	}
-
 	b.Run("GET/direct", func(b *testing.B) {
 		d := newThroughputDeployment(b, 0, nil)
 		b.ReportAllocs()
@@ -258,21 +246,19 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 			}
 		})
 	})
-	for _, v := range variants {
-		b.Run("GET/"+v.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, 0, v.mutate)
-			path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("GET/default", func(b *testing.B) {
+		d := newThroughputDeployment(b, 0, nil)
+		path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
+					b.Fatal(err)
 				}
-			})
+			}
 		})
-	}
+	})
 
 	// Simulated network latency: the deployment regime waves exist for.
 	// Sequential client, latency-bound.

@@ -10,9 +10,9 @@
 // /projects/{project_id}/volumes/{volume_id}.
 //
 // In a horizontally sharded fleet each instance runs with -instance
-// (stamping its audit records, labelling its metrics and serving the
-// invalidation bus on the inspect listener), and one process runs as the
-// routing front tier:
+// (stamping its audit records, labelling its metrics and serving /metrics
+// on the inspect listener), and one process runs as the routing front
+// tier:
 //
 //	cloudmon -fleet-front 'm-00=http://h0:8000|http://h0:8001,m-01=http://h1:8000|http://h1:8001' \
 //	         -addr :9000 -metrics-addr :9002
@@ -90,7 +90,7 @@ func run(args []string) error {
 	project := fs.String("project", "", "project the service account is scoped to (required)")
 	printContracts := fs.Bool("contracts", false, "print generated contracts at startup")
 	instance := fs.String("instance", "",
-		"fleet instance id: stamps audit records, labels every metric with instance=<id>, and serves the invalidation bus and /metrics on the inspect listener")
+		"fleet instance id: stamps audit records, labels every metric with instance=<id>, and serves /metrics on the inspect listener")
 	frontSpec := fs.String("fleet-front", "",
 		"run as a fleet front instead of a monitor: comma-separated id=proxyURL[|inspectURL] members, routed by rendezvous hash on the project")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "graceful drain budget on SIGTERM/SIGINT")
@@ -209,7 +209,7 @@ func run(args []string) error {
 
 	fmt.Printf("cloud monitor (%s mode) on %s, proxying %s\n", mode, *addr, *cloudURL)
 	if *instance != "" {
-		fmt.Printf("  fleet instance %s (audit stamp, metric label, invalidation bus on the inspect listener)\n", *instance)
+		fmt.Printf("  fleet instance %s (audit stamp, metric label, /metrics on the inspect listener)\n", *instance)
 	}
 	fmt.Printf("  %d contracts over model %q; security requirements %v\n",
 		len(sys.Contracts.Contracts), model.Resource.Name, sys.Contracts.SecReqs())
@@ -224,17 +224,14 @@ func run(args []string) error {
 		fmt.Printf("  audit trail in %s\n", audit.Dir())
 	}
 	// Observability listeners. When -instance is set the inspect mux also
-	// serves the fleet invalidation bus, so peers can bump this instance's
-	// pre-state cache generations after a resize moves a project here, and
-	// /metrics, so a remote front can federate this instance through the
-	// single inspect URL in its -fleet-front member spec.
+	// serves /metrics, so a remote front can federate this instance through
+	// the single inspect URL in its -fleet-front member spec.
 	var aux []*http.Server
 	if *inspectAddr != "" {
 		fmt.Printf("  inspect API on %s (/log /violations /coverage /outcomes /contracts /stats /stages)\n", *inspectAddr)
 		handler := sys.Monitor.InspectHandler()
 		if *instance != "" {
 			mux := http.NewServeMux()
-			mux.Handle(fleet.InvalidatePath, fleet.InvalidateHandler(sys.Monitor))
 			mux.Handle("/metrics", sys.Metrics.Handler())
 			mux.Handle("/", handler)
 			handler = mux

@@ -37,13 +37,13 @@ func TestParseFleetMembers(t *testing.T) {
 	if len(members) != 2 || members[0].ID != "m-00" || members[1].ID != "m-01" {
 		t.Fatalf("parsed %+v", members)
 	}
-	// The first member has an inspect URL, so it can federate and take bumps.
-	if members[0].Metrics == nil || members[0].Invalidate == nil {
-		t.Error("inspectable member lacks Metrics/Invalidate")
+	// The first member has an inspect URL, so it can federate.
+	if members[0].Metrics == nil {
+		t.Error("inspectable member lacks Metrics")
 	}
 	// The second is routing-only.
-	if members[1].Metrics != nil || members[1].Invalidate != nil {
-		t.Error("routing-only member grew Metrics/Invalidate")
+	if members[1].Metrics != nil {
+		t.Error("routing-only member grew Metrics")
 	}
 	for _, bad := range []string{"", "m-00", "=http://h0:8000", "m-00=", "m-00=%%bad"} {
 		if _, err := parseFleetMembers(bad); err == nil {

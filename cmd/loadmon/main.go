@@ -5,7 +5,7 @@
 // (no sockets) and hammers the proxy:
 //
 //	loadmon -scenario cinder-mixed -json
-//	loadmon -scenario cinder-read-heavy -cache-ttl 50ms -clients 32
+//	loadmon -scenario cinder-read-heavy -clients 32
 //	loadmon -list
 //
 // Chaos runs wrap the in-process cloud in the fault injector and pick a
@@ -70,13 +70,12 @@ func run(args []string, out io.Writer) error {
 	postQueue := fs.Int("post-queue", 0, "async post queue capacity (0 = default)")
 	postWorkers := fs.Int("post-workers", 0, "async post worker pool size (0 = default)")
 	backpressureName := fs.String("post-backpressure", "block", "saturated async queue policy: block | shed")
-	cacheTTL := fs.Duration("cache-ttl", 0, "pre-state read-cache TTL (0 = disabled)")
 	faultsPath := fs.String("faults", "", "fault-injection profile (JSON) for the in-process cloud")
 	fleetN := fs.Int("fleet", 0, "deploy a sharded fleet of this many monitor instances behind a consistent-hash front (in-process only)")
 	fleetProjects := fs.Int("fleet-projects", 0, "tenant projects the fleet workload spreads across (needs -fleet; 0 = 4 × fleet size)")
 	fleetRTT := fs.Duration("fleet-rtt", 0, "simulated network round trip on every monitor→cloud request (needs -fleet)")
 	fleetConns := fs.Int("fleet-conns", 0, "per-instance backend connection budget (needs -fleet; 0 = unlimited)")
-	policyName := fs.String("fail-policy", "closed", "snapshot-failure policy: closed | open | degrade")
+	policyName := fs.String("fail-policy", "closed", "snapshot-failure policy: closed | open")
 	cloudTimeout := fs.Duration("cloud-timeout", 0, "shared cloud-facing deadline (snapshot attempts and forwards; 0 = default)")
 	retryAttempts := fs.Int("retry-attempts", 0, "override snapshot retry attempts (0 = default)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "enable the snapshot circuit breaker at this consecutive-failure threshold (0 = off)")
@@ -134,10 +133,8 @@ func run(args []string, out io.Writer) error {
 		policy = monitor.FailClosed
 	case "open":
 		policy = monitor.FailOpen
-	case "degrade":
-		policy = monitor.Degrade
 	default:
-		return fmt.Errorf("unknown fail-policy %q (want closed, open or degrade)", *policyName)
+		return fmt.Errorf("unknown fail-policy %q (want closed or open)", *policyName)
 	}
 
 	postMode, err := monitor.ParsePostMode(*postName)
@@ -198,9 +195,6 @@ func run(args []string, out io.Writer) error {
 		default:
 			return fmt.Errorf("unknown level %q (want full or pre-only)", *levelName)
 		}
-		if policy == monitor.Degrade && *cacheTTL <= 0 {
-			return fmt.Errorf("-fail-policy degrade needs -cache-ttl > 0 (the policy falls back to the pre-state cache)")
-		}
 		opts = loadgen.Options{
 			Monitor: core.Options{
 				Mode:             mode,
@@ -210,7 +204,6 @@ func run(args []string, out io.Writer) error {
 				PostQueueCap:     *postQueue,
 				PostWorkers:      *postWorkers,
 				PostBackpressure: backpressure,
-				PreStateCacheTTL: *cacheTTL,
 				CloudTimeout:     *cloudTimeout,
 			},
 			Instances:   *fleetN,

@@ -69,7 +69,7 @@ func TestRunJSON(t *testing.T) {
 func TestRunTextWithOverrides(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-scenario", "cinder-read-heavy", "-requests", "200", "-warmup", "20",
-		"-clients", "4", "-seed", "3", "-cache-ttl", "25ms"}, &out)
+		"-clients", "4", "-seed", "3"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -86,6 +86,7 @@ func TestBadArgs(t *testing.T) {
 		{"-scenario", "no-such-scenario"},
 		{"-mode", "panic"},
 		{"-level", "extreme"},
+		{"-fail-policy", "degrade"},
 		{"-target", "http://127.0.0.1:1"}, // missing -cloud/-project
 		{"-fleet-projects", "4"},          // fleet knobs need -fleet
 		{"-fleet-rtt", "1ms"},

@@ -40,8 +40,7 @@ type Options struct {
 	// post-condition verification.
 	Level monitor.CheckLevel
 	// FailPolicy decides the verdict when a state snapshot fails
-	// (defaults to monitor.FailClosed; Degrade requires
-	// PreStateCacheTTL > 0).
+	// (defaults to monitor.FailClosed).
 	FailPolicy monitor.FailPolicy
 	// Post selects when post-conditions are verified (defaults to
 	// monitor.PostSync; PostAsync defers them to a bounded worker queue
@@ -66,12 +65,6 @@ type Options struct {
 	// OnVerdict, if set, receives every verdict (e.g. an
 	// monitor.AuditWriter's Record method).
 	OnVerdict func(monitor.Verdict)
-	// PreStateCacheTTL, when positive, enables the monitor's short-TTL
-	// pre-state read cache (see monitor.Config.PreStateCacheTTL).
-	PreStateCacheTTL time.Duration
-	// DegradeTTL bounds the Degrade policy's stale-cache window (see
-	// monitor.Config.DegradeTTL; 0 = 10 × PreStateCacheTTL).
-	DegradeTTL time.Duration
 	// HTTPClient overrides the forwarding client (tests inject the
 	// httptest client here).
 	HTTPClient *http.Client
@@ -85,10 +78,6 @@ type Options struct {
 	// instance label, so fleet metrics federate and fleet evidence packs
 	// attribute each verdict (see monitor.Config.InstanceID).
 	InstanceID string
-	// OnInvalidate receives the project id of every forwarded write —
-	// the fleet's cross-instance invalidation hook (see
-	// monitor.Config.OnInvalidate).
-	OnInvalidate func(project string)
 }
 
 // System is the assembled pipeline.
@@ -105,7 +94,7 @@ type System struct {
 	// Routes are the derived proxy routes.
 	Routes []monitor.Route
 	// Metrics is the system's metric registry: the monitor's verdict,
-	// stage-latency, cache, and audit counters plus the provider's retry
+	// stage-latency, fetch and audit counters plus the provider's retry
 	// and breaker state. Serve Metrics.Handler() on /metrics.
 	Metrics *obs.Registry
 }
@@ -158,11 +147,8 @@ func Build(opts Options) (*System, error) {
 		PostBackpressure: opts.PostBackpressure,
 		MaxLog:           opts.MaxLog,
 		OnVerdict:        opts.OnVerdict,
-		PreStateCacheTTL: opts.PreStateCacheTTL,
-		DegradeTTL:       opts.DegradeTTL,
 		Audit:            opts.Audit,
 		InstanceID:       opts.InstanceID,
-		OnInvalidate:     opts.OnInvalidate,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

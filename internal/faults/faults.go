@@ -219,7 +219,7 @@ func NewInjector(p *Profile) *Injector {
 }
 
 // SetEnabled toggles injection; a disabled injector passes all traffic
-// through untouched (harnesses use this to warm caches before the chaos
+// through untouched (harnesses use this to seed state before the chaos
 // phase).
 func (in *Injector) SetEnabled(v bool) { in.disabled.Store(!v) }
 

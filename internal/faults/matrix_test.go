@@ -49,10 +49,6 @@ func deployCell(t *testing.T, kind faults.Kind, policy monitor.FailPolicy) *load
 		},
 		Faults: &faults.Profile{Rules: []faults.Rule{matrixRule(kind)}},
 	}
-	if policy == monitor.Degrade {
-		opts.Monitor.PreStateCacheTTL = 30 * time.Millisecond
-		opts.Monitor.DegradeTTL = 10 * time.Second
-	}
 	dep, err := loadgen.Deploy(opts)
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
@@ -91,7 +87,7 @@ func TestFaultPolicyMatrix(t *testing.T) {
 		faults.KindMalformed,
 		faults.KindTokenExpiry,
 	}
-	policies := []monitor.FailPolicy{monitor.FailClosed, monitor.FailOpen, monitor.Degrade}
+	policies := []monitor.FailPolicy{monitor.FailClosed, monitor.FailOpen}
 
 	for _, kind := range kinds {
 		for _, policy := range policies {
@@ -100,8 +96,8 @@ func TestFaultPolicyMatrix(t *testing.T) {
 				dep := deployCell(t, kind, policy)
 				mon := dep.Instances[0].Sys.Monitor
 
-				// Phase 1, faults off: seed a volume and warm the
-				// pre-state cache with an identical read.
+				// Phase 1, faults off: seed a volume and read it once
+				// healthy.
 				dep.Injector.SetEnabled(false)
 				admin := adminClient(dep)
 				project := dep.Tenants[0].ProjectID
@@ -109,13 +105,6 @@ func TestFaultPolicyMatrix(t *testing.T) {
 				if status, err := admin.Do(http.MethodGet, volPath, nil, nil, nil); err != nil || status != http.StatusOK {
 					t.Fatalf("warm read: status %d err %v", status, err)
 				}
-				if policy == monitor.Degrade {
-					// Let the read-cache TTL lapse so the chaotic read
-					// must attempt (and fail) a live snapshot, landing in
-					// the degrade window.
-					time.Sleep(40 * time.Millisecond)
-				}
-
 				// Phase 2, faults on: the same read with every snapshot
 				// sabotaged.
 				dep.Injector.SetEnabled(true)
@@ -146,17 +135,6 @@ func TestFaultPolicyMatrix(t *testing.T) {
 					}
 					if !v.Forwarded {
 						t.Error("fail-open verdict not marked Forwarded")
-					}
-				case monitor.Degrade:
-					wantOutcome = monitor.OK
-					if err != nil || status != http.StatusOK {
-						t.Errorf("status %d err %v, want 200 (degrade must serve from cache)", status, err)
-					}
-					if !v.DegradedPre {
-						t.Error("degrade verdict not marked DegradedPre")
-					}
-					if !v.Forwarded {
-						t.Error("degrade verdict not marked Forwarded")
 					}
 				}
 				if v.Outcome != wantOutcome {

@@ -20,10 +20,6 @@ type Member struct {
 	// Metrics scrapes the instance's exposition document for the front's
 	// federation endpoint (nil: the instance is skipped in federation).
 	Metrics func() (string, error)
-	// Invalidate bumps the instance's pre-state cache generation for a
-	// project — the bus target, and the front's migration fence on
-	// resize-driven remaps (nil: no cache to invalidate).
-	Invalidate func(project string) error
 }
 
 // Front is the fleet's routing tier: an http.Handler that extracts the
@@ -31,9 +27,8 @@ type Member struct {
 // owner. Routing is sticky and fenced: the front tracks per-project
 // in-flight counts, and when a resize moves a project to a new owner, the
 // project's new requests wait for the old owner's in-flight requests to
-// drain and the new owner's cache generation is bumped before any of them
-// is routed — so a remap can never serve a verdict from another
-// instance's stale pre-state.
+// drain before any of them is routed — so the old and the new owner never
+// judge the same project's requests at once.
 type Front struct {
 	mu      sync.Mutex
 	members map[string]*Member
@@ -69,7 +64,7 @@ func NewFront(members []*Member) (*Front, error) {
 // Resize replaces the member set — the N→N+1 (or N→N-1) operation. The
 // ring swaps atomically under the front's lock; in-flight requests finish
 // on their old owner, and every project the new ring assigns elsewhere is
-// fenced and generation-bumped before its next request routes.
+// fenced until they have drained before its next request routes.
 func (f *Front) Resize(members []*Member) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -159,13 +154,7 @@ func (f *Front) acquire(project string) (*Member, *projectState) {
 	}
 	if st.owner != want {
 		if st.owner != "" {
-			// Remap: the new owner may hold cached pre-state from an
-			// earlier ownership stint, predating writes the old owner
-			// forwarded. Bump its generation before any request routes.
 			f.remaps.Inc()
-			if m := f.members[want]; m != nil && m.Invalidate != nil {
-				_ = m.Invalidate(project)
-			}
 		}
 		st.owner = want
 	}

@@ -11,16 +11,15 @@ import (
 	"cloudmon/internal/obs"
 )
 
-// fakeInstance records which projects it served and its generation bumps.
+// fakeInstance records which projects it served.
 type fakeInstance struct {
 	id     string
 	mu     sync.Mutex
 	served map[string]int
-	bumped map[string]int
 }
 
 func newFakeInstance(id string) *fakeInstance {
-	return &fakeInstance{id: id, served: map[string]int{}, bumped: map[string]int{}}
+	return &fakeInstance{id: id, served: map[string]int{}}
 }
 
 func (f *fakeInstance) member() *Member {
@@ -34,12 +33,6 @@ func (f *fakeInstance) member() *Member {
 		}),
 		Metrics: func() (string, error) {
 			return fmt.Sprintf("# HELP t_up up\n# TYPE t_up gauge\nt_up{instance=%q} 1\n", f.id), nil
-		},
-		Invalidate: func(project string) error {
-			f.mu.Lock()
-			f.bumped[project]++
-			f.mu.Unlock()
-			return nil
 		},
 	}
 }
@@ -123,9 +116,8 @@ func TestFrontDisjointRouting(t *testing.T) {
 }
 
 // TestFrontResizeFence: a concurrent workload over many projects survives
-// an N=3→4 resize with every request answered, every moved project
-// generation-bumped on its new owner before it serves there, and the
-// remap fraction within the rendezvous bound.
+// an N=3→4 resize with every request answered and the remap fraction
+// within the rendezvous bound.
 func TestFrontResizeFence(t *testing.T) {
 	fakes := make([]*fakeInstance, 4)
 	members := make([]*Member, 4)
@@ -140,7 +132,7 @@ func TestFrontResizeFence(t *testing.T) {
 	projects := syntheticProjects(120)
 	oldOwners := front.Ring()
 	// Establish pre-resize ownership for every project, so each moved one
-	// must be fenced and generation-bumped when it re-routes.
+	// must be fenced when it re-routes.
 	for _, p := range projects {
 		if code := get(t, front, "/projects/"+p+"/volumes"); code != http.StatusOK {
 			t.Fatalf("status %d", code)
@@ -184,19 +176,6 @@ func TestFrontResizeFence(t *testing.T) {
 	for _, p := range projects {
 		if oldOwners.Owner(p) != newRing.Owner(p) {
 			moved++
-			// The moved project must have been bumped on its new owner.
-			owner := newRing.Owner(p)
-			for _, fk := range fakes {
-				if fk.id != owner {
-					continue
-				}
-				fk.mu.Lock()
-				bumps := fk.bumped[p]
-				fk.mu.Unlock()
-				if bumps == 0 {
-					t.Errorf("moved project %s has no generation bump on new owner %s", p, owner)
-				}
-			}
 		}
 	}
 	if bound := int(float64(len(projects))*0.40) + 1; moved > bound {
@@ -217,90 +196,6 @@ func TestFrontResizeFence(t *testing.T) {
 		}
 	}
 }
-
-// TestBusRoutesBumpsToOwner: a bus wired as instance m-00 drops bumps for
-// its own projects and posts bumps for projects the ring assigns
-// elsewhere.
-func TestBusRoutesBumpsToOwner(t *testing.T) {
-	fakes := []*fakeInstance{newFakeInstance("m-00"), newFakeInstance("m-01")}
-	members := map[string]*Member{}
-	for _, fk := range fakes {
-		members[fk.id] = fk.member()
-	}
-	ring, _ := NewRing([]string{"m-00", "m-01"})
-	bus := &Bus{
-		Self:   "m-00",
-		Ring:   func() *Ring { return ring },
-		Member: func(id string) *Member { return members[id] },
-	}
-	own, foreign := 0, 0
-	for _, p := range syntheticProjects(100) {
-		bus.OnInvalidate(p)
-		if ring.Owner(p) == "m-00" {
-			own++
-		} else {
-			foreign++
-		}
-	}
-	bus.Wait()
-	sent, dropped := bus.Stats()
-	if int(sent) != foreign {
-		t.Errorf("bus sent %d bumps, want %d (foreign projects)", sent, foreign)
-	}
-	if dropped != 0 {
-		t.Errorf("bus dropped %d bumps", dropped)
-	}
-	fakes[1].mu.Lock()
-	got := len(fakes[1].bumped)
-	fakes[1].mu.Unlock()
-	if got != foreign {
-		t.Errorf("owner received bumps for %d projects, want %d", got, foreign)
-	}
-	fakes[0].mu.Lock()
-	if len(fakes[0].bumped) != 0 {
-		t.Errorf("self-owned projects were bumped over the bus: %v", fakes[0].bumped)
-	}
-	fakes[0].mu.Unlock()
-	if own == 0 || foreign == 0 {
-		t.Fatalf("degenerate split own=%d foreign=%d", own, foreign)
-	}
-}
-
-// TestInvalidateHandler: well-formed bumps bump, oversized and malformed
-// ones are rejected, and the wire message stays within 64 bytes.
-func TestInvalidateHandler(t *testing.T) {
-	bumped := map[string]int{}
-	h := InvalidateHandler(invalidatorFunc(func(p string) { bumped[p]++ }))
-
-	do := func(method, body string) int {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(method, InvalidatePath, strings.NewReader(body))
-		h.ServeHTTP(rec, req)
-		return rec.Code
-	}
-	if code := do(http.MethodPost, `{"p":"proj-1"}`); code != http.StatusNoContent {
-		t.Errorf("valid bump: status %d", code)
-	}
-	if bumped["proj-1"] != 1 {
-		t.Errorf("bump not applied: %v", bumped)
-	}
-	if code := do(http.MethodGet, ""); code != http.StatusMethodNotAllowed {
-		t.Errorf("GET: status %d", code)
-	}
-	if code := do(http.MethodPost, `{"p":"`+strings.Repeat("x", 80)+`"}`); code != http.StatusBadRequest {
-		t.Errorf("oversized bump: status %d", code)
-	}
-	if code := do(http.MethodPost, `{`); code != http.StatusBadRequest {
-		t.Errorf("malformed bump: status %d", code)
-	}
-	if code := do(http.MethodPost, `{"p":""}`); code != http.StatusBadRequest {
-		t.Errorf("empty project: status %d", code)
-	}
-}
-
-type invalidatorFunc func(string)
-
-func (f invalidatorFunc) InvalidateProject(p string) { f(p) }
 
 // TestFederationHandler: the merged scrape carries the front's counters
 // and every instance document with one header per metric.

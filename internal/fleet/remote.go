@@ -5,16 +5,23 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"time"
 
 	"cloudmon/internal/httpkit"
 )
 
+// scrapeTimeout bounds one member scrape when NewRemoteMember builds the
+// scrape client itself. FederationHandler scrapes the members one after
+// another, so a member that accepts the scrape and never answers (a
+// stopped or deadlocked process) would otherwise hang every federated
+// scrape of the fleet.
+const scrapeTimeout = 3 * time.Second
+
 // NewRemoteMember builds a Member over a network-reachable cloudmon
-// instance: requests reverse-proxy to proxyURL, federation scrapes
-// inspectURL/metrics, and invalidation bumps post to
-// inspectURL/fleet/invalidate. inspectURL may be empty for an instance
-// that exposes no inspection listener — it still routes, it just cannot
-// federate or receive bumps.
+// instance: requests reverse-proxy to proxyURL, and federation scrapes
+// inspectURL/metrics with client (nil: a client bounded by
+// scrapeTimeout). inspectURL may be empty for an instance that exposes no
+// inspection listener — it still routes, it just cannot federate.
 func NewRemoteMember(id, proxyURL, inspectURL string, client *http.Client) (*Member, error) {
 	target, err := url.Parse(proxyURL)
 	if err != nil {
@@ -30,7 +37,7 @@ func NewRemoteMember(id, proxyURL, inspectURL string, client *http.Client) (*Mem
 	}
 	httpc := client
 	if httpc == nil {
-		httpc = http.DefaultClient
+		httpc = &http.Client{Timeout: scrapeTimeout}
 	}
 	m.Metrics = func() (string, error) {
 		resp, err := httpc.Get(inspectURL + "/metrics")
@@ -46,9 +53,6 @@ func NewRemoteMember(id, proxyURL, inspectURL string, client *http.Client) (*Mem
 			return "", fmt.Errorf("fleet: instance %s metrics: %w", id, err)
 		}
 		return string(body), nil
-	}
-	m.Invalidate = func(project string) error {
-		return PostInvalidate(httpc, inspectURL, project)
 	}
 	return m, nil
 }

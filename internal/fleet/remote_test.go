@@ -6,28 +6,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"cloudmon/internal/httpkit"
 )
 
-// bumpLog records the projects an instance's bus endpoint was bumped for.
-type bumpLog struct {
-	mu       sync.Mutex
-	projects []string
-}
-
-func (b *bumpLog) InvalidateProject(project string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.projects = append(b.projects, project)
-}
-
 // remoteInstance serves a monitor instance's two listeners over HTTP: the
 // proxy echoes each request's path, and the inspection listener serves
-// the metrics page it is given and the bus endpoint.
-func remoteInstance(t *testing.T, metrics *string, bumps *bumpLog) (proxyURL, inspectURL string) {
+// the metrics page it is given.
+func remoteInstance(t *testing.T, metrics *string) (proxyURL, inspectURL string) {
 	t.Helper()
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
@@ -38,20 +26,18 @@ func remoteInstance(t *testing.T, metrics *string, bumps *bumpLog) (proxyURL, in
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, *metrics)
 	})
-	mux.Handle(InvalidatePath, InvalidateHandler(bumps))
 	inspect := httptest.NewServer(mux)
 	t.Cleanup(inspect.Close)
 	return proxy.URL, inspect.URL
 }
 
 // TestRemoteMember drives a front over one HTTP-reachable instance:
-// requests reach the instance's proxy, its metrics page federates, bumps
-// reach its bus endpoint, and a metrics page over the scrape bound fails
-// the scrape instead of federating a cut page.
+// requests reach the instance's proxy, its metrics page federates, and a
+// metrics page over the scrape bound fails the scrape instead of
+// federating a cut page.
 func TestRemoteMember(t *testing.T) {
 	metrics := "# HELP t_up up\n# TYPE t_up gauge\nt_up{instance=\"m1\"} 1\n"
-	bumps := &bumpLog{}
-	proxyURL, inspectURL := remoteInstance(t, &metrics, bumps)
+	proxyURL, inspectURL := remoteInstance(t, &metrics)
 	m, err := NewRemoteMember("m1", proxyURL, inspectURL, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -76,16 +62,6 @@ func TestRemoteMember(t *testing.T) {
 		t.Errorf("federated page lacks the instance's samples:\n%s", doc)
 	}
 
-	if err := m.Invalidate("p1"); err != nil {
-		t.Fatalf("bump: %v", err)
-	}
-	bumps.mu.Lock()
-	got := strings.Join(bumps.projects, ",")
-	bumps.mu.Unlock()
-	if got != "p1" {
-		t.Errorf("instance bumped for %q, want p1", got)
-	}
-
 	metrics = "t_up 1\n" + strings.Repeat("#", httpkit.MaxScrapeBytes)
 	var tooLarge *httpkit.BodyTooLargeError
 	if _, err := m.Metrics(); !errors.As(err, &tooLarge) {
@@ -96,20 +72,48 @@ func TestRemoteMember(t *testing.T) {
 	}
 }
 
-// TestPostInvalidateBoundsTheReply: a bump's reply is read under a bound,
-// and one past it fails the bump.
-func TestPostInvalidateBoundsTheReply(t *testing.T) {
-	reply := ""
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.WriteString(w, reply)
-	}))
-	defer srv.Close()
-	if err := PostInvalidate(srv.Client(), srv.URL, "p1"); err != nil {
-		t.Fatalf("bump with an empty reply: %v", err)
+// TestFederationSurvivesAWedgedMember: a member whose inspect listener
+// takes the scrape and never answers, as a stopped or deadlocked process
+// does, costs the federated page its own samples and one error count,
+// not the page. The deadline is well past the scrape bound; a handler
+// that waits on the member for good fails the test instead of hanging it.
+func TestFederationSurvivesAWedgedMember(t *testing.T) {
+	metrics := "# HELP t_up up\n# TYPE t_up gauge\nt_up{instance=\"m-00\"} 1\n"
+	proxyURL, inspectURL := remoteInstance(t, &metrics)
+	healthy, err := NewRemoteMember("m-00", proxyURL, inspectURL, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	reply = strings.Repeat("x", maxBusReply+1)
-	var tooLarge *httpkit.BodyTooLargeError
-	if err := PostInvalidate(srv.Client(), srv.URL, "p1"); !errors.As(err, &tooLarge) {
-		t.Errorf("bump with a %d-byte reply: %v, want a body-exceeds error", len(reply), err)
+	release := make(chan struct{})
+	stuck := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	t.Cleanup(func() {
+		close(release)
+		stuck.Close()
+	})
+	wedged, err := NewRemoteMember("m-01", stuck.URL, stuck.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := NewFront([]*Member{healthy, wedged})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	page := make(chan string, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		front.FederationHandler(nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		page <- rec.Body.String()
+	}()
+	select {
+	case doc := <-page:
+		if !strings.Contains(doc, `t_up{instance="m-00"} 1`) {
+			t.Errorf("federated page lacks the healthy member's samples:\n%s", doc)
+		}
+		if !strings.Contains(doc, "# fleet_federation_errors 1 ") {
+			t.Errorf("federated page does not count the wedged member's scrape as failed:\n%s", doc)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("the federated scrape hung on a member that never answers")
 	}
 }

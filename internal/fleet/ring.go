@@ -1,12 +1,9 @@
 // Package fleet shards the cloud monitor horizontally: a thin front tier
 // routes each request to one of N monitor instances by rendezvous hashing
 // on the project key, so every instance owns a disjoint slice of projects
-// and its per-project machinery — the generation-invalidated pre-state
-// cache, the flight-coalescing groups, the async-post queues — stays
-// shared-nothing. The package also carries the cross-instance
-// invalidation bus (a ≤64-byte generation bump posted to a project's
-// owner when another instance forwards a write for it) and the /metrics
-// federation the front serves over per-instance scrapes.
+// and its per-project machinery — the flight-coalescing groups, the
+// async-post queues — stays shared-nothing. The package also carries the
+// /metrics federation the front serves over per-instance scrapes.
 package fleet
 
 import (

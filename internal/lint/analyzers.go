@@ -14,8 +14,8 @@ func Analyzers() []*Analyzer {
 
 // hotFuncs names the per-request hot path, per package: the monitor's
 // demand loop, which runs once per clause and re-enters once per demanded
-// path, and the per-path pre-state read (a cache hit returns from it
-// without leaving); the compiled engine's slot accessors and program
+// path, and the per-path pre-state read (a result a wave already brought
+// returns from it without leaving); the compiled engine's slot accessors and program
 // entry, which every clause closure funnels through, where a stray
 // allocation multiplies by the atom count; and the state provider's
 // per-read resolver and its response scanner, which runs over every body
@@ -137,7 +137,7 @@ var counterName = regexp.MustCompile(`(?i)(count|counter|total|hits|misses|prune
 // integers: every request goroutine increments them, and a raw int is a
 // data race the race detector only catches when two requests actually
 // collide. Exported fields are exempt — they appear only in snapshot
-// structs (Verdict, CacheStats, FetchStats) returned by value; the live
+// structs (Verdict, FetchStats) returned by value; the live
 // shared state is always an unexported field.
 func AtomicCounters() *Analyzer {
 	return &Analyzer{

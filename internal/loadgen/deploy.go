@@ -28,9 +28,9 @@ const quotaVolumes = 1000000
 // behind a consistent-hash front.
 type Options struct {
 	// Monitor holds every instance's monitor knobs (mode, check level,
-	// fail policy, post mode, cache TTL, retry, MaxLog, ...). Deploy owns
-	// and overwrites Model, CloudURL, ServiceAccount, HTTPClient, Audit,
-	// InstanceID and OnInvalidate.
+	// fail policy, post mode, retry, MaxLog, ...). Deploy owns and
+	// overwrites Model, CloudURL, ServiceAccount, HTTPClient, Audit and
+	// InstanceID.
 	Monitor core.Options
 	// Instances is the fleet size. 0 deploys one monitor with instance id
 	// "" that the clients call directly; N ≥ 1 deploys N members,
@@ -69,8 +69,6 @@ type Instance struct {
 	ID string
 	// Sys is the instance's assembled pipeline.
 	Sys *core.System
-	// Bus is the instance's invalidation fan-out (nil for a lone monitor).
-	Bus *fleet.Bus
 	// Audit is the instance's audit sink (nil without AuditDir).
 	Audit *obs.AuditLog
 }
@@ -95,14 +93,13 @@ type Deployment struct {
 
 	frontMetrics *obs.Registry
 	members      []*fleet.Member
-	byID         map[string]*fleet.Member
 }
 
 // Deploy builds the paper's example deployment in process: the simulated
 // cloud seeded with Table I's role groups and one user per role, one
 // client token per role and tenant, and the monitor instances over it —
-// each with its own transport chain to the cloud, pre-state cache,
-// flight groups, async-post queue, metric registry and audit trail.
+// each with its own transport chain to the cloud, flight groups,
+// async-post queue, metric registry and audit trail.
 func Deploy(opts Options) (*Deployment, error) {
 	if opts.Instances < 0 {
 		return nil, fmt.Errorf("loadgen: deploy: negative instance count %d", opts.Instances)
@@ -167,20 +164,7 @@ func Deploy(opts Options) (*Deployment, error) {
 		inj = faults.NewInjector(opts.Faults)
 	}
 
-	d := &Deployment{
-		Tenants:  tenants,
-		Injector: inj,
-		byID:     map[string]*fleet.Member{},
-	}
-	// The bus closures read the deployment's front, which exists only
-	// after all members are built — late binding breaks the cycle.
-	ringView := func() *fleet.Ring {
-		if d.Front == nil {
-			return nil
-		}
-		return d.Front.Ring()
-	}
-	memberView := func(id string) *fleet.Member { return d.byID[id] }
+	d := &Deployment{Tenants: tenants, Injector: inj}
 
 	for i := 0; i < max(opts.Instances, 1); i++ {
 		id, auditDir := "", opts.AuditDir
@@ -221,12 +205,6 @@ func Deploy(opts Options) (*Deployment, error) {
 		mo.HTTPClient = &http.Client{Transport: rt}
 		mo.Audit = audit
 		mo.InstanceID = id
-		mo.OnInvalidate = nil
-		var bus *fleet.Bus
-		if opts.Instances > 0 {
-			bus = &fleet.Bus{Self: id, Ring: ringView, Member: memberView, Retry: mo.Retry}
-			mo.OnInvalidate = bus.OnInvalidate
-		}
 		sys, err := core.Build(mo)
 		if err != nil {
 			if audit != nil {
@@ -235,27 +213,14 @@ func Deploy(opts Options) (*Deployment, error) {
 			d.Close()
 			return nil, fmt.Errorf("loadgen: deploy: %w", err)
 		}
-		d.Instances = append(d.Instances, &Instance{ID: id, Sys: sys, Bus: bus, Audit: audit})
-		if bus == nil {
-			continue
+		d.Instances = append(d.Instances, &Instance{ID: id, Sys: sys, Audit: audit})
+		if opts.Instances > 0 {
+			d.members = append(d.members, &fleet.Member{
+				ID:      id,
+				Proxy:   sys.Monitor,
+				Metrics: func() (string, error) { return sys.Metrics.Render(), nil },
+			})
 		}
-		// Bump delivery goes over the real wire format: an in-process
-		// HTTP client against the instance's invalidate endpoint.
-		bus.RegisterMetrics(sys.Metrics)
-		inspect := http.NewServeMux()
-		inspect.Handle(fleet.InvalidatePath, fleet.InvalidateHandler(sys.Monitor))
-		busHTTP := httpkit.HandlerClient(inspect)
-		busBase := "http://" + id + ".internal"
-		member := &fleet.Member{
-			ID:      id,
-			Proxy:   sys.Monitor,
-			Metrics: func() (string, error) { return sys.Metrics.Render(), nil },
-			Invalidate: func(project string) error {
-				return fleet.PostInvalidate(busHTTP, busBase, project)
-			},
-		}
-		d.members = append(d.members, member)
-		d.byID[id] = member
 	}
 
 	d.Target = Target{
@@ -292,8 +257,7 @@ func Deploy(opts Options) (*Deployment, error) {
 }
 
 // Resize re-rings a fleet's front over the first n instances. All
-// instances stay alive (their buses keep forwarding bumps for projects
-// they no longer own); only routing changes. Growing past the built
+// instances stay alive; only routing changes. Growing past the built
 // fleet, or resizing a lone monitor, is an error.
 func (d *Deployment) Resize(n int) error {
 	if n < 1 || n > len(d.members) {
@@ -361,16 +325,10 @@ func (d *Deployment) Stages() map[string]obs.StageSummary {
 	return out
 }
 
-// Drain blocks until every instance's async post queue is empty and every
-// in-flight invalidation bump has been delivered or dropped.
+// Drain blocks until every instance's async post queue is empty.
 func (d *Deployment) Drain() {
 	for _, in := range d.Instances {
 		in.Sys.Monitor.DrainPost()
-	}
-	for _, in := range d.Instances {
-		if in.Bus != nil {
-			in.Bus.Wait()
-		}
 	}
 }
 
@@ -404,14 +362,11 @@ func (d *Deployment) Metrics() string {
 	return obs.MergeExpositions(docs...)
 }
 
-// Close drains every instance (async verdicts and bus bumps land) and
-// closes the audit sinks. Safe on a partially built deployment.
+// Close drains every instance (async verdicts land) and closes the audit
+// sinks. Safe on a partially built deployment.
 func (d *Deployment) Close() error {
 	for _, in := range d.Instances {
 		in.Sys.Monitor.Close()
-		if in.Bus != nil {
-			in.Bus.Wait()
-		}
 	}
 	var firstErr error
 	for _, in := range d.Instances {

@@ -31,7 +31,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:        "cinder-read-heavy",
-			Description: "GET-dominated traffic, the profile the pre-state cache accelerates",
+			Description: "GET-dominated traffic, where concurrent identical reads coalesce",
 			Mix: []OpSpec{
 				{Op: OpGetVolume, Role: RoleAdmin, Weight: 30},
 				{Op: OpGetVolume, Role: RoleMember, Weight: 30},
@@ -47,7 +47,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:        "cinder-write-heavy",
-			Description: "create/delete churn — exercises post-condition checks and cache invalidation",
+			Description: "create/delete churn — exercises post-condition checks",
 			Mix: []OpSpec{
 				{Op: OpCreateVolume, Role: RoleAdmin, Weight: 30},
 				{Op: OpDeleteVolume, Role: RoleAdmin, Weight: 30},

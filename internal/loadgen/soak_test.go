@@ -150,7 +150,7 @@ func checkVerdictInvariants(t *testing.T, log []monitor.Verdict, mode monitor.Mo
 // runSoak deploys in process, hammers the monitor with ≥32 concurrent
 // clients, and checks every recorded verdict. Run under -race this is the
 // concurrency proof for the sharded log, the snapshot fan-out and the
-// pre-state cache.
+// flights.
 func runSoak(t *testing.T, opts Options, mode monitor.Mode) *Deployment {
 	t.Helper()
 	clients, requests := 32, 4000
@@ -199,14 +199,6 @@ func TestSoakEnforce(t *testing.T) {
 // TestSoakObserve repeats the soak in Observe (test-oracle) mode.
 func TestSoakObserve(t *testing.T) {
 	runSoak(t, Options{}, monitor.Observe)
-}
-
-// TestSoakHardened repeats the soak with the pre-state cache on, the one
-// hot-path optimisation that is a deployment choice.
-func TestSoakHardened(t *testing.T) {
-	runSoak(t, Options{Monitor: core.Options{
-		PreStateCacheTTL: 25 * time.Millisecond,
-	}}, monitor.Enforce)
 }
 
 // TestSoakAsyncPost is the async-pipeline concurrency soak: 32 clients,
@@ -318,13 +310,4 @@ func TestSoakChaosAsyncShed(t *testing.T) {
 	if got := mon.Outcomes()[monitor.Unverified]; got != int(st.Shed) {
 		t.Fatalf("Unverified verdicts %d, shed counter %d", got, st.Shed)
 	}
-}
-
-// TestSoakChaosDegrade adds the stale-cache fallback on top of chaos: the
-// pre-state cache both serves the degrade path and races generation
-// invalidation against the fault-ridden snapshot fan-out.
-func TestSoakChaosDegrade(t *testing.T) {
-	opts := chaosOpts(t, monitor.Degrade)
-	opts.Monitor.PreStateCacheTTL = 25 * time.Millisecond
-	runSoak(t, opts, monitor.Enforce)
 }

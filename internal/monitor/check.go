@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -21,13 +22,12 @@ func (e *fetchError) Error() string { return e.err.Error() }
 func (e *fetchError) Unwrap() error { return e.err }
 
 // flightGroup coalesces identical concurrent cloud GETs: the first caller
-// for a key becomes the flight leader and performs the fetch (capturing the
-// cache generation before it starts, so it alone may store the result);
-// callers arriving while the flight is open wait for the leader's result
-// and never touch the cache. Flight keys are the pre-state cache keys —
-// (path, token, params) — so coalescing and caching agree on identity.
-// Post-state fetches never join a flight: a request must observe its own
-// forwarded effect, not a read that started before it.
+// for a key becomes the flight leader and performs the fetch; callers
+// arriving while the flight is open wait for the leader's result. A flight
+// is keyed by (path, token, params), so only requests that would read the
+// same cloud state share one. Post-state fetches never join a flight: a
+// request must observe its own forwarded effect, not a read that started
+// before it.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight
@@ -67,6 +67,39 @@ func (g *flightGroup) land(key string, fl *flight) {
 	close(fl.done)
 }
 
+// cacheKey builds a flight key. The token partitions requester-dependent
+// paths (user.id.groups); the params partition resource-dependent ones.
+// Neither a dotted state path nor a header value (net/http rejects control
+// characters in them) can contain the \x1f separator, and paramsCacheKey
+// is unambiguous on its own, so distinct triples never share a key.
+func cacheKey(path, token, paramsKey string) string {
+	return path + "\x1f" + token + "\x1f" + paramsKey
+}
+
+// paramsCacheKey flattens the URI captures into a stable string that
+// tells every capture set apart: names and values are length-prefixed, so
+// no value can pose as a separator (a captured "p1;volume_id=v1" must not
+// share a key with {p1, v1}).
+func paramsCacheKey(params map[string]string) string {
+	if len(params) == 0 {
+		return ""
+	}
+	keys := make([]string, 0, len(params))
+	for k := range params {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b []byte
+	for _, k := range keys {
+		for _, s := range [2]string{k, params[k]} {
+			b = strconv.AppendInt(b, int64(len(s)), 10)
+			b = append(b, ':')
+			b = append(b, s...)
+		}
+	}
+	return string(b)
+}
+
 // errUnresolved is the result of every path a failed Snapshot call carried
 // when it carried several: the call's error belongs to no path in
 // particular, so whoever needs one of them reads it on its own.
@@ -75,10 +108,9 @@ var errUnresolved = errors.New("monitor: a failed multi-path read left this path
 // fetcher performs the per-path cloud reads of one check, filling the
 // request's frame and accounting fetch counts and time per phase.
 type fetcher struct {
-	m       *Monitor
-	reqCtx  *RequestContext
-	project string
-	pk      string
+	m      *Monitor
+	reqCtx *RequestContext
+	pk     string
 	// fr is the request's one state store: its current bank holds the
 	// pre-state until postVerify turns it around for the post-state.
 	fr *contract.Frame
@@ -93,49 +125,31 @@ type fetcher struct {
 	// have read.
 	ahead map[string]*flight
 
-	degraded bool
-	fetched  int
-	preDur   time.Duration
-	postDur  time.Duration
+	fetched int
+	preDur  time.Duration
+	postDur time.Duration
 }
 
 // fetchPre resolves one pre-state path into the frame: a result a wave
-// already brought, else the read cache, else a coalesced provider read —
-// a wave with the current clause's other unfetched paths, or the path
-// alone outside a clause and after a failed multi-path read — then, under
-// the Degrade policy, a stale cache entry within the degrade window. The
-// flight leader captures the project generation before fetching and is
-// the only writer to the cache, so a waiter can never store a value
-// observed before a write that invalidated it.
+// already brought, else a coalesced provider read — a wave with the
+// current clause's other unfetched paths, or the path alone outside a
+// clause and after a failed multi-path read.
 func (f *fetcher) fetchPre(path string) error {
-	m := f.m
 	clause := f.clause
 	fl := f.ahead[path]
 	if fl != nil {
 		delete(f.ahead, path)
 		clause = nil
-	} else if m.cache != nil {
-		if v, present, ok := m.cache.get(path, f.reqCtx.Token, f.pk, f.project); ok {
-			f.fr.SetCur(path, v, present)
-			return nil
-		}
 	}
 	for fl == nil || fl.err == errUnresolved {
 		fl = f.fetchWave(path, clause)
 		clause = nil
 	}
-	if fl.err == nil {
-		f.fr.SetCur(path, fl.val, fl.present)
-		return nil
+	if fl.err != nil {
+		return fl.err
 	}
-	if m.failPolicy == Degrade && m.cache != nil {
-		if v, present, ok := m.cache.getStale(path, f.reqCtx.Token, f.pk, f.project, m.degradeTTL); ok {
-			f.fr.SetCur(path, v, present)
-			f.degraded = true
-			return nil
-		}
-	}
-	return fl.err
+	f.fr.SetCur(path, fl.val, fl.present)
+	return nil
 }
 
 // wavePath is one path of a wave: a flight the wave leads, or one another
@@ -146,16 +160,14 @@ type wavePath struct {
 	lead      bool
 }
 
-// fetchWave reads a demanded pre-state path, which missed the cache,
-// together with clause's other unfetched paths, and returns the demanded
-// path's flight. Cache hits stay out of the call. The wave opens a flight
-// for every path no other request is reading, sends one Snapshot for all
-// of them and completes those flights before it waits on anyone else's,
-// so two waves that lead each other's paths cannot deadlock. Only the
-// demanded path's result is returned and can fail the clause; the others
-// wait in ahead for their own demand.
+// fetchWave reads a demanded pre-state path together with clause's other
+// unfetched paths, and returns the demanded path's flight. The wave opens
+// a flight for every path no other request is reading, sends one Snapshot
+// for all of them and completes those flights before it waits on anyone
+// else's, so two waves that lead each other's paths cannot deadlock. Only
+// the demanded path's result is returned and can fail the clause; the
+// others wait in ahead for their own demand.
 func (f *fetcher) fetchWave(demanded string, clause []string) *flight {
-	m := f.m
 	t0 := time.Now()
 	wave := []wavePath{f.board(demanded)}
 	for _, p := range clause {
@@ -167,12 +179,6 @@ func (f *fetcher) fetchWave(demanded string, clause []string) *flight {
 		}
 		if _, ok := f.ahead[p]; ok {
 			continue
-		}
-		if m.cache != nil {
-			if v, present, ok := m.cache.get(p, f.reqCtx.Token, f.pk, f.project); ok {
-				f.stash(p, &flight{val: v, present: present})
-				continue
-			}
 		}
 		wave = append(wave, f.board(p))
 	}
@@ -236,10 +242,6 @@ func (f *fetcher) lead(wave []wavePath) {
 	if len(paths) == 0 {
 		return
 	}
-	var gen uint64
-	if m.cache != nil {
-		gen = m.cache.projectGen(f.project)
-	}
 	f.fetched += len(paths)
 	if len(paths) > 1 {
 		m.waves.Inc()
@@ -253,9 +255,6 @@ func (f *fetcher) lead(wave []wavePath) {
 		switch {
 		case err == nil:
 			fl.val, fl.present = snap[w.path]
-			if m.cache != nil {
-				m.cache.put(w.path, f.reqCtx.Token, f.pk, f.project, fl.val, fl.present, gen)
-			}
 		case len(paths) == 1:
 			fl.err = err
 		default:
@@ -266,9 +265,9 @@ func (f *fetcher) lead(wave []wavePath) {
 }
 
 // fetchPost resolves one post-state path straight from the cloud into the
-// frame — no cache, no coalescing: the post-condition verifies this
-// request's own effect, so joining a read that started before the forward
-// would compare against stale state.
+// frame — no coalescing: the post-condition verifies this request's own
+// effect, so joining a read that started before the forward would compare
+// against stale state.
 func (f *fetcher) fetchPost(path string) error {
 	t0 := time.Now()
 	f.fetched++
@@ -347,11 +346,10 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 	}
 	v := Verdict{Trigger: c.Trigger, SecReqs: c.SecReqs, ContractDigest: cr.digest}
 	f := &fetcher{
-		m:       m,
-		reqCtx:  reqCtx,
-		project: params["project_id"],
-		pk:      paramsCacheKey(params),
-		fr:      comp.NewFrame(),
+		m:      m,
+		reqCtx: reqCtx,
+		pk:     paramsCacheKey(params),
+		fr:     comp.NewFrame(),
 	}
 	// The frame goes back to the pool when the verdict is final: here,
 	// unless a post capture takes it over — then postVerify or
@@ -379,8 +377,7 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 		return v
 	}
 	// snapshotFailed runs the pre-forward fail-policy branches shared by
-	// the pre-check and the pre-state top-up (the Degrade rescue already
-	// ran per path inside fetchPre).
+	// the pre-check and the pre-state top-up.
 	snapshotFailed := func(err error) (Verdict, *BackendResponse, *postCapture) {
 		if m.failPolicy == FailOpen {
 			m.fenceWrites(r.Method)
@@ -393,7 +390,6 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 			}
 			v.Forwarded = true
 			v.BackendStatus = resp.StatusCode
-			m.forwardedWrite(r.Method, params["project_id"])
 			return finish(Unverified, fmt.Sprintf("pre-state snapshot failed (fail-open): %v", err)), resp, nil
 		}
 		return finish(Error, fmt.Sprintf("pre-state snapshot: %v", err)), nil, nil
@@ -426,7 +422,6 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 		anteVals[i] = val
 	}
 	preEvalDur = time.Since(preStart) - f.preDur
-	v.DegradedPre = f.degraded
 
 	// Coverage attribution in model order.
 	preOK := false
@@ -485,7 +480,6 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 	if topErr != nil {
 		return snapshotFailed(topErr)
 	}
-	v.DegradedPre = f.degraded
 
 	// A deferred post check reads the cloud after its response returns; a
 	// write forwarded underneath it would interfere. Mutations wait here
@@ -500,9 +494,6 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 	}
 	v.Forwarded = true
 	v.BackendStatus = resp.StatusCode
-	// A forwarded write may change any state the project's contracts
-	// read: drop the project's cached pre-state and tell the fleet hook.
-	m.forwardedWrite(r.Method, params["project_id"])
 
 	if !preOK {
 		// Observe mode with a forbidden request: the cloud must reject it.
@@ -655,7 +646,7 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace) Verdict {
 			postEvalDur = time.Since(postStart) - f.postDur
 			var fe *fetchError
 			if errors.As(err, &fe) {
-				if m.failPolicy == FailOpen || m.failPolicy == Degrade {
+				if m.failPolicy == FailOpen {
 					return finish(Unverified, fmt.Sprintf(
 						"post-state snapshot failed (%s): %v", m.failPolicy, fe.err))
 				}

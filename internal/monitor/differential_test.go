@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"cloudmon/internal/contract"
 	"cloudmon/internal/ocl"
@@ -367,10 +366,8 @@ func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 
 // TestDifferentialFailPolicies pins how each snapshot-failure policy
 // degrades: a cloud outage yields a fixed outcome, response code,
-// forwarding decision and read count per policy. Three fault shapes are
-// driven per policy: pre-phase failure (cold), post-phase failure, and —
-// for Degrade — a warmed cache followed by an outage, which must serve
-// the cached pre-state and mark the verdict degraded.
+// forwarding decision and read count per policy. Two fault shapes are
+// driven per policy: pre-phase failure and post-phase failure.
 func TestDifferentialFailPolicies(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -378,19 +375,14 @@ func TestDifferentialFailPolicies(t *testing.T) {
 	}
 	build := func(policy FailPolicy, prov StateProvider) *Monitor {
 		t.Helper()
-		cfg := Config{
+		m, err := New(Config{
 			Contracts:  set,
 			Routes:     diffRoutes(),
 			Provider:   prov,
 			Forward:    &fakeForwarder{status: 204},
 			Mode:       Enforce,
 			FailPolicy: policy,
-		}
-		if policy == Degrade {
-			cfg.PreStateCacheTTL = 20 * time.Millisecond
-			cfg.DegradeTTL = 10 * time.Second
-		}
-		m, err := New(cfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,53 +410,31 @@ func TestDifferentialFailPolicies(t *testing.T) {
 		"post-fault": func(policy FailPolicy) (Verdict, int) {
 			return sendReq(build(policy, &prePostProvider{pre: good}), http.MethodDelete)
 		},
-		// Warm cache, then outage: a GET keeps the state fixpoint-clean
-		// across both requests; the read cache lapses so the live
-		// snapshot really fails while the degrade window is still open.
-		"degrade-warm": func(policy FailPolicy) (Verdict, int) {
-			prov := &switchProvider{env: good}
-			m := build(policy, prov)
-			if v, _ := sendReq(m, http.MethodGet); v.Outcome != OK {
-				t.Fatalf("warm request outcome %s, want ok", v.Outcome)
-			}
-			time.Sleep(30 * time.Millisecond)
-			prov.fail.Store(true)
-			return sendReq(m, http.MethodGet)
-		},
 	}
 	type want struct {
 		outcome   Outcome
 		code      int
 		forwarded bool
-		degraded  bool
 		fetched   int
 		detail    string
 	}
-	preClosed := want{Error, http.StatusBadGateway, false, false, 6, "pre-state snapshot: fake failure"}
 	cells := []struct {
 		policy FailPolicy
 		shape  string
 		want   want
 	}{
-		{FailClosed, "pre-fault", preClosed},
-		{FailClosed, "post-fault", want{Error, http.StatusBadGateway, true, false, 6,
+		{FailClosed, "pre-fault", want{Error, http.StatusBadGateway, false, 6,
+			"pre-state snapshot: fake failure"}},
+		{FailClosed, "post-fault", want{Error, http.StatusBadGateway, true, 6,
 			"post-state snapshot: fake failure"}},
-		{FailOpen, "pre-fault", want{Unverified, http.StatusNoContent, true, false, 6,
+		{FailOpen, "pre-fault", want{Unverified, http.StatusNoContent, true, 6,
 			"pre-state snapshot failed (fail-open): fake failure"}},
-		{FailOpen, "post-fault", want{Unverified, http.StatusNoContent, true, false, 6,
+		{FailOpen, "post-fault", want{Unverified, http.StatusNoContent, true, 6,
 			"post-state snapshot failed (fail-open): fake failure"}},
-		// A cold cache has nothing to stand in: Degrade fails closed.
-		{Degrade, "pre-fault", preClosed},
-		{Degrade, "post-fault", want{Unverified, http.StatusNoContent, true, false, 6,
-			"post-state snapshot failed (degrade): fake failure"}},
-		// The stale pre-state stands in; the post phase cannot be
-		// rescued, the request's own effect must be read live.
-		{Degrade, "degrade-warm", want{Unverified, http.StatusNoContent, true, true, 9,
-			"post-state snapshot failed (degrade): fake failure"}},
 	}
 	for _, cell := range cells {
 		v, code := shapes[cell.shape](cell.policy)
-		got := want{v.Outcome, code, v.Forwarded, v.DegradedPre, v.FetchedPaths, v.Detail}
+		got := want{v.Outcome, code, v.Forwarded, v.FetchedPaths, v.Detail}
 		if got != cell.want {
 			t.Errorf("%s/%s: got %+v, want %+v", cell.policy, cell.shape, got, cell.want)
 		}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"cloudmon/internal/ocl"
@@ -131,6 +132,46 @@ func TestHTTPForwarderSubstitution(t *testing.T) {
 	}
 	if gotBody != `{"volume":{}}` {
 		t.Errorf("body = %q", gotBody)
+	}
+}
+
+// TestHTTPForwarderEscapesCaptures: the cloud receives the request the
+// monitor matched. Each decoded capture goes back into its own path
+// segment escaped, so "P?x" cannot start a query and "{volume_id}" cannot
+// be taken for the template's next placeholder, in whatever order the
+// captures are visited.
+func TestHTTPForwarderEscapesCaptures(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		got = append(got, r.Method+" "+r.URL.RequestURI())
+		mu.Unlock()
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	defer backend.Close()
+	m := newMonitor(t, Observe, &fakeProvider{pre: env(0, 10, "available", "admin"),
+		post: env(1, 10, "available", "admin")}, &HTTPForwarder{BaseURL: backend.URL})
+
+	const tries = 200
+	for _, tc := range []struct{ method, path, want string }{
+		{http.MethodPost, "/projects/P%3Fx/volumes", "POST /volume/v3/P%3Fx/volumes"},
+		{http.MethodDelete, "/projects/%7Bvolume_id%7D/volumes/v1", "DELETE /volume/v3/%7Bvolume_id%7D/volumes/v1"},
+	} {
+		for i := 0; i < tries; i++ {
+			mu.Lock()
+			got = got[:0]
+			mu.Unlock()
+			req := httptest.NewRequest(tc.method, tc.path, nil)
+			req.Header.Set("X-Auth-Token", "tok")
+			m.ServeHTTP(httptest.NewRecorder(), req)
+			mu.Lock()
+			reached := append([]string(nil), got...)
+			mu.Unlock()
+			if len(reached) != 1 || reached[0] != tc.want {
+				t.Fatalf("%s %s, try %d: the cloud received %q, want %q", tc.method, tc.path, i, reached, tc.want)
+			}
+		}
 	}
 }
 

@@ -3,10 +3,8 @@ package monitor
 import (
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cloudmon/internal/contract"
 	"cloudmon/internal/ocl"
@@ -79,7 +77,7 @@ func doGet(t *testing.T, m *Monitor) *httptest.ResponseRecorder {
 }
 
 func TestFailPolicyString(t *testing.T) {
-	cases := map[FailPolicy]string{FailClosed: "fail-closed", FailOpen: "fail-open", Degrade: "degrade"}
+	cases := map[FailPolicy]string{FailClosed: "fail-closed", FailOpen: "fail-open"}
 	for p, want := range cases {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
@@ -87,23 +85,6 @@ func TestFailPolicyString(t *testing.T) {
 	}
 	if Unverified.String() != "unverified" {
 		t.Errorf("Unverified.String() = %q", Unverified.String())
-	}
-}
-
-func TestNewRejectsDegradeWithoutCache(t *testing.T) {
-	set, err := contract.Generate(paper.CinderModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{
-		Contracts:  set,
-		Routes:     diffRoutes(),
-		Provider:   &fakeProvider{},
-		Forward:    &fakeForwarder{},
-		FailPolicy: Degrade,
-	})
-	if err == nil || !strings.Contains(err.Error(), "PreStateCacheTTL") {
-		t.Fatalf("New accepted Degrade without a cache: err = %v", err)
 	}
 }
 
@@ -156,111 +137,20 @@ func TestFailClosedNeverForwardsOnSnapshotError(t *testing.T) {
 	}
 }
 
-func TestDegradeColdCacheFailsClosed(t *testing.T) {
-	p := &switchProvider{}
-	p.fail.Store(true)
-	f := &fakeForwarder{status: 200}
-	m := newPolicyMonitor(t, Config{
-		Provider: p, Forward: f,
-		FailPolicy:       Degrade,
-		PreStateCacheTTL: 50 * time.Millisecond,
-	})
-	rec := doGet(t, m)
-	if rec.Code != http.StatusBadGateway {
-		t.Fatalf("status %d, want 502 (cold cache degrades to fail-closed)", rec.Code)
-	}
-	if f.calls != 0 {
-		t.Fatal("degrade with a cold cache forwarded")
-	}
-	if v := lastVerdict(t, m); v.Outcome != Error || v.DegradedPre {
-		t.Fatalf("verdict = %s degraded=%v, want error not-degraded", v.Outcome, v.DegradedPre)
-	}
-}
-
-func TestDegradeServesCachedPre(t *testing.T) {
-	p := &switchProvider{env: env(1, 10, "available", "admin")}
-	f := &fakeForwarder{status: 200}
-	m := newPolicyMonitor(t, Config{
-		Provider: p, Forward: f,
-		Level:            CheckPreOnly,
-		FailPolicy:       Degrade,
-		PreStateCacheTTL: 20 * time.Millisecond,
-		DegradeTTL:       10 * time.Second,
-	})
-
-	// Healthy read warms the cache.
-	if rec := doGet(t, m); rec.Code != http.StatusOK {
-		t.Fatalf("warm read status %d, want 200", rec.Code)
-	}
-	if v := lastVerdict(t, m); v.Outcome != OK || v.DegradedPre {
-		t.Fatalf("warm verdict = %s degraded=%v", v.Outcome, v.DegradedPre)
-	}
-
-	// Let the read cache lapse, then break the cloud: the live snapshot
-	// fails and the degrade window serves the stale pre-state.
-	time.Sleep(30 * time.Millisecond)
-	p.fail.Store(true)
-	rec := doGet(t, m)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("degraded read status %d, want 200", rec.Code)
-	}
-	v := lastVerdict(t, m)
-	if v.Outcome != OK || !v.DegradedPre || !v.Forwarded {
-		t.Fatalf("degraded verdict = %s degraded=%v forwarded=%v, want ok degraded forwarded",
-			v.Outcome, v.DegradedPre, v.Forwarded)
-	}
-}
-
-func TestDegradeRefusesInvalidatedCache(t *testing.T) {
-	p := &switchProvider{env: env(2, 10, "available", "admin")}
-	f := &fakeForwarder{status: 204}
-	m := newPolicyMonitor(t, Config{
-		Provider: p, Forward: f,
-		Level:            CheckPreOnly,
-		FailPolicy:       Degrade,
-		PreStateCacheTTL: time.Hour,
-		DegradeTTL:       time.Hour,
-	})
-
-	// Warm, then forward a write: the generation bump must make the
-	// cached pre-state unusable no matter how fresh it is.
-	if rec := doGet(t, m); rec.Code != http.StatusNoContent {
-		t.Fatalf("warm read status %d, want the forwarder's 204", rec.Code)
-	}
-	req := httptest.NewRequest(http.MethodDelete, "/projects/p1/volumes/v1", nil)
-	req.Header.Set("X-Auth-Token", "tok")
-	m.ServeHTTP(httptest.NewRecorder(), req)
-
-	p.fail.Store(true)
-	rec := doGet(t, m)
-	if rec.Code != http.StatusBadGateway {
-		t.Fatalf("status %d, want 502 (invalidated cache must not be degraded onto)", rec.Code)
-	}
-	if v := lastVerdict(t, m); v.Outcome != Error || v.DegradedPre {
-		t.Fatalf("verdict = %s degraded=%v, want error not-degraded", v.Outcome, v.DegradedPre)
-	}
-}
-
 func TestPostSnapshotErrorPerPolicy(t *testing.T) {
 	cases := []struct {
 		policy  FailPolicy
-		ttl     time.Duration
 		want    Outcome
 		wantRec int
 	}{
-		{FailClosed, 0, Error, http.StatusBadGateway},
-		{FailOpen, 0, Unverified, http.StatusNoContent},
-		{Degrade, time.Minute, Unverified, http.StatusNoContent},
+		{FailClosed, Error, http.StatusBadGateway},
+		{FailOpen, Unverified, http.StatusNoContent},
 	}
 	for _, tc := range cases {
 		t.Run(tc.policy.String(), func(t *testing.T) {
 			p := &prePostProvider{pre: env(2, 10, "available", "admin")}
 			f := &fakeForwarder{status: 204}
-			m := newPolicyMonitor(t, Config{
-				Provider: p, Forward: f,
-				FailPolicy:       tc.policy,
-				PreStateCacheTTL: tc.ttl,
-			})
+			m := newPolicyMonitor(t, Config{Provider: p, Forward: f, FailPolicy: tc.policy})
 			rec := doDelete(t, m)
 			if rec.Code != tc.wantRec {
 				t.Fatalf("status %d, want %d", rec.Code, tc.wantRec)

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -82,11 +83,6 @@ const (
 	// Unverified: availability is preserved, the enforcement gap is made
 	// auditable instead of silent.
 	FailOpen
-	// Degrade falls back to the pre-state read cache (fresh within its
-	// TTL and generation) when the live snapshot fails; with no usable
-	// cached state it behaves like FailClosed. Requires the pre-state
-	// cache to be enabled.
-	Degrade
 )
 
 // String returns the policy name.
@@ -96,8 +92,6 @@ func (p FailPolicy) String() string {
 		return "fail-closed"
 	case FailOpen:
 		return "fail-open"
-	case Degrade:
-		return "degrade"
 	}
 	return fmt.Sprintf("FailPolicy(%d)", int(p))
 }
@@ -126,9 +120,8 @@ const (
 	// Error: the monitor itself failed (cloud unreachable, evaluation
 	// error); no verdict about the cloud is implied.
 	Error
-	// Unverified: a snapshot failed but the fail policy let the request
-	// through (FailOpen, or Degrade without usable cached state for the
-	// post-check) — the request was forwarded and answered, but the
+	// Unverified: a snapshot failed but the fail policy (FailOpen) let the
+	// request through — the request was forwarded and answered, but the
 	// contract was not (fully) verified. Auditors must treat these as
 	// gaps, not as passes.
 	Unverified
@@ -232,9 +225,6 @@ type Verdict struct {
 	PreOK     bool
 	PostOK    bool
 	Forwarded bool
-	// DegradedPre marks a verdict whose pre-state came from the cache
-	// after the live snapshot failed (FailPolicy Degrade).
-	DegradedPre bool
 	// BackendStatus is the cloud's response code (0 when not forwarded).
 	BackendStatus int
 	// SecReqs are the security requirements attached to the contract.
@@ -261,8 +251,8 @@ type Verdict struct {
 	// checks before comparing outcomes.
 	ContractDigest string
 	// FetchedPaths counts the state-path reads this verdict issued to the
-	// provider (pre and post phases; cache hits and coalesced waits are
-	// free and not counted).
+	// provider (pre and post phases; coalesced waits are free and not
+	// counted).
 	FetchedPaths int
 	// ReusedPaths counts post-state paths served from the pre-state
 	// snapshot because no active transition's effect could touch them.
@@ -335,8 +325,7 @@ type Config struct {
 	// Level defaults to CheckFull.
 	Level CheckLevel
 	// FailPolicy decides the verdict when a state snapshot fails
-	// (defaults to FailClosed). Degrade additionally requires
-	// PreStateCacheTTL > 0.
+	// (defaults to FailClosed).
 	FailPolicy FailPolicy
 	// MaxLog bounds the in-memory verdict log (default 1024).
 	MaxLog int
@@ -349,20 +338,6 @@ type Config struct {
 	// cmd/auditctl queries. OK verdicts are never audited, so the hot
 	// path stays write-free under healthy traffic.
 	Audit *obs.AuditLog
-	// PreStateCacheTTL, when positive, enables a short-TTL pre-state read
-	// cache keyed by (path, token, URI params). Cached values are
-	// invalidated whenever the monitor forwards a write (non-GET) for the
-	// same project, so monitor-mediated traffic stays coherent; writes
-	// that bypass the monitor are only seen after the TTL expires. Leave
-	// zero for strict per-request snapshots (the paper's workflow).
-	PreStateCacheTTL time.Duration
-	// DegradeTTL bounds how stale a cached pre-state the Degrade fail
-	// policy may substitute for a failed live snapshot. It is
-	// deliberately wider than PreStateCacheTTL — within the read-cache
-	// TTL a live snapshot would not have been attempted at all — but
-	// entries invalidated by a forwarded write are never served
-	// regardless of age. Default 10 × PreStateCacheTTL.
-	DegradeTTL time.Duration
 	// Post selects when post-conditions are verified (defaults to
 	// PostSync). PostAsync returns the cloud response as soon as the
 	// forward completes and verifies the effect on a bounded worker
@@ -380,13 +355,6 @@ type Config struct {
 	// from a fleet's merged trails attribute each verdict to the engine
 	// that produced it. Empty for single-instance deployments.
 	InstanceID string
-	// OnInvalidate, if set, is invoked synchronously with the project id
-	// whenever the monitor forwards a write (non-GET) — the hook the
-	// fleet's cross-instance invalidation bus hangs off: an instance that
-	// mutates state for a project it does not own posts a generation bump
-	// to the owner. The local pre-state cache is always invalidated first,
-	// regardless of this hook.
-	OnInvalidate func(project string)
 }
 
 // Monitor is the cloud monitor. Safe for concurrent use.
@@ -399,12 +367,9 @@ type Monitor struct {
 	mode       Mode
 	level      CheckLevel
 	failPolicy FailPolicy
-	degradeTTL time.Duration
 	onVerdict  func(Verdict)
-	cache      *snapshotCache
 	audit      *obs.AuditLog
 	instanceID string
-	onInvalid  func(project string)
 	// flights coalesces identical concurrent pre-state GETs.
 	flights *flightGroup
 	// waves counts the pre-state Snapshot calls that carried several of a
@@ -494,9 +459,6 @@ func New(cfg Config) (*Monitor, error) {
 	if policy == 0 {
 		policy = FailClosed
 	}
-	if policy == Degrade && cfg.PreStateCacheTTL <= 0 {
-		return nil, fmt.Errorf("monitor: fail policy %s requires PreStateCacheTTL > 0", policy)
-	}
 	post := cfg.Post
 	if post == 0 {
 		post = PostSync
@@ -522,7 +484,6 @@ func New(cfg Config) (*Monitor, error) {
 		onVerdict:    cfg.OnVerdict,
 		audit:        cfg.Audit,
 		instanceID:   cfg.InstanceID,
-		onInvalid:    cfg.OnInvalidate,
 		maxLog:       maxLog,
 		shardMax:     (maxLog + logShards - 1) / logShards,
 		tracer:       obs.NewTracer(),
@@ -545,13 +506,6 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	if m.shardMax < 1 {
 		m.shardMax = 1
-	}
-	if cfg.PreStateCacheTTL > 0 {
-		m.cache = newSnapshotCache(cfg.PreStateCacheTTL)
-		m.degradeTTL = cfg.DegradeTTL
-		if m.degradeTTL <= 0 {
-			m.degradeTTL = 10 * cfg.PreStateCacheTTL
-		}
 	}
 	seen := make(map[string]bool, len(cfg.Routes))
 	for _, r := range cfg.Routes {
@@ -734,33 +688,6 @@ func (m *Monitor) record(v Verdict) {
 	}
 }
 
-// forwardedWrite runs the cache-coherence consequences of a forwarded
-// mutation: the project's cached pre-state is dropped and the
-// OnInvalidate hook fires so a fleet can bump the owning instance's
-// generation. Reads are free — they change no state.
-func (m *Monitor) forwardedWrite(method, project string) {
-	if method == http.MethodGet {
-		return
-	}
-	if m.cache != nil {
-		m.cache.invalidateProject(project)
-	}
-	if m.onInvalid != nil {
-		m.onInvalid(project)
-	}
-}
-
-// InvalidateProject bumps the project's pre-state cache generation: every
-// cached snapshot for the project becomes unusable at once. The fleet's
-// invalidation bus calls this on the owning instance when another
-// instance forwarded a write for the project (resize-driven remaps leave
-// such windows); it is a no-op without the pre-state cache.
-func (m *Monitor) InvalidateProject(project string) {
-	if m.cache != nil {
-		m.cache.invalidateProject(project)
-	}
-}
-
 // InstanceID returns the fleet instance id ("" outside fleets).
 func (m *Monitor) InstanceID() string { return m.instanceID }
 
@@ -780,7 +707,6 @@ func auditRecord(v *Verdict) *obs.AuditRecord {
 		ContractDigest: v.ContractDigest,
 		Detail:         v.Detail,
 		BackendStatus:  v.BackendStatus,
-		DegradedPre:    v.DegradedPre,
 		Pre:            snapshotDoc(v.PreSnapshot),
 		Post:           snapshotDoc(v.PostSnapshot),
 		StageNanos:     v.Trace.Map(),
@@ -881,15 +807,6 @@ func (m *Monitor) StageSummaries() map[string]obs.StageSummary {
 	return m.tracer.Summaries()
 }
 
-// CacheStats returns the pre-state cache counters (zero when the cache
-// is disabled).
-func (m *Monitor) CacheStats() CacheStats {
-	if m.cache == nil {
-		return CacheStats{}
-	}
-	return m.cache.stats()
-}
-
 // AuditLog returns the configured audit sink (nil when none).
 func (m *Monitor) AuditLog() *obs.AuditLog { return m.audit }
 
@@ -939,13 +856,6 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 			w.Counter("cloudmon_post_fence_waits_total",
 				"Mutating forwards that waited on the write fence for pending deferred checks.",
 				float64(ap.fenceWaits.Value()))
-		}
-		if m.cache != nil {
-			cs := m.cache.stats()
-			w.Counter("cloudmon_cache_hits_total", "Pre-state cache hits.", float64(cs.Hits))
-			w.Counter("cloudmon_cache_misses_total", "Pre-state cache misses.", float64(cs.Misses))
-			w.Counter("cloudmon_cache_stale_hits_total", "Degrade-path stale cache hits.", float64(cs.StaleHits))
-			w.Counter("cloudmon_cache_invalidations_total", "Project generation bumps from forwarded writes.", float64(cs.Invalidations))
 		}
 		if m.audit != nil {
 			var total uint64
@@ -1043,8 +953,8 @@ func matchSegments(pattern, segs []string) (map[string]string, bool) {
 }
 
 // HTTPForwarder is the default Forwarder: it substitutes the captured
-// params into the route's backend template and issues the request against
-// BaseURL with Client.
+// params into the route's backend template (see backendPath) and issues
+// the request against BaseURL with Client.
 type HTTPForwarder struct {
 	// BaseURL is the private cloud's root URL.
 	BaseURL string
@@ -1083,10 +993,7 @@ const maxForwardBody = httpkit.MaxBodyBytes
 // different, valid request, and a cut response would reach the client as
 // a short answer no verdict records.
 func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string]string) (*BackendResponse, error) {
-	target := route.Backend
-	for k, val := range params {
-		target = strings.ReplaceAll(target, "{"+k+"}", val)
-	}
+	target := backendPath(route.Backend, params)
 	var body io.Reader
 	if r.Body != nil {
 		data, err := httpkit.ReadBounded(r.Body, maxForwardBody)
@@ -1130,4 +1037,34 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 		Header:     resp.Header.Clone(),
 		Body:       data,
 	}, nil
+}
+
+// backendPath fills a backend template's {name} placeholders in one pass,
+// each with its capture path-escaped, so the cloud receives the request
+// the monitor checked: a decoded capture can neither cut the path (a "?"
+// would start a query) nor be read as another placeholder. Escaping
+// leaves plain ids as they are. A placeholder with no capture stays as
+// written.
+func backendPath(template string, params map[string]string) string {
+	var b strings.Builder
+	for {
+		open := strings.IndexByte(template, '{')
+		if open < 0 {
+			break
+		}
+		end := strings.IndexByte(template[open:], '}')
+		if end < 0 {
+			break
+		}
+		end += open
+		b.WriteString(template[:open])
+		if val, ok := params[template[open+1:end]]; ok {
+			b.WriteString(url.PathEscape(val))
+		} else {
+			b.WriteString(template[open : end+1])
+		}
+		template = template[end+1:]
+	}
+	b.WriteString(template)
+	return b.String()
 }

@@ -65,6 +65,14 @@ func (f *fakeForwarder) Forward(*http.Request, *Route, map[string]string) (*Back
 	return &BackendResponse{StatusCode: f.status, Header: http.Header{}, Body: []byte("{}")}, nil
 }
 
+// okForwarder is a stateless (and therefore race-free) backend stub for
+// concurrent tests; fakeForwarder counts calls without locking.
+type okForwarder struct{}
+
+func (okForwarder) Forward(*http.Request, *Route, map[string]string) (*BackendResponse, error) {
+	return &BackendResponse{StatusCode: 200, Header: http.Header{}, Body: []byte("{}")}, nil
+}
+
 func env(vols, quota int, status string, roles ...string) ocl.MapEnv {
 	elems := make([]ocl.Value, vols)
 	for i := range elems {
@@ -454,5 +462,43 @@ func TestPostRouteOnCollection(t *testing.T) {
 	v := lastVerdict(t, m)
 	if v.Outcome != OK {
 		t.Errorf("outcome = %v (%s)", v.Outcome, v.Detail)
+	}
+}
+
+// TestShardedCountersAggregate drives concurrent requests and checks that
+// the sharded outcome/coverage counters and the merged log agree.
+func TestShardedCountersAggregate(t *testing.T) {
+	e := env(1, 10, "available", "member")
+	m := newMonitor(t, Enforce, &fakeProvider{pre: e, post: e}, okForwarder{})
+
+	const goroutines, per = 16, 25
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				doGet(t, m)
+			}
+		}()
+	}
+	wg.Wait()
+
+	total := 0
+	for _, n := range m.Outcomes() {
+		total += n
+	}
+	if total != goroutines*per {
+		t.Errorf("outcome counters sum to %d, want %d", total, goroutines*per)
+	}
+	log := m.Log()
+	if len(log) != goroutines*per {
+		t.Errorf("log holds %d verdicts, want %d", len(log), goroutines*per)
+	}
+	// Log must be ordered by arrival sequence.
+	for i := 1; i < len(log); i++ {
+		if log[i-1].seq >= log[i].seq {
+			t.Fatalf("log out of order at %d: %d then %d", i, log[i-1].seq, log[i].seq)
+		}
 	}
 }

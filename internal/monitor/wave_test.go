@@ -231,7 +231,6 @@ func waveCompare(t *testing.T, name string, seq, wave Verdict, seqCode, waveCode
 		{"PreOK", seq.PreOK, wave.PreOK},
 		{"PostOK", seq.PostOK, wave.PostOK},
 		{"Forwarded", seq.Forwarded, wave.Forwarded},
-		{"DegradedPre", seq.DegradedPre, wave.DegradedPre},
 		{"FailingClause", seq.FailingClause, wave.FailingClause},
 		{"MatchedSecReqs", seq.MatchedSecReqs, wave.MatchedSecReqs},
 		{"MatchedTransitions", seq.MatchedTransitions, wave.MatchedTransitions},
@@ -387,8 +386,7 @@ func TestDifferentialWavesFuzzStates(t *testing.T) {
 // stops at the first failed path (its one-by-one loop). The demanded
 // cells fail a path the clause reads; the speculative cell fails a path
 // only a wave reads, because the clause's first conjunct is false before
-// the one-path loop reaches it. Degrade runs after a warm request, so its
-// stale cache can stand in. Verdicts must agree cell by cell, no path may
+// the one-path loop reaches it. Verdicts must agree cell by cell, no path may
 // be read more than once beyond the one-path loop's reads of it, and
 // FetchedPaths must equal the provider's reads, except that a failed wave
 // to the provider that stops early counts every path the call carried.
@@ -410,48 +408,32 @@ func TestWaveFailPolicies(t *testing.T) {
 		{"speculative", noProject, "quota_sets.volume"},
 	}
 	for _, sequential := range []bool{false, true} {
-		for _, policy := range []FailPolicy{FailClosed, FailOpen, Degrade} {
+		for _, policy := range []FailPolicy{FailClosed, FailOpen} {
 			for _, cell := range cells {
 				name := fmt.Sprintf("%s/%s/sequential=%v", policy, cell.name, sequential)
 				run := func(one bool) (Verdict, int, *waveProvider) {
 					t.Helper()
 					p := &waveProvider{pre: cell.pre, post: samePost(cell.pre),
 						fail: map[string]bool{cell.fail: true}, sequential: sequential}
-					cfg := Config{
+					m, err := New(Config{
 						Contracts:  set,
 						Routes:     diffRoutes(),
 						Provider:   p,
 						Forward:    &fakeForwarder{status: 204},
 						FailPolicy: policy,
-					}
-					if policy == Degrade {
-						cfg.PreStateCacheTTL = 20 * time.Millisecond
-						cfg.DegradeTTL = 10 * time.Second
-					}
-					m, err := New(cfg)
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if one {
 						oneByOne(m)
 					}
-					send := func() (Verdict, int) {
-						req := httptest.NewRequest(http.MethodGet, "/projects/p1/volumes/v1", nil)
-						req.Header.Set("X-Auth-Token", "tok")
-						rec := httptest.NewRecorder()
-						m.ServeHTTP(rec, req)
-						return lastVerdict(t, m), rec.Code
-					}
-					if policy == Degrade {
-						// Warm the cache (a GET invalidates nothing), then let
-						// it lapse so the live read really happens and fails
-						// inside the degrade window.
-						send()
-						time.Sleep(30 * time.Millisecond)
-						p.take()
-					}
 					p.broken.Store(true)
-					v, code := send()
+					req := httptest.NewRequest(http.MethodGet, "/projects/p1/volumes/v1", nil)
+					req.Header.Set("X-Auth-Token", "tok")
+					rec := httptest.NewRecorder()
+					m.ServeHTTP(rec, req)
+					v, code := lastVerdict(t, m), rec.Code
 					switch gets := p.gets(); {
 					case sequential && !one:
 						if v.FetchedPaths < gets {
@@ -476,10 +458,6 @@ func TestWaveFailPolicies(t *testing.T) {
 					if pw.gets() <= ps.gets() {
 						t.Errorf("%s: the wave read %d paths, the one-path loop %d; the failing path was not speculative",
 							name, pw.gets(), ps.gets())
-					}
-				case policy == Degrade:
-					if !vs.DegradedPre {
-						t.Errorf("%s: the stale cache did not stand in for the failing path", name)
 					}
 				case vs.Outcome == OK:
 					t.Errorf("%s: outcome ok despite a failing demanded path", name)
@@ -626,7 +604,7 @@ func TestWaveMutualLead(t *testing.T) {
 	m := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
 	params := map[string]string{"project_id": "p1", "volume_id": "v1"}
 	newFetcher := func() *fetcher {
-		return &fetcher{m: m, project: "p1", pk: paramsCacheKey(params),
+		return &fetcher{m: m, pk: paramsCacheKey(params),
 			reqCtx: &RequestContext{Method: uml.GET, Resource: "volume", Params: params, Token: "tok", Phase: PhasePre}}
 	}
 	a, b := newFetcher(), newFetcher()
@@ -667,6 +645,146 @@ func TestWaveMutualLead(t *testing.T) {
 	}
 	if a.fetched+b.fetched != 2 {
 		t.Errorf("fetched %d+%d paths, want one each", a.fetched, b.fetched)
+	}
+}
+
+// TestParamsCacheKeyInjective: distinct capture sets never share a key,
+// however their values are spelled — a value may contain any byte a URL
+// path segment can carry, separators included — and equal sets always do.
+func TestParamsCacheKeyInjective(t *testing.T) {
+	sets := []map[string]string{
+		nil,
+		{"project_id": "p1"},
+		{"project_id": "p1;volume_id=v1"},
+		{"project_id": "p1", "volume_id": "v1"},
+		{"project_id": "p1;", "volume_id": "v1"},
+		{"project_id": "p1", "volume_id": ";v1"},
+		{"project_id": "p1=volume_id", "volume_id": "v1"},
+		{"a": "1", "b": ""},
+		{"a": "1;b="},
+		{"a": "1", "b": "2"},
+		{"a": "12", "b": ""},
+		{"a=1;b": "2"},
+		{"a": "1:2"},
+		{"a": "1", "1:2": ""},
+		{"": ""},
+	}
+	seen := map[string]int{}
+	for i, params := range sets {
+		key := paramsCacheKey(params)
+		if j, dup := seen[key]; dup {
+			t.Errorf("capture sets %v and %v share key %q", sets[j], params, key)
+		}
+		seen[key] = i
+		clone := map[string]string{}
+		for k, v := range params {
+			clone[k] = v
+		}
+		if again := paramsCacheKey(clone); again != key {
+			t.Errorf("equal capture sets %v keyed %q and %q", params, key, again)
+		}
+	}
+}
+
+// projectProvider serves a pre- and post-state per project and counts
+// each project's reads per phase. hold, when set, runs before each call
+// is served.
+type projectProvider struct {
+	pre, post map[string]ocl.MapEnv
+	hold      func()
+	mu        sync.Mutex
+	reads     map[string]int // project + "/" + phase
+}
+
+func (p *projectProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error) {
+	project := ctx.Params["project_id"]
+	p.mu.Lock()
+	p.reads[project+"/"+ctx.Phase] += len(paths)
+	p.mu.Unlock()
+	if p.hold != nil {
+		p.hold()
+	}
+	src := p.pre[project]
+	if ctx.Phase == PhasePost {
+		src = p.post[project]
+	}
+	out := make(ocl.MapEnv, len(paths))
+	for _, path := range paths {
+		if v, ok := src[path]; ok {
+			out[path] = v
+		}
+	}
+	return out, nil
+}
+
+// TestWaveFlightsKeepLookalikeCapturesApart runs a GET of volume v1 in
+// project p1 and a POST to the project whose id is the literal
+// "p1;volume_id=v1" at the same time. The two capture sets read different
+// cloud state, so neither request may join the other's flights: each
+// reads its own pre-state and is judged on it. The provider holds the
+// GET's first read open until the POST's has started, so a POST that
+// followed the GET's flights instead of reading would hang the test. Run
+// with -race -count=10.
+func TestWaveFlightsKeepLookalikeCapturesApart(t *testing.T) {
+	const other = "p1;volume_id=v1"
+	var arrived atomic.Int32
+	first, both := make(chan struct{}), make(chan struct{})
+	p := &projectProvider{
+		pre: map[string]ocl.MapEnv{
+			"p1":  env(2, 10, "available", "admin"),
+			other: env(0, 10, "available", "admin"),
+		},
+		post: map[string]ocl.MapEnv{
+			"p1":  env(2, 10, "available", "admin"),
+			other: env(1, 10, "available", "admin"),
+		},
+		reads: map[string]int{},
+		hold: func() {
+			switch arrived.Add(1) {
+			case 1:
+				close(first)
+				<-both
+			case 2:
+				close(both)
+			}
+		},
+	}
+	m := newMonitor(t, Enforce, p, okForwarder{})
+	done := make(chan struct{}, 2)
+	send := func(method, path string) {
+		req := httptest.NewRequest(method, path, nil)
+		req.Header.Set("X-Auth-Token", "tok")
+		m.ServeHTTP(httptest.NewRecorder(), req)
+		done <- struct{}{}
+	}
+	go send(http.MethodGet, "/projects/p1/volumes/v1")
+	select {
+	case <-first:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the GET never called the provider")
+	}
+	go send(http.MethodPost, "/projects/"+other+"/volumes")
+	for range 2 {
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the POST waited on the GET's flights instead of reading its own state")
+		}
+	}
+	for _, v := range m.Log() {
+		if v.Outcome != OK {
+			t.Errorf("%s: outcome %s (%s), want ok", v.Trigger, v.Outcome, v.Detail)
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, project := range []string{"p1", other} {
+		if p.reads[project+"/"+PhasePre] == 0 {
+			t.Errorf("no pre-state read for project %q", project)
+		}
+	}
+	if got := m.FetchStats().Coalesced; got != 0 {
+		t.Errorf("coalesced %d reads across distinct capture sets, want 0", got)
 	}
 }
 

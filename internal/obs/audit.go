@@ -65,7 +65,9 @@ type AuditRecord struct {
 	Detail string `json:"detail,omitempty"`
 	// BackendStatus is the cloud's response code (0 when not forwarded).
 	BackendStatus int `json:"backend_status,omitempty"`
-	// DegradedPre marks a pre-state served from the stale cache.
+	// DegradedPre marked a pre-state served from a stale pre-state cache,
+	// which the monitor no longer has. New records never set it; it stays
+	// so trails written with it still read, verify and replay.
 	DegradedPre bool `json:"degraded_pre,omitempty"`
 	// Pre and Post are the state snapshots (OCL literal syntax).
 	Pre  map[string]string `json:"pre,omitempty"`

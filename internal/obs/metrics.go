@@ -10,7 +10,7 @@ import (
 )
 
 // Counter is a monotonically increasing atomic counter — the hot-path
-// primitive the monitor's verdict and cache tallies are built on. The
+// primitive the monitor's verdict and fetch tallies are built on. The
 // zero value is ready to use.
 type Counter struct {
 	v atomic.Uint64

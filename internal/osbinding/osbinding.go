@@ -30,6 +30,7 @@ package osbinding
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"reflect"
 	"strings"
 	"sync"
@@ -378,8 +379,10 @@ func init() {
 	}
 }
 
-// target expands the binding's URL with the request's params; ok is false
-// when the request lacks one.
+// target expands the binding's URL with the request's params, each
+// path-escaped so a decoded capture reads the resource it names (a "?"
+// in it would otherwise cut the path); ok is false when the request
+// lacks one.
 func (b *binding) target(ctx *monitor.RequestContext) (string, bool) {
 	if b.subject && ctx.Token == "" {
 		return "", false
@@ -391,7 +394,7 @@ func (b *binding) target(ctx *monitor.RequestContext) (string, bool) {
 		if v == "" {
 			return "", false
 		}
-		u = append(append(u, v...), b.lits[i+1]...)
+		u = append(append(u, url.PathEscape(v)...), b.lits[i+1]...)
 	}
 	return string(u), true
 }

@@ -1,6 +1,9 @@
 package osbinding
 
 import (
+	"net/http"
+	"strings"
+	"sync"
 	"testing"
 
 	"cloudmon/internal/contract"
@@ -211,5 +214,62 @@ func TestRoutesDerivation(t *testing.T) {
 	}
 	if got := byMethod[uml.POST].Backend; got != "/volume/v3/{project_id}/volumes" {
 		t.Errorf("POST backend = %q", got)
+	}
+}
+
+// recordingTransport notes the request URI of every call before passing
+// it on.
+type recordingTransport struct {
+	next http.RoundTripper
+	mu   sync.Mutex
+	uris []string
+}
+
+func (rt *recordingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rt.mu.Lock()
+	rt.uris = append(rt.uris, r.URL.RequestURI())
+	rt.mu.Unlock()
+	return rt.next.RoundTrip(r)
+}
+
+// TestSnapshotEscapesCaptures: a decoded capture stays inside its path
+// segment, so the reads for project "P?x" address /volume/v3/P%3Fx/...
+// rather than /volume/v3/P with the rest of the path as a query.
+func TestSnapshotEscapesCaptures(t *testing.T) {
+	f := newFixture(t)
+	rt := &recordingTransport{next: httpkit.HandlerRoundTripper(f.cloud)}
+	p := NewProviderWithClient("http://cloud.internal", ServiceAccount{
+		User: "cm-svc", Password: "pw", ProjectID: f.projectID,
+	}, &http.Client{Transport: rt})
+	ctx := &monitor.RequestContext{
+		Method:   uml.GET,
+		Resource: "volume",
+		Params:   map[string]string{"project_id": "P?x", "volume_id": "v1"},
+		Token:    f.adminTok,
+	}
+	if _, err := p.Snapshot(ctx, []string{"project.id", "project.volumes", "quota_sets.volume", "volume.status"}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"/identity/v3/projects/P%3Fx",
+		"/volume/v3/P%3Fx/volumes",
+		"/volume/v3/P%3Fx/quota_sets",
+		"/volume/v3/P%3Fx/volumes/v1",
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	got := map[string]bool{}
+	for _, uri := range rt.uris {
+		got[uri] = true
+	}
+	for _, uri := range want {
+		if !got[uri] {
+			t.Errorf("no read of %s; the provider read %v", uri, rt.uris)
+		}
+	}
+	for _, uri := range rt.uris {
+		if strings.Contains(uri, "?") {
+			t.Errorf("read %s: the capture cut the path", uri)
+		}
 	}
 }
