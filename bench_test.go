@@ -229,7 +229,7 @@ func newThroughputDeployment(b testing.TB, delay time.Duration, mutate func(*cor
 
 // BenchmarkMonitorThroughput (E13) drives a concurrent monitored GET
 // workload. The in-process variant measures software overhead under
-// contention (sharded log, precomputed state paths) against the direct
+// contention (lock-free counters, precomputed state paths) against the direct
 // cloud call; the netsim variant adds 1ms of simulated network latency per
 // backend request, where each pre clause's paths travel in one concurrent
 // wave, so a GET pays two snapshot round trips instead of five.

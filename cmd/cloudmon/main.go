@@ -73,7 +73,7 @@ func run(args []string) error {
 	cloudURL := fs.String("cloud", "http://127.0.0.1:8776", "private cloud base URL")
 	xmiPath := fs.String("xmi", "", "XMI model file (default: bundled Cinder example)")
 	modeName := fs.String("mode", "enforce", "monitor mode: enforce | observe")
-	inspectAddr := fs.String("inspect-addr", "", "optional listen address for the verdict/coverage API (e.g. 127.0.0.1:8001)")
+	inspectAddr := fs.String("inspect-addr", "", "optional listen address for the coverage/outcome API (e.g. 127.0.0.1:8001)")
 	levelName := fs.String("level", "full", "contract check level: full | pre-only")
 	postName := fs.String("post", "sync", "post-verification mode: sync | async (defer post-checks to a bounded worker queue)")
 	postQueue := fs.Int("post-queue", 0, "async post queue capacity (0 = default)")
@@ -228,7 +228,7 @@ func run(args []string) error {
 	// the single inspect URL in its -fleet-front member spec.
 	var aux []*http.Server
 	if *inspectAddr != "" {
-		fmt.Printf("  inspect API on %s (/log /violations /coverage /outcomes /contracts /stats /stages)\n", *inspectAddr)
+		fmt.Printf("  inspect API on %s (/coverage /outcomes /contracts /stages)\n", *inspectAddr)
 		handler := sys.Monitor.InspectHandler()
 		if *instance != "" {
 			mux := http.NewServeMux()

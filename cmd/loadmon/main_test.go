@@ -105,7 +105,7 @@ func TestBadArgs(t *testing.T) {
 func TestVerifyWithAudit(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	err := run([]string{"-scenario", "cinder-mixed", "-requests", "200", "-clients", "4",
+	err := run([]string{"-scenario", "cinder-mixed", "-requests", "200", "-warmup", "0", "-clients", "4",
 		"-seed", "11", "-audit-dir", dir, "-verify"}, &out)
 	if err != nil {
 		t.Fatalf("run -verify: %v\n%s", err, out.String())
@@ -150,7 +150,7 @@ func TestEmptyTrailsAndPacks(t *testing.T) {
 	}
 	for i, c := range cases {
 		pack := filepath.Join(dir, fmt.Sprintf("run-%d.pack", i))
-		args := append(c.args, "-requests", "60", "-clients", "1", "-verify", "-pack", pack)
+		args := append(c.args, "-requests", "60", "-warmup", "0", "-clients", "1", "-verify", "-pack", pack)
 		var out bytes.Buffer
 		if err := run(args, &out); err != nil {
 			t.Errorf("run(%v): %v\n%s", args, err, out.String())

@@ -167,9 +167,14 @@ func run() error {
 
 	fmt.Println("\n=== Monitor summary ===")
 	outcomes := d.sys.Monitor.Outcomes()
+	violations := 0
+	for outcome, n := range outcomes {
+		if outcome.IsViolation() {
+			violations += n
+		}
+	}
 	fmt.Printf("verdicts: ok=%d blocked=%d violations=%d\n",
-		outcomes[monitor.OK], outcomes[monitor.Blocked],
-		len(d.sys.Monitor.Violations()))
+		outcomes[monitor.OK], outcomes[monitor.Blocked], violations)
 	fmt.Println("security-requirement coverage (Section IV.C traceability):")
 	for _, s := range d.sys.Contracts.SecReqs() {
 		fmt.Printf("  SecReq %s exercised %d times\n", s, d.sys.Monitor.Coverage()[s])

@@ -72,6 +72,13 @@ func run() error {
 		},
 		Mode:       monitor.Enforce,
 		HTTPClient: httpkit.HandlerClient(cloud),
+		// The monitor counts verdicts but keeps none: a deployment sees
+		// each one through this hook (cloudmon -log-file writes them as
+		// NDJSON), and every non-OK one in its audit trail.
+		OnVerdict: func(v monitor.Verdict) {
+			fmt.Printf("  monitor: %-16s %-28s pre=%-5v forwarded=%-5v backend=%d\n",
+				v.Trigger, v.Outcome, v.PreOK, v.Forwarded, v.BackendStatus)
+		},
 	})
 	if err != nil {
 		return err
@@ -119,13 +126,8 @@ func run() error {
 	status, _ = admin.Do(http.MethodDelete, volumes+"/ghost", nil, nil, nil)
 	fmt.Printf("admin DELETE ghost     -> %d (blocked by contract)\n", status)
 
-	// 6. Inspect the monitor's log and SecReq coverage.
-	fmt.Println("\nmonitor verdicts:")
-	for _, v := range sys.Monitor.Log() {
-		fmt.Printf("  %-16s %-28s pre=%-5v forwarded=%-5v backend=%d\n",
-			v.Trigger, v.Outcome, v.PreOK, v.Forwarded, v.BackendStatus)
-	}
-	fmt.Println("security-requirement coverage:")
+	// 6. Inspect the monitor's SecReq coverage.
+	fmt.Println("\nsecurity-requirement coverage:")
 	for _, s := range sys.Contracts.SecReqs() {
 		fmt.Printf("  SecReq %s: %d\n", s, sys.Monitor.Coverage()[s])
 	}

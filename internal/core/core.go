@@ -62,14 +62,12 @@ type Options struct {
 	// Breaker, when non-nil, puts a circuit breaker on the snapshot path
 	// so a dead cloud sheds reads instead of queueing retries.
 	Breaker *osclient.BreakerConfig
-	// OnVerdict, if set, receives every verdict (e.g. an
-	// monitor.AuditWriter's Record method).
+	// OnVerdict, if set, receives every verdict (e.g. a
+	// monitor.AuditWriter's Record method); see monitor.Config.OnVerdict.
 	OnVerdict func(monitor.Verdict)
 	// HTTPClient overrides the forwarding client (tests inject the
 	// httptest client here).
 	HTTPClient *http.Client
-	// MaxLog bounds the verdict log.
-	MaxLog int
 	// Audit, when non-nil, is the append-only audit sink the monitor
 	// writes every violation and Unverified outcome to (see obs.AuditLog).
 	Audit *obs.AuditLog
@@ -145,7 +143,6 @@ func Build(opts Options) (*System, error) {
 		PostQueueCap:     opts.PostQueueCap,
 		PostWorkers:      opts.PostWorkers,
 		PostBackpressure: opts.PostBackpressure,
-		MaxLog:           opts.MaxLog,
 		OnVerdict:        opts.OnVerdict,
 		Audit:            opts.Audit,
 		InstanceID:       opts.InstanceID,

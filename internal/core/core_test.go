@@ -3,6 +3,7 @@ package core_test
 import (
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"cloudmon/internal/core"
@@ -23,6 +24,39 @@ type harness struct {
 	monitorSrv *httptest.Server
 	sys        *core.System
 	projectID  string
+	verdicts   *verdictSink
+}
+
+// verdictSink collects every verdict a monitor records; install its add
+// method as the OnVerdict hook. The hook runs on the monitor's request
+// goroutines, so the sink locks.
+type verdictSink struct {
+	mu       sync.Mutex
+	verdicts []monitor.Verdict
+}
+
+func (s *verdictSink) add(v monitor.Verdict) {
+	s.mu.Lock()
+	s.verdicts = append(s.verdicts, v)
+	s.mu.Unlock()
+}
+
+// all returns the verdicts in the order they were recorded.
+func (s *verdictSink) all() []monitor.Verdict {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]monitor.Verdict(nil), s.verdicts...)
+}
+
+// violations returns the recorded contract violations.
+func (s *verdictSink) violations() []monitor.Verdict {
+	var out []monitor.Verdict
+	for _, v := range s.all() {
+		if v.Outcome.IsViolation() {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 func newHarness(t *testing.T, mode monitor.Mode) *harness {
@@ -47,13 +81,15 @@ func newHarnessWithModel(t *testing.T, mode monitor.Mode, model *uml.Model) *har
 	cloudSrv := httptest.NewServer(cloud)
 	t.Cleanup(cloudSrv.Close)
 
+	verdicts := &verdictSink{}
 	sys, err := core.Build(core.Options{
 		Model:    model,
 		CloudURL: cloudSrv.URL,
 		ServiceAccount: osbinding.ServiceAccount{
 			User: "cm-svc", Password: "pw-svc", ProjectID: res.ProjectID,
 		},
-		Mode: mode,
+		Mode:      mode,
+		OnVerdict: verdicts.add,
 	})
 	if err != nil {
 		t.Fatalf("core.Build: %v", err)
@@ -66,6 +102,7 @@ func newHarnessWithModel(t *testing.T, mode monitor.Mode, model *uml.Model) *har
 		monitorSrv: monitorSrv,
 		sys:        sys,
 		projectID:  res.ProjectID,
+		verdicts:   verdicts,
 	}
 }
 
@@ -123,7 +160,7 @@ func TestMonitoredLifecycleThroughProxy(t *testing.T) {
 		t.Fatalf("DELETE via monitor = %d, %v", status, err)
 	}
 
-	for _, v := range h.sys.Monitor.Log() {
+	for _, v := range h.verdicts.all() {
 		if v.Outcome != monitor.OK {
 			t.Errorf("verdict %s = %v (%s)", v.Trigger, v.Outcome, v.Detail)
 		}
@@ -215,7 +252,7 @@ func TestObserveOracleDetectsPolicyMutant(t *testing.T) {
 	if !osclient.IsStatus(err, http.StatusConflict) {
 		t.Fatalf("mutant DELETE = %d, %v; want 409 violation", status, err)
 	}
-	violations := h.sys.Monitor.Violations()
+	violations := h.verdicts.violations()
 	if len(violations) != 1 || violations[0].Outcome != monitor.ViolationForbiddenAccepted {
 		t.Errorf("violations = %+v", violations)
 	}
@@ -232,7 +269,7 @@ func TestObserveOracleDetectsNoOpDelete(t *testing.T) {
 	if !osclient.IsStatus(err, http.StatusConflict) {
 		t.Fatalf("no-op DELETE = %d, %v; want 409", status, err)
 	}
-	violations := h.sys.Monitor.Violations()
+	violations := h.verdicts.violations()
 	if len(violations) != 1 || violations[0].Outcome != monitor.ViolationPostcondition {
 		t.Errorf("violations = %+v", violations)
 	}

@@ -72,7 +72,13 @@ func Example() {
 	status, _ = admin.Do(http.MethodDelete, volumes+"/"+created.Volume.ID, nil, nil, nil)
 	fmt.Println("admin DELETE:", status)
 
-	fmt.Println("violations:", len(sys.Monitor.Violations()))
+	violations := 0
+	for outcome, n := range sys.Monitor.Outcomes() {
+		if outcome.IsViolation() {
+			violations += n
+		}
+	}
+	fmt.Println("violations:", violations)
 	// Output:
 	// admin POST: 202
 	// member DELETE: 412

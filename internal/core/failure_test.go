@@ -46,13 +46,15 @@ func TestMonitorSurvivesCloudOutage(t *testing.T) {
 	cloudSrv := httptest.NewServer(flaky)
 	defer cloudSrv.Close()
 
+	verdicts := &verdictSink{}
 	sys, err := core.Build(core.Options{
 		Model:    paper.CinderModel(),
 		CloudURL: cloudSrv.URL,
 		ServiceAccount: osbinding.ServiceAccount{
 			User: "cm-svc", Password: "pw", ProjectID: seed.ProjectID,
 		},
-		Mode: monitor.Enforce,
+		Mode:      monitor.Enforce,
+		OnVerdict: verdicts.add,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,12 +83,12 @@ func TestMonitorSurvivesCloudOutage(t *testing.T) {
 	if status != http.StatusBadGateway {
 		t.Fatalf("POST during outage = %d, want 502", status)
 	}
-	log := sys.Monitor.Log()
+	log := verdicts.all()
 	last := log[len(log)-1]
 	if last.Outcome != monitor.Error {
 		t.Errorf("outage verdict = %v, want error", last.Outcome)
 	}
-	if len(sys.Monitor.Violations()) != 0 {
+	if len(verdicts.violations()) != 0 {
 		t.Error("outage misreported as a contract violation")
 	}
 
@@ -102,7 +104,7 @@ func TestMonitorSurvivesCloudOutage(t *testing.T) {
 // run with -race. Interleaved snapshots may observe each other's volume
 // counts, so individual verdicts may legitimately disagree with the
 // request's own effect — the assertions here are about safety (no panics,
-// no monitor errors, log bookkeeping consistent), not about verdict
+// no monitor errors, one hook call per counted verdict), not about verdict
 // values.
 func TestMonitorConcurrentRequests(t *testing.T) {
 	h := newHarness(t, monitor.Observe)
@@ -134,7 +136,7 @@ func TestMonitorConcurrentRequests(t *testing.T) {
 	}
 	wg.Wait()
 
-	log := h.sys.Monitor.Log()
+	log := h.verdicts.all()
 	if len(log) == 0 {
 		t.Fatal("no verdicts recorded")
 	}
@@ -147,6 +149,6 @@ func TestMonitorConcurrentRequests(t *testing.T) {
 		total += n
 	}
 	if total != len(log) {
-		t.Errorf("outcome counters (%d) disagree with log length (%d)", total, len(log))
+		t.Errorf("outcome counters (%d) disagree with the hook's %d verdicts", total, len(log))
 	}
 }

@@ -55,7 +55,7 @@ func TestNovaModelMonitoredLifecycle(t *testing.T) {
 		t.Fatalf("admin DELETE server = %d, %v", status, err)
 	}
 
-	for _, v := range h.sys.Monitor.Log() {
+	for _, v := range h.verdicts.all() {
 		if v.Outcome != monitor.OK && v.Outcome != monitor.Blocked {
 			t.Errorf("verdict %s = %v (%s)", v.Trigger, v.Outcome, v.Detail)
 		}

@@ -3,6 +3,7 @@ package faults_test
 import (
 	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,15 +38,37 @@ func matrixRule(kind faults.Kind) faults.Rule {
 	return r
 }
 
-// deployCell builds a fresh deployment for one matrix cell.
-func deployCell(t *testing.T, kind faults.Kind, policy monitor.FailPolicy) *loadgen.Deployment {
+// lastVerdict keeps the most recent verdict a monitor records; install
+// its record method as the OnVerdict hook.
+type lastVerdict struct {
+	mu sync.Mutex
+	v  *monitor.Verdict
+}
+
+func (l *lastVerdict) record(v monitor.Verdict) {
+	l.mu.Lock()
+	l.v = &v
+	l.mu.Unlock()
+}
+
+func (l *lastVerdict) get() *monitor.Verdict {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.v
+}
+
+// deployCell builds a fresh deployment for one matrix cell and returns it
+// with the capture of its monitor's latest verdict.
+func deployCell(t *testing.T, kind faults.Kind, policy monitor.FailPolicy) (*loadgen.Deployment, *lastVerdict) {
 	t.Helper()
+	last := &lastVerdict{}
 	opts := loadgen.Options{
 		Monitor: core.Options{
 			Level:        monitor.CheckPreOnly,
 			FailPolicy:   policy,
 			CloudTimeout: 200 * time.Millisecond,
 			Retry:        osclient.RetryPolicy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond},
+			OnVerdict:    last.record,
 		},
 		Faults: &faults.Profile{Rules: []faults.Rule{matrixRule(kind)}},
 	}
@@ -53,7 +76,7 @@ func deployCell(t *testing.T, kind faults.Kind, policy monitor.FailPolicy) *load
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	return dep
+	return dep, last
 }
 
 // adminClient aims an authenticated admin client at the monitor proxy.
@@ -93,7 +116,7 @@ func TestFaultPolicyMatrix(t *testing.T) {
 		for _, policy := range policies {
 			t.Run(fmt.Sprintf("%s/%s", kind, policy), func(t *testing.T) {
 				t.Parallel()
-				dep := deployCell(t, kind, policy)
+				dep, last := deployCell(t, kind, policy)
 				mon := dep.Instances[0].Sys.Monitor
 
 				// Phase 1, faults off: seed a volume and read it once
@@ -112,11 +135,10 @@ func TestFaultPolicyMatrix(t *testing.T) {
 				status, err := admin.Do(http.MethodGet, volPath, nil, nil, nil)
 				after := mon.Outcomes()
 
-				log := mon.Log()
-				if len(log) == 0 {
+				v := last.get()
+				if v == nil {
 					t.Fatal("no verdicts recorded")
 				}
-				v := log[len(log)-1]
 
 				var wantOutcome monitor.Outcome
 				switch policy {

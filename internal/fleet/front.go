@@ -24,28 +24,38 @@ type Member struct {
 
 // Front is the fleet's routing tier: an http.Handler that extracts the
 // project key from each request path and forwards it to the rendezvous
-// owner. Routing is sticky and fenced: the front tracks per-project
-// in-flight counts, and when a resize moves a project to a new owner, the
-// project's new requests wait for the old owner's in-flight requests to
-// drain before any of them is routed — so the old and the new owner never
-// judge the same project's requests at once.
+// owner. Routing is fenced: the front tracks the owner and in-flight count
+// of each project that has requests in flight, and when a resize moves
+// such a project to a new owner, its new requests wait for the old
+// owner's in-flight requests to drain before any of them is routed — so
+// the old and the new owner never judge the same project's requests at
+// once.
 type Front struct {
 	mu      sync.Mutex
 	members map[string]*Member
 	ring    *Ring
-	states  map[string]*projectState
+	// states holds an entry only while its project has requests in
+	// flight: the front routes before anything authenticates a request,
+	// so a table of every key ever routed would grow without bound.
+	states map[string]projectState
+	// drained is signalled whenever a project's entry drains (and on
+	// resize); fence waiters recheck their project.
+	drained *sync.Cond
 
 	routed     obs.KeyedCounter // requests per instance id
-	remaps     obs.Counter      // project ownership changes (resizes only)
+	remaps     obs.Counter      // moves whose old owner the fence drained
 	fenceWaits obs.Counter      // requests that waited on a migration fence
 	requests   obs.Counter
 }
 
-// projectState is the front's sticky-ownership record for one project.
+// projectState is the front's record of a project with requests in
+// flight: the member serving them and how many there are.
 type projectState struct {
 	owner    string
 	inflight int
-	cond     *sync.Cond
+	// fenced marks an entry a resize moved away from its owner whose
+	// drain a request has waited on; the move is counted once.
+	fenced bool
 }
 
 // NewFront builds a front over the members; the initial ring spans all of
@@ -53,8 +63,9 @@ type projectState struct {
 func NewFront(members []*Member) (*Front, error) {
 	f := &Front{
 		members: make(map[string]*Member),
-		states:  make(map[string]*projectState),
+		states:  make(map[string]projectState),
 	}
+	f.drained = sync.NewCond(&f.mu)
 	if err := f.resizeLocked(members); err != nil {
 		return nil, err
 	}
@@ -72,9 +83,7 @@ func (f *Front) Resize(members []*Member) error {
 		return err
 	}
 	// Wake fence waiters: the desired owner may have changed again.
-	for _, st := range f.states {
-		st.cond.Broadcast()
-	}
+	f.drained.Broadcast()
 	return nil
 }
 
@@ -122,53 +131,54 @@ func ProjectKey(path string) string {
 // ServeHTTP routes the request to the project's owner.
 func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	project := ProjectKey(r.URL.Path)
-	m, st := f.acquire(project)
+	m := f.acquire(project)
 	f.requests.Inc()
 	f.routed.Add(m.ID, 1)
-	defer f.release(st)
+	defer f.release(project)
 	m.Proxy.ServeHTTP(w, r)
 }
 
 // acquire resolves the project's owner under the migration fence and
 // registers the request in flight.
-func (f *Front) acquire(project string) (*Member, *projectState) {
+func (f *Front) acquire(project string) *Member {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st := f.states[project]
-	if st == nil {
-		st = &projectState{cond: sync.NewCond(&f.mu)}
-		f.states[project] = st
-	}
 	want := f.ring.Owner(project)
 	waited := false
-	for st.owner != "" && st.owner != want && st.inflight > 0 {
+	for st, ok := f.states[project]; ok && st.owner != want; st, ok = f.states[project] {
 		// The ring moved the project while the old owner still has its
 		// requests in flight: wait for the drain, then recheck (the ring
 		// may have moved again underneath the wait).
+		if !st.fenced {
+			st.fenced = true
+			f.states[project] = st
+			f.remaps.Inc()
+		}
 		waited = true
-		st.cond.Wait()
+		f.drained.Wait()
 		want = f.ring.Owner(project)
 	}
 	if waited {
 		f.fenceWaits.Inc()
 	}
-	if st.owner != want {
-		if st.owner != "" {
-			f.remaps.Inc()
-		}
-		st.owner = want
-	}
+	// The entry, if any, is held by want; a new one starts at zero.
+	st := f.states[project]
+	st.owner = want
 	st.inflight++
-	return f.members[want], st
+	f.states[project] = st
+	return f.members[want]
 }
 
-// release retires an in-flight request and wakes fence waiters when the
-// project drains.
-func (f *Front) release(st *projectState) {
+// release retires an in-flight request. The project's entry goes when
+// its last request does, which wakes the fence waiters.
+func (f *Front) release(project string) {
 	f.mu.Lock()
-	st.inflight--
-	if st.inflight == 0 {
-		st.cond.Broadcast()
+	st := f.states[project]
+	if st.inflight--; st.inflight > 0 {
+		f.states[project] = st
+	} else {
+		delete(f.states, project)
+		f.drained.Broadcast()
 	}
 	f.mu.Unlock()
 }
@@ -179,41 +189,23 @@ type Stats struct {
 	Requests uint64
 	// Routed counts requests per instance id.
 	Routed map[string]uint64
-	// Remaps counts project ownership changes (0 without a resize — the
-	// stable-routing invariant loadmon -verify pins).
+	// Remaps counts the project moves the fence had to drain: a resize
+	// moved the project while its old owner had requests in flight, and
+	// a request for it waited. 0 without a resize — the stable-routing
+	// invariant loadmon -verify pins.
 	Remaps uint64
 	// FenceWaits counts requests that waited on a migration fence.
 	FenceWaits uint64
-	// Projects is the number of distinct project keys seen.
-	Projects int
 }
 
 // Stats snapshots the routing counters.
 func (f *Front) Stats() Stats {
-	f.mu.Lock()
-	projects := len(f.states)
-	f.mu.Unlock()
 	return Stats{
 		Requests:   f.requests.Value(),
 		Routed:     f.routed.Snapshot(),
 		Remaps:     f.remaps.Value(),
 		FenceWaits: f.fenceWaits.Value(),
-		Projects:   projects,
 	}
-}
-
-// Owners snapshots the sticky ownership table (project → instance id) for
-// projects that have routed at least one request.
-func (f *Front) Owners() map[string]string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]string, len(f.states))
-	for p, st := range f.states {
-		if st.owner != "" {
-			out[p] = st.owner
-		}
-	}
-	return out
 }
 
 // RegisterMetrics exposes the front's routing counters.
@@ -224,14 +216,13 @@ func (f *Front) RegisterMetrics(reg *obs.Registry) {
 		w.KeyedCounter("fleet_routed_total",
 			"Requests routed per monitor instance.", &f.routed, "instance")
 		w.Counter("fleet_remaps_total",
-			"Project ownership changes (resize-driven remaps).", float64(f.remaps.Value()))
+			"Project moves whose old owner's in-flight requests the migration fence drained.", float64(f.remaps.Value()))
 		w.Counter("fleet_fence_waits_total",
 			"Requests that waited on a migration fence.", float64(f.fenceWaits.Value()))
 		f.mu.Lock()
-		n, projects := len(f.members), len(f.states)
+		n := len(f.members)
 		f.mu.Unlock()
 		w.Gauge("fleet_instances", "Monitor instances in the ring.", float64(n))
-		w.Gauge("fleet_projects", "Distinct project keys routed.", float64(projects))
 	})
 }
 

@@ -28,7 +28,7 @@ const quotaVolumes = 1000000
 // behind a consistent-hash front.
 type Options struct {
 	// Monitor holds every instance's monitor knobs (mode, check level,
-	// fail policy, post mode, retry, MaxLog, ...). Deploy owns and
+	// fail policy, post mode, retry, OnVerdict, ...). Deploy owns and
 	// overwrites Model, CloudURL, ServiceAccount, HTTPClient, Audit and
 	// InstanceID.
 	Monitor core.Options

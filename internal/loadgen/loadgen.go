@@ -94,8 +94,8 @@ type Scenario struct {
 	Mix []OpSpec
 	// Clients is the number of concurrent workers (default 8).
 	Clients int
-	// Requests is the total request budget, warmup included. When zero,
-	// the run is bounded by Duration instead.
+	// Requests is the total request budget, warmup included, so it must
+	// exceed Warmup. When zero, the run is bounded by Duration instead.
 	Requests int
 	// Duration bounds the run when Requests is zero.
 	Duration time.Duration
@@ -247,6 +247,9 @@ type sample struct {
 // recorder accumulates per-worker samples without shared locks.
 type recorder struct {
 	samples []sample
+	// warmupErrors counts the transport failures among the warmup
+	// requests, which record no sample.
+	warmupErrors int
 }
 
 func (rec *recorder) record(op string, status int, d time.Duration, errored bool) {
@@ -271,6 +274,10 @@ func Run(sc Scenario, tgt Target) (*Report, error) {
 	}
 	if sc.Requests <= 0 && sc.Duration <= 0 {
 		return nil, fmt.Errorf("loadgen: scenario %q needs a Requests or Duration bound", sc.Name)
+	}
+	if sc.Requests > 0 && sc.Requests <= sc.Warmup {
+		return nil, fmt.Errorf("loadgen: scenario %q: a budget of %d requests does not exceed its warmup of %d, so nothing would be measured",
+			sc.Name, sc.Requests, sc.Warmup)
 	}
 	tenants := tgt.Tenants
 	if len(tenants) == 0 {
@@ -487,8 +494,11 @@ func (wk *worker) loop(issued *atomic.Int64, deadline time.Time, arrivals <-chan
 			// Open loop: charge queueing from the scheduled arrival.
 			latency = end.Sub(arrival)
 		}
+		failed := err != nil && status == 0
 		if int(n) > wk.sc.Warmup {
-			wk.rec.record(cell.Name(), status, latency, err != nil && status == 0)
+			wk.rec.record(cell.Name(), status, latency, failed)
+		} else if failed {
+			wk.rec.warmupErrors++
 		}
 	}
 }

@@ -2,7 +2,10 @@ package loadgen
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
+	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -240,6 +243,46 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunCountsWarmupErrors: transport errors count over every request
+// the run issues, warmup included, and a budget that leaves nothing past
+// the warmup is rejected.
+func TestRunCountsWarmupErrors(t *testing.T) {
+	dep, err := Deploy(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	tgt := dep.Target
+	inner := tgt.HTTPClient.Transport
+	var calls atomic.Int64
+	tgt.HTTPClient = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if calls.Add(1) > 1 { // only the one prepopulation create gets through
+			return nil, errors.New("monitor unreachable")
+		}
+		return inner.RoundTrip(r)
+	})}
+	sc := Scenario{
+		Name:        "unreachable",
+		Mix:         []OpSpec{{Op: OpGetVolume, Role: RoleAdmin, Weight: 1}},
+		Clients:     1,
+		Requests:    15,
+		Warmup:      10,
+		Prepopulate: 1,
+		Seed:        1,
+	}
+	rep, err := Run(sc, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 15 || rep.Requests != 5 {
+		t.Errorf("report: %d errors over %d recorded requests, want 15 errors over 5", rep.Errors, rep.Requests)
+	}
+	sc.Requests = 10
+	if _, err := Run(sc, tgt); err == nil {
+		t.Error("a budget of 10 requests with a warmup of 10 was accepted")
+	}
+}
+
 // TestDeployValidation rejects options Deploy would otherwise ignore.
 func TestDeployValidation(t *testing.T) {
 	for _, opts := range []Options{{Instances: -1}, {TenantCount: 4}} {
@@ -307,7 +350,8 @@ func TestFetchEconomyWaves(t *testing.T) {
 // each forward and again after each checked effect would, a serial loop
 // coalesces nothing, and in process every path fetch is one cloud GET.
 func TestFetchEconomySerial(t *testing.T) {
-	dep, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce}})
+	sink := &verdictSink{}
+	dep, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce, OnVerdict: sink.add}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +375,7 @@ func TestFetchEconomySerial(t *testing.T) {
 	}
 	fetched, whole := 0, 0
 	sys := dep.Instances[0].Sys
-	for _, v := range sys.Monitor.Log() {
+	for _, v := range sink.all() {
 		c, ok := sys.Contracts.For(v.Trigger)
 		if !ok {
 			t.Fatalf("verdict for %s has no contract", v.Trigger)

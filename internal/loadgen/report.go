@@ -35,8 +35,10 @@ type Report struct {
 	Requests int `json:"requests"`
 	Warmup   int `json:"warmup"`
 	// Errors counts transport failures (the system under test was
-	// unreachable); contract verdicts such as 412 Blocked are measured
-	// responses, not errors.
+	// unreachable) over every request the run issued, warmup included;
+	// the latency, throughput, status and per-op figures are post-warmup.
+	// Contract verdicts such as 412 Blocked are measured responses, not
+	// errors.
 	Errors     int            `json:"errors"`
 	DurationMS float64        `json:"duration_ms"`
 	Throughput float64        `json:"throughput_rps"`
@@ -113,6 +115,7 @@ func buildReport(sc Scenario, clients int, elapsed time.Duration, recorders []*r
 	var sum time.Duration
 	opSums := make(map[string]time.Duration)
 	for _, rec := range recorders {
+		r.Errors += rec.warmupErrors
 		for _, s := range rec.samples {
 			r.Requests++
 			if s.err {

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,6 +36,47 @@ func soakScenario(clients, requests int) Scenario {
 		Warmup:      requests / 10,
 		Prepopulate: 16,
 		Seed:        time.Now().UnixNano(), // soak hunts races, not golden outputs
+	}
+}
+
+// verdictSink collects every verdict a deployment records; install its
+// add method as the monitors' OnVerdict hook (a fleet's members share
+// it). The hook runs on request goroutines and async post workers, so
+// the sink locks.
+type verdictSink struct {
+	mu       sync.Mutex
+	verdicts []monitor.Verdict
+}
+
+func (s *verdictSink) add(v monitor.Verdict) {
+	s.mu.Lock()
+	s.verdicts = append(s.verdicts, v)
+	s.mu.Unlock()
+}
+
+// all returns the verdicts in the order they were recorded.
+func (s *verdictSink) all() []monitor.Verdict {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]monitor.Verdict(nil), s.verdicts...)
+}
+
+// checkCountsMatch asserts the hook saw every verdict the instances
+// counted, exactly once: per outcome, the sink and the counters agree.
+func checkCountsMatch(t *testing.T, dep *Deployment, verdicts []monitor.Verdict) {
+	t.Helper()
+	fromHook := make(map[monitor.Outcome]int)
+	for _, v := range verdicts {
+		fromHook[v.Outcome]++
+	}
+	for outcome, n := range dep.Outcomes() {
+		if fromHook[outcome] != n {
+			t.Errorf("outcome %s: counters %d, hook %d", outcome, n, fromHook[outcome])
+		}
+		delete(fromHook, outcome)
+	}
+	for outcome, n := range fromHook {
+		t.Errorf("outcome %s: hook %d, counters 0", outcome, n)
 	}
 }
 
@@ -149,7 +191,7 @@ func checkVerdictInvariants(t *testing.T, log []monitor.Verdict, mode monitor.Mo
 
 // runSoak deploys in process, hammers the monitor with ≥32 concurrent
 // clients, and checks every recorded verdict. Run under -race this is the
-// concurrency proof for the sharded log, the snapshot fan-out and the
+// concurrency proof for the verdict hook, the snapshot fan-out and the
 // flights.
 func runSoak(t *testing.T, opts Options, mode monitor.Mode) *Deployment {
 	t.Helper()
@@ -157,8 +199,9 @@ func runSoak(t *testing.T, opts Options, mode monitor.Mode) *Deployment {
 	if testing.Short() {
 		requests = 1200
 	}
+	sink := &verdictSink{}
 	opts.Monitor.Mode = mode
-	opts.Monitor.MaxLog = requests + 256 // retain every verdict for the invariant sweep
+	opts.Monitor.OnVerdict = sink.add
 	dep, err := Deploy(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -170,23 +213,12 @@ func runSoak(t *testing.T, opts Options, mode monitor.Mode) *Deployment {
 	if report.Errors != 0 {
 		t.Errorf("%d transport errors during soak", report.Errors)
 	}
-	mon := dep.Instances[0].Sys.Monitor
-	log := mon.Log()
+	log := sink.all()
 	if len(log) == 0 {
 		t.Fatal("no verdicts recorded")
 	}
 	checkVerdictInvariants(t, log, mode, opts.Monitor.FailPolicy)
-
-	// The sharded outcome counters must agree with the retained log.
-	fromLog := make(map[monitor.Outcome]int)
-	for _, v := range log {
-		fromLog[v.Outcome]++
-	}
-	for outcome, n := range mon.Outcomes() {
-		if fromLog[outcome] != n {
-			t.Errorf("outcome %s: counter %d, log %d", outcome, n, fromLog[outcome])
-		}
-	}
+	checkCountsMatch(t, dep, log)
 	return dep
 }
 
@@ -252,7 +284,7 @@ func chaosOpts(t *testing.T, policy monitor.FailPolicy) Options {
 // while a fail-closed monitor takes the full mixed matrix. The invariant
 // sweep proves no request whose pre-state snapshot failed was forwarded
 // and no Unverified verdict exists; the counter cross-check proves the
-// verdict counters still sum to the log under chaos.
+// hook still sees every counted verdict once under chaos.
 func TestSoakChaosFailClosed(t *testing.T) {
 	dep := runSoak(t, chaosOpts(t, monitor.FailClosed), monitor.Enforce)
 	if dep.Injector == nil || dep.Injector.Total() == 0 {

@@ -104,15 +104,15 @@ type asyncPost struct {
 	wg    sync.WaitGroup
 	// mu guards enqueue against close: senders hold the read lock, Close
 	// takes the write lock before closing the channel, so a send can
-	// never race the close. The response path already crosses locks in
-	// record(); one more uncontended RLock is off the evaluation hot path.
+	// never race the close. One uncontended RLock is off the evaluation
+	// hot path.
 	mu     sync.RWMutex
 	closed atomic.Bool
 	// pending counts captures created but not yet recorded. It is
 	// incremented the moment check defers a verdict — before the
 	// response is written — so the write fence and DrainPost see every
 	// outstanding capture, and decremented only after the verdict (verified
-	// or shed) is in the log, the counters and the audit trail.
+	// or shed) is in the counters, the audit trail and the OnVerdict hook.
 	pending atomic.Int64
 
 	enqueued   obs.Counter
@@ -203,7 +203,7 @@ func (m *Monitor) completePost(pc *postCapture) {
 	v.Trace = pc.trace
 	m.record(v)
 	// Decrement after record: DrainPost returning means every verdict is
-	// in the log, the counters and the audit trail.
+	// in the counters, the audit trail and the OnVerdict hook.
 	m.asyncPost.pending.Add(-1)
 }
 

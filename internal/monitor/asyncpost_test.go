@@ -36,15 +36,15 @@ func (p *slowPostProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.Ma
 
 // newAsyncMonitor builds a monitor with the async post pipeline and the
 // given knobs over the standard test routes.
-func newAsyncMonitor(t *testing.T, cfg Config) *Monitor {
+func newAsyncMonitor(t *testing.T, cfg Config) (*Monitor, *verdictSink) {
 	t.Helper()
 	cfg.Post = PostAsync
 	if cfg.Mode == 0 {
 		cfg.Mode = Enforce
 	}
-	m := newPolicyMonitor(t, cfg)
+	m, sink := newPolicyMonitor(t, cfg)
 	t.Cleanup(m.Close)
-	return m
+	return m, sink
 }
 
 // TestAsyncBackpressureMatrix crosses both backpressure policies with both
@@ -77,7 +77,7 @@ func TestAsyncBackpressureMatrix(t *testing.T) {
 					PostBackpressure: bp,
 					Audit:            audit,
 				}
-				m := newAsyncMonitor(t, cfg)
+				m, sink := newAsyncMonitor(t, cfg)
 				for i := 0; i < burst; i++ {
 					if rec := doGet(t, m); rec.Code != 200 {
 						t.Fatalf("request %d: status %d, want 200", i, rec.Code)
@@ -136,7 +136,7 @@ func TestAsyncBackpressureMatrix(t *testing.T) {
 					// One worker drains FIFO: verdicts must land in the order
 					// the responses returned — block never reorders.
 					var last time.Time
-					for i, v := range m.Log() {
+					for i, v := range sink.all() {
 						if !v.Late {
 							t.Fatalf("verdict %d not late under async", i)
 						}
@@ -166,7 +166,7 @@ func TestAsyncLateVerdictTimestamps(t *testing.T) {
 	defer audit.Close()
 	// Post-state unchanged after a DELETE: a postcondition violation the
 	// worker detects after the 204 already went out.
-	m := newAsyncMonitor(t, Config{
+	m, sink := newAsyncMonitor(t, Config{
 		Provider: &fakeProvider{pre: env(2, 10, "available", "admin"), post: env(2, 10, "available", "admin")},
 		Forward:  &fakeForwarder{status: 204},
 		Audit:    audit,
@@ -177,7 +177,7 @@ func TestAsyncLateVerdictTimestamps(t *testing.T) {
 		t.Fatalf("async client must see the backend answer, got %d", rec.Code)
 	}
 	m.DrainPost()
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != ViolationPostcondition {
 		t.Fatalf("outcome = %s, want violation:postcondition", v.Outcome)
 	}
@@ -226,7 +226,7 @@ func TestAsyncCrashMidDrainAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := env(2, 10, "available", "admin")
-	m := newAsyncMonitor(t, Config{
+	m, _ := newAsyncMonitor(t, Config{
 		Provider: &fakeProvider{pre: e, post: e},
 		Forward:  &fakeForwarder{status: 204},
 		Audit:    audit,
@@ -286,7 +286,7 @@ func TestAsyncCrashMidDrainAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := newAsyncMonitor(t, Config{
+	m2, _ := newAsyncMonitor(t, Config{
 		Provider: &fakeProvider{pre: e, post: e},
 		Forward:  &fakeForwarder{status: 204},
 		Audit:    audit2,

@@ -14,9 +14,10 @@ func TestCheckPreOnlySkipsPostSnapshot(t *testing.T) {
 		pre:  env(2, 10, "available", "admin"),
 		post: env(2, 10, "available", "admin"),
 	}
-	set := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
+	set, _ := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
 	_ = set // full monitor as reference
 
+	var sink verdictSink
 	m2, err := New(Config{
 		Contracts: set.contracts,
 		Routes:    []Route{set.routes[3].route, set.routes[0].route, set.routes[1].route, set.routes[2].route},
@@ -24,6 +25,7 @@ func TestCheckPreOnlySkipsPostSnapshot(t *testing.T) {
 		Forward:   &fakeForwarder{status: 204},
 		Mode:      Enforce,
 		Level:     CheckPreOnly,
+		OnVerdict: sink.add,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +37,7 @@ func TestCheckPreOnlySkipsPostSnapshot(t *testing.T) {
 	if rec.Code != 204 {
 		t.Fatalf("status = %d (pre-only must accept)", rec.Code)
 	}
-	v := lastVerdict(t, m2)
+	v := sink.last(t)
 	if v.Outcome != OK || !v.PostOK {
 		t.Errorf("verdict = %+v", v)
 	}
@@ -62,7 +64,7 @@ func TestOnVerdictHook(t *testing.T) {
 		post: env(1, 10, "available", "admin"),
 	}
 	var seen []Verdict
-	set := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
+	set, _ := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
 	m, err := New(Config{
 		Contracts: set.contracts,
 		Routes:    []Route{set.routes[0].route, set.routes[1].route, set.routes[2].route, set.routes[3].route},
@@ -86,7 +88,7 @@ func TestAuditWriterNDJSON(t *testing.T) {
 		pre:  env(2, 10, "available", "admin"),
 		post: env(1, 10, "available", "admin"),
 	}
-	set := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
+	set, _ := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
 	m, err := New(Config{
 		Contracts: set.contracts,
 		Routes:    []Route{set.routes[0].route, set.routes[1].route, set.routes[2].route, set.routes[3].route},
@@ -109,14 +111,24 @@ func TestAuditWriterNDJSON(t *testing.T) {
 	}
 	for _, line := range lines {
 		var doc struct {
-			Trigger string `json:"trigger"`
-			Outcome string `json:"outcome"`
+			Trigger       string            `json:"trigger"`
+			Outcome       string            `json:"outcome"`
+			PreOK         bool              `json:"pre_ok"`
+			PreSnapshot   map[string]string `json:"pre_snapshot"`
+			ElapsedMicros *int64            `json:"elapsed_micros"`
 		}
 		if err := json.Unmarshal([]byte(line), &doc); err != nil {
 			t.Fatalf("line %q: %v", line, err)
 		}
-		if doc.Trigger != "DELETE(volume)" || doc.Outcome != "ok" {
+		if doc.Trigger != "DELETE(volume)" || doc.Outcome != "ok" || !doc.PreOK {
 			t.Errorf("doc = %+v", doc)
+		}
+		// Snapshots are rendered in OCL literal syntax for fault localization.
+		if doc.PreSnapshot["user.id.groups"] != "Set{'admin'}" {
+			t.Errorf("pre snapshot = %v", doc.PreSnapshot)
+		}
+		if doc.ElapsedMicros == nil || *doc.ElapsedMicros < 0 {
+			t.Errorf("elapsed_micros = %v, want a non-negative duration", doc.ElapsedMicros)
 		}
 	}
 }

@@ -83,6 +83,8 @@ func runEngine(t *testing.T, set *contract.Set, a arm, mode Mode,
 	if a.async {
 		cfg.Post = PostAsync
 	}
+	var sink verdictSink
+	cfg.OnVerdict = sink.add
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +98,7 @@ func runEngine(t *testing.T, set *contract.Set, a arm, mode Mode,
 	rec := httptest.NewRecorder()
 	m.ServeHTTP(rec, req)
 	m.DrainPost()
-	return lastVerdict(t, m), rec.Code
+	return sink.last(t), rec.Code
 }
 
 // diffArms runs every arm against the oracle on one request and state,
@@ -373,8 +375,10 @@ func TestDifferentialFailPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(policy FailPolicy, prov StateProvider) *Monitor {
+	// judge sends one DELETE through a fresh monitor over prov.
+	judge := func(policy FailPolicy, prov StateProvider) (Verdict, int) {
 		t.Helper()
+		var sink verdictSink
 		m, err := New(Config{
 			Contracts:  set,
 			Routes:     diffRoutes(),
@@ -382,19 +386,16 @@ func TestDifferentialFailPolicies(t *testing.T) {
 			Forward:    &fakeForwarder{status: 204},
 			Mode:       Enforce,
 			FailPolicy: policy,
+			OnVerdict:  sink.add,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
-	}
-	sendReq := func(m *Monitor, method string) (Verdict, int) {
-		t.Helper()
-		req := httptest.NewRequest(method, "/projects/p1/volumes/v1", nil)
+		req := httptest.NewRequest(http.MethodDelete, "/projects/p1/volumes/v1", nil)
 		req.Header.Set("X-Auth-Token", "tok")
 		rec := httptest.NewRecorder()
 		m.ServeHTTP(rec, req)
-		return lastVerdict(t, m), rec.Code
+		return sink.last(t), rec.Code
 	}
 	good := env(2, 10, "available", "admin")
 	shapes := map[string]func(policy FailPolicy) (Verdict, int){
@@ -403,12 +404,12 @@ func TestDifferentialFailPolicies(t *testing.T) {
 		"pre-fault": func(policy FailPolicy) (Verdict, int) {
 			prov := &switchProvider{env: good}
 			prov.fail.Store(true)
-			return sendReq(build(policy, prov), http.MethodDelete)
+			return judge(policy, prov)
 		},
 		// Post-phase outage: the pre-check passes, the post snapshot
 		// fails mid-request.
 		"post-fault": func(policy FailPolicy) (Verdict, int) {
-			return sendReq(build(policy, &prePostProvider{pre: good}), http.MethodDelete)
+			return judge(policy, &prePostProvider{pre: good})
 		},
 	}
 	type want struct {

@@ -34,12 +34,12 @@ func (f *slowSecondSnapshot) Snapshot(ctx *RequestContext, paths []string) (ocl.
 
 func TestPostSnapshotFailureIsError(t *testing.T) {
 	p := &slowSecondSnapshot{pre: env(2, 10, "available", "admin")}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
+	m, sink := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
 	rec := doDelete(t, m)
 	if rec.Code != http.StatusBadGateway {
 		t.Errorf("status = %d, want 502", rec.Code)
 	}
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != Error || !v.Forwarded {
 		t.Errorf("verdict = %+v", v)
 	}
@@ -65,7 +65,7 @@ func TestBackendHeadersAndBodyPassThrough(t *testing.T) {
 		pre:  env(2, 10, "available", "admin"),
 		post: env(2, 10, "available", "admin"),
 	}
-	m := newMonitor(t, Enforce, p, headerForwarder{})
+	m, _ := newMonitor(t, Enforce, p, headerForwarder{})
 	req := httptest.NewRequest(http.MethodGet, "/projects/p1/volumes/v1", nil)
 	req.Header.Set("X-Auth-Token", "tok")
 	rec := httptest.NewRecorder()
@@ -88,7 +88,7 @@ func TestBackendHeadersAndBodyPassThrough(t *testing.T) {
 // not match a different trigger's route.
 func TestMethodMismatchIs404(t *testing.T) {
 	p := &fakeProvider{pre: env(1, 10, "available", "admin")}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: 200})
+	m, _ := newMonitor(t, Enforce, p, &fakeForwarder{status: 200})
 	// PATCH is not a modeled method at all.
 	req := httptest.NewRequest("PATCH", "/projects/p1/volumes/v1", nil)
 	rec := httptest.NewRecorder()
@@ -150,7 +150,7 @@ func TestHTTPForwarderEscapesCaptures(t *testing.T) {
 		w.WriteHeader(http.StatusAccepted)
 	}))
 	defer backend.Close()
-	m := newMonitor(t, Observe, &fakeProvider{pre: env(0, 10, "available", "admin"),
+	m, _ := newMonitor(t, Observe, &fakeProvider{pre: env(0, 10, "available", "admin"),
 		post: env(1, 10, "available", "admin")}, &HTTPForwarder{BaseURL: backend.URL})
 
 	const tries = 200
@@ -203,7 +203,7 @@ func TestHTTPForwarderRejectsOversizedBody(t *testing.T) {
 		io.WriteString(w, strings.Repeat("x", respLen))
 	}))
 	defer backend.Close()
-	m := newMonitor(t, Enforce, &fakeProvider{pre: env(0, 10, "available", "admin"),
+	m, sink := newMonitor(t, Enforce, &fakeProvider{pre: env(0, 10, "available", "admin"),
 		post: env(1, 10, "available", "admin")}, &HTTPForwarder{BaseURL: backend.URL})
 
 	head := `{"volume":{"size":1}}`
@@ -212,7 +212,7 @@ func TestHTTPForwarderRejectsOversizedBody(t *testing.T) {
 	req.Header.Set("X-Auth-Token", "tok")
 	rec := httptest.NewRecorder()
 	m.ServeHTTP(rec, req)
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != Error || v.Forwarded || rec.Code != http.StatusBadGateway {
 		t.Errorf("oversized body: outcome %s forwarded %v code %d, want error, not forwarded, 502 (%s)",
 			v.Outcome, v.Forwarded, rec.Code, v.Detail)
@@ -225,7 +225,7 @@ func TestHTTPForwarderRejectsOversizedBody(t *testing.T) {
 	req = httptest.NewRequest(http.MethodPost, "/projects/p1/volumes", strings.NewReader(exact))
 	req.Header.Set("X-Auth-Token", "tok")
 	m.ServeHTTP(httptest.NewRecorder(), req)
-	if v := lastVerdict(t, m); v.Outcome != OK || hits != 1 || gotLen != maxForwardBody {
+	if v := sink.last(t); v.Outcome != OK || hits != 1 || gotLen != maxForwardBody {
 		t.Errorf("body at the limit: outcome %s (%s), %d cloud requests, %d bytes received; want ok, 1, %d",
 			v.Outcome, v.Detail, hits, gotLen, maxForwardBody)
 	}
@@ -244,7 +244,7 @@ func TestHTTPForwarderRejectsOversizedBody(t *testing.T) {
 		req.Header.Set("X-Auth-Token", "tok")
 		rec := httptest.NewRecorder()
 		m.ServeHTTP(rec, req)
-		v := lastVerdict(t, m)
+		v := sink.last(t)
 		if v.Outcome != tc.outcome || rec.Code != tc.code {
 			t.Errorf("%s: outcome %s code %d, want %s %d (%s)", tc.name, v.Outcome, rec.Code, tc.outcome, tc.code, v.Detail)
 		}

@@ -52,19 +52,21 @@ func (p *prePostProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.Map
 }
 
 // newPolicyMonitor is newMonitor with the degradation knobs exposed.
-func newPolicyMonitor(t *testing.T, cfg Config) *Monitor {
+func newPolicyMonitor(t *testing.T, cfg Config) (*Monitor, *verdictSink) {
 	t.Helper()
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := &verdictSink{}
 	cfg.Contracts = set
 	cfg.Routes = diffRoutes()
+	cfg.OnVerdict = sink.add
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m, sink
 }
 
 func doGet(t *testing.T, m *Monitor) *httptest.ResponseRecorder {
@@ -92,12 +94,12 @@ func TestFailOpenForwardsUnverified(t *testing.T) {
 	p := &switchProvider{}
 	p.fail.Store(true)
 	f := &fakeForwarder{status: 200}
-	m := newPolicyMonitor(t, Config{Provider: p, Forward: f, FailPolicy: FailOpen})
+	m, sink := newPolicyMonitor(t, Config{Provider: p, Forward: f, FailPolicy: FailOpen})
 	rec := doGet(t, m)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200 (fail-open serves the backend response)", rec.Code)
 	}
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != Unverified || !v.Forwarded {
 		t.Fatalf("verdict = %s forwarded=%v, want unverified forwarded", v.Outcome, v.Forwarded)
 	}
@@ -110,12 +112,12 @@ func TestFailOpenForwardFailureIsError(t *testing.T) {
 	p := &switchProvider{}
 	p.fail.Store(true)
 	f := &fakeForwarder{err: errFake}
-	m := newPolicyMonitor(t, Config{Provider: p, Forward: f, FailPolicy: FailOpen})
+	m, sink := newPolicyMonitor(t, Config{Provider: p, Forward: f, FailPolicy: FailOpen})
 	rec := doGet(t, m)
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502 (nothing to serve when the forward also fails)", rec.Code)
 	}
-	if v := lastVerdict(t, m); v.Outcome != Error || v.Forwarded {
+	if v := sink.last(t); v.Outcome != Error || v.Forwarded {
 		t.Fatalf("verdict = %s forwarded=%v, want error not-forwarded", v.Outcome, v.Forwarded)
 	}
 }
@@ -124,7 +126,7 @@ func TestFailClosedNeverForwardsOnSnapshotError(t *testing.T) {
 	p := &switchProvider{}
 	p.fail.Store(true)
 	f := &fakeForwarder{status: 200}
-	m := newPolicyMonitor(t, Config{Provider: p, Forward: f}) // default policy
+	m, sink := newPolicyMonitor(t, Config{Provider: p, Forward: f}) // default policy
 	rec := doGet(t, m)
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502", rec.Code)
@@ -132,7 +134,7 @@ func TestFailClosedNeverForwardsOnSnapshotError(t *testing.T) {
 	if f.calls != 0 {
 		t.Fatalf("fail-closed forwarded %d requests on snapshot error", f.calls)
 	}
-	if v := lastVerdict(t, m); v.Outcome != Error {
+	if v := sink.last(t); v.Outcome != Error {
 		t.Fatalf("verdict = %s, want error", v.Outcome)
 	}
 }
@@ -150,12 +152,12 @@ func TestPostSnapshotErrorPerPolicy(t *testing.T) {
 		t.Run(tc.policy.String(), func(t *testing.T) {
 			p := &prePostProvider{pre: env(2, 10, "available", "admin")}
 			f := &fakeForwarder{status: 204}
-			m := newPolicyMonitor(t, Config{Provider: p, Forward: f, FailPolicy: tc.policy})
+			m, sink := newPolicyMonitor(t, Config{Provider: p, Forward: f, FailPolicy: tc.policy})
 			rec := doDelete(t, m)
 			if rec.Code != tc.wantRec {
 				t.Fatalf("status %d, want %d", rec.Code, tc.wantRec)
 			}
-			v := lastVerdict(t, m)
+			v := sink.last(t)
 			if v.Outcome != tc.want {
 				t.Fatalf("verdict = %s (detail %q), want %s", v.Outcome, v.Detail, tc.want)
 			}

@@ -29,10 +29,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cloudmon/internal/contract"
@@ -279,10 +276,6 @@ type Verdict struct {
 	// Trace holds the per-stage pipeline timings (route match, snapshots,
 	// evaluations, forward). Stages the request never reached are zero.
 	Trace obs.Trace
-
-	// seq is the global arrival order, assigned by record(); Log() sorts
-	// the sharded slices by it.
-	seq uint64
 }
 
 // CheckLevel selects how much of the contract the monitor verifies per
@@ -327,10 +320,11 @@ type Config struct {
 	// FailPolicy decides the verdict when a state snapshot fails
 	// (defaults to FailClosed).
 	FailPolicy FailPolicy
-	// MaxLog bounds the in-memory verdict log (default 1024).
-	MaxLog int
-	// OnVerdict, if set, is invoked synchronously with every recorded
-	// verdict — the hook for NDJSON verdict streams and alerting.
+	// OnVerdict, if set, is invoked once per verdict, synchronously, from
+	// the request goroutine or the async post worker that recorded it —
+	// so calls are concurrent and a sink must lock. It is the only way to
+	// see every verdict (cloudmon -log-file installs an AuditWriter here);
+	// the monitor itself keeps counters, not verdicts.
 	OnVerdict func(Verdict)
 	// Audit, if set, receives an obs.AuditRecord for every verdict that
 	// is not a clean pass (blocked, rejected, violations, errors,
@@ -381,19 +375,9 @@ type Monitor struct {
 	postBackpressure BackpressurePolicy
 	asyncPost        *asyncPost
 
-	// The verdict log is sharded to keep the record() critical section
-	// off the proxy's critical path under concurrent load; verdicts
-	// carry a global sequence number so Log() can restore arrival order.
-	seq      atomic.Uint64
-	shards   [logShards]logShard
-	maxLog   int
-	shardMax int
-
 	// Counters and per-stage latency histograms live in lock-free obs
 	// types — the single source of truth ResetLog, Outcomes(), the
-	// /metrics endpoint and loadmon -verify all read (previously each
-	// shard kept its own maps, which only agreed with the log by
-	// convention).
+	// /metrics endpoint and loadmon -verify all read.
 	tracer        *obs.Tracer
 	outcomes      [numOutcomes]obs.Counter
 	coverage      obs.KeyedCounter
@@ -406,19 +390,6 @@ type Monitor struct {
 
 // numOutcomes sizes the outcome counter array (outcomes are 1-based).
 const numOutcomes = int(Unverified) + 1
-
-// logShards is the number of verdict-log shards (power of two).
-const logShards = 8
-
-// logShard holds one slice of the verdict log. Once the shard is full it
-// becomes a circular buffer: next is the index of the oldest entry (the
-// one the next verdict overwrites). Log() sorts by sequence number, so
-// in-shard rotation never has to shift elements.
-type logShard struct {
-	mu   sync.Mutex
-	log  []Verdict
-	next int
-}
 
 type compiledRoute struct {
 	route    Route
@@ -470,10 +441,6 @@ func New(cfg Config) (*Monitor, error) {
 	if post == PostAsync && level == CheckPreOnly {
 		return nil, fmt.Errorf("monitor: post mode %s is meaningless at check level %s", post, level)
 	}
-	maxLog := cfg.MaxLog
-	if maxLog <= 0 {
-		maxLog = 1024
-	}
 	m := &Monitor{
 		contracts:    cfg.Contracts,
 		provider:     cfg.Provider,
@@ -484,8 +451,6 @@ func New(cfg Config) (*Monitor, error) {
 		onVerdict:    cfg.OnVerdict,
 		audit:        cfg.Audit,
 		instanceID:   cfg.InstanceID,
-		maxLog:       maxLog,
-		shardMax:     (maxLog + logShards - 1) / logShards,
 		tracer:       obs.NewTracer(),
 		flights:      newFlightGroup(),
 		pathsFetched: obs.NewCountHistogram(),
@@ -503,9 +468,6 @@ func New(cfg Config) (*Monitor, error) {
 			workers = 4
 		}
 		m.asyncPost = newAsyncPost(m, queueCap, workers)
-	}
-	if m.shardMax < 1 {
-		m.shardMax = 1
 	}
 	seen := make(map[string]bool, len(cfg.Routes))
 	for _, r := range cfg.Routes {
@@ -649,24 +611,10 @@ func writeBackend(w http.ResponseWriter, resp *BackendResponse) {
 	}
 }
 
-// record appends the verdict to its shard's bounded log, updates the
-// lock-free counters and stage histograms, and feeds the audit sink for
-// non-OK outcomes. Verdicts are spread round-robin by sequence number, so
-// concurrent requests rarely contend on the same shard lock.
+// record updates the lock-free counters and stage histograms, feeds the
+// audit sink for non-OK outcomes and hands the verdict to the OnVerdict
+// hook. The monitor keeps no verdict itself.
 func (m *Monitor) record(v Verdict) {
-	v.seq = m.seq.Add(1)
-	s := &m.shards[v.seq%logShards]
-	s.mu.Lock()
-	if len(s.log) < m.shardMax {
-		s.log = append(s.log, v)
-	} else {
-		s.log[s.next] = v
-		s.next++
-		if s.next == m.shardMax {
-			s.next = 0
-		}
-	}
-	s.mu.Unlock()
 	if int(v.Outcome) < numOutcomes {
 		m.outcomes[v.Outcome].Inc()
 	}
@@ -720,35 +668,6 @@ func auditRecord(v *Verdict) *obs.AuditRecord {
 	return rec
 }
 
-// Log returns a copy of the verdict log (oldest first). With the log
-// sharded, the bound is enforced per shard; the merged view holds roughly
-// the MaxLog most recent verdicts.
-func (m *Monitor) Log() []Verdict {
-	var out []Verdict
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		out = append(out, s.log...)
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	if len(out) > m.maxLog {
-		out = out[len(out)-m.maxLog:]
-	}
-	return out
-}
-
-// Violations returns the logged verdicts that are contract violations.
-func (m *Monitor) Violations() []Verdict {
-	var out []Verdict
-	for _, v := range m.Log() {
-		if v.Outcome.IsViolation() {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Coverage returns the hit count per security requirement: how often a
 // transition annotated with the requirement had its pre-condition matched.
 // Requirements declared by the contracts but never exercised appear with
@@ -787,8 +706,8 @@ func (m *Monitor) TransitionCoverage() map[string]int {
 }
 
 // Outcomes returns the count per outcome class, read from the same
-// atomic counters the /metrics endpoint exports — the log, the counters
-// and the exposition document cannot drift apart.
+// atomic counters the /metrics endpoint exports — the counters and the
+// exposition document cannot drift apart.
 func (m *Monitor) Outcomes() map[Outcome]int {
 	out := make(map[Outcome]int)
 	for i := 1; i < numOutcomes; i++ {
@@ -867,16 +786,9 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 	})
 }
 
-// ResetLog clears the verdict log, counters and stage histograms
-// (between mutation runs).
+// ResetLog clears the counters and stage histograms (between mutation
+// runs).
 func (m *Monitor) ResetLog() {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		sh.log = nil
-		sh.next = 0
-		sh.mu.Unlock()
-	}
 	for i := range m.outcomes {
 		m.outcomes[i].Reset()
 	}

@@ -3,6 +3,7 @@ package monitor
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -87,23 +88,58 @@ func env(vols, quota int, status string, roles ...string) ocl.MapEnv {
 	}
 }
 
-func newMonitor(t *testing.T, mode Mode, p StateProvider, f Forwarder) *Monitor {
+// newMonitor builds a monitor over the standard test routes and returns
+// it with the sink its OnVerdict hook feeds.
+func newMonitor(t *testing.T, mode Mode, p StateProvider, f Forwarder) (*Monitor, *verdictSink) {
 	t.Helper()
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := &verdictSink{}
 	m, err := New(Config{
 		Contracts: set,
 		Routes:    diffRoutes(),
 		Provider:  p,
 		Forward:   f,
 		Mode:      mode,
+		OnVerdict: sink.add,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m, sink
+}
+
+// verdictSink collects the verdicts a monitor records; install its add
+// method as Config.OnVerdict. The hook runs on request goroutines and
+// async post workers, so the sink locks.
+type verdictSink struct {
+	mu       sync.Mutex
+	verdicts []Verdict
+}
+
+func (s *verdictSink) add(v Verdict) {
+	s.mu.Lock()
+	s.verdicts = append(s.verdicts, v)
+	s.mu.Unlock()
+}
+
+// all returns the verdicts in the order they were recorded.
+func (s *verdictSink) all() []Verdict {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Verdict(nil), s.verdicts...)
+}
+
+// last returns the most recently recorded verdict.
+func (s *verdictSink) last(t *testing.T) Verdict {
+	t.Helper()
+	vs := s.all()
+	if len(vs) == 0 {
+		t.Fatal("no verdicts recorded")
+	}
+	return vs[len(vs)-1]
 }
 
 func doDelete(t *testing.T, m *Monitor) *httptest.ResponseRecorder {
@@ -115,20 +151,11 @@ func doDelete(t *testing.T, m *Monitor) *httptest.ResponseRecorder {
 	return rec
 }
 
-func lastVerdict(t *testing.T, m *Monitor) Verdict {
-	t.Helper()
-	log := m.Log()
-	if len(log) == 0 {
-		t.Fatal("no verdicts logged")
-	}
-	return log[len(log)-1]
-}
-
 func TestEnforceBlocksForbiddenRequest(t *testing.T) {
 	// member tries DELETE: contract pre fails, nothing forwarded.
 	p := &fakeProvider{pre: env(1, 10, "available", "member")}
 	f := &fakeForwarder{status: 204}
-	m := newMonitor(t, Enforce, p, f)
+	m, sink := newMonitor(t, Enforce, p, f)
 	rec := doDelete(t, m)
 	if rec.Code != http.StatusPreconditionFailed {
 		t.Errorf("status = %d, want 412", rec.Code)
@@ -136,7 +163,7 @@ func TestEnforceBlocksForbiddenRequest(t *testing.T) {
 	if f.calls != 0 {
 		t.Error("blocked request must not be forwarded")
 	}
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != Blocked || v.PreOK || v.Forwarded {
 		t.Errorf("verdict = %+v", v)
 	}
@@ -148,12 +175,12 @@ func TestEnforceForwardsPermittedRequest(t *testing.T) {
 		post: env(1, 10, "available", "admin"),
 	}
 	f := &fakeForwarder{status: 204}
-	m := newMonitor(t, Enforce, p, f)
+	m, sink := newMonitor(t, Enforce, p, f)
 	rec := doDelete(t, m)
 	if rec.Code != http.StatusNoContent {
 		t.Errorf("status = %d, want backend 204", rec.Code)
 	}
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != OK || !v.PreOK || !v.PostOK || !v.Forwarded {
 		t.Errorf("verdict = %+v", v)
 	}
@@ -173,7 +200,7 @@ func TestPostconditionViolationDetected(t *testing.T) {
 		post: env(2, 10, "available", "admin"),
 	}
 	f := &fakeForwarder{status: 204}
-	m := newMonitor(t, Enforce, p, f)
+	m, sink := newMonitor(t, Enforce, p, f)
 	rec := doDelete(t, m)
 	if rec.Code != http.StatusConflict {
 		t.Errorf("status = %d, want 409 violation", rec.Code)
@@ -181,7 +208,7 @@ func TestPostconditionViolationDetected(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "violation:postcondition") {
 		t.Errorf("body = %s", rec.Body.String())
 	}
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != ViolationPostcondition {
 		t.Errorf("outcome = %v", v.Outcome)
 	}
@@ -194,12 +221,12 @@ func TestObserveDetectsForbiddenAccepted(t *testing.T) {
 		post: env(1, 10, "available", "member"),
 	}
 	f := &fakeForwarder{status: 204}
-	m := newMonitor(t, Observe, p, f)
+	m, sink := newMonitor(t, Observe, p, f)
 	rec := doDelete(t, m)
 	if rec.Code != http.StatusConflict {
 		t.Errorf("status = %d, want 409", rec.Code)
 	}
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != ViolationForbiddenAccepted {
 		t.Errorf("outcome = %v", v.Outcome)
 	}
@@ -211,12 +238,12 @@ func TestObserveDetectsForbiddenAccepted(t *testing.T) {
 func TestObserveAcceptsCorrectRejection(t *testing.T) {
 	p := &fakeProvider{pre: env(2, 10, "available", "member")}
 	f := &fakeForwarder{status: 403}
-	m := newMonitor(t, Observe, p, f)
+	m, sink := newMonitor(t, Observe, p, f)
 	rec := doDelete(t, m)
 	if rec.Code != http.StatusForbidden {
 		t.Errorf("status = %d, want backend 403 passed through", rec.Code)
 	}
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != Rejected {
 		t.Errorf("outcome = %v", v.Outcome)
 	}
@@ -226,12 +253,12 @@ func TestAllowedRejectedViolation(t *testing.T) {
 	// Admin's valid DELETE rejected by the cloud: authorized user denied.
 	p := &fakeProvider{pre: env(2, 10, "available", "admin")}
 	f := &fakeForwarder{status: 403}
-	m := newMonitor(t, Enforce, p, f)
+	m, sink := newMonitor(t, Enforce, p, f)
 	rec := doDelete(t, m)
 	if rec.Code != http.StatusConflict {
 		t.Errorf("status = %d, want 409", rec.Code)
 	}
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != ViolationAllowedRejected {
 		t.Errorf("outcome = %v", v.Outcome)
 	}
@@ -240,12 +267,12 @@ func TestAllowedRejectedViolation(t *testing.T) {
 func TestProviderErrorIsMonitorError(t *testing.T) {
 	p := &fakeProvider{err: errFake}
 	f := &fakeForwarder{status: 204}
-	m := newMonitor(t, Enforce, p, f)
+	m, sink := newMonitor(t, Enforce, p, f)
 	rec := doDelete(t, m)
 	if rec.Code != http.StatusBadGateway {
 		t.Errorf("status = %d, want 502", rec.Code)
 	}
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != Error {
 		t.Errorf("outcome = %v", v.Outcome)
 	}
@@ -257,7 +284,7 @@ func TestProviderErrorIsMonitorError(t *testing.T) {
 func TestForwarderErrorIsMonitorError(t *testing.T) {
 	p := &fakeProvider{pre: env(2, 10, "available", "admin")}
 	f := &fakeForwarder{err: errFake}
-	m := newMonitor(t, Enforce, p, f)
+	m, _ := newMonitor(t, Enforce, p, f)
 	rec := doDelete(t, m)
 	if rec.Code != http.StatusBadGateway {
 		t.Errorf("status = %d, want 502", rec.Code)
@@ -272,15 +299,15 @@ func (*fakeError) Error() string { return "fake failure" }
 
 func TestUnroutedRequestIs404(t *testing.T) {
 	p := &fakeProvider{pre: env(1, 10, "available", "admin")}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: 200})
+	m, sink := newMonitor(t, Enforce, p, &fakeForwarder{status: 200})
 	req := httptest.NewRequest(http.MethodGet, "/nonsense", nil)
 	rec := httptest.NewRecorder()
 	m.ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("status = %d, want 404", rec.Code)
 	}
-	if len(m.Log()) != 0 {
-		t.Error("unrouted requests must not be logged as verdicts")
+	if len(sink.all()) != 0 {
+		t.Error("unrouted requests must not be recorded as verdicts")
 	}
 }
 
@@ -289,7 +316,7 @@ func TestCoverageTracking(t *testing.T) {
 		pre:  env(2, 10, "available", "admin"),
 		post: env(1, 10, "available", "admin"),
 	}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
+	m, _ := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
 	doDelete(t, m)
 	cov := m.Coverage()
 	if cov["1.4"] != 1 {
@@ -325,52 +352,13 @@ func TestCoverageTracking(t *testing.T) {
 		t.Errorf("transition universe = %d, want 11 (all model transitions)", total)
 	}
 	m.ResetLog()
-	if len(m.Log()) != 0 || m.Coverage()["1.4"] != 0 {
+	if len(m.Outcomes()) != 0 || m.Coverage()["1.4"] != 0 {
 		t.Error("ResetLog did not clear state")
 	}
 	for _, n := range m.TransitionCoverage() {
 		if n != 0 {
 			t.Error("transition coverage survives reset")
 		}
-	}
-}
-
-func TestViolationsFilter(t *testing.T) {
-	p := &fakeProvider{pre: env(2, 10, "available", "admin"), post: env(2, 10, "available", "admin")}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: 204})
-	doDelete(t, m)
-	if got := m.Violations(); len(got) != 1 || got[0].Outcome != ViolationPostcondition {
-		t.Errorf("Violations = %v", got)
-	}
-}
-
-func TestLogBounded(t *testing.T) {
-	set, err := contract.Generate(paper.CinderModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &fakeProvider{pre: env(1, 10, "available", "member")}
-	m, err := New(Config{
-		Contracts: set,
-		Routes: []Route{{
-			Trigger: uml.Trigger{Method: uml.DELETE, Resource: "volume"},
-			Pattern: "/projects/{project_id}/volumes/{volume_id}",
-			Backend: "/x/{project_id}/{volume_id}",
-		}},
-		Provider: p,
-		Forward:  &fakeForwarder{status: 403},
-		Mode:     Enforce,
-		MaxLog:   3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		p.calls = 0 // keep returning the pre env
-		doDelete(t, m)
-	}
-	if got := len(m.Log()); got != 3 {
-		t.Errorf("log length = %d, want 3", got)
 	}
 }
 
@@ -417,7 +405,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestDefaultModeIsEnforce(t *testing.T) {
 	p := &fakeProvider{pre: env(1, 10, "available", "admin")}
-	m := newMonitor(t, 0, p, &fakeForwarder{status: 204})
+	m, _ := newMonitor(t, 0, p, &fakeForwarder{status: 204})
 	if m.Mode() != Enforce {
 		t.Errorf("default mode = %v", m.Mode())
 	}
@@ -450,7 +438,7 @@ func TestPostRouteOnCollection(t *testing.T) {
 		pre:  env(0, 10, "", "admin"),
 		post: env(1, 10, "", "admin"),
 	}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: 202})
+	m, sink := newMonitor(t, Enforce, p, &fakeForwarder{status: 202})
 	req := httptest.NewRequest(http.MethodPost, "/projects/p1/volumes",
 		strings.NewReader(`{"volume":{"name":"n","size":1}}`))
 	req.Header.Set("X-Auth-Token", "tok")
@@ -459,17 +447,18 @@ func TestPostRouteOnCollection(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Errorf("status = %d, body=%s", rec.Code, rec.Body.String())
 	}
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != OK {
 		t.Errorf("outcome = %v (%s)", v.Outcome, v.Detail)
 	}
 }
 
 // TestShardedCountersAggregate drives concurrent requests and checks that
-// the sharded outcome/coverage counters and the merged log agree.
+// the outcome counters sum to the request count and that the OnVerdict
+// hook received each verdict exactly once.
 func TestShardedCountersAggregate(t *testing.T) {
 	e := env(1, 10, "available", "member")
-	m := newMonitor(t, Enforce, &fakeProvider{pre: e, post: e}, okForwarder{})
+	m, sink := newMonitor(t, Enforce, &fakeProvider{pre: e, post: e}, okForwarder{})
 
 	const goroutines, per = 16, 25
 	var wg sync.WaitGroup
@@ -491,14 +480,49 @@ func TestShardedCountersAggregate(t *testing.T) {
 	if total != goroutines*per {
 		t.Errorf("outcome counters sum to %d, want %d", total, goroutines*per)
 	}
-	log := m.Log()
-	if len(log) != goroutines*per {
-		t.Errorf("log holds %d verdicts, want %d", len(log), goroutines*per)
+	if got := len(sink.all()); got != goroutines*per {
+		t.Errorf("hook received %d verdicts, want %d", got, goroutines*per)
 	}
-	// Log must be ordered by arrival sequence.
-	for i := 1; i < len(log); i++ {
-		if log[i-1].seq >= log[i].seq {
-			t.Fatalf("log out of order at %d: %d then %d", i, log[i-1].seq, log[i].seq)
-		}
+}
+
+// TestHeapDoesNotGrowWithRequests: the monitor keeps counters, not
+// verdicts, so its live heap after 5,000 more requests is what it was
+// after the first 10 — under either post mode.
+func TestHeapDoesNotGrowWithRequests(t *testing.T) {
+	set, err := contract.Generate(paper.CinderModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, post := range []PostMode{PostSync, PostAsync} {
+		t.Run(post.String(), func(t *testing.T) {
+			e := env(20, 100, "available", "admin") // 20-volume listings
+			m, err := New(Config{
+				Contracts: set,
+				Routes:    diffRoutes(),
+				Provider:  &fakeProvider{pre: e, post: e},
+				Forward:   okForwarder{},
+				Post:      post,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			liveHeap := func(requests int) uint64 {
+				for i := 0; i < requests; i++ {
+					doGet(t, m)
+				}
+				m.DrainPost()
+				runtime.GC()
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			before := liveHeap(10)
+			after := liveHeap(5000)
+			if after > before && after-before >= 256<<10 {
+				t.Errorf("live heap grew by %d KiB over 5,000 requests, want < 256 KiB", (after-before)>>10)
+			}
+		})
 	}
 }

@@ -47,12 +47,12 @@ func TestVerdictTraceRecorded(t *testing.T) {
 		pre:  env(1, 10, "available", "admin"),
 		post: env(1, 10, "available", "admin"),
 	}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
+	m, sink := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
 	req := httptest.NewRequest(http.MethodGet, "/projects/p1/volumes/v1", nil)
 	req.Header.Set("X-Auth-Token", "tok")
 	m.ServeHTTP(httptest.NewRecorder(), req)
 
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != OK {
 		t.Fatalf("outcome = %v", v.Outcome)
 	}
@@ -74,9 +74,9 @@ func TestVerdictTraceRecorded(t *testing.T) {
 func TestBlockedSkipsPostStages(t *testing.T) {
 	p := &fakeProvider{pre: env(1, 10, "available")} // no roles: pre fails
 	fw := &fakeForwarder{status: http.StatusOK}
-	m := newMonitor(t, Enforce, p, fw)
+	m, sink := newMonitor(t, Enforce, p, fw)
 	doDelete(t, m)
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != Blocked {
 		t.Fatalf("outcome = %v", v.Outcome)
 	}
@@ -138,7 +138,7 @@ func TestRegisterMetricsAgreesWithCounters(t *testing.T) {
 		pre:  env(1, 10, "available", "admin"),
 		post: env(1, 10, "available", "admin"),
 	}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
+	m, _ := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
 	doGet(t, m)
 	doGet(t, m)
 
@@ -175,7 +175,7 @@ func TestResetLogClearsObsState(t *testing.T) {
 		pre:  env(1, 10, "available", "admin"),
 		post: env(1, 10, "available", "admin"),
 	}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
+	m, _ := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
 	req := httptest.NewRequest(http.MethodGet, "/projects/p1/volumes/v1", nil)
 	req.Header.Set("X-Auth-Token", "tok")
 	m.ServeHTTP(httptest.NewRecorder(), req)
@@ -196,8 +196,7 @@ func TestResetLogClearsObsState(t *testing.T) {
 	}
 
 	// An async monitor whose second DELETE waited on the write fence for
-	// the first's deferred check: every async counter must reset with the
-	// log.
+	// the first's deferred check: every async counter must reset.
 	gate := make(chan struct{})
 	gp := &gatedPostProvider{env: env(2, 10, "available", "admin"), gate: gate}
 	am, err := New(Config{

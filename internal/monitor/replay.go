@@ -71,7 +71,6 @@ func NewReplayer(set *contract.Set) (*Replayer, error) {
 			// reused (reuse fills the frame's post-state bank, so the
 			// recorded post snapshot holds it too).
 			FailPolicy: FailClosed,
-			MaxLog:     1,
 		})
 		if err != nil {
 			return nil, nil, err

@@ -186,12 +186,14 @@ func runWaves(t *testing.T, set *contract.Set, recheck bool, mode Mode,
 	method, path string, pre, post ocl.MapEnv, status int, one bool) waveRun {
 	t.Helper()
 	prov := &waveProvider{pre: pre, post: samePost(post)}
+	var sink verdictSink
 	m, err := New(Config{
 		Contracts: set,
 		Routes:    diffRoutes(),
 		Provider:  prov,
 		Forward:   &fakeForwarder{status: status},
 		Mode:      mode,
+		OnVerdict: sink.add,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +208,7 @@ func runWaves(t *testing.T, set *contract.Set, recheck bool, mode Mode,
 	req.Header.Set("X-Auth-Token", "tok")
 	rec := httptest.NewRecorder()
 	m.ServeHTTP(rec, req)
-	return waveRun{v: lastVerdict(t, m), code: rec.Code, waves: m.FetchStats().Waves, prov: prov}
+	return waveRun{v: sink.last(t), code: rec.Code, waves: m.FetchStats().Waves, prov: prov}
 }
 
 // waveCompare asserts the wave arm's contract against the one-path arm:
@@ -415,12 +417,14 @@ func TestWaveFailPolicies(t *testing.T) {
 					t.Helper()
 					p := &waveProvider{pre: cell.pre, post: samePost(cell.pre),
 						fail: map[string]bool{cell.fail: true}, sequential: sequential}
+					var sink verdictSink
 					m, err := New(Config{
 						Contracts:  set,
 						Routes:     diffRoutes(),
 						Provider:   p,
 						Forward:    &fakeForwarder{status: 204},
 						FailPolicy: policy,
+						OnVerdict:  sink.add,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -433,7 +437,7 @@ func TestWaveFailPolicies(t *testing.T) {
 					req.Header.Set("X-Auth-Token", "tok")
 					rec := httptest.NewRecorder()
 					m.ServeHTTP(rec, req)
-					v, code := lastVerdict(t, m), rec.Code
+					v, code := sink.last(t), rec.Code
 					switch gets := p.gets(); {
 					case sequential && !one:
 						if v.FetchedPaths < gets {
@@ -499,12 +503,14 @@ func TestWaveFailureCost(t *testing.T) {
 				t.Helper()
 				p := &waveProvider{pre: good, post: samePost(good), fail: cell.fail, budget: budget}
 				p.broken.Store(true)
+				var sink verdictSink
 				m, err := New(Config{
 					Contracts:  set,
 					Routes:     diffRoutes(),
 					Provider:   p,
 					Forward:    &fakeForwarder{status: 200},
 					FailPolicy: policy,
+					OnVerdict:  sink.add,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -515,7 +521,7 @@ func TestWaveFailureCost(t *testing.T) {
 				req := httptest.NewRequest(http.MethodGet, "/projects/p1/volumes/v1", nil)
 				req.Header.Set("X-Auth-Token", "tok")
 				m.ServeHTTP(httptest.NewRecorder(), req)
-				return lastVerdict(t, m), p
+				return sink.last(t), p
 			}
 			vs, ps := run(true)
 			vw, pw := run(false)
@@ -548,9 +554,9 @@ func TestWaveFailureCost(t *testing.T) {
 func TestWaveShape(t *testing.T) {
 	state := env(2, 10, "available", "admin")
 	p := &waveProvider{pre: state, post: map[uml.HTTPMethod]ocl.MapEnv{uml.GET: state}}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
+	m, sink := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
 	doGet(t, m)
-	v := lastVerdict(t, m)
+	v := sink.last(t)
 	if v.Outcome != OK {
 		t.Fatalf("outcome %s (%s), want ok", v.Outcome, v.Detail)
 	}
@@ -601,7 +607,7 @@ func TestWaveMutualLead(t *testing.T) {
 		}
 		<-both
 	}}
-	m := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
+	m, _ := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
 	params := map[string]string{"project_id": "p1", "volume_id": "v1"}
 	newFetcher := func() *fetcher {
 		return &fetcher{m: m, pk: paramsCacheKey(params),
@@ -749,7 +755,7 @@ func TestWaveFlightsKeepLookalikeCapturesApart(t *testing.T) {
 			}
 		},
 	}
-	m := newMonitor(t, Enforce, p, okForwarder{})
+	m, sink := newMonitor(t, Enforce, p, okForwarder{})
 	done := make(chan struct{}, 2)
 	send := func(method, path string) {
 		req := httptest.NewRequest(method, path, nil)
@@ -771,7 +777,7 @@ func TestWaveFlightsKeepLookalikeCapturesApart(t *testing.T) {
 			t.Fatal("the POST waited on the GET's flights instead of reading its own state")
 		}
 	}
-	for _, v := range m.Log() {
+	for _, v := range sink.all() {
 		if v.Outcome != OK {
 			t.Errorf("%s: outcome %s (%s), want ok", v.Trigger, v.Outcome, v.Detail)
 		}
@@ -815,7 +821,7 @@ func TestWaveConcurrentRequests(t *testing.T) {
 			close(both)
 		}
 	}
-	m := newMonitor(t, Enforce, p, okForwarder{})
+	m, sink := newMonitor(t, Enforce, p, okForwarder{})
 	send := func(method string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(method, "/projects/p1/volumes/v1", nil)
 		req.Header.Set("X-Auth-Token", "tok")
@@ -845,7 +851,7 @@ func TestWaveConcurrentRequests(t *testing.T) {
 		t.Errorf("responses %v, want GET 200 and DELETE 200", got)
 	}
 	outcomes := map[uml.HTTPMethod]Outcome{}
-	for _, v := range m.Log() {
+	for _, v := range sink.all() {
 		outcomes[v.Trigger.Method] = v.Outcome
 	}
 	if outcomes[uml.GET] != OK || outcomes[uml.DELETE] != OK {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"cloudmon/internal/core"
 	"cloudmon/internal/httpkit"
@@ -15,22 +16,14 @@ import (
 	"cloudmon/internal/osbinding"
 	"cloudmon/internal/osclient"
 	"cloudmon/internal/paper"
+	"cloudmon/internal/uml"
 )
 
-// Lab is one experimental deployment: a freshly seeded simulated cloud and
-// a cloud monitor in Observe (test-oracle) mode, wired in process.
+// Lab is one experimental deployment of the paper's Cinder model: a
+// freshly seeded simulated cloud and a cloud monitor in Observe
+// (test-oracle) mode, wired in process.
 type Lab struct {
-	// Cloud is the simulated private cloud (mutants are applied to it).
-	Cloud *openstack.Cloud
-	// Sys is the generated monitoring pipeline.
-	Sys *core.System
-	// ProjectID is the seeded project.
-	ProjectID string
-
-	cloudClient *osclient.Client
-	monClient   *osclient.Client
-	tokens      map[string]string // role -> token
-	requests    int
+	*labEnv
 }
 
 // Users of the lab deployment, one per Table-I role.
@@ -59,53 +52,115 @@ func NewLab() (*Lab, error) {
 
 // NewLabWithOptions builds a lab with the given options.
 func NewLabWithOptions(opts LabOptions) (*Lab, error) {
+	env, err := newLabEnv(paper.CinderModel(), openstack.Seed{Quota: labQuota}, opts.Level)
+	if err != nil {
+		return nil, err
+	}
+	return &Lab{env}, nil
+}
+
+// labEnv is what Lab and NovaLab share: the cloud and the monitor over
+// it, one token per Table-I role, and the verdict capture the monitor's
+// OnVerdict hook feeds.
+type labEnv struct {
+	// Cloud is the simulated private cloud (mutants are applied to it).
+	Cloud *openstack.Cloud
+	// Sys is the generated monitoring pipeline.
+	Sys *core.System
+	// ProjectID is the seeded project.
+	ProjectID string
+
+	cloudClient *osclient.Client
+	monClient   *osclient.Client
+	tokens      map[string]string // role -> token
+	requests    int
+	capture     *violationCapture
+}
+
+// violationCapture is a lab monitor's OnVerdict hook. It keeps the first
+// violation, the detection a campaign reports; the hook may be called
+// from any request goroutine, so it locks.
+type violationCapture struct {
+	mu    sync.Mutex
+	first string // "<outcome> on <trigger>"
+}
+
+func (c *violationCapture) record(v monitor.Verdict) {
+	if !v.Outcome.IsViolation() {
+		return
+	}
+	c.mu.Lock()
+	if c.first == "" {
+		c.first = fmt.Sprintf("%s on %s", v.Outcome, v.Trigger)
+	}
+	c.mu.Unlock()
+}
+
+// newLabEnv seeds a cloud and builds the monitor for the model over it.
+func newLabEnv(model *uml.Model, seed openstack.Seed, level monitor.CheckLevel) (*labEnv, error) {
 	cloud := openstack.New(openstack.Config{})
-	res := cloud.ApplySeed(openstack.Seed{
-		ProjectName: "myProject",
-		Quota:       labQuota,
-		GroupRoles:  paper.GroupRole(),
-		Users:       labUsers,
-	})
+	seed.ProjectName = "myProject"
+	seed.GroupRoles = paper.GroupRole()
+	seed.Users = labUsers
+	res := cloud.ApplySeed(seed)
 	cloudHTTP := httpkit.HandlerClient(cloud)
+	capture := &violationCapture{}
 	sys, err := core.Build(core.Options{
-		Model:    paper.CinderModel(),
+		Model:    model,
 		CloudURL: "http://cloud.internal",
 		ServiceAccount: osbinding.ServiceAccount{
 			User: "cm-svc", Password: "pw-svc", ProjectID: res.ProjectID,
 		},
 		Mode:       monitor.Observe,
-		Level:      opts.Level,
+		Level:      level,
 		HTTPClient: cloudHTTP,
+		OnVerdict:  capture.record,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mutation: build monitor: %w", err)
 	}
-	lab := &Lab{
+	env := &labEnv{
 		Cloud:     cloud,
 		Sys:       sys,
 		ProjectID: res.ProjectID,
 		tokens:    make(map[string]string, 3),
+		capture:   capture,
 	}
-	lab.cloudClient = osclient.New("http://cloud.internal")
-	lab.cloudClient.HTTPClient = cloudHTTP
-	lab.monClient = osclient.New("http://monitor.internal")
-	lab.monClient.HTTPClient = httpkit.HandlerClient(sys.Monitor)
+	env.cloudClient = osclient.New("http://cloud.internal")
+	env.cloudClient.HTTPClient = cloudHTTP
+	env.monClient = osclient.New("http://monitor.internal")
+	env.monClient.HTTPClient = httpkit.HandlerClient(sys.Monitor)
 
 	for user, role := range map[string]string{
 		"alice": paper.RoleAdmin, "bob": paper.RoleMember, "carol": paper.RoleUser,
 	} {
-		auth := *lab.cloudClient
+		auth := *env.cloudClient
 		tok, err := auth.Authenticate(user, "pw-"+user, res.ProjectID)
 		if err != nil {
 			return nil, fmt.Errorf("mutation: authenticate %s: %w", user, err)
 		}
-		lab.tokens[role] = tok
+		env.tokens[role] = tok
 	}
-	return lab, nil
+	return env, nil
+}
+
+// violations returns the number of violation verdicts the lab's monitor
+// recorded, read from its outcome counters, and the first one's outcome
+// and trigger.
+func (l *labEnv) violations() (int, string) {
+	n := 0
+	for outcome, count := range l.Sys.Monitor.Outcomes() {
+		if outcome.IsViolation() {
+			n += count
+		}
+	}
+	l.capture.mu.Lock()
+	defer l.capture.mu.Unlock()
+	return n, l.capture.first
 }
 
 // as returns a monitor-facing client holding the role's token.
-func (l *Lab) as(role string) *osclient.Client {
+func (l *labEnv) as(role string) *osclient.Client {
 	return l.monClient.WithToken(l.tokens[role])
 }
 
@@ -261,39 +316,49 @@ func RunCampaign(mutants []Mutant) (*CampaignReport, error) {
 // RunCampaignWithOptions runs a campaign with customized lab deployments —
 // the ablation harness (e.g. a pre-only monitor).
 func RunCampaignWithOptions(mutants []Mutant, opts LabOptions) (*CampaignReport, error) {
-	report := &CampaignReport{}
+	return runCampaign(mutants, func() (campaignLab, error) { return NewLabWithOptions(opts) })
+}
 
-	baseline, err := NewLabWithOptions(opts)
+// campaignLab is a deployment a campaign drives: Lab and NovaLab.
+type campaignLab interface {
+	RunMatrix() int
+	violations() (int, string)
+	cloud() *openstack.Cloud
+}
+
+func (l *labEnv) cloud() *openstack.Cloud { return l.Cloud }
+
+// runCampaign drives the request matrix against a clean lab and then
+// against one fresh lab per mutant, collecting kill results.
+func runCampaign(mutants []Mutant, newLab func() (campaignLab, error)) (*CampaignReport, error) {
+	report := &CampaignReport{}
+	baseline, err := newLab()
 	if err != nil {
 		return nil, err
 	}
 	report.BaselineRequests = baseline.RunMatrix()
-	report.BaselineViolations = len(baseline.Sys.Monitor.Violations())
+	report.BaselineViolations, _ = baseline.violations()
 
 	for _, m := range mutants {
-		lab, err := NewLabWithOptions(opts)
+		lab, err := newLab()
 		if err != nil {
 			return nil, err
 		}
-		if err := m.Apply(lab.Cloud); err != nil {
+		if err := m.Apply(lab.cloud()); err != nil {
 			return nil, err
 		}
 		requests := lab.RunMatrix()
-		violations := lab.Sys.Monitor.Violations()
-		run := RunReport{
-			MutantID:   m.ID,
-			MutantName: m.Name,
-			Kind:       m.Kind,
-			Paper:      m.Paper,
-			Killed:     len(violations) > 0,
-			Violations: len(violations),
-			Requests:   requests,
-		}
-		if len(violations) > 0 {
-			v := violations[0]
-			run.FirstViolation = fmt.Sprintf("%s on %s", v.Outcome, v.Trigger)
-		}
-		report.Runs = append(report.Runs, run)
+		violations, first := lab.violations()
+		report.Runs = append(report.Runs, RunReport{
+			MutantID:       m.ID,
+			MutantName:     m.Name,
+			Kind:           m.Kind,
+			Paper:          m.Paper,
+			Killed:         violations > 0,
+			Violations:     violations,
+			FirstViolation: first,
+			Requests:       requests,
+		})
 	}
 	return report, nil
 }

@@ -21,8 +21,8 @@ type ModelExecutor struct {
 	// triggers (GET/PUT/DELETE) target the most recent one.
 	created []string
 	// violations accumulates monitor violations across deployments (each
-	// Reset harvests the previous lab's log) — the oracle signal for
-	// mutant kills.
+	// Reset harvests the previous lab's outcome counters) — the oracle
+	// signal for mutant kills.
 	violations int
 }
 
@@ -43,7 +43,8 @@ func (e *ModelExecutor) Lab() *Lab { return e.lab }
 func (e *ModelExecutor) Violations() int {
 	total := e.violations
 	if e.lab != nil {
-		total += len(e.lab.Sys.Monitor.Violations())
+		n, _ := e.lab.violations()
+		total += n
 	}
 	return total
 }
@@ -51,7 +52,8 @@ func (e *ModelExecutor) Violations() int {
 // Reset implements mbt.Executor.
 func (e *ModelExecutor) Reset() error {
 	if e.lab != nil {
-		e.violations += len(e.lab.Sys.Monitor.Violations())
+		n, _ := e.lab.violations()
+		e.violations += n
 	}
 	lab, err := NewLab()
 	if err != nil {

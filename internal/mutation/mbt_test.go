@@ -27,8 +27,8 @@ func TestMBTSuiteOnCleanCloud(t *testing.T) {
 		t.Errorf("case %s failed: permitted=%v expect=%v setup=%v",
 			f.Case.ID, f.Permitted, f.Case.ExpectPermitted, f.SetupErr)
 	}
-	if v := ex.Lab().Sys.Monitor.Violations(); len(v) != 0 {
-		t.Errorf("clean deployment produced %d violations", len(v))
+	if n, first := ex.Lab().violations(); n != 0 {
+		t.Errorf("clean deployment produced %d violations, the first %s", n, first)
 	}
 }
 

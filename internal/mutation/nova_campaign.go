@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"net/http"
 
-	"cloudmon/internal/core"
-	"cloudmon/internal/httpkit"
-	"cloudmon/internal/monitor"
 	"cloudmon/internal/openstack"
 	"cloudmon/internal/openstack/nova"
-	"cloudmon/internal/osbinding"
-	"cloudmon/internal/osclient"
 	"cloudmon/internal/paper"
 )
 
@@ -53,66 +48,21 @@ func NovaCatalogue() []Mutant {
 // NovaLab is the compute-service twin of Lab: a fresh cloud monitored by
 // contracts generated from the Nova server model.
 type NovaLab struct {
-	Cloud     *openstack.Cloud
-	Sys       *core.System
-	ProjectID string
-
-	monClient *osclient.Client
-	tokens    map[string]string
-	created   []string
-	requests  int
+	*labEnv
+	created []string
 }
 
 // NewNovaLab builds the compute-model deployment.
 func NewNovaLab() (*NovaLab, error) {
-	cloud := openstack.New(openstack.Config{})
-	res := cloud.ApplySeed(openstack.Seed{
-		ProjectName: "myProject",
-		GroupRoles:  paper.GroupRole(),
-		Users:       labUsers,
-	})
-	cloudHTTP := httpkit.HandlerClient(cloud)
-	sys, err := core.Build(core.Options{
-		Model:    paper.NovaModel(),
-		CloudURL: "http://cloud.internal",
-		ServiceAccount: osbinding.ServiceAccount{
-			User: "cm-svc", Password: "pw-svc", ProjectID: res.ProjectID,
-		},
-		Mode:       monitor.Observe,
-		HTTPClient: cloudHTTP,
-	})
+	env, err := newLabEnv(paper.NovaModel(), openstack.Seed{}, 0)
 	if err != nil {
-		return nil, fmt.Errorf("mutation: build nova monitor: %w", err)
+		return nil, err
 	}
-	lab := &NovaLab{
-		Cloud:     cloud,
-		Sys:       sys,
-		ProjectID: res.ProjectID,
-		tokens:    make(map[string]string, 3),
-	}
-	lab.monClient = osclient.New("http://monitor.internal")
-	lab.monClient.HTTPClient = httpkit.HandlerClient(sys.Monitor)
-	cloudClient := osclient.New("http://cloud.internal")
-	cloudClient.HTTPClient = cloudHTTP
-	for user, role := range map[string]string{
-		"alice": paper.RoleAdmin, "bob": paper.RoleMember, "carol": paper.RoleUser,
-	} {
-		auth := *cloudClient
-		tok, err := auth.Authenticate(user, "pw-"+user, res.ProjectID)
-		if err != nil {
-			return nil, fmt.Errorf("mutation: authenticate %s: %w", user, err)
-		}
-		lab.tokens[role] = tok
-	}
-	return lab, nil
+	return &NovaLab{labEnv: env}, nil
 }
 
 func (l *NovaLab) serversPath() string {
 	return "/projects/" + l.ProjectID + "/servers"
-}
-
-func (l *NovaLab) as(role string) *osclient.Client {
-	return l.monClient.WithToken(l.tokens[role])
 }
 
 func (l *NovaLab) post(role string) string {
@@ -166,38 +116,5 @@ func (l *NovaLab) RunMatrix() int {
 // RunNovaCampaign executes the compute matrix against a clean deployment
 // and one fresh deployment per mutant.
 func RunNovaCampaign(mutants []Mutant) (*CampaignReport, error) {
-	report := &CampaignReport{}
-	baseline, err := NewNovaLab()
-	if err != nil {
-		return nil, err
-	}
-	report.BaselineRequests = baseline.RunMatrix()
-	report.BaselineViolations = len(baseline.Sys.Monitor.Violations())
-
-	for _, m := range mutants {
-		lab, err := NewNovaLab()
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Apply(lab.Cloud); err != nil {
-			return nil, err
-		}
-		requests := lab.RunMatrix()
-		violations := lab.Sys.Monitor.Violations()
-		run := RunReport{
-			MutantID:   m.ID,
-			MutantName: m.Name,
-			Kind:       m.Kind,
-			Paper:      m.Paper,
-			Killed:     len(violations) > 0,
-			Violations: len(violations),
-			Requests:   requests,
-		}
-		if len(violations) > 0 {
-			v := violations[0]
-			run.FirstViolation = fmt.Sprintf("%s on %s", v.Outcome, v.Trigger)
-		}
-		report.Runs = append(report.Runs, run)
-	}
-	return report, nil
+	return runCampaign(mutants, func() (campaignLab, error) { return NewNovaLab() })
 }

@@ -304,7 +304,7 @@ func TestScannerSkipsUndeclared(t *testing.T) {
 
 // TestDecodedValueOwnsItsStrings checks the scanner's value holds exact
 // -length slices and no reference to the body, which the caller may
-// reuse: verdict logs keep these values long after the read.
+// reuse: verdict sinks keep these values long after the read.
 func TestDecodedValueOwnsItsStrings(t *testing.T) {
 	body := []byte(`{"volumes":[{"id":"aa"},{"id":"bb"},{"id":"cc"}]}`)
 	v, ok := bindings["project.volumes"].shape.scan(body)
