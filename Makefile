@@ -93,14 +93,16 @@ fleet-oop:
 
 # Seed-corpus fuzzing already runs under `make test`; this target fuzzes
 # each parser for 30s, plus the compiled clause programs against the
-# tree-walking reference and the state provider's response scanner
-# against json.Unmarshal.
+# tree-walking reference, the state provider's response scanner against
+# json.Unmarshal and the cloud request constructor against
+# http.NewRequestWithContext.
 fuzz:
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/ocl/
 	go test -fuzz FuzzEval -fuzztime 30s ./internal/ocl/
 	go test -fuzz FuzzParseRule -fuzztime 30s ./internal/rbac/
 	go test -fuzz FuzzCompiledEval -fuzztime 30s ./internal/contract/
 	go test -run XXX -fuzz FuzzBindingDecode -fuzztime 30s ./internal/osbinding/
+	go test -run XXX -fuzz FuzzCloudRequest -fuzztime 30s ./internal/osbinding/
 
 # Chaos: the fault×policy matrix and the chaotic soaks under the race
 # detector, then a fault-ridden loadmon run with invariant verification.

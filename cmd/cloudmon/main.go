@@ -28,6 +28,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -165,15 +166,19 @@ func run(args []string) error {
 		fmt.Printf("sliced model: %d transitions remain\n", len(model.Behavioral.Transitions))
 	}
 
+	// The sinks are closed, and their errors reported, once the monitor
+	// has drained; this deferred close only covers the error returns.
+	sinks := &verdictSinks{}
+	defer sinks.close()
 	var onVerdict func(monitor.Verdict)
 	if *logFile != "" {
 		f, err := os.OpenFile(*logFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("open log file: %w", err)
 		}
-		defer f.Close()
-		aw := monitor.NewAuditWriter(f)
-		onVerdict = aw.Record
+		sinks.logPath, sinks.log = *logFile, f
+		sinks.writer = monitor.NewAuditWriter(f)
+		onVerdict = sinks.writer.Record
 	}
 
 	var audit *obs.AuditLog
@@ -182,7 +187,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("open audit log: %w", err)
 		}
-		defer audit.Close()
+		sinks.audit = audit
 	}
 
 	sys, err := core.Build(core.Options{
@@ -204,8 +209,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Drain deferred post-checks before the audit log closes.
-	defer sys.Monitor.Close()
 
 	fmt.Printf("cloud monitor (%s mode) on %s, proxying %s\n", mode, *addr, *cloudURL)
 	if *instance != "" {
@@ -258,7 +261,47 @@ func run(args []string) error {
 			}
 		}
 	})
-	return err
+	// Every verdict has landed once the monitor is closed; only then can
+	// the sinks tell whether they recorded them all.
+	sys.Monitor.Close()
+	return errors.Join(err, sinks.close())
+}
+
+// verdictSinks are the files cloudmon records verdicts to: the -log-file
+// NDJSON log of every verdict and the -audit-dir trail of every non-OK
+// one. Each latches its first write error rather than fail a request, so
+// the error is reported when the sinks close.
+type verdictSinks struct {
+	logPath string
+	log     *os.File
+	writer  *monitor.AuditWriter
+	audit   *obs.AuditLog
+}
+
+// close closes the sinks and returns, each naming its sink, the write
+// error every sink latched and every failed close. Closing twice is a
+// no-op.
+func (s *verdictSinks) close() error {
+	var errs []error
+	if s.log != nil {
+		if err := s.writer.Err(); err != nil {
+			errs = append(errs, fmt.Errorf("verdict log %s: %w", s.logPath, err))
+		}
+		if err := s.log.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("close verdict log %s: %w", s.logPath, err))
+		}
+		s.log = nil
+	}
+	if s.audit != nil {
+		if err := s.audit.Err(); err != nil {
+			errs = append(errs, fmt.Errorf("audit trail %s: %w", s.audit.Dir(), err))
+		}
+		if err := s.audit.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("close audit trail %s: %w", s.audit.Dir(), err))
+		}
+		s.audit = nil
+	}
+	return errors.Join(errs...)
 }
 
 // serveUntilSignal runs the proxy and auxiliary listeners until one fails

@@ -1,6 +1,14 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"cloudmon/internal/monitor"
+)
 
 func TestFlagValidation(t *testing.T) {
 	// -project is mandatory.
@@ -63,5 +71,44 @@ func TestSplitCSV(t *testing.T) {
 	}
 	if splitCSV("") != nil {
 		t.Error("empty input should yield nil")
+	}
+}
+
+// failingWriter fails every write, as a full disk does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// TestVerdictSinksReportLatchedErrors: a verdict log whose writes failed
+// makes closing the sinks fail, naming the log, while a log that took
+// every verdict closes cleanly. Closing twice reports nothing new.
+func TestVerdictSinksReportLatchedErrors(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string) (*os.File, string) {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, path
+	}
+	v := monitor.Verdict{Outcome: monitor.OK}
+
+	f, path := open("ok.ndjson")
+	ok := &verdictSinks{logPath: path, log: f, writer: monitor.NewAuditWriter(f)}
+	ok.writer.Record(v)
+	if err := ok.close(); err != nil {
+		t.Fatalf("closing a writable verdict log: %v", err)
+	}
+
+	f, path = open("full.ndjson")
+	full := &verdictSinks{logPath: path, log: f, writer: monitor.NewAuditWriter(failingWriter{})}
+	full.writer.Record(v)
+	err := full.close()
+	if err == nil || !strings.Contains(err.Error(), "verdict log "+path) || !strings.Contains(err.Error(), "no space left") {
+		t.Fatalf("closing a verdict log whose write failed: %v, want an error naming %s", err, path)
+	}
+	if err := full.close(); err != nil {
+		t.Fatalf("closing the sinks again: %v", err)
 	}
 }

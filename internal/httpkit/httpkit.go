@@ -9,6 +9,7 @@
 package httpkit
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -136,15 +137,40 @@ func (e *BodyTooLargeError) Error() string {
 // with a *BodyTooLargeError rather than being cut: a cut JSON document
 // fails to decode with a misleading error, or decodes to a different
 // one, and a cut metrics page parses as a shorter page.
-func ReadBounded(r io.Reader, limit int) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, int64(limit)+1))
-	if err != nil {
-		return nil, err
+//
+// sizeHint, when given and not negative, is the length the body declares
+// (an HTTP Content-Length). It only sizes the buffer: a body that matches
+// it is read into one allocation, one that is longer or shorter is read
+// all the same, and a hint over limit allocates no more than limit+1
+// bytes.
+func ReadBounded(r io.Reader, limit int, sizeHint ...int64) ([]byte, error) {
+	size := int64(bytes.MinRead)
+	if len(sizeHint) > 0 && sizeHint[0] >= 0 {
+		// One byte past the body, so the read that finds its end needs no
+		// room of its own.
+		size = sizeHint[0] + 1
 	}
-	if len(data) > limit {
-		return nil, &BodyTooLargeError{Limit: limit}
+	buf := make([]byte, 0, min(size, int64(limit)+1))
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > limit {
+			return nil, &BodyTooLargeError{Limit: limit}
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			// The body outgrew its hint: double the buffer, but never
+			// past the one byte over limit that proves it too large.
+			grown := make([]byte, len(buf), min(2*cap(buf)+bytes.MinRead, limit+1))
+			copy(grown, buf)
+			buf = grown
+		}
 	}
-	return data, nil
 }
 
 // ReadJSON decodes the request body into v, returning a BadRequest APIError

@@ -1,6 +1,7 @@
 package httpkit
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestAPIErrorConstructors(t *testing.T) {
@@ -259,5 +261,45 @@ func TestReadBounded(t *testing.T) {
 		case tc.wantErr != "" && (!errors.As(err, &tooLarge) || err.Error() != tc.wantErr || data != nil):
 			t.Errorf("%d bytes under a %d limit: %v, want %q", tc.n, tc.limit, err, tc.wantErr)
 		}
+	}
+}
+
+// TestReadBoundedSizeHint: a declared length only sizes the buffer. Under
+// every hint — none, exact, understated, overstated, past the limit — a
+// body within the limit is read whole and one past it fails, and no
+// buffer grows past limit+1 bytes.
+func TestReadBoundedSizeHint(t *testing.T) {
+	const limit = 4096
+	for _, n := range []int{0, 1, 511, 512, 513, 3000, limit, limit + 1, 3 * limit} {
+		body := strings.Repeat("x", n)
+		for _, hint := range []int64{-1, int64(n), int64(n / 2), 0, int64(n) + 7, 2 * int64(n), limit + 1, 1 << 40} {
+			// One byte per Read, so every buffer boundary is crossed.
+			data, err := ReadBounded(iotest.OneByteReader(strings.NewReader(body)), limit, hint)
+			var tooLarge *BodyTooLargeError
+			switch {
+			case n <= limit && (err != nil || string(data) != body):
+				t.Errorf("%d bytes, hint %d: %d bytes, %v; want the body whole", n, hint, len(data), err)
+			case n > limit && (!errors.As(err, &tooLarge) || data != nil):
+				t.Errorf("%d bytes, hint %d: %d bytes, %v; want a body-exceeds error", n, hint, len(data), err)
+			case cap(data) > limit+1:
+				t.Errorf("%d bytes, hint %d: a %d-byte buffer past the %d-byte bound", n, hint, cap(data), limit)
+			}
+		}
+	}
+}
+
+// TestReadBoundedExactHintAllocatesOnce: a body whose declared length is
+// right is read into one allocation.
+func TestReadBoundedExactHintAllocatesOnce(t *testing.T) {
+	body := []byte(strings.Repeat("x", 10000))
+	r := bytes.NewReader(body)
+	allocs := testing.AllocsPerRun(50, func() {
+		r.Reset(body)
+		if data, err := ReadBounded(r, MaxBodyBytes, int64(len(body))); err != nil || len(data) != len(body) {
+			t.Fatalf("read %d bytes, %v", len(data), err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("%v allocations per read, want 1", allocs)
 	}
 }

@@ -17,17 +17,19 @@ func Analyzers() []*Analyzer {
 // path, and the per-path pre-state read (a result a wave already brought
 // returns from it without leaving); the compiled engine's slot accessors and program
 // entry, which every clause closure funnels through, where a stray
-// allocation multiplies by the atom count; and the state provider's
-// per-read resolver and its response scanner, which runs over every body
-// the cloud returns.
+// allocation multiplies by the atom count; the state provider's wave,
+// per-read resolver and response scanner, which runs over every body the
+// cloud returns; and every cloud round trip's request constructor and
+// bounded reply read, with the forward that uses them.
 // Everything reachable per request but outside these (stage timing, the
-// provider's retry loop, forwarding, verdict recording) allocates or
-// reads the clock by design. TestHotFuncsNameRealFunctions keeps every
-// entry pointing at a function that exists.
+// provider's retry loop, verdict recording) allocates or reads the clock
+// by design. TestHotFuncsNameRealFunctions keeps every entry pointing at
+// a function that exists.
 var hotFuncs = map[string]map[string]bool{
 	"monitor": {
-		"evalProgram":         true,
-		"(*fetcher).fetchPre": true,
+		"evalProgram":              true,
+		"(*fetcher).fetchPre":      true,
+		"(*HTTPForwarder).Forward": true,
 	},
 	"contract": {
 		"(*Frame).loadCur":    true,
@@ -39,7 +41,12 @@ var hotFuncs = map[string]map[string]bool{
 		"(*Frame).Filled":     true,
 		"(*Program).Run":      true,
 	},
+	"httpkit": {
+		"(*Endpoint).Request": true,
+		"ReadBounded":         true,
+	},
 	"osbinding": {
+		"(*Provider).Snapshot":  true,
 		"(*Provider).resolve":   true,
 		"(*binding).target":     true,
 		"(*shape).decode":       true,
@@ -52,16 +59,28 @@ var hotFuncs = map[string]map[string]bool{
 	},
 }
 
-// HotPath forbids wall-clock reads, string formatting, and map
-// allocation inside the monitor's hot-path functions. Each of those
-// has shown up in the monitor's CPU profiles; the rule keeps them from
-// creeping back.
+// HotPath forbids wall-clock reads, string formatting, map allocation,
+// URL parsing, request construction through net/http's URL-parsing
+// constructors, and io.ReadAll's regrown buffers inside the monitor's
+// hot-path functions. Each of those has shown up in the monitor's CPU
+// profiles; the rule keeps them from creeping back.
 func HotPath() *Analyzer {
 	return &Analyzer{
 		Name: "hotpath",
-		Doc:  "no time.Now, fmt.Sprintf, or map allocation in the monitor hot path",
+		Doc:  "no time.Now, fmt.Sprintf, map allocation, url.Parse, http.NewRequest or io.ReadAll in the monitor hot path",
 		Run:  runHotPath,
 	}
+}
+
+// hotCalls are the package functions the hot path must not call, each
+// with the finding's advice.
+var hotCalls = []struct{ pkg, fn, advice string }{
+	{"time", "Now", "take timestamps outside or reuse the request's"},
+	{"fmt", "Sprintf", "format lazily in the verdict or error path"},
+	{"url", "Parse", "parse the base URL once (httpkit.Endpoint)"},
+	{"http", "NewRequest", "build the request from a parsed httpkit.Endpoint"},
+	{"http", "NewRequestWithContext", "build the request from a parsed httpkit.Endpoint"},
+	{"io", "ReadAll", "read through httpkit.ReadBounded, sized by the declared length"},
 }
 
 func runHotPath(p *Pass) {
@@ -79,11 +98,10 @@ func runHotPath(p *Pass) {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
-					if isPkgCall(n, "time", "Now") {
-						p.Reportf(n.Pos(), "%s calls time.Now in the hot path; take timestamps outside or reuse the request's", name)
-					}
-					if isPkgCall(n, "fmt", "Sprintf") {
-						p.Reportf(n.Pos(), "%s calls fmt.Sprintf in the hot path; format lazily in the verdict or error path", name)
+					for _, c := range hotCalls {
+						if isPkgCall(n, c.pkg, c.fn) {
+							p.Reportf(n.Pos(), "%s calls %s.%s in the hot path; %s", name, c.pkg, c.fn, c.advice)
+						}
 					}
 					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "make" && len(n.Args) > 0 {
 						if _, isMap := n.Args[0].(*ast.MapType); isMap {

@@ -90,6 +90,56 @@ func (p *Program) Run() { _ = make(map[string]int) }
 	}
 }
 
+// TestHotPathForbidsReparseAndRegrowth: a cloud round trip's hot
+// functions may neither parse a URL, nor build a request through the
+// net/http constructors that parse one, nor read a body into a buffer
+// io.ReadAll regrows.
+func TestHotPathForbidsReparseAndRegrowth(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`package httpkit
+
+import "net/url"
+
+type Endpoint struct{}
+
+func (e *Endpoint) Request() { _, _ = url.Parse("http://cloud") }
+`, "(*Endpoint).Request calls url.Parse"},
+		{`package monitor
+
+import "net/http"
+
+type HTTPForwarder struct{}
+
+func (f *HTTPForwarder) Forward() { _, _ = http.NewRequest("GET", "http://cloud/x", nil) }
+`, "(*HTTPForwarder).Forward calls http.NewRequest"},
+		{`package osbinding
+
+import (
+	"context"
+	"net/http"
+)
+
+type Provider struct{}
+
+func (p *Provider) Snapshot() {
+	_, _ = http.NewRequestWithContext(context.Background(), "GET", "http://cloud/x", nil)
+}
+`, "(*Provider).Snapshot calls http.NewRequestWithContext"},
+		{`package httpkit
+
+import "io"
+
+func ReadBounded(r io.Reader) { _, _ = io.ReadAll(r) }
+`, "ReadBounded calls io.ReadAll"},
+	} {
+		findings := lintSrc(t, tc.src)
+		wantFinding(t, findings, "hotpath", tc.want)
+		if len(findings) != 1 {
+			t.Errorf("got %d findings, want 1: %v", len(findings), findings)
+		}
+	}
+}
+
 func TestHotPathIgnoresColdFunctionsAndOtherPackages(t *testing.T) {
 	// The same constructs outside the hot-path functions are fine: the
 	// check's stage timing reads the clock by design.

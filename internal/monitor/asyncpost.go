@@ -114,6 +114,10 @@ type asyncPost struct {
 	// outstanding capture, and decremented only after the verdict (verified
 	// or shed) is in the counters, the audit trail and the OnVerdict hook.
 	pending atomic.Int64
+	// idle is broadcast, under idleMu, each time pending drops to zero:
+	// the write fence and DrainPost wait on it.
+	idleMu sync.Mutex
+	idle   sync.Cond
 
 	enqueued   obs.Counter
 	shed       obs.Counter
@@ -127,6 +131,7 @@ func newAsyncPost(m *Monitor, capacity, workers int) *asyncPost {
 		queue: make(chan *postCapture, capacity),
 		lag:   obs.NewDurationHistogram(),
 	}
+	ap.idle.L = &ap.idleMu
 	for i := 0; i < workers; i++ {
 		ap.wg.Add(1)
 		go func() {
@@ -171,6 +176,7 @@ func (ap *asyncPost) enqueue(pc *postCapture, policy BackpressurePolicy) bool {
 // matters — reads stream through unfenced, and a write's wait overlaps the
 // pending captures' fetches, which started at the previous response — so
 // serial workloads get verdict-for-verdict equivalence by construction.
+// The last pending verdict wakes the waiting writes.
 func (m *Monitor) fenceWrites(method string) {
 	ap := m.asyncPost
 	if ap == nil || method == http.MethodGet || method == http.MethodHead {
@@ -180,9 +186,28 @@ func (m *Monitor) fenceWrites(method string) {
 		return
 	}
 	ap.fenceWaits.Inc()
+	ap.waitIdle()
+}
+
+// waitIdle blocks until no capture is pending.
+func (ap *asyncPost) waitIdle() {
+	ap.idleMu.Lock()
+	defer ap.idleMu.Unlock()
 	for ap.pending.Load() != 0 {
-		time.Sleep(20 * time.Microsecond)
+		ap.idle.Wait()
 	}
+}
+
+// settle ends one capture whose verdict is recorded, and wakes the
+// waiters when it was the last one pending. The broadcast takes idleMu,
+// so it cannot fall between a waiter's check of pending and its Wait.
+func (ap *asyncPost) settle() {
+	if ap.pending.Add(-1) != 0 {
+		return
+	}
+	ap.idleMu.Lock()
+	ap.idle.Broadcast()
+	ap.idleMu.Unlock()
 }
 
 // completePost runs the deferred post phase for one capture and records
@@ -202,9 +227,9 @@ func (m *Monitor) completePost(pc *postCapture) {
 	}
 	v.Trace = pc.trace
 	m.record(v)
-	// Decrement after record: DrainPost returning means every verdict is
-	// in the counters, the audit trail and the OnVerdict hook.
-	m.asyncPost.pending.Add(-1)
+	// Settle after record: DrainPost returning means every verdict is in
+	// the counters, the audit trail and the OnVerdict hook.
+	m.asyncPost.settle()
 }
 
 // shedVerdict finalizes a capture the queue did not accept: the post phase
@@ -227,7 +252,7 @@ func (m *Monitor) shedVerdict(pc *postCapture) {
 	pc.trace[obs.StagePreEval] = pc.preEvalDur
 	v.Trace = pc.trace
 	m.record(v)
-	m.asyncPost.pending.Add(-1)
+	m.asyncPost.settle()
 }
 
 // DrainPost blocks until every enqueued capture has been verified and
@@ -235,12 +260,10 @@ func (m *Monitor) shedVerdict(pc *postCapture) {
 // accepting requests — load harnesses call it before diffing counters.
 func (m *Monitor) DrainPost() {
 	ap := m.asyncPost
-	if ap == nil {
+	if ap == nil || ap.pending.Load() == 0 {
 		return
 	}
-	for ap.pending.Load() != 0 {
-		time.Sleep(200 * time.Microsecond)
-	}
+	ap.waitIdle()
 }
 
 // Close gracefully shuts the async post pipeline down: no new captures are

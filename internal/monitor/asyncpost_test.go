@@ -2,8 +2,11 @@ package monitor
 
 import (
 	"fmt"
+	"net/http"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -313,5 +316,107 @@ func TestAsyncCrashMidDrainAudit(t *testing.T) {
 	}
 	if len(res2.Segments) != 2 {
 		t.Fatalf("crash recovery must open a fresh segment, got %d", len(res2.Segments))
+	}
+}
+
+// eventLog records, in order, the verdicts a monitor lands and the
+// requests it forwards.
+type eventLog struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (l *eventLog) add(e string) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) snapshot() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.events...)
+}
+
+// Forward implements Forwarder, logging the method.
+func (l *eventLog) Forward(r *http.Request, _ *Route, _ map[string]string) (*BackendResponse, error) {
+	l.add("forward " + r.Method)
+	status := http.StatusOK
+	if r.Method == http.MethodDelete {
+		status = http.StatusNoContent
+	}
+	return &BackendResponse{StatusCode: status, Header: http.Header{}, Body: []byte("{}")}, nil
+}
+
+// TestFenceHoldsWriteUntilPendingVerdict: a write that arrives while a
+// read's deferred post check is pending waits at the fence. It is not
+// forwarded while that check's post read is held, and it is forwarded
+// once the check's verdict is recorded — after it, never before.
+func TestFenceHoldsWriteUntilPendingVerdict(t *testing.T) {
+	log := &eventLog{}
+	p := &gatedPostProvider{env: env(1, 10, "available", "admin"), gate: make(chan struct{})}
+	m, _ := newAsyncMonitor(t, Config{Provider: p, Forward: log})
+	// Runs before the monitor's Close, so a failing test does not leave
+	// the workers held.
+	release := sync.OnceFunc(func() { close(p.gate) })
+	t.Cleanup(release)
+	// The verdict hook is the test's: it logs each verdict as it lands.
+	m.onVerdict = func(v Verdict) { log.add("verdict " + string(v.Trigger.Method)) }
+
+	if rec := doGet(t, m); rec.Code != http.StatusOK {
+		t.Fatalf("GET: status %d, want 200", rec.Code)
+	}
+	done := make(chan int)
+	go func() { done <- doDelete(t, m).Code }()
+	for deadline := time.Now().Add(10 * time.Second); m.AsyncPostStats().FenceWaits == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the DELETE never reached the write fence")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	if got := log.snapshot(); !reflect.DeepEqual(got, []string{"forward GET"}) {
+		t.Fatalf("events with the GET's post read held: %q, want only the GET forwarded", got)
+	}
+	release()
+	if code := <-done; code != http.StatusNoContent {
+		t.Fatalf("DELETE: status %d, want 204", code)
+	}
+	m.DrainPost()
+	want := []string{"forward GET", "verdict GET", "forward DELETE", "verdict DELETE"}
+	if got := log.snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("events %q, want %q", got, want)
+	}
+}
+
+// TestFenceDrainPostWaitsForLastVerdict: DrainPost returns only once the
+// last pending capture's verdict is recorded, not while any post read is
+// still held.
+func TestFenceDrainPostWaitsForLastVerdict(t *testing.T) {
+	const reads = 5
+	p := &gatedPostProvider{env: env(1, 10, "available", "admin"), gate: make(chan struct{})}
+	m, sink := newAsyncMonitor(t, Config{Provider: p, Forward: okForwarder{}, PostWorkers: 2})
+	release := sync.OnceFunc(func() { close(p.gate) })
+	t.Cleanup(release)
+	for i := 0; i < reads; i++ {
+		if rec := doGet(t, m); rec.Code != http.StatusOK {
+			t.Fatalf("GET %d: status %d, want 200", i, rec.Code)
+		}
+	}
+	drained := make(chan int)
+	go func() {
+		m.DrainPost()
+		drained <- len(sink.all())
+	}()
+	select {
+	case n := <-drained:
+		t.Fatalf("DrainPost returned with every post read held (%d verdicts)", n)
+	case <-time.After(2 * time.Millisecond):
+	}
+	release()
+	if n := <-drained; n != reads {
+		t.Fatalf("DrainPost returned with %d of %d verdicts recorded", n, reads)
+	}
+	if st := m.AsyncPostStats(); st.Pending != 0 {
+		t.Fatalf("pending %d after DrainPost", st.Pending)
 	}
 }

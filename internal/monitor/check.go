@@ -30,7 +30,15 @@ func (e *fetchError) Unwrap() error { return e.err }
 // before it.
 type flightGroup struct {
 	mu sync.Mutex
-	m  map[string]*flight
+	m  map[flightKey]*flight
+}
+
+// flightKey identifies a read: the state path, the requester's token
+// (which partitions requester-dependent paths such as user.id.groups) and
+// the request's captures as paramsCacheKey flattens them (which partition
+// resource-dependent ones). Distinct triples are distinct keys.
+type flightKey struct {
+	path, token, params string
 }
 
 type flight struct {
@@ -41,12 +49,12 @@ type flight struct {
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[string]*flight)}
+	return &flightGroup{m: make(map[flightKey]*flight)}
 }
 
 // join returns key's open flight, opening it when there is none; lead
 // reports that the caller opened it and must complete it with land.
-func (g *flightGroup) join(key string) (fl *flight, lead bool) {
+func (g *flightGroup) join(key flightKey) (fl *flight, lead bool) {
 	g.mu.Lock()
 	if fl, ok := g.m[key]; ok {
 		g.mu.Unlock()
@@ -60,20 +68,11 @@ func (g *flightGroup) join(key string) (fl *flight, lead bool) {
 
 // land completes a flight the caller leads: its result is final and every
 // waiter wakes to it.
-func (g *flightGroup) land(key string, fl *flight) {
+func (g *flightGroup) land(key flightKey, fl *flight) {
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(fl.done)
-}
-
-// cacheKey builds a flight key. The token partitions requester-dependent
-// paths (user.id.groups); the params partition resource-dependent ones.
-// Neither a dotted state path nor a header value (net/http rejects control
-// characters in them) can contain the \x1f separator, and paramsCacheKey
-// is unambiguous on its own, so distinct triples never share a key.
-func cacheKey(path, token, paramsKey string) string {
-	return path + "\x1f" + token + "\x1f" + paramsKey
 }
 
 // paramsCacheKey flattens the URI captures into a stable string that
@@ -155,9 +154,10 @@ func (f *fetcher) fetchPre(path string) error {
 // wavePath is one path of a wave: a flight the wave leads, or one another
 // request leads that the wave waits on.
 type wavePath struct {
-	path, key string
-	fl        *flight
-	lead      bool
+	path string
+	key  flightKey
+	fl   *flight
+	lead bool
 }
 
 // fetchWave reads a demanded pre-state path together with clause's other
@@ -192,7 +192,7 @@ func (f *fetcher) fetchWave(demanded string, clause []string) *flight {
 
 // board joins path's flight for a wave.
 func (f *fetcher) board(path string) wavePath {
-	key := cacheKey(path, f.reqCtx.Token, f.pk)
+	key := flightKey{path: path, token: f.reqCtx.Token, params: f.pk}
 	fl, lead := f.m.flights.join(key)
 	return wavePath{path: path, key: key, fl: fl, lead: lead}
 }
@@ -368,7 +368,7 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 		v.FetchedPaths = f.fetched
 		switch outcome {
 		case Blocked, Rejected, ViolationForbiddenAccepted, ViolationAllowedRejected:
-			v.FailingClause = c.Pre.String()
+			v.FailingClause = cr.preText
 		}
 		// Fetch time accumulates into the snapshot stage; the evaluation
 		// stage gets the remainder of the interleaved phase.
@@ -432,10 +432,8 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 			continue
 		}
 		preOK = true
-		cs := &c.Cases[i]
-		matchedTrans = append(matchedTrans,
-			cs.Transition.From+"->"+cs.Transition.To+" on "+cs.Transition.Trigger.String())
-		for _, s := range cs.Transition.SecReqs {
+		matchedTrans = append(matchedTrans, cr.transitions[i])
+		for _, s := range c.Cases[i].Transition.SecReqs {
 			if !seen[s] {
 				seen[s] = true
 				matched = append(matched, s)
@@ -589,7 +587,7 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace) Verdict {
 		v.Elapsed = time.Since(cap.start)
 		v.FetchedPaths = f.fetched
 		if outcome == ViolationPostcondition {
-			v.FailingClause = c.Post.String()
+			v.FailingClause = cap.cr.postText
 		}
 		trace[obs.StagePreSnapshot] = f.preDur
 		trace[obs.StagePreEval] = cap.preEvalDur
@@ -683,7 +681,7 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace) Verdict {
 	v.PostOK = postOK
 	if !postOK {
 		return finish(ViolationPostcondition, fmt.Sprintf(
-			"post-condition of %s failed: %s", c.Trigger, c.Post))
+			"post-condition of %s failed: %s", c.Trigger, cap.cr.postText))
 	}
 	return finish(OK, "")
 }

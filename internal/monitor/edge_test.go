@@ -256,3 +256,43 @@ func TestHTTPForwarderRejectsOversizedBody(t *testing.T) {
 		}
 	}
 }
+
+// declaredLength answers every request with body, declaring length as its
+// Content-Length whatever the body's real length.
+type declaredLength struct {
+	body   string
+	length int64
+}
+
+func (d declaredLength) RoundTrip(r *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Header:        http.Header{"Content-Type": {"application/json"}},
+		Body:          io.NopCloser(strings.NewReader(d.body)),
+		ContentLength: d.length,
+		Request:       r,
+	}, nil
+}
+
+// TestHTTPForwarderBoundsWhateverTheDeclaredLength: the cloud answer's
+// Content-Length only sizes the read. An answer of exactly the limit is
+// forwarded whole, with the cloud's headers, and one byte more fails the
+// forward, whether the length is absent, exact, understated or
+// overstated.
+func TestHTTPForwarderBoundsWhateverTheDeclaredLength(t *testing.T) {
+	for _, n := range []int{maxForwardBody, maxForwardBody + 1} {
+		body := strings.Repeat("x", n)
+		for _, length := range []int64{-1, int64(n), 100, int64(n) + 100, 1 << 40} {
+			f := &HTTPForwarder{BaseURL: "http://cloud.internal",
+				Client: &http.Client{Transport: declaredLength{body: body, length: length}}}
+			req := httptest.NewRequest(http.MethodGet, "/projects/p1/volumes", nil)
+			resp, err := f.Forward(req, &Route{Backend: "/volume/v3/{project_id}/volumes"}, map[string]string{"project_id": "p1"})
+			switch {
+			case n == maxForwardBody && (err != nil || string(resp.Body) != body || resp.Header.Get("Content-Type") != "application/json"):
+				t.Errorf("%d bytes declared as %d: %v; want the answer whole", n, length, err)
+			case n > maxForwardBody && (err == nil || !strings.Contains(err.Error(), "body exceeds 1 MiB")):
+				t.Errorf("%d bytes declared as %d: %v, want a body-exceeds error", n, length, err)
+			}
+		}
+	}
+}

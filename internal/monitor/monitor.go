@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"cloudmon/internal/contract"
@@ -400,6 +401,12 @@ type compiledRoute struct {
 	// digest is the contract's content digest, computed once at build time
 	// and stamped on every verdict (and audit record) the route produces.
 	digest string
+	// preText and postText render the contract's pre- and post-condition
+	// for the verdicts they decide, and transitions labels each case's
+	// transition "From->To on Trigger" for coverage: rendered once here,
+	// not per request.
+	preText, postText string
+	transitions       []string
 }
 
 var _ http.Handler = (*Monitor)(nil)
@@ -480,12 +487,20 @@ func New(cfg Config) (*Monitor, error) {
 			return nil, fmt.Errorf("monitor: conflicting routes for %s", key)
 		}
 		seen[key] = true
+		transitions := make([]string, len(c.Cases))
+		for i := range c.Cases {
+			t := c.Cases[i].Transition
+			transitions[i] = t.From + "->" + t.To + " on " + t.Trigger.String()
+		}
 		m.routes = append(m.routes, compiledRoute{
-			route:    r,
-			segments: splitPath(r.Pattern),
-			contract: c,
-			plan:     c.Plan(),
-			digest:   c.Digest(),
+			route:       r,
+			segments:    splitPath(r.Pattern),
+			contract:    c,
+			plan:        c.Plan(),
+			digest:      c.Digest(),
+			preText:     c.Pre.String(),
+			postText:    c.Post.String(),
+			transitions: transitions,
 		})
 	}
 	// Index the compiled routes by HTTP method so match() scans only the
@@ -878,6 +893,10 @@ type HTTPForwarder struct {
 	// per-attempt deadline from, so the two cloud-facing paths cannot
 	// silently drift apart.
 	Timeout time.Duration
+
+	// ep is BaseURL parsed, on the first forward and again whenever
+	// BaseURL has changed since.
+	ep atomic.Pointer[httpkit.Endpoint]
 }
 
 var _ Forwarder = (*HTTPForwarder)(nil)
@@ -908,7 +927,7 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 	target := backendPath(route.Backend, params)
 	var body io.Reader
 	if r.Body != nil {
-		data, err := httpkit.ReadBounded(r.Body, maxForwardBody)
+		data, err := httpkit.ReadBounded(r.Body, maxForwardBody, r.ContentLength)
 		if err != nil {
 			return nil, fmt.Errorf("monitor: read request body: %w", err)
 		}
@@ -922,13 +941,13 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 		ctx, cancel = context.WithTimeout(ctx, f.Timeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, f.BaseURL+target, body)
+	req, err := f.endpoint().Request(ctx, r.Method, target, body)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: build backend request: %w", err)
 	}
-	for _, h := range []string{"X-Auth-Token", "Content-Type", "Accept"} {
-		if val := r.Header.Get(h); val != "" {
-			req.Header.Set(h, val)
+	for _, h := range forwardedHeaders {
+		if vals := r.Header[h]; len(vals) > 0 && vals[0] != "" {
+			req.Header[h] = []string{vals[0]}
 		}
 	}
 	client := f.Client
@@ -940,15 +959,31 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 		return nil, fmt.Errorf("monitor: backend request: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := httpkit.ReadBounded(resp.Body, maxForwardBody)
+	data, err := httpkit.ReadBounded(resp.Body, maxForwardBody, resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: read backend response: %w", err)
 	}
+	// The response is ours alone once its body is read, so its header map
+	// is kept rather than copied.
 	return &BackendResponse{
 		StatusCode: resp.StatusCode,
-		Header:     resp.Header.Clone(),
+		Header:     resp.Header,
 		Body:       data,
 	}, nil
+}
+
+// forwardedHeaders are the request headers the forwarder passes on, in
+// canonical form: the requester's token and the body's media types.
+var forwardedHeaders = [...]string{"X-Auth-Token", "Content-Type", "Accept"}
+
+// endpoint returns BaseURL parsed.
+func (f *HTTPForwarder) endpoint() *httpkit.Endpoint {
+	if ep := f.ep.Load(); ep != nil && ep.String() == f.BaseURL {
+		return ep
+	}
+	ep := httpkit.NewEndpoint(f.BaseURL)
+	f.ep.Store(ep)
+	return ep
 }
 
 // backendPath fills a backend template's {name} placeholders in one pass,

@@ -82,8 +82,10 @@ type Provider struct {
 	Breaker *osclient.Breaker
 
 	mu sync.Mutex
-	// token caches the service-account token; refreshed on 401.
-	token string
+	// authed is the client carrying the cached service-account token,
+	// built once per token and per-attempt timeout; nil until the account
+	// authenticates and after a 401.
+	authed *osclient.Client
 
 	// Lock-free observability counters over the retry loop (exported via
 	// RegisterMetrics).
@@ -172,25 +174,34 @@ func NewProviderWithClient(baseURL string, account ServiceAccount, httpClient *h
 }
 
 // authedClient returns a client carrying a valid service token,
-// re-authenticating if needed.
-func (p *Provider) authedClient() (*osclient.Client, error) {
+// re-authenticating if needed. A positive timeout replaces the client's
+// own per-request deadline.
+func (p *Provider) authedClient(timeout time.Duration) (*osclient.Client, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.token == "" {
+	if p.authed == nil {
 		tok, err := p.client.Authenticate(p.account.User, p.account.Password, p.account.ProjectID)
 		if err != nil {
 			return nil, fmt.Errorf("osbinding: service-account auth: %w", err)
 		}
-		p.token = tok
+		p.authed = p.client.WithToken(tok)
 	}
-	return p.client.WithToken(p.token), nil
+	if timeout <= 0 {
+		timeout = p.client.Timeout
+	}
+	if p.authed.Timeout != timeout {
+		c := *p.authed
+		c.Timeout = timeout
+		p.authed = &c
+	}
+	return p.authed, nil
 }
 
 // invalidateToken drops the cached token after a 401.
 func (p *Provider) invalidateToken() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.token = ""
+	p.authed = nil
 }
 
 // withRetry runs fn — a read against the cloud — with an authenticated
@@ -225,13 +236,8 @@ func (p *Provider) retryDo(idempotent bool, fn func(c *osclient.Client) error) e
 		if attempt > 1 {
 			p.retries.Inc()
 		}
-		c, err := p.authedClient()
+		c, err := p.authedClient(pol.PerAttemptTimeout)
 		if err == nil {
-			if pol.PerAttemptTimeout > 0 {
-				cp := *c
-				cp.Timeout = pol.PerAttemptTimeout
-				c = &cp
-			}
 			err = fn(c)
 		}
 		if p.Breaker != nil {
@@ -270,44 +276,51 @@ func (p *Provider) Snapshot(ctx *monitor.RequestContext, paths []string) (ocl.Ma
 		return env, nil
 	}
 	type result struct {
-		path string
-		val  ocl.Value
-		err  error
+		val ocl.Value
+		err error
 	}
 	results := make([]result, len(paths))
-	workers := min(DefaultMaxParallel, len(paths))
-	// Bounded pool: `workers` goroutines pull path indices off a shared
-	// atomic counter until the list is drained.
+	// The calling goroutine and its helpers pull path indices off one
+	// counter until the list is drained. A read that does not block (an
+	// in-process cloud) finishes before a helper is scheduled, so the
+	// wave mostly runs on the caller; one that waits on the network lets
+	// the helpers take the other paths meanwhile.
 	var next atomic.Int64
+	drain := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(paths) {
+				return
+			}
+			v, err := p.resolve(ctx, paths[i])
+			results[i] = result{val: v, err: err}
+		}
+	}
+	helpers := min(DefaultMaxParallel, len(paths)) - 1
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(helpers)
+	for range helpers {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(paths) {
-					return
-				}
-				v, err := p.resolve(ctx, paths[i])
-				results[i] = result{path: paths[i], val: v, err: err}
-			}
+			drain()
 		}()
 	}
+	drain()
 	wg.Wait()
 	env := make(ocl.MapEnv, len(paths))
-	for _, r := range results {
+	for i, r := range results {
 		if r.err != nil {
-			return nil, fmt.Errorf("osbinding: resolve %s: %w", r.path, r.err)
+			return nil, fmt.Errorf("osbinding: resolve %s: %w", paths[i], r.err)
 		}
-		env[r.path] = r.val
+		env[paths[i]] = r.val
 	}
 	return env, nil
 }
 
-// DefaultMaxParallel bounds the worker pool of a Parallel snapshot, so a
-// contract with many paths cannot fan out an unbounded goroutine burst per
-// request (which multiplies under concurrent proxy load).
+// DefaultMaxParallel bounds the reads a Parallel snapshot runs at once —
+// the caller's and its helpers' — so a contract with many paths cannot
+// fan out an unbounded goroutine burst per request (which multiplies
+// under concurrent proxy load).
 const DefaultMaxParallel = 8
 
 // binding is one state path's REST read.

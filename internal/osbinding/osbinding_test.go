@@ -167,7 +167,7 @@ func TestServiceTokenRefreshAfterRevocation(t *testing.T) {
 	}
 	// Revoke every token (including the provider's) out from under it.
 	f.provider.mu.Lock()
-	cached := f.provider.token
+	cached := f.provider.authed.Token
 	f.provider.mu.Unlock()
 	f.cloud.Identity.Revoke(cached)
 	// The provider must re-authenticate transparently.

@@ -3,10 +3,13 @@ package osbinding
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cloudmon/internal/httpkit"
 	"cloudmon/internal/ocl"
 )
 
@@ -137,5 +140,50 @@ func TestParallelSnapshotOverlapsLatency(t *testing.T) {
 	// land well under 3 delays even on a loaded machine.
 	if elapsed >= 3*delay {
 		t.Errorf("parallel snapshot took %v (>= %v); latency not overlapped", elapsed, 3*delay)
+	}
+}
+
+// TestParallelSnapshotReadsEveryPathWhenOneFails: a wave's failed read
+// fails the call but cuts no other read short — every path still reaches
+// the cloud, whichever goroutine (the caller or a helper) takes it.
+func TestParallelSnapshotReadsEveryPathWhenOneFails(t *testing.T) {
+	f := newFixture(t)
+	vol, err := f.cloud.Volumes.Create(f.projectID, "data", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	read := map[string]bool{}
+	cloud := httpkit.HandlerClient(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		read[r.Method+" "+r.URL.Path] = true
+		mu.Unlock()
+		if strings.HasSuffix(r.URL.Path, "/quota_sets") {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		f.cloud.ServeHTTP(w, r)
+	}))
+	provider := NewProviderWithClient("http://cloud.internal", ServiceAccount{
+		User: "cm-svc", Password: "pw", ProjectID: f.projectID,
+	}, cloud)
+	provider.Parallel = true
+	provider.Retry.MaxAttempts = 1
+	if _, err := provider.Snapshot(f.ctx(vol.ID), allPaths); err == nil {
+		t.Fatal("a wave with a failed read succeeded")
+	}
+	want := []string{
+		"GET /identity/v3/projects/" + f.projectID,
+		"GET /volume/v3/" + f.projectID + "/volumes",
+		"GET /volume/v3/" + f.projectID + "/quota_sets",
+		"GET /volume/v3/" + f.projectID + "/volumes/" + vol.ID,
+		"GET /identity/v3/auth/tokens",
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, p := range want {
+		if !read[p] {
+			t.Errorf("the wave never read %s; it read %v", p, read)
+		}
 	}
 }

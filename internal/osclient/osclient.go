@@ -54,11 +54,15 @@ type Client struct {
 	// It applies on top of (and usually under) the HTTP client's own
 	// overall timeout.
 	Timeout time.Duration
+
+	// ep is BaseURL parsed once, by New; a client built as a literal, or
+	// whose BaseURL changed since, parses BaseURL with each request.
+	ep *httpkit.Endpoint
 }
 
 // New returns a client for the base URL.
 func New(baseURL string) *Client {
-	return &Client{BaseURL: baseURL}
+	return &Client{BaseURL: baseURL, ep: httpkit.NewEndpoint(baseURL)}
 }
 
 // WithToken returns a copy of the client using the token.
@@ -119,7 +123,7 @@ func (c *Client) DoCtx(ctx context.Context, method, path string, in, out any, ex
 		return 0, err
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = []string{"application/json"}
 	}
 	for k, v := range extraHeaders {
 		req.Header.Set(k, v)
@@ -161,14 +165,22 @@ func (c *Client) attemptContext(ctx context.Context) (context.Context, context.C
 
 // request builds a request for path carrying the client's token.
 func (c *Client) request(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
+	req, err := c.endpoint().Request(ctx, method, path, body)
 	if err != nil {
 		return nil, fmt.Errorf("osclient: new request: %w", err)
 	}
 	if c.Token != "" {
-		req.Header.Set("X-Auth-Token", c.Token)
+		req.Header["X-Auth-Token"] = []string{c.Token}
 	}
 	return req, nil
+}
+
+// endpoint returns BaseURL parsed.
+func (c *Client) endpoint() *httpkit.Endpoint {
+	if c.ep != nil && c.ep.String() == c.BaseURL {
+		return c.ep
+	}
+	return httpkit.NewEndpoint(c.BaseURL)
 }
 
 // send issues req and reads the body, bounded by httpkit.MaxBodyBytes. A
@@ -179,7 +191,7 @@ func (c *Client) send(req *http.Request, path string) (int, []byte, error) {
 		return 0, nil, fmt.Errorf("osclient: %s %s: %w", req.Method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := httpkit.ReadBounded(resp.Body, httpkit.MaxBodyBytes)
+	data, err := httpkit.ReadBounded(resp.Body, httpkit.MaxBodyBytes, resp.ContentLength)
 	if err != nil {
 		return resp.StatusCode, nil, fmt.Errorf("osclient: read response: %w", err)
 	}
@@ -248,17 +260,17 @@ func (c *Client) Authenticate(userName, password, projectID string) (string, err
 	}
 	ctx, cancel := c.attemptContext(context.Background())
 	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/identity/v3/auth/tokens", bytes.NewReader(body))
+	httpReq, err := c.endpoint().Request(ctx, http.MethodPost, "/identity/v3/auth/tokens", bytes.NewReader(body))
 	if err != nil {
 		return "", fmt.Errorf("osclient: new auth request: %w", err)
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header["Content-Type"] = []string{"application/json"}
 	resp, err := c.httpClient().Do(httpReq)
 	if err != nil {
 		return "", fmt.Errorf("osclient: auth: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := httpkit.ReadBounded(resp.Body, httpkit.MaxBodyBytes)
+	data, err := httpkit.ReadBounded(resp.Body, httpkit.MaxBodyBytes, resp.ContentLength)
 	if err != nil {
 		return "", fmt.Errorf("osclient: read auth response: %w", err)
 	}

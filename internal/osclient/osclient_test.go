@@ -257,3 +257,42 @@ func TestAuthenticateReportsOversizedBody(t *testing.T) {
 		t.Errorf("Authenticate with an oversized answer: %v, want a body-exceeds error", err)
 	}
 }
+
+// declaredLength answers every request with body, declaring length as its
+// Content-Length whatever the body's real length.
+type declaredLength struct {
+	body   string
+	length int64
+}
+
+func (d declaredLength) RoundTrip(r *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Header:        http.Header{},
+		Body:          io.NopCloser(strings.NewReader(d.body)),
+		ContentLength: d.length,
+		Request:       r,
+	}, nil
+}
+
+// TestBodyLimitWhateverTheDeclaredLength: the reply's Content-Length only
+// sizes the read. A body of exactly the bound is read whole and one byte
+// more fails as too large, whether the length is absent, exact,
+// understated or overstated.
+func TestBodyLimitWhateverTheDeclaredLength(t *testing.T) {
+	for _, n := range []int{httpkit.MaxBodyBytes, httpkit.MaxBodyBytes + 1} {
+		body := listingOfSize(n)
+		for _, length := range []int64{-1, int64(n), 100, int64(n) + 100, 1 << 40} {
+			c := New("http://cloud.internal")
+			c.HTTPClient = &http.Client{Transport: declaredLength{body: body, length: length}}
+			raw, err := c.GetRaw("/volume/v3/p1/volumes", "", "")
+			var tooLarge *httpkit.BodyTooLargeError
+			switch {
+			case n == httpkit.MaxBodyBytes && (err != nil || string(raw) != body):
+				t.Errorf("%d bytes declared as %d: %d bytes, %v; want the body whole", n, length, len(raw), err)
+			case n > httpkit.MaxBodyBytes && !errors.As(err, &tooLarge):
+				t.Errorf("%d bytes declared as %d: %v, want a body-exceeds error", n, length, err)
+			}
+		}
+	}
+}
