@@ -147,8 +147,9 @@ func ReadBounded(r io.Reader, limit int, sizeHint ...int64) ([]byte, error) {
 	size := int64(bytes.MinRead)
 	if len(sizeHint) > 0 && sizeHint[0] >= 0 {
 		// One byte past the body, so the read that finds its end needs no
-		// room of its own.
-		size = sizeHint[0] + 1
+		// room of its own. The hint is capped first: net/http accepts a
+		// declared length up to math.MaxInt64, where adding one overflows.
+		size = min(sizeHint[0], int64(limit)) + 1
 	}
 	buf := make([]byte, 0, min(size, int64(limit)+1))
 	for {

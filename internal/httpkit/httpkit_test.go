@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -265,14 +266,15 @@ func TestReadBounded(t *testing.T) {
 }
 
 // TestReadBoundedSizeHint: a declared length only sizes the buffer. Under
-// every hint — none, exact, understated, overstated, past the limit — a
-// body within the limit is read whole and one past it fails, and no
-// buffer grows past limit+1 bytes.
+// every hint — none, exact, understated, overstated, past the limit, up
+// to the largest length net/http accepts — a body within the limit is
+// read whole and one past it fails, and no buffer grows past limit+1
+// bytes.
 func TestReadBoundedSizeHint(t *testing.T) {
 	const limit = 4096
 	for _, n := range []int{0, 1, 511, 512, 513, 3000, limit, limit + 1, 3 * limit} {
 		body := strings.Repeat("x", n)
-		for _, hint := range []int64{-1, int64(n), int64(n / 2), 0, int64(n) + 7, 2 * int64(n), limit + 1, 1 << 40} {
+		for _, hint := range []int64{-1, int64(n), int64(n / 2), 0, int64(n) + 7, 2 * int64(n), limit + 1, 1 << 40, math.MaxInt64} {
 			// One byte per Read, so every buffer boundary is crossed.
 			data, err := ReadBounded(iotest.OneByteReader(strings.NewReader(body)), limit, hint)
 			var tooLarge *BodyTooLargeError

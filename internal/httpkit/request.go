@@ -53,11 +53,13 @@ func (e *Endpoint) String() string { return e.raw }
 
 // Request builds a request for target, an escaped path under the
 // endpoint (as url.PathEscape'd captures in a path template give). The
-// path is unescaped only when it holds an escape. The request's header
-// map is empty: a caller setting a fixed header assigns its canonical key
-// directly.
+// path is unescaped only when it holds an escape. The body is nil or a
+// *bytes.Reader, the bodies the monitor and its clients send; any other
+// takes the full parse. The request's header map is empty: a caller
+// setting a fixed header assigns its canonical key directly.
 func (e *Endpoint) Request(ctx context.Context, method, target string, body io.Reader) (*http.Request, error) {
-	if e.base == nil || ctx == nil || !plainMethod(method) || !plainTarget(target) {
+	br, _ := body.(*bytes.Reader)
+	if e.base == nil || ctx == nil || !plainMethod(method) || !plainTarget(target) || (body != nil && br == nil) {
 		return e.parsedRequest(ctx, method, target, body)
 	}
 	p := target
@@ -69,10 +71,6 @@ func (e *Endpoint) Request(ctx context.Context, method, target string, body io.R
 	if err := setPath(u, p); err != nil {
 		return e.parsedRequest(ctx, method, target, body)
 	}
-	rc, ok := body.(io.ReadCloser)
-	if !ok && body != nil {
-		rc = io.NopCloser(body)
-	}
 	r := http.Request{
 		Method:     method,
 		URL:        u,
@@ -80,10 +78,11 @@ func (e *Endpoint) Request(ctx context.Context, method, target string, body io.R
 		ProtoMajor: 1,
 		ProtoMinor: 1,
 		Header:     make(http.Header, 2),
-		Body:       rc,
 		Host:       u.Host,
 	}
-	setBodyLength(&r, body)
+	if br != nil {
+		setBody(&r, br)
+	}
 	return r.WithContext(ctx), nil
 }
 
@@ -156,36 +155,20 @@ func plainPath(p string) bool {
 	return true
 }
 
-// setBodyLength gives r the ContentLength and GetBody that
-// http.NewRequestWithContext derives from body's type.
-func setBodyLength(r *http.Request, body io.Reader) {
-	switch v := body.(type) {
-	case nil:
-		return
-	case *bytes.Buffer:
-		r.ContentLength = int64(v.Len())
-		buf := v.Bytes()
-		r.GetBody = func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(buf)), nil
-		}
-	case *bytes.Reader:
-		r.ContentLength = int64(v.Len())
-		snapshot := *v
-		r.GetBody = func() (io.ReadCloser, error) {
-			rd := snapshot
-			return io.NopCloser(&rd), nil
-		}
-	case *strings.Reader:
-		r.ContentLength = int64(v.Len())
-		snapshot := *v
-		r.GetBody = func() (io.ReadCloser, error) {
-			rd := snapshot
-			return io.NopCloser(&rd), nil
-		}
-	}
-	if r.GetBody != nil && r.ContentLength == 0 {
+// setBody gives r the body, ContentLength and GetBody that
+// http.NewRequestWithContext derives from a *bytes.Reader.
+func setBody(r *http.Request, body *bytes.Reader) {
+	r.ContentLength = int64(body.Len())
+	if r.ContentLength == 0 {
 		r.Body = http.NoBody
 		r.GetBody = func() (io.ReadCloser, error) { return http.NoBody, nil }
+		return
+	}
+	r.Body = io.NopCloser(body)
+	snapshot := *body
+	r.GetBody = func() (io.ReadCloser, error) {
+		rd := snapshot
+		return io.NopCloser(&rd), nil
 	}
 }
 

@@ -1,7 +1,9 @@
 package monitor
 
 import (
+	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -274,15 +276,48 @@ func (d declaredLength) RoundTrip(r *http.Request) (*http.Response, error) {
 	}, nil
 }
 
+// stalledBody is a client body that never sends a byte: it notes the
+// size of the buffer its first read is offered and fails, as a client
+// that declared a length, stalled and hung up.
+type stalledBody struct{ offered int }
+
+func (b *stalledBody) Read(p []byte) (int, error) {
+	if b.offered == 0 {
+		b.offered = len(p)
+	}
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestHTTPForwarderRequestBufferIgnoresDeclaredLength: the client's
+// declared Content-Length does not size the buffer its body is read into.
+// A client that declares the whole bound and then stalls is offered a
+// buffer no larger than a body without a declared length gets, not one
+// of the bound.
+func TestHTTPForwarderRequestBufferIgnoresDeclaredLength(t *testing.T) {
+	body := &stalledBody{}
+	req := httptest.NewRequest(http.MethodPost, "/projects/p1/volumes", nil)
+	req.Body = io.NopCloser(body)
+	req.ContentLength = maxForwardBody
+	f := &HTTPForwarder{BaseURL: "http://cloud.internal",
+		Client: &http.Client{Transport: declaredLength{body: "{}", length: 2}}}
+	if _, err := f.Forward(req, &Route{Backend: "/volume/v3/{project_id}/volumes"}, map[string]string{"project_id": "p1"}); err == nil {
+		t.Fatal("a request whose body failed mid-read was forwarded")
+	}
+	if body.offered == 0 || body.offered > bytes.MinRead {
+		t.Errorf("the stalled body was offered a %d-byte buffer, want at most %d whatever the declared %d",
+			body.offered, bytes.MinRead, maxForwardBody)
+	}
+}
+
 // TestHTTPForwarderBoundsWhateverTheDeclaredLength: the cloud answer's
 // Content-Length only sizes the read. An answer of exactly the limit is
 // forwarded whole, with the cloud's headers, and one byte more fails the
 // forward, whether the length is absent, exact, understated or
-// overstated.
+// overstated, up to the largest length net/http accepts.
 func TestHTTPForwarderBoundsWhateverTheDeclaredLength(t *testing.T) {
 	for _, n := range []int{maxForwardBody, maxForwardBody + 1} {
 		body := strings.Repeat("x", n)
-		for _, length := range []int64{-1, int64(n), 100, int64(n) + 100, 1 << 40} {
+		for _, length := range []int64{-1, int64(n), 100, int64(n) + 100, 1 << 40, math.MaxInt64} {
 			f := &HTTPForwarder{BaseURL: "http://cloud.internal",
 				Client: &http.Client{Transport: declaredLength{body: body, length: length}}}
 			req := httptest.NewRequest(http.MethodGet, "/projects/p1/volumes", nil)

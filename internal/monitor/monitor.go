@@ -30,7 +30,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"cloudmon/internal/contract"
@@ -404,7 +404,9 @@ type compiledRoute struct {
 	// preText and postText render the contract's pre- and post-condition
 	// for the verdicts they decide, and transitions labels each case's
 	// transition "From->To on Trigger" for coverage: rendered once here,
-	// not per request.
+	// not per request. The clause texts are cloned to their length, since
+	// a rendered text's buffer can be up to twice as long and the route
+	// keeps them for the monitor's life.
 	preText, postText string
 	transitions       []string
 }
@@ -498,8 +500,8 @@ func New(cfg Config) (*Monitor, error) {
 			contract:    c,
 			plan:        c.Plan(),
 			digest:      c.Digest(),
-			preText:     c.Pre.String(),
-			postText:    c.Post.String(),
+			preText:     strings.Clone(c.Pre.String()),
+			postText:    strings.Clone(c.Post.String()),
 			transitions: transitions,
 		})
 	}
@@ -883,7 +885,8 @@ func matchSegments(pattern, segs []string) (map[string]string, bool) {
 // params into the route's backend template (see backendPath) and issues
 // the request against BaseURL with Client.
 type HTTPForwarder struct {
-	// BaseURL is the private cloud's root URL.
+	// BaseURL is the private cloud's root URL. It is read on the first
+	// forward and must not change after it.
 	BaseURL string
 	// Client defaults to a pooled client bounded by the shared
 	// httpkit.DefaultCloudTimeout knob.
@@ -894,9 +897,9 @@ type HTTPForwarder struct {
 	// silently drift apart.
 	Timeout time.Duration
 
-	// ep is BaseURL parsed, on the first forward and again whenever
-	// BaseURL has changed since.
-	ep atomic.Pointer[httpkit.Endpoint]
+	// ep is BaseURL parsed, on the first forward.
+	epOnce sync.Once
+	ep     *httpkit.Endpoint
 }
 
 var _ Forwarder = (*HTTPForwarder)(nil)
@@ -927,7 +930,10 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 	target := backendPath(route.Backend, params)
 	var body io.Reader
 	if r.Body != nil {
-		data, err := httpkit.ReadBounded(r.Body, maxForwardBody, r.ContentLength)
+		// The client's declared length is not trusted to size the buffer:
+		// a client that declares the bound and stalls would pin it before
+		// sending a byte.
+		data, err := httpkit.ReadBounded(r.Body, maxForwardBody)
 		if err != nil {
 			return nil, fmt.Errorf("monitor: read request body: %w", err)
 		}
@@ -978,12 +984,8 @@ var forwardedHeaders = [...]string{"X-Auth-Token", "Content-Type", "Accept"}
 
 // endpoint returns BaseURL parsed.
 func (f *HTTPForwarder) endpoint() *httpkit.Endpoint {
-	if ep := f.ep.Load(); ep != nil && ep.String() == f.BaseURL {
-		return ep
-	}
-	ep := httpkit.NewEndpoint(f.BaseURL)
-	f.ep.Store(ep)
-	return ep
+	f.epOnce.Do(func() { f.ep = httpkit.NewEndpoint(f.BaseURL) })
+	return f.ep
 }
 
 // backendPath fills a backend template's {name} placeholders in one pass,

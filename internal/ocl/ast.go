@@ -112,13 +112,7 @@ type Nav struct {
 func (*Nav) isExpr() {}
 
 // String renders the navigation path.
-func (n *Nav) String() string {
-	s := strings.Join(n.Path, ".")
-	if n.AtPre {
-		s += "@pre"
-	}
-	return s
-}
+func (n *Nav) String() string { return render(n) }
 
 // UnOp enumerates unary operators.
 type UnOp int
@@ -138,12 +132,7 @@ type Unary struct {
 func (*Unary) isExpr() {}
 
 // String renders the unary expression.
-func (u *Unary) String() string {
-	if u.Op == OpNot {
-		return "not " + parenthesize(u.Expr, 7)
-	}
-	return "-" + parenthesize(u.Expr, 7)
-}
+func (u *Unary) String() string { return render(u) }
 
 // Binary is a binary operation.
 type Binary struct {
@@ -154,20 +143,7 @@ type Binary struct {
 func (*Binary) isExpr() {}
 
 // String renders the binary expression with minimal parentheses.
-func (b *Binary) String() string {
-	p := b.Op.precedence()
-	// Left-associative: right operand needs parens at equal precedence.
-	return parenthesize(b.L, p) + " " + b.Op.String() + " " + parenthesize(b.R, p+1)
-}
-
-// parenthesize renders e, wrapping in parentheses when e binds looser than
-// the context precedence.
-func parenthesize(e Expr, ctx int) string {
-	if b, ok := e.(*Binary); ok && b.Op.precedence() < ctx {
-		return "(" + b.String() + ")"
-	}
-	return e.String()
-}
+func (b *Binary) String() string { return render(b) }
 
 // CollOp is a collection operation applied with the arrow syntax,
 // e.g. project.volumes->size() or groups->includes('admin').
@@ -182,13 +158,7 @@ type CollOp struct {
 func (*CollOp) isExpr() {}
 
 // String renders the collection operation.
-func (c *CollOp) String() string {
-	args := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = a.String()
-	}
-	return parenthesize(c.Recv, 7) + "->" + c.Name + "(" + strings.Join(args, ", ") + ")"
-}
+func (c *CollOp) String() string { return render(c) }
 
 // IterOp is an OCL iterator expression over a collection with a bound
 // variable, e.g. user.id.groups->forAll(g | g <> 'banned') or
@@ -207,9 +177,7 @@ type IterOp struct {
 func (*IterOp) isExpr() {}
 
 // String renders the iterator expression.
-func (it *IterOp) String() string {
-	return parenthesize(it.Recv, 7) + "->" + it.Name + "(" + it.Var + " | " + it.Body.String() + ")"
-}
+func (it *IterOp) String() string { return render(it) }
 
 // iterNames are the supported iterator operations.
 var iterNames = map[string]bool{
@@ -229,7 +197,86 @@ type PreExpr struct {
 func (*PreExpr) isExpr() {}
 
 // String renders the pre() wrapper.
-func (p *PreExpr) String() string { return "pre(" + p.Expr.String() + ")" }
+func (p *PreExpr) String() string { return render(p) }
+
+// render writes e's canonical source into one buffer: a contract's
+// clause is a deep tree, and joining a string per node cost hundreds of
+// allocations per clause.
+func render(e Expr) string {
+	var b strings.Builder
+	write(&b, e)
+	return b.String()
+}
+
+// write appends e's canonical source to b.
+func write(b *strings.Builder, e Expr) {
+	switch n := e.(type) {
+	case *Lit:
+		b.WriteString(n.Value.String())
+	case *Nav:
+		for i, p := range n.Path {
+			if i > 0 {
+				b.WriteByte('.')
+			}
+			b.WriteString(p)
+		}
+		if n.AtPre {
+			b.WriteString("@pre")
+		}
+	case *Unary:
+		if n.Op == OpNot {
+			b.WriteString("not ")
+		} else {
+			b.WriteByte('-')
+		}
+		writeOperand(b, n.Expr, 7)
+	case *Binary:
+		p := n.Op.precedence()
+		// Left-associative: right operand needs parens at equal precedence.
+		writeOperand(b, n.L, p)
+		b.WriteByte(' ')
+		b.WriteString(n.Op.String())
+		b.WriteByte(' ')
+		writeOperand(b, n.R, p+1)
+	case *CollOp:
+		writeOperand(b, n.Recv, 7)
+		b.WriteString("->")
+		b.WriteString(n.Name)
+		b.WriteByte('(')
+		for i, a := range n.Args {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			write(b, a)
+		}
+		b.WriteByte(')')
+	case *IterOp:
+		writeOperand(b, n.Recv, 7)
+		b.WriteString("->")
+		b.WriteString(n.Name)
+		b.WriteByte('(')
+		b.WriteString(n.Var)
+		b.WriteString(" | ")
+		write(b, n.Body)
+		b.WriteByte(')')
+	case *PreExpr:
+		b.WriteString("pre(")
+		write(b, n.Expr)
+		b.WriteByte(')')
+	}
+}
+
+// writeOperand writes e, wrapped in parentheses when e binds looser than
+// the context precedence.
+func writeOperand(b *strings.Builder, e Expr, ctx int) {
+	if bin, ok := e.(*Binary); ok && bin.Op.precedence() < ctx {
+		b.WriteByte('(')
+		write(b, bin)
+		b.WriteByte(')')
+		return
+	}
+	write(b, e)
+}
 
 // Walk visits every node of the expression tree in depth-first pre-order.
 // If fn returns false the node's children are skipped.

@@ -118,6 +118,9 @@ func TestParsePrecedence(t *testing.T) {
 		{"pre(x->size()) < x->size()", "pre(x->size()) < x->size()"},
 		{"x@pre = 3", "x@pre = 3"},
 		{"a.b.c->includes('q')", "a.b.c->includes('q')"},
+		{"a->includes('x', 'y')", "a->includes('x', 'y')"},
+		{"xs->forAll(g | g <> 'banned') and ys->select(v | v > 1)->size() = 0", "xs->forAll(g | g <> 'banned') and ys->select(v | v > 1)->size() = 0"},
+		{"-(a + b) < a - (b - c)", "-(a + b) < a - (b - c)"},
 	}
 	for _, tt := range tests {
 		e, err := Parse(tt.src)

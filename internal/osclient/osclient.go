@@ -55,8 +55,8 @@ type Client struct {
 	// overall timeout.
 	Timeout time.Duration
 
-	// ep is BaseURL parsed once, by New; a client built as a literal, or
-	// whose BaseURL changed since, parses BaseURL with each request.
+	// ep is BaseURL parsed once, by New; a client built as a literal
+	// parses BaseURL with each request.
 	ep *httpkit.Endpoint
 }
 
@@ -177,7 +177,7 @@ func (c *Client) request(ctx context.Context, method, path string, body io.Reade
 
 // endpoint returns BaseURL parsed.
 func (c *Client) endpoint() *httpkit.Endpoint {
-	if c.ep != nil && c.ep.String() == c.BaseURL {
+	if c.ep != nil {
 		return c.ep
 	}
 	return httpkit.NewEndpoint(c.BaseURL)

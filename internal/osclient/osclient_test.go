@@ -3,6 +3,7 @@ package osclient
 import (
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -278,11 +279,11 @@ func (d declaredLength) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestBodyLimitWhateverTheDeclaredLength: the reply's Content-Length only
 // sizes the read. A body of exactly the bound is read whole and one byte
 // more fails as too large, whether the length is absent, exact,
-// understated or overstated.
+// understated or overstated, up to the largest length net/http accepts.
 func TestBodyLimitWhateverTheDeclaredLength(t *testing.T) {
 	for _, n := range []int{httpkit.MaxBodyBytes, httpkit.MaxBodyBytes + 1} {
 		body := listingOfSize(n)
-		for _, length := range []int64{-1, int64(n), 100, int64(n) + 100, 1 << 40} {
+		for _, length := range []int64{-1, int64(n), 100, int64(n) + 100, 1 << 40, math.MaxInt64} {
 			c := New("http://cloud.internal")
 			c.HTTPClient = &http.Client{Transport: declaredLength{body: body, length: length}}
 			raw, err := c.GetRaw("/volume/v3/p1/volumes", "", "")
