@@ -95,14 +95,16 @@ fleet-oop:
 # each parser for 30s, plus the compiled clause programs against the
 # tree-walking reference, the state provider's response scanner against
 # json.Unmarshal and the cloud request constructor against
-# http.NewRequestWithContext.
+# http.NewRequestWithContext. -fuzzminimizetime 0x keeps a worker from
+# spending the budget minimizing a new input, so each smoke fuzzes for
+# its whole 30s.
 fuzz:
-	go test -fuzz FuzzParse -fuzztime 30s ./internal/ocl/
-	go test -fuzz FuzzEval -fuzztime 30s ./internal/ocl/
-	go test -fuzz FuzzParseRule -fuzztime 30s ./internal/rbac/
-	go test -fuzz FuzzCompiledEval -fuzztime 30s ./internal/contract/
-	go test -run XXX -fuzz FuzzBindingDecode -fuzztime 30s ./internal/osbinding/
-	go test -run XXX -fuzz FuzzCloudRequest -fuzztime 30s ./internal/osbinding/
+	go test -fuzz FuzzParse -fuzztime 30s -fuzzminimizetime 0x ./internal/ocl/
+	go test -fuzz FuzzEval -fuzztime 30s -fuzzminimizetime 0x ./internal/ocl/
+	go test -fuzz FuzzParseRule -fuzztime 30s -fuzzminimizetime 0x ./internal/rbac/
+	go test -fuzz FuzzCompiledEval -fuzztime 30s -fuzzminimizetime 0x ./internal/contract/
+	go test -run XXX -fuzz FuzzBindingDecode -fuzztime 30s -fuzzminimizetime 0x ./internal/osbinding/
+	go test -run XXX -fuzz FuzzCloudRequest -fuzztime 30s -fuzzminimizetime 0x ./internal/osbinding/
 
 # Chaos: the fault×policy matrix and the chaotic soaks under the race
 # detector, then a fault-ridden loadmon run with invariant verification.

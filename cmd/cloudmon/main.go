@@ -118,23 +118,13 @@ func run(args []string) error {
 		model = paper.CinderModel()
 	}
 
-	var mode monitor.Mode
-	switch *modeName {
-	case "enforce":
-		mode = monitor.Enforce
-	case "observe":
-		mode = monitor.Observe
-	default:
-		return fmt.Errorf("unknown mode %q (want enforce or observe)", *modeName)
+	mode, err := monitor.ParseMode(*modeName)
+	if err != nil {
+		return err
 	}
-	var level monitor.CheckLevel
-	switch *levelName {
-	case "full":
-		level = monitor.CheckFull
-	case "pre-only":
-		level = monitor.CheckPreOnly
-	default:
-		return fmt.Errorf("unknown level %q (want full or pre-only)", *levelName)
+	level, err := monitor.ParseCheckLevel(*levelName)
+	if err != nil {
+		return err
 	}
 	postMode, err := monitor.ParsePostMode(*postName)
 	if err != nil {
@@ -239,17 +229,17 @@ func run(args []string) error {
 			mux.Handle("/", handler)
 			handler = mux
 		}
-		aux = append(aux, &http.Server{Addr: *inspectAddr, Handler: handler})
+		aux = append(aux, newServer(*inspectAddr, handler))
 	}
 	if *metricsAddr != "" {
 		fmt.Printf("  metrics on %s/metrics\n", *metricsAddr)
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", sys.Metrics.Handler())
-		aux = append(aux, &http.Server{Addr: *metricsAddr, Handler: mux})
+		aux = append(aux, newServer(*metricsAddr, mux))
 	}
-	proxy := &http.Server{Addr: *addr, Handler: sys.Monitor}
+	proxy := newServer(*addr, sys.Monitor)
 
-	err = serveUntilSignal(proxy, aux, *shutdownTimeout, func(ctx context.Context) {
+	err = serve(proxy, aux, *shutdownTimeout, func(ctx context.Context) {
 		// Shutdown order matters: the proxy has stopped accepting and its
 		// in-flight requests have finished; now land every deferred
 		// verdict and flush the trail while the metrics and inspect
@@ -303,6 +293,42 @@ func (s *verdictSinks) close() error {
 	}
 	return errors.Join(errs...)
 }
+
+// The timeouts every listener carries. A request takes as long as its
+// verdict, which may wait on the cloud's own deadlines, so no write
+// timeout bounds the answer.
+const (
+	// readHeaderTimeout frees the connection and goroutine of a client
+	// that sends part of its headers and stalls. A client sends its
+	// headers in one write, so 10 s is slack for any network a monitor
+	// sits on.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds reading a whole request. The monitor forwards at
+	// most a 1 MiB body (httpkit.MaxBodyBytes), which arrives within a
+	// minute at 17 KiB/s.
+	readTimeout = time.Minute
+	// idleTimeout closes a keep-alive connection no request has used for
+	// two minutes. It outlasts the 90 s after which Go clients, the fleet
+	// front's among them, drop an idle pooled connection, so the client
+	// closes first and never sends onto a connection the server is
+	// closing.
+	idleTimeout = 2 * time.Minute
+)
+
+// newServer returns a listener on addr serving h, with the timeouts above.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// serve runs the listeners; it is serveUntilSignal, and a test replaces
+// it to inspect the servers run and runFront build.
+var serve = serveUntilSignal
 
 // serveUntilSignal runs the proxy and auxiliary listeners until one fails
 // or SIGTERM/SIGINT arrives, then drains gracefully: proxy first, the
@@ -370,10 +396,9 @@ func runFront(spec, addr, metricsAddr string, timeout time.Duration) error {
 		fmt.Printf("  federated metrics on %s/metrics\n", metricsAddr)
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", front.FederationHandler(reg))
-		aux = append(aux, &http.Server{Addr: metricsAddr, Handler: mux})
+		aux = append(aux, newServer(metricsAddr, mux))
 	}
-	proxy := &http.Server{Addr: addr, Handler: front}
-	return serveUntilSignal(proxy, aux, timeout, nil)
+	return serve(newServer(addr, front), aux, timeout, nil)
 }
 
 // parseFleetMembers parses "id=proxyURL[|inspectURL]" entries.

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"context"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cloudmon/internal/monitor"
 )
@@ -34,6 +37,39 @@ func TestFlagValidation(t *testing.T) {
 	// A slice matching nothing is rejected.
 	if err := run([]string{"-project", "p1", "-secreqs", "9.9"}); err == nil {
 		t.Error("empty slice accepted")
+	}
+}
+
+// TestServersTimeOutStalledClients: every listener run and runFront start
+// (proxy, inspect and metrics; the front and its metrics) bounds how long
+// a client may take to send a request and how long an idle connection
+// stays open, and none bounds the answer.
+func TestServersTimeOutStalledClients(t *testing.T) {
+	var servers []*http.Server
+	serve = func(proxy *http.Server, aux []*http.Server, _ time.Duration, _ func(context.Context)) error {
+		servers = append(append(servers, proxy), aux...)
+		return nil
+	}
+	defer func() { serve = serveUntilSignal }()
+	for _, args := range [][]string{
+		{"-project", "p1", "-instance", "m-00", "-addr", "127.0.0.1:0",
+			"-inspect-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"},
+		{"-fleet-front", "m-00=http://127.0.0.1:1|http://127.0.0.1:2", "-addr", "127.0.0.1:0",
+			"-metrics-addr", "127.0.0.1:0"},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+	}
+	if len(servers) != 5 {
+		t.Fatalf("run and runFront started %d servers, want 5", len(servers))
+	}
+	for _, srv := range servers {
+		if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadTimeout != readTimeout ||
+			srv.IdleTimeout != idleTimeout || srv.WriteTimeout != 0 {
+			t.Errorf("server %s: read header %v, read %v, idle %v, write %v", srv.Addr,
+				srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout, srv.WriteTimeout)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 //	cloudsim -addr :8776 -quota 10
 //
 // With -faults the cloud is wrapped in the fault-injection middleware, so
-// a monitor (and its retry/breaker/fail-policy stack) can be exercised
+// a monitor (its read retries and its fail policy) can be exercised
 // against a misbehaving cloud over real sockets:
 //
 //	cloudsim -addr :8776 -faults chaos.json

@@ -77,9 +77,6 @@ func run(args []string, out io.Writer) error {
 	fleetConns := fs.Int("fleet-conns", 0, "per-instance backend connection budget (needs -fleet; 0 = unlimited)")
 	policyName := fs.String("fail-policy", "closed", "snapshot-failure policy: closed | open")
 	cloudTimeout := fs.Duration("cloud-timeout", 0, "shared cloud-facing deadline (snapshot attempts and forwards; 0 = default)")
-	retryAttempts := fs.Int("retry-attempts", 0, "override snapshot retry attempts (0 = default)")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "enable the snapshot circuit breaker at this consecutive-failure threshold (0 = off)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "circuit-breaker open cooldown (0 = default)")
 	verify := fs.Bool("verify", false, "assert structural verdict invariants after the run (in-process only)")
 	auditDir := fs.String("audit-dir", "", "audit-trail directory for the in-process monitor (-verify defaults to a temp dir)")
 	packOut := fs.String("pack", "", "write a signed evidence pack of the run's audit trail here (dir or .zip; in-process only)")
@@ -127,16 +124,10 @@ func run(args []string, out io.Writer) error {
 		sc.Warmup = *warmup
 	}
 
-	var policy monitor.FailPolicy
-	switch *policyName {
-	case "closed", "":
-		policy = monitor.FailClosed
-	case "open":
-		policy = monitor.FailOpen
-	default:
-		return fmt.Errorf("unknown fail-policy %q (want closed or open)", *policyName)
+	policy, err := monitor.ParseFailPolicy(*policyName)
+	if err != nil {
+		return err
 	}
-
 	postMode, err := monitor.ParsePostMode(*postName)
 	if err != nil {
 		return err
@@ -177,23 +168,13 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		var mode monitor.Mode
-		switch *modeName {
-		case "enforce":
-			mode = monitor.Enforce
-		case "observe":
-			mode = monitor.Observe
-		default:
-			return fmt.Errorf("unknown mode %q (want enforce or observe)", *modeName)
+		mode, err := monitor.ParseMode(*modeName)
+		if err != nil {
+			return err
 		}
-		var level monitor.CheckLevel
-		switch *levelName {
-		case "full":
-			level = monitor.CheckFull
-		case "pre-only":
-			level = monitor.CheckPreOnly
-		default:
-			return fmt.Errorf("unknown level %q (want full or pre-only)", *levelName)
+		level, err := monitor.ParseCheckLevel(*levelName)
+		if err != nil {
+			return err
 		}
 		opts = loadgen.Options{
 			Monitor: core.Options{
@@ -210,15 +191,6 @@ func run(args []string, out io.Writer) error {
 			TenantCount: *fleetProjects,
 			RTT:         *fleetRTT,
 			Conns:       *fleetConns,
-		}
-		if *retryAttempts > 0 {
-			opts.Monitor.Retry.MaxAttempts = *retryAttempts
-		}
-		if *breakerThreshold > 0 {
-			opts.Monitor.Breaker = &osclient.BreakerConfig{
-				FailureThreshold: *breakerThreshold,
-				Cooldown:         *breakerCooldown,
-			}
 		}
 		if *faultsPath != "" {
 			profile, err := faults.LoadProfile(*faultsPath)

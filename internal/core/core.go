@@ -52,21 +52,14 @@ type Options struct {
 	PostWorkers      int
 	PostBackpressure monitor.BackpressurePolicy
 	// CloudTimeout is the one knob both cloud-facing paths derive their
-	// deadline from: the snapshot client's per-attempt deadline and the
-	// forwarder's per-request deadline (0 = httpkit.DefaultCloudTimeout
-	// via the default clients).
+	// deadline from: the deadline of each state-read attempt and of each
+	// forward (0 = httpkit.DefaultCloudTimeout via the default clients).
 	CloudTimeout time.Duration
-	// Retry tunes the snapshot provider's backoff loop (zero value =
-	// defaults; MaxAttempts 1 disables retries).
-	Retry osclient.RetryPolicy
-	// Breaker, when non-nil, puts a circuit breaker on the snapshot path
-	// so a dead cloud sheds reads instead of queueing retries.
-	Breaker *osclient.BreakerConfig
 	// OnVerdict, if set, receives every verdict (e.g. a
 	// monitor.AuditWriter's Record method); see monitor.Config.OnVerdict.
 	OnVerdict func(monitor.Verdict)
-	// HTTPClient overrides the forwarding client (tests inject the
-	// httptest client here).
+	// HTTPClient overrides the client of the state reads and the
+	// forwards (tests inject the httptest client here).
 	HTTPClient *http.Client
 	// Audit, when non-nil, is the append-only audit sink the monitor
 	// writes every violation and Unverified outcome to (see obs.AuditLog).
@@ -92,8 +85,8 @@ type System struct {
 	// Routes are the derived proxy routes.
 	Routes []monitor.Route
 	// Metrics is the system's metric registry: the monitor's verdict,
-	// stage-latency, fetch and audit counters plus the provider's retry
-	// and breaker state. Serve Metrics.Handler() on /metrics.
+	// stage-latency, fetch and audit counters plus the provider's read
+	// counters. Serve Metrics.Handler() on /metrics.
 	Metrics *obs.Registry
 }
 
@@ -111,22 +104,14 @@ func Build(opts Options) (*System, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	routes := osbinding.Routes(set)
-	provider := osbinding.NewProvider(opts.CloudURL, opts.ServiceAccount)
-	if opts.HTTPClient != nil {
-		// The provider's embedded client shares the HTTP client.
-		provider = osbinding.NewProviderWithClient(opts.CloudURL, opts.ServiceAccount, opts.HTTPClient)
-	}
+	client := osclient.New(opts.CloudURL)
+	client.HTTPClient = opts.HTTPClient
+	client.Timeout = opts.CloudTimeout
+	provider := osbinding.NewProvider(client, opts.ServiceAccount)
 	// The monitor reads each pre clause's paths in one Snapshot call (a
 	// wave), which pays off at deployment RTT only if they travel
 	// concurrently. One-path calls never reach the fan-out.
 	provider.Parallel = true
-	provider.Retry = opts.Retry
-	if opts.CloudTimeout > 0 && provider.Retry.PerAttemptTimeout <= 0 {
-		provider.Retry.PerAttemptTimeout = opts.CloudTimeout
-	}
-	if opts.Breaker != nil {
-		provider.Breaker = osclient.NewBreaker(*opts.Breaker)
-	}
 	mon, err := monitor.New(monitor.Config{
 		Contracts: set,
 		Routes:    routes,

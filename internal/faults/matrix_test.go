@@ -67,7 +67,6 @@ func deployCell(t *testing.T, kind faults.Kind, policy monitor.FailPolicy) (*loa
 			Level:        monitor.CheckPreOnly,
 			FailPolicy:   policy,
 			CloudTimeout: 200 * time.Millisecond,
-			Retry:        osclient.RetryPolicy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond},
 			OnVerdict:    last.record,
 		},
 		Faults: &faults.Profile{Rules: []faults.Rule{matrixRule(kind)}},

@@ -9,7 +9,6 @@ import (
 	"cloudmon/internal/core"
 	"cloudmon/internal/faults"
 	"cloudmon/internal/monitor"
-	"cloudmon/internal/osclient"
 )
 
 // soakScenario is the mixed read/write matrix the -race soak drives: every
@@ -258,8 +257,8 @@ func TestSoakAsyncPost(t *testing.T) {
 }
 
 // chaosOpts returns deployment options under the checked-in ~20% mixed-fault
-// profile, with a fast retry policy so the soak finishes quickly while
-// still exercising the backoff and per-attempt-deadline paths.
+// profile, with a cloud deadline so every read attempt and forward runs
+// under one, as in a deployment that sets -cloud-timeout.
 func chaosOpts(t *testing.T, policy monitor.FailPolicy) Options {
 	t.Helper()
 	profile, err := faults.LoadProfile("../faults/testdata/chaos.json")
@@ -268,13 +267,8 @@ func chaosOpts(t *testing.T, policy monitor.FailPolicy) Options {
 	}
 	return Options{
 		Monitor: core.Options{
-			FailPolicy: policy,
-			Retry: osclient.RetryPolicy{
-				MaxAttempts:       2,
-				BaseDelay:         time.Millisecond,
-				MaxDelay:          5 * time.Millisecond,
-				PerAttemptTimeout: 500 * time.Millisecond,
-			},
+			FailPolicy:   policy,
+			CloudTimeout: 500 * time.Millisecond,
 		},
 		Faults: profile,
 	}

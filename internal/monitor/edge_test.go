@@ -8,8 +8,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"cloudmon/internal/httpkit"
 	"cloudmon/internal/ocl"
 )
 
@@ -182,6 +184,33 @@ func TestHTTPForwarderUnreachableBackend(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
 	if _, err := f.Forward(req, &Route{Backend: "/x"}, nil); err == nil {
 		t.Error("unreachable backend accepted")
+	}
+}
+
+// TestWriteSentOnceWhenTheAnswerIsLost: the cloud applies a POST and then
+// drops the connection before answering. The monitor cannot tell whether
+// the write landed, so it must not send it again: the cloud applies it
+// once, the client gets 502 and the verdict is Error.
+func TestWriteSentOnceWhenTheAnswerIsLost(t *testing.T) {
+	var applied atomic.Int32
+	cloud := httpkit.HandlerClient(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		applied.Add(1)
+		panic(http.ErrAbortHandler)
+	}))
+	m, sink := newMonitor(t, Enforce, &fakeProvider{pre: env(0, 10, "available", "admin")},
+		&HTTPForwarder{BaseURL: "http://cloud.internal", Client: cloud})
+	req := httptest.NewRequest(http.MethodPost, "/projects/p1/volumes", strings.NewReader(`{"volume":{"size":1}}`))
+	req.Header.Set("X-Auth-Token", "tok")
+	rec := httptest.NewRecorder()
+	m.ServeHTTP(rec, req)
+	if n := applied.Load(); n != 1 {
+		t.Errorf("the cloud applied the write %d times, want 1", n)
+	}
+	if rec.Code != http.StatusBadGateway {
+		t.Errorf("the client got %d, want 502", rec.Code)
+	}
+	if v := sink.last(t); v.Outcome != Error {
+		t.Errorf("verdict %s (%s), want error", v.Outcome, v.Detail)
 	}
 }
 

@@ -64,11 +64,22 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// ParseMode parses a -mode flag value.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "enforce":
+		return Enforce, nil
+	case "observe":
+		return Observe, nil
+	}
+	return 0, fmt.Errorf("monitor: unknown mode %q (enforce|observe)", s)
+}
+
 // FailPolicy decides what a verdict means when the monitor cannot
-// snapshot cloud state (cloud flaky, slow, or shed by the circuit
-// breaker) — the degradation semantics a proxy monitor must make
-// explicit, because "no snapshot" is otherwise silently either an outage
-// amplifier or an enforcement hole.
+// snapshot cloud state (cloud flaky or slow past its retries) — the
+// degradation semantics a proxy monitor must make explicit, because "no
+// snapshot" is otherwise silently either an outage amplifier or an
+// enforcement hole.
 type FailPolicy int
 
 // Fail policies.
@@ -92,6 +103,18 @@ func (p FailPolicy) String() string {
 		return "fail-open"
 	}
 	return fmt.Sprintf("FailPolicy(%d)", int(p))
+}
+
+// ParseFailPolicy parses a -fail-policy flag value; empty selects the
+// default, FailClosed.
+func ParseFailPolicy(s string) (FailPolicy, error) {
+	switch s {
+	case "closed", "":
+		return FailClosed, nil
+	case "open":
+		return FailOpen, nil
+	}
+	return 0, fmt.Errorf("monitor: unknown fail policy %q (closed|open)", s)
 }
 
 // Outcome classifies a monitored request.
@@ -302,6 +325,17 @@ func (l CheckLevel) String() string {
 		return "pre-only"
 	}
 	return fmt.Sprintf("CheckLevel(%d)", int(l))
+}
+
+// ParseCheckLevel parses a -level flag value.
+func ParseCheckLevel(s string) (CheckLevel, error) {
+	switch s {
+	case "full":
+		return CheckFull, nil
+	case "pre-only":
+		return CheckPreOnly, nil
+	}
+	return 0, fmt.Errorf("monitor: unknown check level %q (full|pre-only)", s)
 }
 
 // Config assembles a Monitor.

@@ -433,6 +433,39 @@ func TestModeAndOutcomeStrings(t *testing.T) {
 	}
 }
 
+// parser adapts an option parser to the table of TestParseOptions.
+func parser[T any](parse func(string) (T, error)) func(string) (any, error) {
+	return func(s string) (any, error) {
+		v, err := parse(s)
+		return v, err
+	}
+}
+
+// TestParseOptions: every flag value of the monitor's options parses to
+// its constant, and an unknown value is rejected with an error naming it.
+func TestParseOptions(t *testing.T) {
+	for _, tc := range []struct {
+		option string
+		parse  func(string) (any, error)
+		values map[string]any
+	}{
+		{"mode", parser(ParseMode), map[string]any{"enforce": Enforce, "observe": Observe}},
+		{"level", parser(ParseCheckLevel), map[string]any{"full": CheckFull, "pre-only": CheckPreOnly}},
+		{"fail policy", parser(ParseFailPolicy), map[string]any{"closed": FailClosed, "": FailClosed, "open": FailOpen}},
+		{"post", parser(ParsePostMode), map[string]any{"sync": PostSync, "async": PostAsync}},
+		{"backpressure", parser(ParseBackpressure), map[string]any{"block": BackpressureBlock, "shed": BackpressureShed}},
+	} {
+		for in, want := range tc.values {
+			if got, err := tc.parse(in); err != nil || got != want {
+				t.Errorf("%s %q parsed to %v, %v; want %v", tc.option, in, got, err, want)
+			}
+		}
+		if _, err := tc.parse("bogus"); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Errorf("%s \"bogus\": %v, want an error naming the value", tc.option, err)
+		}
+	}
+}
+
 func TestPostRouteOnCollection(t *testing.T) {
 	p := &fakeProvider{
 		pre:  env(0, 10, "", "admin"),

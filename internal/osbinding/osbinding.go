@@ -28,7 +28,9 @@
 package osbinding
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/url"
 	"reflect"
@@ -70,24 +72,12 @@ type Provider struct {
 	// spans) still can. Unset, a call stops at its first failed path.
 	Parallel bool
 
-	// Retry configures the backoff loop every cloud read runs under. The
-	// zero value selects the defaults (3 attempts, 10ms base, 4x growth,
-	// ±50% jitter); set MaxAttempts to 1 to disable retries.
-	Retry osclient.RetryPolicy
-
-	// Breaker, when non-nil, sheds snapshot reads while the cloud is down
-	// instead of queueing retries against it; shed reads surface as
-	// snapshot errors, which the monitor resolves through its fail
-	// policy.
-	Breaker *osclient.Breaker
-
 	mu sync.Mutex
-	// authed is the client carrying the cached service-account token,
-	// built once per token and per-attempt timeout; nil until the account
-	// authenticates and after a 401.
+	// authed is the client carrying the cached service-account token;
+	// nil until the account authenticates and after a 401.
 	authed *osclient.Client
 
-	// Lock-free observability counters over the retry loop (exported via
+	// Lock-free observability counters over the read loop (exported via
 	// RegisterMetrics).
 	attempts      obs.Counter
 	retries       obs.Counter
@@ -95,7 +85,7 @@ type Provider struct {
 	gets          obs.Counter
 }
 
-// ProviderStats snapshots the retry-loop counters.
+// ProviderStats snapshots the read-loop counters.
 type ProviderStats struct {
 	// Attempts counts cloud-read attempts, including retries.
 	Attempts uint64 `json:"attempts"`
@@ -119,9 +109,8 @@ func (p *Provider) Stats() ProviderStats {
 	}
 }
 
-// RegisterMetrics exposes the provider's retry and breaker state on the
-// registry. Breaker state is sampled at scrape time (gauge: 0 closed,
-// 1 half-open, 2 open).
+// RegisterMetrics exposes the provider's read-loop counters on the
+// registry.
 func (p *Provider) RegisterMetrics(reg *obs.Registry) {
 	reg.Collect(func(w *obs.MetricsWriter) {
 		w.Counter("cloudmon_snapshot_attempts_total",
@@ -136,47 +125,30 @@ func (p *Provider) RegisterMetrics(reg *obs.Registry) {
 		w.Counter("cloudmon_cloud_gets_total",
 			"State-path reads issued against the cloud (one REST GET each, before retries).",
 			float64(p.gets.Value()))
-		if p.Breaker != nil {
-			var state float64
-			switch p.Breaker.State() {
-			case osclient.StateHalfOpen:
-				state = 1
-			case osclient.StateOpen:
-				state = 2
-			}
-			w.Gauge("cloudmon_breaker_state",
-				"Snapshot circuit breaker state: 0 closed, 1 half-open, 2 open.",
-				state)
-			w.Counter("cloudmon_breaker_shed_total",
-				"Snapshot reads shed while the breaker was open.",
-				float64(p.Breaker.Shed()))
-		}
 	})
 }
 
 var _ monitor.StateProvider = (*Provider)(nil)
 
-// NewProvider returns a provider for the cloud at baseURL, authenticating
-// with the service account on demand.
-func NewProvider(baseURL string, account ServiceAccount) *Provider {
-	return NewProviderWithClient(baseURL, account, nil)
+// NewProvider returns a provider that reads the cloud through c,
+// authenticating with the service account on demand. c's Timeout, when
+// set, is the deadline of each read attempt.
+func NewProvider(c *osclient.Client, account ServiceAccount) *Provider {
+	client := *c
+	return &Provider{client: &client, account: account}
 }
 
-// NewProviderWithClient is NewProvider with an explicit HTTP client
-// (httptest servers inject their client here).
+// NewProviderWithClient returns a provider for the cloud at baseURL whose
+// reads go through httpClient (nil selects osclient's pooled default).
 func NewProviderWithClient(baseURL string, account ServiceAccount, httpClient *http.Client) *Provider {
 	c := osclient.New(baseURL)
 	c.HTTPClient = httpClient
-	return &Provider{
-		client:  c,
-		account: account,
-	}
+	return NewProvider(c, account)
 }
 
 // authedClient returns a client carrying a valid service token,
-// re-authenticating if needed. A positive timeout replaces the client's
-// own per-request deadline.
-func (p *Provider) authedClient(timeout time.Duration) (*osclient.Client, error) {
+// re-authenticating if needed.
+func (p *Provider) authedClient() (*osclient.Client, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.authed == nil {
@@ -185,14 +157,6 @@ func (p *Provider) authedClient(timeout time.Duration) (*osclient.Client, error)
 			return nil, fmt.Errorf("osbinding: service-account auth: %w", err)
 		}
 		p.authed = p.client.WithToken(tok)
-	}
-	if timeout <= 0 {
-		timeout = p.client.Timeout
-	}
-	if p.authed.Timeout != timeout {
-		c := *p.authed
-		c.Timeout = timeout
-		p.authed = &c
 	}
 	return p.authed, nil
 }
@@ -204,44 +168,64 @@ func (p *Provider) invalidateToken() {
 	p.authed = nil
 }
 
-// withRetry runs fn — a read against the cloud — with an authenticated
-// client under the provider's retry policy. All current callers are GET
-// resolvers, hence idempotent.
-func (p *Provider) withRetry(fn func(c *osclient.Client) error) error {
-	return p.retryDo(true, fn)
+// The read schedule: a cloud read gets readAttempts tries. The sleep
+// before the second is backoffBase and each later one backoffGrowth times
+// the last, capped at backoffCap; each is widened by up to ±backoffJitter
+// of itself (never past the cap), so reads that failed together do not
+// retry together against a recovering cloud.
+const (
+	readAttempts  = 3
+	backoffBase   = 10 * time.Millisecond
+	backoffGrowth = 4
+	backoffCap    = 500 * time.Millisecond
+	backoffJitter = 0.5
+)
+
+// backoff returns the sleep after failed attempt n (counting from 1);
+// rnd draws the jitter from [0, 1).
+func backoff(n int, rnd func() float64) time.Duration {
+	d := backoffBase
+	for i := 1; i < n && d < backoffCap; i++ {
+		d *= backoffGrowth
+	}
+	d = min(d, backoffCap)
+	return min(d+time.Duration(float64(d)*backoffJitter*(2*rnd()-1)), backoffCap)
 }
 
-// retryDo is the provider's retry loop: exponential backoff with jitter,
-// a fresh per-attempt context deadline, an optional wall-clock budget,
-// and re-authentication whenever the cloud answers 401 (expired service
-// token — a pre-application failure, so re-sending is always safe).
-//
-// idempotent declares whether fn may be re-sent after a failure that
-// could already have been applied. Non-idempotent operations (POST/PUT
-// writes) are retried only on a 401 response: the cloud rejected the
-// token before acting on the body, so the first attempt provably had no
-// effect. A transport error or 5xx on a write is NOT retried — the write
-// may have landed, and re-sending it is the double-apply bug.
-func (p *Provider) retryDo(idempotent bool, fn func(c *osclient.Client) error) error {
-	pol := p.Retry.WithDefaults()
-	var deadline time.Time
-	if pol.Budget > 0 {
-		deadline = time.Now().Add(pol.Budget)
+// retryable reports whether a failed read is tried again. A 401 is an
+// expired service token (the loop re-authenticates first), and 429 and
+// these 5xx answers are the cloud's own transient failures. An error
+// without a status is a read that did not complete: a transport error, or
+// a body that does not decode or exceeds its bound. Any other status is
+// the cloud's answer, and final.
+func retryable(err error) bool {
+	var se *osclient.StatusError
+	if !errors.As(err, &se) {
+		return true
 	}
+	switch se.Status {
+	case http.StatusUnauthorized,
+		http.StatusTooManyRequests,
+		http.StatusInternalServerError,
+		http.StatusBadGateway,
+		http.StatusServiceUnavailable,
+		http.StatusGatewayTimeout:
+		return true
+	}
+	return false
+}
+
+// read runs fn, one GET against the cloud, with an authenticated client
+// under the read schedule, re-authenticating after a 401.
+func (p *Provider) read(fn func(c *osclient.Client) error) error {
 	for attempt := 1; ; attempt++ {
-		if p.Breaker != nil && !p.Breaker.Allow() {
-			return fmt.Errorf("osbinding: snapshot shed: %w", osclient.ErrCircuitOpen)
-		}
 		p.attempts.Inc()
 		if attempt > 1 {
 			p.retries.Inc()
 		}
-		c, err := p.authedClient(pol.PerAttemptTimeout)
+		c, err := p.authedClient()
 		if err == nil {
 			err = fn(c)
-		}
-		if p.Breaker != nil {
-			p.Breaker.Record(!osclient.Infrastructure(err))
 		}
 		if err == nil {
 			return nil
@@ -250,14 +234,10 @@ func (p *Provider) retryDo(idempotent bool, fn func(c *osclient.Client) error) e
 			p.invalidateToken()
 			p.authRefreshes.Inc()
 		}
-		if !osclient.RetryableFor(err, idempotent) || attempt >= pol.MaxAttempts {
+		if attempt == readAttempts || !retryable(err) {
 			return err
 		}
-		sleep := pol.Backoff(attempt, nil)
-		if !deadline.IsZero() && time.Now().Add(sleep).After(deadline) {
-			return err
-		}
-		time.Sleep(sleep)
+		time.Sleep(backoff(attempt, rand.Float64))
 	}
 }
 
@@ -430,7 +410,7 @@ func (p *Provider) resolve(ctx *monitor.RequestContext, path string) (ocl.Value,
 		header = "X-Subject-Token"
 	}
 	var out ocl.Value
-	err := p.withRetry(func(c *osclient.Client) error {
+	err := p.read(func(c *osclient.Client) error {
 		body, err := c.GetRaw(target, header, ctx.Token)
 		if err != nil {
 			return err

@@ -40,7 +40,7 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 
 func TestParallelSnapshotPropagatesErrors(t *testing.T) {
 	// A provider against a dead endpoint fails in both modes.
-	dead := NewProvider("http://127.0.0.1:1", ServiceAccount{User: "x", Password: "y", ProjectID: "p"})
+	dead := NewProviderWithClient("http://127.0.0.1:1", ServiceAccount{User: "x", Password: "y", ProjectID: "p"}, nil)
 	dead.Parallel = true
 	ctx := (&fixture{projectID: "p"}).ctx("")
 	if _, err := dead.Snapshot(ctx, allPaths); err == nil {
@@ -72,9 +72,9 @@ func TestParallelSnapshotBoundedWorkers(t *testing.T) {
 	}))
 	defer gate.Close()
 
-	provider := NewProvider(gate.URL, ServiceAccount{
+	provider := NewProviderWithClient(gate.URL, ServiceAccount{
 		User: "cm-svc", Password: "pw", ProjectID: f.projectID,
-	})
+	}, nil)
 	provider.Parallel = true
 	// Warm the service token outside the measurement.
 	if _, err := provider.Snapshot(f.ctx(vol.ID), []string{"project.id"}); err != nil {
@@ -118,9 +118,9 @@ func TestParallelSnapshotOverlapsLatency(t *testing.T) {
 	}))
 	defer slow.Close()
 
-	provider := NewProvider(slow.URL, ServiceAccount{
+	provider := NewProviderWithClient(slow.URL, ServiceAccount{
 		User: "cm-svc", Password: "pw", ProjectID: f.projectID,
-	})
+	}, nil)
 	provider.Parallel = true
 	// Warm the service token outside the measurement.
 	if _, err := provider.Snapshot(f.ctx(vol.ID), []string{"project.id"}); err != nil {
@@ -168,7 +168,6 @@ func TestParallelSnapshotReadsEveryPathWhenOneFails(t *testing.T) {
 		User: "cm-svc", Password: "pw", ProjectID: f.projectID,
 	}, cloud)
 	provider.Parallel = true
-	provider.Retry.MaxAttempts = 1
 	if _, err := provider.Snapshot(f.ctx(vol.ID), allPaths); err == nil {
 		t.Fatal("a wave with a failed read succeeded")
 	}

@@ -2,7 +2,9 @@ package osbinding
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -45,75 +47,10 @@ func (s *scriptedCloud) counts() (auths, calls int) {
 	return s.auths, s.calls
 }
 
-func scriptedProvider(s *scriptedCloud, pol osclient.RetryPolicy) *Provider {
-	p := NewProviderWithClient("http://cloud.internal", ServiceAccount{
+func scriptedProvider(s *scriptedCloud) *Provider {
+	return NewProviderWithClient("http://cloud.internal", ServiceAccount{
 		User: "svc", Password: "pw", ProjectID: "p1",
 	}, httpkit.HandlerClient(s))
-	p.Retry = pol
-	return p
-}
-
-var fastRetry = osclient.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-
-// TestWriteNotRetriedAfterTransportFailure is the double-apply regression:
-// the cloud applies a write, then the connection dies before the response
-// arrives. The caller cannot know the write landed — re-sending it would
-// apply it twice — so the retry loop must surface the error after exactly
-// one application.
-func TestWriteNotRetriedAfterTransportFailure(t *testing.T) {
-	applied := 0
-	cloud := &scriptedCloud{handler: func(call int, w http.ResponseWriter, r *http.Request) {
-		applied++
-		panic(http.ErrAbortHandler) // connection dies after the effect landed
-	}}
-	p := scriptedProvider(cloud, fastRetry)
-
-	err := p.retryDo(false, func(c *osclient.Client) error {
-		_, err := c.Do(http.MethodPost, "/volume/v3/p1/volumes", map[string]any{"volume": map[string]any{}}, nil, nil)
-		return err
-	})
-	if err == nil {
-		t.Fatal("a write with an ambiguous outcome must surface its error")
-	}
-	if applied != 1 {
-		t.Fatalf("write applied %d times, want exactly 1 (double-apply regression)", applied)
-	}
-}
-
-// TestWriteRetriedAfter401 is the counterpart: a 401 is issued by the auth
-// middleware before the body is acted on, so re-sending after re-auth is
-// provably safe even for a POST.
-func TestWriteRetriedAfter401(t *testing.T) {
-	applied := 0
-	cloud := &scriptedCloud{handler: func(call int, w http.ResponseWriter, r *http.Request) {
-		if call == 1 {
-			w.WriteHeader(http.StatusUnauthorized)
-			_, _ = w.Write([]byte(`{"error": {"message": "token expired"}}`))
-			return
-		}
-		applied++
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte(`{}`))
-	}}
-	p := scriptedProvider(cloud, fastRetry)
-
-	err := p.retryDo(false, func(c *osclient.Client) error {
-		_, err := c.Do(http.MethodPost, "/volume/v3/p1/volumes", map[string]any{"volume": map[string]any{}}, nil, nil)
-		return err
-	})
-	if err != nil {
-		t.Fatalf("401-then-success should recover: %v", err)
-	}
-	if applied != 1 {
-		t.Fatalf("write applied %d times, want exactly 1", applied)
-	}
-	auths, calls := cloud.counts()
-	if auths != 2 {
-		t.Fatalf("authenticated %d times, want 2 (initial + re-auth after 401)", auths)
-	}
-	if calls != 2 {
-		t.Fatalf("endpoint called %d times, want 2", calls)
-	}
 }
 
 // TestReadRetriesInfrastructureFailures: 5xx answers on an idempotent read
@@ -128,9 +65,9 @@ func TestReadRetriesInfrastructureFailures(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte(`{"ok": true}`))
 	}}
-	p := scriptedProvider(cloud, fastRetry)
+	p := scriptedProvider(cloud)
 
-	err := p.withRetry(func(c *osclient.Client) error {
+	err := p.read(func(c *osclient.Client) error {
 		_, err := c.Do(http.MethodGet, "/volume/v3/p1/volumes", nil, nil, nil)
 		return err
 	})
@@ -143,8 +80,8 @@ func TestReadRetriesInfrastructureFailures(t *testing.T) {
 }
 
 // TestPerAttemptDeadlineHonored: a hung first attempt is cut off by the
-// per-attempt deadline and the retry succeeds, well before the hang would
-// have resolved on its own.
+// client's per-attempt deadline and the retry succeeds, well before the
+// hang would have resolved on its own.
 func TestPerAttemptDeadlineHonored(t *testing.T) {
 	const hang = 2 * time.Second
 	cloud := &scriptedCloud{handler: func(call int, w http.ResponseWriter, r *http.Request) {
@@ -159,12 +96,13 @@ func TestPerAttemptDeadlineHonored(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte(`{"ok": true}`))
 	}}
-	pol := fastRetry
-	pol.PerAttemptTimeout = 50 * time.Millisecond
-	p := scriptedProvider(cloud, pol)
+	c := osclient.New("http://cloud.internal")
+	c.HTTPClient = httpkit.HandlerClient(cloud)
+	c.Timeout = 50 * time.Millisecond
+	p := NewProvider(c, ServiceAccount{User: "svc", Password: "pw", ProjectID: "p1"})
 
 	start := time.Now()
-	err := p.withRetry(func(c *osclient.Client) error {
+	err := p.read(func(c *osclient.Client) error {
 		_, err := c.Do(http.MethodGet, "/volume/v3/p1/volumes", nil, nil, nil)
 		return err
 	})
@@ -180,73 +118,15 @@ func TestPerAttemptDeadlineHonored(t *testing.T) {
 	}
 }
 
-// TestBreakerShedsAfterThreshold: consecutive infrastructure failures open
-// the circuit mid-loop; the next attempt is shed with ErrCircuitOpen
-// instead of hammering a dead cloud.
-func TestBreakerShedsAfterThreshold(t *testing.T) {
-	cloud := &scriptedCloud{handler: func(call int, w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = w.Write([]byte(`{"error": {"message": "down"}}`))
-	}}
-	pol := fastRetry
-	pol.MaxAttempts = 5
-	p := scriptedProvider(cloud, pol)
-	p.Breaker = osclient.NewBreaker(osclient.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour})
-
-	err := p.withRetry(func(c *osclient.Client) error {
-		_, err := c.Do(http.MethodGet, "/volume/v3/p1/volumes", nil, nil, nil)
-		return err
-	})
-	if !errors.Is(err, osclient.ErrCircuitOpen) {
-		t.Fatalf("err = %v, want ErrCircuitOpen", err)
-	}
-	if _, calls := cloud.counts(); calls != 2 {
-		t.Fatalf("endpoint called %d times, want 2 (breaker must shed the rest)", calls)
-	}
-	if p.Breaker.State() != osclient.StateOpen {
-		t.Fatalf("breaker state %s, want open", p.Breaker.State())
-	}
-}
-
-// TestRetryBudgetCapsTheLoop: the wall-clock budget returns the last error
-// rather than sleeping past it.
-func TestRetryBudgetCapsTheLoop(t *testing.T) {
-	cloud := &scriptedCloud{handler: func(call int, w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = w.Write([]byte(`{"error": {"message": "down"}}`))
-	}}
-	p := scriptedProvider(cloud, osclient.RetryPolicy{
-		MaxAttempts: 10,
-		BaseDelay:   200 * time.Millisecond,
-		Budget:      50 * time.Millisecond,
-	})
-
-	start := time.Now()
-	err := p.withRetry(func(c *osclient.Client) error {
-		_, err := c.Do(http.MethodGet, "/volume/v3/p1/volumes", nil, nil, nil)
-		return err
-	})
-	if !osclient.IsStatus(err, http.StatusServiceUnavailable) {
-		t.Fatalf("err = %v, want the last 503", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("budgeted loop ran %v", elapsed)
-	}
-	if _, calls := cloud.counts(); calls != 1 {
-		t.Fatalf("endpoint called %d times, want 1 (first backoff exceeds the budget)", calls)
-	}
-}
-
 // TestOversizedReadFailsLikeAnUndecodableRead: a listing over the 1 MiB
-// body bound fails the read as a body that does not decode does — retried
-// on every attempt and counted by the breaker — instead of being cut.
+// body bound fails the read as a body that does not decode does, retried
+// on every attempt, instead of being cut.
 func TestOversizedReadFailsLikeAnUndecodableRead(t *testing.T) {
 	big := `{"volumes":[]` + strings.Repeat(" ", httpkit.MaxBodyBytes) + `}`
 	cloud := &scriptedCloud{handler: func(call int, w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, big)
 	}}
-	p := scriptedProvider(cloud, fastRetry)
-	p.Breaker = osclient.NewBreaker(osclient.BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour})
+	p := scriptedProvider(cloud)
 	ctx := &monitor.RequestContext{Params: map[string]string{"project_id": "p1"}}
 	_, err := p.Snapshot(ctx, []string{"project.volumes"})
 	var tooLarge *httpkit.BodyTooLargeError
@@ -256,7 +136,74 @@ func TestOversizedReadFailsLikeAnUndecodableRead(t *testing.T) {
 	if _, calls := cloud.counts(); calls != 3 {
 		t.Errorf("oversized read sent %d times, want 3 (retried like an undecodable body)", calls)
 	}
-	if got := p.Breaker.State(); got != osclient.StateOpen {
-		t.Errorf("breaker %s after 3 oversized reads, want open", got)
+}
+
+// TestBackoffGrowsAndCaps: with the jitter at its midpoint the sleeps
+// between attempts run 10ms, 40ms, 160ms and then stay at the cap.
+func TestBackoffGrowsAndCaps(t *testing.T) {
+	mid := func() float64 { return 0.5 }
+	want := []time.Duration{
+		10 * time.Millisecond,  // after attempt 1
+		40 * time.Millisecond,  // after attempt 2
+		160 * time.Millisecond, // after attempt 3
+		500 * time.Millisecond, // 640ms capped
+		500 * time.Millisecond, // stays capped
+	}
+	for i, w := range want {
+		if got := backoff(i+1, mid); got != w {
+			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
+		}
+	}
+}
+
+// TestBackoffJitterStaysBounded: jitter spreads a sleep over ±50% of
+// itself and never past the cap.
+func TestBackoffJitterStaysBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		n      int
+		lo, hi time.Duration
+	}{
+		{1, 5 * time.Millisecond, 15 * time.Millisecond},
+		{5, 250 * time.Millisecond, 500 * time.Millisecond},
+	} {
+		first := backoff(tc.n, rng.Float64)
+		varied := false
+		for i := 0; i < 200; i++ {
+			d := backoff(tc.n, rng.Float64)
+			if d < tc.lo || d > tc.hi {
+				t.Fatalf("jittered backoff(%d) %v outside [%v, %v]", tc.n, d, tc.lo, tc.hi)
+			}
+			if d != first {
+				varied = true
+			}
+		}
+		if !varied {
+			t.Fatalf("jitter produced a constant backoff(%d)", tc.n)
+		}
+	}
+}
+
+func TestRetryableClassification(t *testing.T) {
+	status := func(code int) error { return &osclient.StatusError{Status: code, Message: "x"} }
+	cases := []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"401 is an expired token", status(401), true},
+		{"503", status(503), true},
+		{"wrapped 503", fmt.Errorf("resolve: %w", status(503)), true},
+		{"429", status(429), true},
+		{"500", status(500), true},
+		{"404 is an answer, not a failure", status(404), false},
+		{"403 is an answer", status(403), false},
+		{"transport error", errors.New("connection reset"), true},
+		{"oversized body", &httpkit.BodyTooLargeError{Limit: httpkit.MaxBodyBytes}, true},
+	}
+	for _, tc := range cases {
+		if got := retryable(tc.err); got != tc.want {
+			t.Errorf("%s: retryable = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -50,9 +50,9 @@ type Client struct {
 	// httpkit.DefaultCloudTimeout.
 	HTTPClient *http.Client
 	// Timeout, when positive, bounds each individual request with a
-	// context deadline — the per-attempt deadline retry loops rely on.
-	// It applies on top of (and usually under) the HTTP client's own
-	// overall timeout.
+	// context deadline — the state provider's per-attempt deadline. It
+	// applies on top of (and usually under) the HTTP client's own overall
+	// timeout.
 	Timeout time.Duration
 
 	// ep is BaseURL parsed once, by New; a client built as a literal

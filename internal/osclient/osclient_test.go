@@ -211,8 +211,8 @@ func listingOfSize(n int) string {
 
 // TestBodyLimit: a response of exactly httpkit.MaxBodyBytes decodes, and
 // one byte more fails as too large rather than being cut and failing to
-// decode. The failure is a read failure, not a StatusError, so retry
-// loops and breakers treat it as they treat an undecodable body.
+// decode. The failure is a read failure, not a StatusError, so the state
+// provider retries it as it retries an undecodable body.
 func TestBodyLimit(t *testing.T) {
 	var body string
 	c := New("http://cloud.internal")
@@ -238,8 +238,8 @@ func TestBodyLimit(t *testing.T) {
 		if !errors.As(err, &tooLarge) || !strings.Contains(err.Error(), "body exceeds 1 MiB") {
 			t.Errorf("%s of 1 MiB + 1 byte: %v, want a body-exceeds-1-MiB error", name, err)
 		}
-		if IsStatus(err, http.StatusOK) || !RetryableFor(err, true) || RetryableFor(err, false) || !Infrastructure(err) {
-			t.Errorf("%s: %v is not classified as an undecodable read", name, err)
+		if se := (*StatusError)(nil); errors.As(err, &se) {
+			t.Errorf("%s: %v is a StatusError, not a failed read", name, err)
 		}
 	}
 }
