@@ -16,10 +16,6 @@
 //	-example NAME   analyze a bundled model instead of an XMI file:
 //	                cinder, nova, or cinder-secreq-1.4
 //	-list-passes    print the registered passes and their codes, then exit
-//	-facts          additionally print the compile-time clause facts the
-//	                symbolic pass proved per contract (fold rewrites, static
-//	                disjuncts, subsumed disjuncts, vacuous post implications,
-//	                dead paths), after machine-checking each facts artifact
 //	-compiled       additionally print each contract's compiled artifact
 //	                (state-path slot table, program counts, iterator
 //	                registers) — what the monitor executes
@@ -63,7 +59,6 @@ func run(args []string, out io.Writer) (failed bool, err error) {
 	passes := fs.String("passes", "", "comma-separated pass names to run (default: all)")
 	example := fs.String("example", "", "analyze a bundled model: cinder, nova, cinder-secreq-1.4")
 	listPasses := fs.Bool("list-passes", false, "print the registered passes and exit")
-	facts := fs.Bool("facts", false, "print the compile-time clause facts per contract")
 	compiled := fs.Bool("compiled", false, "print each contract's compiled artifact summary")
 	if err := fs.Parse(args); err != nil {
 		return false, err
@@ -108,7 +103,7 @@ func run(args []string, out io.Writer) (failed bool, err error) {
 	}
 	failed = report.HasErrors()
 
-	if *facts || *compiled {
+	if *compiled {
 		set, err := contract.Generate(model)
 		if err != nil {
 			// The report above already explains why the model cannot
@@ -116,21 +111,7 @@ func run(args []string, out io.Writer) (failed bool, err error) {
 			fmt.Fprintf(out, "contracts not generated: %v\n", err)
 			return true, nil
 		}
-		if *facts {
-			// Machine-check every artifact before presenting it as proven.
-			for _, c := range set.Contracts {
-				if f := c.Plan().Facts; f != nil {
-					if err := f.Check(c); err != nil {
-						fmt.Fprintf(out, "facts: %s: CHECK FAILED: %v\n", c.Trigger, err)
-						failed = true
-					}
-				}
-			}
-			fmt.Fprint(out, contract.RenderFacts(set))
-		}
-		if *compiled {
-			fmt.Fprint(out, contract.RenderCompiled(set))
-		}
+		fmt.Fprint(out, contract.RenderCompiled(set))
 	}
 	return failed, nil
 }

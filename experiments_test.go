@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -455,12 +456,14 @@ func TestExperimentE19EvidencePack(t *testing.T) {
 // TestExperimentE20FleetScaling (E20): horizontal sharding pays off once
 // each monitor instance is bound by its per-process backend connection
 // budget and the cloud round-trip time. The same cinder-mixed workload
-// runs against fleets of N ∈ {1, 2, 4} instances behind the
-// consistent-hash front, every instance throttled to 2 backend
-// connections at 1 ms simulated RTT. Aggregate throughput must scale —
-// the gate is ≥ 2.5× at N=4 over N=1 — and the per-N results are logged
-// as one JSON document (`make fleetbench` prints them). The test writes
-// no file: a single run is one sample, not a tracked result.
+// runs against fleets of N instances behind the consistent-hash front,
+// every instance throttled to 2 backend connections at 1 ms simulated
+// RTT. N=1 and N=4 are measured in three rounds, the order alternating
+// from round to round, and the gate is on the median of the three
+// N=4/N=1 ratios: ≥ 2.5×. One sample of the ratio moves with the load
+// of a shared host, the median of three much less. The results are
+// logged as one JSON document (`make fleetbench` prints them); the test
+// writes no file.
 func TestExperimentE20FleetScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency-bound fleet experiment (a few seconds of simulated RTT)")
@@ -469,21 +472,18 @@ func TestExperimentE20FleetScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Requests, sc.Warmup, sc.Clients, sc.Prepopulate = 2000, 160, 128, 4
+	sc.Requests, sc.Warmup, sc.Clients, sc.Prepopulate = 800, 160, 128, 4
 
 	const (
 		tenants      = 128
 		connsPerInst = 2
 		rtt          = time.Millisecond
+		rounds       = 3
 	)
-	type result struct {
-		Instances     int     `json:"instances"`
-		Requests      int     `json:"requests"`
-		ThroughputRPS float64 `json:"throughput_rps"`
-		Speedup       float64 `json:"speedup_vs_n1"`
-	}
-	var results []result
-	for _, n := range []int{1, 2, 4} {
+	// measure deploys a fresh fleet of n instances, runs the workload
+	// through it and returns the aggregate throughput.
+	measure := func(n int) float64 {
+		t.Helper()
 		fdep, err := loadgen.Deploy(loadgen.Options{
 			Instances: n, TenantCount: tenants, RTT: rtt, Conns: connsPerInst,
 		})
@@ -498,32 +498,51 @@ func TestExperimentE20FleetScaling(t *testing.T) {
 		if rep.Errors != 0 {
 			t.Fatalf("E20 N=%d: %d request errors", n, rep.Errors)
 		}
-		results = append(results, result{Instances: n, Requests: rep.Requests, ThroughputRPS: rep.Throughput})
-		t.Logf("E20 | N=%d  conns/instance=%d  rtt=%s: %7.0f req/s",
-			n, connsPerInst, rtt, rep.Throughput)
+		return rep.Throughput
 	}
-	base := results[0].ThroughputRPS
-	for i := range results {
-		results[i].Speedup = results[i].ThroughputRPS / base
+	type round struct {
+		N1RPS float64 `json:"n1_rps"`
+		N4RPS float64 `json:"n4_rps"`
+		Ratio float64 `json:"ratio"`
 	}
-	speedup := results[len(results)-1].Speedup
-	t.Logf("E20 | aggregate speedup N=4 over N=1: %.2fx (gate >= 2.5x)", speedup)
-	if speedup < 2.5 {
-		t.Errorf("E20: N=4 speedup %.2fx < 2.5x over N=1", speedup)
+	var results []round
+	var ratios []float64
+	for r := 0; r < rounds; r++ {
+		var res round
+		if r%2 == 0 {
+			res.N1RPS = measure(1)
+			res.N4RPS = measure(4)
+		} else {
+			res.N4RPS = measure(4)
+			res.N1RPS = measure(1)
+		}
+		res.Ratio = res.N4RPS / res.N1RPS
+		results = append(results, res)
+		ratios = append(ratios, res.Ratio)
+		t.Logf("E20 | round %d: N=1 %7.0f req/s, N=4 %7.0f req/s, N=4/N=1 %.2fx",
+			r+1, res.N1RPS, res.N4RPS, res.Ratio)
+	}
+	sort.Float64s(ratios)
+	median := ratios[rounds/2]
+	t.Logf("E20 | median N=4/N=1 speedup over %d rounds: %.2fx (gate >= 2.5x)", rounds, median)
+	if median < 2.5 {
+		t.Errorf("E20: median N=4 speedup %.2fx < 2.5x over N=1 (rounds %.2f)", median, ratios)
 	}
 
 	out := struct {
-		Experiment       string   `json:"experiment"`
-		Scenario         string   `json:"scenario"`
-		RTTMillis        float64  `json:"rtt_ms"`
-		ConnsPerInstance int      `json:"conns_per_instance"`
-		Clients          int      `json:"clients"`
-		Tenants          int      `json:"tenants"`
-		Results          []result `json:"results"`
+		Experiment       string  `json:"experiment"`
+		Scenario         string  `json:"scenario"`
+		Requests         int     `json:"requests_per_run"`
+		RTTMillis        float64 `json:"rtt_ms"`
+		ConnsPerInstance int     `json:"conns_per_instance"`
+		Clients          int     `json:"clients"`
+		Tenants          int     `json:"tenants"`
+		Rounds           []round `json:"rounds"`
+		MedianRatio      float64 `json:"median_ratio"`
 	}{
-		Experiment: "E20", Scenario: sc.Name,
+		Experiment: "E20", Scenario: sc.Name, Requests: sc.Requests,
 		RTTMillis: float64(rtt) / float64(time.Millisecond), ConnsPerInstance: connsPerInst,
-		Clients: sc.Clients, Tenants: tenants, Results: results,
+		Clients: sc.Clients, Tenants: tenants, Rounds: results, MedianRatio: median,
 	}
 	data, err := json.Marshal(out)
 	if err != nil {

@@ -19,10 +19,6 @@
 //	MV5xx  monitorability     postconditions the proxy cannot observe
 //	MV6xx  frames             dead effects, disjuncts blind to their
 //	                          trigger's guard vocabulary
-//	MV7xx  symbolic           compile-time clause facts: statically
-//	                          decided disjuncts, subsumed disjuncts,
-//	                          never-demanded state paths, facts-artifact
-//	                          machine-check failures
 //
 // Diagnostics are deterministically ordered and exact duplicates removed,
 // so the analyzer's output is byte-for-byte reproducible — a requirement
@@ -154,7 +150,6 @@ func Passes() []Pass {
 		secreqPass(),
 		monitorabilityPass(),
 		framesPass(),
-		symbolicPass(),
 	}
 }
 

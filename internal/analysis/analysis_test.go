@@ -450,3 +450,26 @@ func TestPassRegistryCodesAreUniqueAndDocumented(t *testing.T) {
 		t.Fatalf("registry documents %d codes, want >= 8", len(seen))
 	}
 }
+
+// TestDiagnosticsDeduped: two identical transitions whose guard reads an
+// unknown path yield byte-identical MV002 diagnostics, one per copy; the
+// report keeps one.
+func TestDiagnosticsDeduped(t *testing.T) {
+	m := minimalModel()
+	m.Behavioral.Transitions[1].Guard = "things->size() = 1 and thing.bogus = 1"
+	dup := *m.Behavioral.Transitions[1]
+	m.Behavioral.Transitions = append(m.Behavioral.Transitions, &dup)
+	r := analyze(m)
+	ds := r.ByCode("MV002")
+	seen := make(map[string]bool)
+	for _, d := range ds {
+		key := d.Loc.String() + "|" + d.Message
+		if seen[key] {
+			t.Fatalf("duplicate diagnostic survived dedupe: %s: %s", d.Loc, d.Message)
+		}
+		seen[key] = true
+	}
+	if len(ds) != 1 {
+		t.Fatalf("MV002 count = %d, want 1 on the duplicated guard:\n%s", len(ds), r.Render())
+	}
+}

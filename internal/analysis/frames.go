@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"cloudmon/internal/analysis/symbolic"
 	"cloudmon/internal/ocl"
 	"cloudmon/internal/uml"
 )
@@ -115,14 +114,11 @@ func runFrames(ctx *Context) []Diagnostic {
 				}
 			}
 			if !shares {
-				// A written guard that constant-folds to true is an
-				// explicit tautology — the modeler said "always fires" on
-				// purpose. Only a missing guard is a forgotten one.
-				if g := guardExprs[t]; g != nil && strings.TrimSpace(t.Guard) != "" {
-					if l, ok := symbolic.Fold(g).(*ocl.Lit); ok &&
-						l.Value.Kind == ocl.KindBool && l.Value.Bool {
-						continue
-					}
+				// A written guard that reads no state and evaluates to
+				// true is an explicit tautology — the modeler said "always
+				// fires" on purpose. Only a missing guard is a forgotten one.
+				if g := guardExprs[t]; g != nil && strings.TrimSpace(t.Guard) != "" && closedTrue(g) {
+					continue
 				}
 				ds = append(ds, Diagnostic{
 					Code:     "MV601",
@@ -137,4 +133,14 @@ func runFrames(ctx *Context) []Diagnostic {
 		}
 	}
 	return ds
+}
+
+// closedTrue reports whether a guard reads no state, current or pre(),
+// and evaluates to true: its value is the same in every state.
+func closedTrue(g ocl.Expr) bool {
+	if cur, pre := ocl.ContextPaths(g); len(cur) != 0 || len(pre) != 0 {
+		return false
+	}
+	v, err := ocl.Eval(g, ocl.Context{})
+	return err == nil && v.Kind == ocl.KindBool && v.Bool
 }

@@ -69,3 +69,36 @@ func TestFramesQuietOnShippedModels(t *testing.T) {
 		}
 	}
 }
+
+// TestMV601QuietOnTautologyGuard: a written guard that reads no state and
+// evaluates to true is a deliberate "always fires", not a forgotten guard
+// — MV601 must not flag it even though it reads none of the trigger's
+// vocabulary. A closed guard that is false still gets MV601.
+func TestMV601QuietOnTautologyGuard(t *testing.T) {
+	for _, c := range []struct {
+		guard string
+		want  int
+	}{{"1 = 1", 0}, {"1 = 2", 1}} {
+		m := minimalModel()
+		m.Behavioral.States = append(m.Behavioral.States,
+			&uml.State{Name: "drained", Invariant: "thing.count = 0"})
+		m.Behavioral.Transitions = append(m.Behavioral.Transitions, &uml.Transition{
+			From: "drained", To: "empty",
+			Trigger: uml.Trigger{Method: uml.DELETE, Resource: "thing"},
+			Guard:   c.guard,
+			Effect:  "things->size() = pre(things->size())",
+			SecReqs: []string{"1.2"},
+		})
+		m.Behavioral.Transitions = append(m.Behavioral.Transitions, &uml.Transition{
+			From: "busy", To: "drained",
+			Trigger: uml.Trigger{Method: uml.PUT, Resource: "thing"},
+			Guard:   "thing.count = 0",
+			Effect:  "things->size() = pre(things->size())",
+			SecReqs: []string{"1.2"},
+		})
+		r := analyze(m)
+		if got := len(r.ByCode("MV601")); got != c.want {
+			t.Fatalf("guard %q: MV601 fired %d times, want %d:\n%s", c.guard, got, c.want, r.Render())
+		}
+	}
+}

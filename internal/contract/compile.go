@@ -1,10 +1,8 @@
 // The contract compiler: each Plan clause's OCL AST is translated once,
 // at plan-compile time, into a chain of Go closures over the Frame's
 // flat slot model (frame.go). State paths resolve to slot indexes fixed
-// at compile time, iterator variables to registers indexed by lexical
-// depth, and constant subtrees arrive pre-folded — the programs compile
-// the symbolic pass's Folded clause forms (facts.go), which are value-
-// and error-equivalent to the originals.
+// at compile time and iterator variables to registers indexed by lexical
+// depth. Each clause compiles as it stands in the contract.
 //
 // Soundness is not argued node-by-node here: every coercion rule is a
 // call into the ocl evaluation kernel (ocl/kernel.go), the same
@@ -91,26 +89,21 @@ func (cp *Compiled) Release(fr *Frame) {
 	cp.pool.Put(fr)
 }
 
-// compileContract builds the contract's compiled evaluator set from the
-// plan's folded clause forms — a statically decided disjunct compiles to
-// a constant program, which reads no path — then gives every path the
-// plan names a slot too: the pre clauses' paths (what waves read), the
-// post clauses' pre-state paths (what the top-up reads) and effect
-// frames, so the frame holds whatever the monitor fetches even where a
-// program does not read it (a hand-built contract's effect need not be
-// part of its post-condition).
+// compileContract builds the contract's compiled evaluator set: one
+// program per case's pre-condition disjunct and post-condition
+// consequent. It then gives every path the plan names a slot too: the
+// pre clauses' paths (what waves read), the post clauses' pre-state
+// paths (what the top-up reads) and effect frames, so the frame holds
+// whatever the monitor fetches even where a program does not read it (a
+// hand-built contract's effect need not be part of its post-condition).
 func compileContract(c *Contract, p *Plan) *Compiled {
 	co := newCompiler("")
 	cp := co.cp
 	cp.pre = make([]*Program, len(c.Cases))
 	cp.post = make([]*Program, len(c.Cases))
-	for i := range c.Cases {
-		pre := p.Facts.Pre[i].Folded
-		if s := p.Facts.Pre[i].Static; s != nil {
-			pre = &ocl.Lit{Value: *s}
-		}
-		cp.pre[i] = co.program(pre)
-		cp.post[i] = co.program(p.Facts.Post[i].Folded)
+	for i, cs := range c.Cases {
+		cp.pre[i] = co.program(cs.Pre)
+		cp.post[i] = co.program(cs.Post)
 	}
 	for _, pc := range p.Pre {
 		co.ensurePaths(pc.Paths)

@@ -6,9 +6,9 @@ import (
 )
 
 // RenderCompiled summarizes each contract's compiled artifact — the slot
-// table, program counts and register bank — the way RenderFacts presents
-// the symbolic pass's output. modelvet -compiled prints this so a model
-// author can see what the monitor will actually execute per request.
+// table, program counts and register bank. modelvet -compiled prints this
+// so a model author can see what the monitor will actually execute per
+// request.
 func RenderCompiled(set *Set) string {
 	var b strings.Builder
 	for _, c := range set.Contracts {

@@ -68,13 +68,9 @@ type Plan struct {
 	// PrePaths is the union of all pre-clause paths in plan order — equal
 	// as a set to the paths a whole pre-condition snapshot fetches.
 	PrePaths []string
-	// Facts is the statically proven clause knowledge (see facts.go):
-	// modelvet's diagnostics, and the folded forms Compiled is built from.
-	Facts *Facts
 	// Compiled is the closure-chain evaluator set (see compile.go):
-	// every clause translated once into slot-model programs, compiled
-	// from the facts' folded forms (a static disjunct to its constant),
-	// with a slot for every path above.
+	// every clause translated once into a slot-model program, with a
+	// slot for every path above.
 	Compiled *Compiled
 }
 
@@ -132,7 +128,6 @@ func compilePlan(c *Contract) *Plan {
 			Cost:     ocl.StaticCost(cs.Post),
 		})
 	}
-	p.Facts = computeFacts(c, p)
 	p.Compiled = compileContract(c, p)
 	return p
 }

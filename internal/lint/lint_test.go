@@ -4,7 +4,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -298,6 +301,192 @@ func TestHotFuncsNameRealFunctions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunPatternsNameRealTests reads every go test command in CI's
+// workflow and the Makefile, splits its -run pattern into its |
+// alternatives and fails on an alternative that matches no Test or Fuzz
+// function in the packages the command names: go test passes when a
+// pattern matches nothing, so a renamed or deleted test would drop out of
+// its step silently. A command that also passes -bench or -fuzz is
+// skipped, since its -run is meant to match nothing.
+func TestRunPatternsNameRealTests(t *testing.T) {
+	root := repoRoot(t)
+	commands := 0
+	for _, file := range []string{".github/workflows/ci.yml", "Makefile"} {
+		data, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, words := range goTestCommands(string(data)) {
+			run, pkgs, skip := goTestArgs(words)
+			if skip || run == "" {
+				continue
+			}
+			commands++
+			var names []string
+			for _, pkg := range pkgs {
+				for _, dir := range packageDirs(t, root, pkg) {
+					names = append(names, testFuncs(t, dir)...)
+				}
+			}
+			for _, alt := range strings.Split(run, "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: -run alternative %q: %v", file, alt, err)
+					continue
+				}
+				matched := false
+				for _, name := range names {
+					if re.MatchString(name) {
+						matched = true
+						break
+					}
+				}
+				if !matched {
+					t.Errorf("%s: -run alternative %q matches no test in %s", file, alt, strings.Join(pkgs, " "))
+				}
+			}
+		}
+	}
+	if commands == 0 {
+		t.Fatal("found no go test -run command in ci.yml or the Makefile")
+	}
+}
+
+// goTestCommands returns the words of every go test command in a
+// workflow or Makefile, with backslash-continued lines joined.
+func goTestCommands(text string) [][]string {
+	var cmds [][]string
+	for _, line := range strings.Split(strings.ReplaceAll(text, "\\\n", " "), "\n") {
+		for rest := line; ; {
+			i := strings.Index(rest, "go test ")
+			if i < 0 {
+				break
+			}
+			rest = rest[i+len("go test "):]
+			cmds = append(cmds, append([]string{"go", "test"}, shellWords(rest)...))
+		}
+	}
+	return cmds
+}
+
+// shellWords splits one simple shell command into words: blanks separate
+// words, quotes group, and an unquoted |, ; or & ends the command.
+func shellWords(s string) []string {
+	var words []string
+	var cur strings.Builder
+	inWord := false
+	var quote byte
+scan:
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			} else {
+				cur.WriteByte(c)
+			}
+		case c == '\'' || c == '"':
+			quote, inWord = c, true
+		case c == ' ' || c == '\t':
+			if inWord {
+				words = append(words, cur.String())
+				cur.Reset()
+				inWord = false
+			}
+		case c == '|' || c == ';' || c == '&':
+			break scan
+		default:
+			cur.WriteByte(c)
+			inWord = true
+		}
+	}
+	if inWord {
+		words = append(words, cur.String())
+	}
+	return words
+}
+
+// goTestArgs picks the -run pattern and the package patterns out of a go
+// test command's words, and reports whether it passes -bench or -fuzz.
+// With no package pattern the command tests the current directory.
+func goTestArgs(words []string) (run string, pkgs []string, skip bool) {
+	for i := 2; i < len(words); i++ {
+		w := words[i]
+		switch {
+		case w == "-run" && i+1 < len(words):
+			i++
+			run = words[i]
+		case strings.HasPrefix(w, "-run="):
+			run = strings.TrimPrefix(w, "-run=")
+		case w == "-bench" || w == "-fuzz" || strings.HasPrefix(w, "-bench=") || strings.HasPrefix(w, "-fuzz="):
+			skip = true
+		case w == "." || strings.HasPrefix(w, "./"):
+			pkgs = append(pkgs, w)
+		}
+	}
+	if len(pkgs) == 0 {
+		pkgs = []string{"."}
+	}
+	return run, pkgs, skip
+}
+
+// packageDirs expands a package pattern relative to the repository root:
+// a directory, or with /... every directory below it that belongs to the
+// root module.
+func packageDirs(t *testing.T, root, pkg string) []string {
+	t.Helper()
+	base, recursive := strings.CutSuffix(strings.TrimSuffix(pkg, "/"), "/...")
+	dir := filepath.Join(root, base)
+	if !recursive {
+		return []string{dir}
+	}
+	var dirs []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
+			return filepath.SkipDir // a nested module: go test ./... skips it
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// testFuncs lists the Test and Fuzz functions of a directory's test files.
+func testFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && fn.Recv == nil && fn.Name.Name != "TestMain" &&
+				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	return names
 }
 
 // TestRepoIsClean lints the actual repository: the monitor hot path and

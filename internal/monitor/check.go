@@ -398,8 +398,6 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 	// Pre phase: evaluate every disjunct, cheapest-planned first. The
 	// tri-state value is kept per case: the post-check derives each
 	// implication's antecedent from it without re-reading the pre-state.
-	// A statically decided disjunct's program is its constant, so it
-	// reads nothing.
 	preStart := time.Now()
 	anteVals := make([]ocl.Value, len(c.Cases))
 	fr := f.fr

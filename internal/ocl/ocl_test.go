@@ -260,6 +260,52 @@ func TestEvalUndefinedSemantics(t *testing.T) {
 	}
 }
 
+// TestUndefinedPropagationTable pins the evaluator's three-valued
+// (Kleene) logic over {true, false, OclUndefined}: every operand pair of
+// and, or, implies and xor, and not of each value. Each expected value is
+// written out, so a change to any cell fails here.
+func TestUndefinedPropagationTable(t *testing.T) {
+	vals := map[byte]Value{'T': BoolVal(true), 'F': BoolVal(false), 'U': Undefined()}
+	// Each row lists the results for (l, r) in the order TT TF TU FT FF
+	// FU UT UF UU.
+	table := []struct {
+		op   BinOp
+		want string
+	}{
+		{OpAnd, "TFUFFFUFU"},
+		{OpOr, "TTTTFUTUU"},
+		{OpImplies, "TFUTTTTUU"},
+		{OpXor, "FTUTFUUUU"},
+	}
+	operands := "TFU"
+	for _, row := range table {
+		k := 0
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 3; j++ {
+				e := &Binary{Op: row.op, L: &Lit{Value: vals[operands[i]]}, R: &Lit{Value: vals[operands[j]]}}
+				got, err := Eval(e, Context{})
+				if err != nil {
+					t.Fatalf("%s: %v", e, err)
+				}
+				if want := vals[row.want[k]]; !got.Equal(want) {
+					t.Errorf("%s = %v, want %v", e, got, want)
+				}
+				k++
+			}
+		}
+	}
+	for i, want := range "FTU" {
+		e := &Unary{Op: OpNot, Expr: &Lit{Value: vals[operands[i]]}}
+		got, err := Eval(e, Context{})
+		if err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		if !got.Equal(vals[byte(want)]) {
+			t.Errorf("%s = %v, want %v", e, got, vals[byte(want)])
+		}
+	}
+}
+
 func TestEvalBoolTreatsUndefinedAsFalse(t *testing.T) {
 	e := MustParse("missing = 1")
 	ok, err := EvalBool(e, Context{Cur: MapEnv{}})
