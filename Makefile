@@ -43,25 +43,22 @@ benchsmoke:
 	bash bench/run.sh --workload all --seed 1 --seconds 6 --trace 1
 
 # E15: the demand-driven evaluation engine's per-op cloud-GET economy,
-# serial and under 1 ms of simulated latency with concurrent clients
-# coalescing their reads (see EXPERIMENTS.md; the whole-snapshot figures
-# it is measured against are the test oracle's).
+# serial and under 1 ms of simulated latency with concurrent clients,
+# each reading its own state (see EXPERIMENTS.md; the whole-snapshot
+# figures it is measured against are the test oracle's).
 planbench:
 	go test -run XXX -bench BenchmarkEvalPlan -benchmem .
 
 # E17: the compiled closure-chain clauses vs the single-pass tree walk
-# on the in-process OK path (see EXPERIMENTS.md). Results land in
-# BENCH_compiled.json for cross-commit tracking.
+# on the in-process OK path (see EXPERIMENTS.md).
 compbench:
-	go test -run XXX -bench BenchmarkCompiledEval -benchmem . \
-		| go run ./cmd/benchjson -out BENCH_compiled.json
+	go test -run XXX -bench BenchmarkCompiledEval -benchmem .
 
 # E18: synchronous vs deferred (async) post-verification on a mutating
 # create/delete workload at 1 ms simulated RTT, with p99 detection lag
-# (see EXPERIMENTS.md). Results land in BENCH_async.json.
+# (see EXPERIMENTS.md).
 asyncbench:
-	go test -run XXX -bench BenchmarkAsyncPost -benchtime 25x . \
-		| go run ./cmd/benchjson -out BENCH_async.json
+	go test -run XXX -bench BenchmarkAsyncPost -benchtime 25x .
 
 # E20: aggregate throughput of the sharded fleet at N=1 and N=4
 # instances behind the consistent-hash front, each instance throttled to

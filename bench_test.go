@@ -7,7 +7,7 @@
 //	E13 BenchmarkMonitorThroughput  concurrent hot path in process, and
 //	    under simulated network latency
 //	E15 BenchmarkEvalPlan           demand-driven evaluation with per-op
-//	    cloud-GET economy and flight coalescing under simulated latency
+//	    cloud-GET economy, serial and concurrent, under simulated latency
 //	E17 BenchmarkCompiledEval       closure-chain compiled clauses vs the
 //	    tree-walking reference on the in-process OK path
 //
@@ -338,15 +338,15 @@ func BenchmarkEvalPlan(b *testing.B) {
 		b.StopTimer()
 		reportGets(b, d, before)
 	})
-	// Concurrent GETs against a slow backend: identical in-flight path
-	// fetches coalesce onto one leader, so the per-op GET count drops
-	// below the serial figure as parallelism rises.
+	// Concurrent GETs against a slow backend: every request reads its own
+	// pre-state, so the per-op GET count stays at the serial figure as
+	// parallelism rises.
 	b.Run("netsim-1ms/GET/parallel", func(b *testing.B) {
 		d := newThroughputDeployment(b, time.Millisecond, nil)
 		path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
 		// The workload is latency-bound, not CPU-bound: pin 8 client
-		// goroutines per proc so in-flight fetches overlap (and so
-		// coalesce) even on a single-core runner.
+		// goroutines per proc so in-flight fetches overlap even on a
+		// single-core runner.
 		b.SetParallelism(8)
 		before := d.sys.Provider.Stats().Gets
 		b.ResetTimer()
@@ -359,8 +359,6 @@ func BenchmarkEvalPlan(b *testing.B) {
 		})
 		b.StopTimer()
 		reportGets(b, d, before)
-		fs := d.sys.Monitor.FetchStats()
-		b.ReportMetric(float64(fs.Coalesced)/float64(b.N), "coalesced/op")
 	})
 }
 

@@ -447,7 +447,7 @@ func verifyRun(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scenari
 	if !sum.OK() {
 		return fmt.Errorf("verify: merged trail replay diverged on %d of %d verdicts", sum.Diverged, sum.Total)
 	}
-	if err := verifyFetch(sc, r, dep); err != nil {
+	if err := verifyFetch(r, dep, opts.Faults != nil); err != nil {
 		return err
 	}
 	if err := verifyAsync(dep, opts, sc, r, tally, out); err != nil {
@@ -643,9 +643,10 @@ func verifyAsync(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scena
 // verifyFetch asserts the run's fetch-economy invariants: the monitors
 // never read more of the cloud than the paper's whole-snapshot workflow
 // would (the whole-snapshot bound: two full snapshots per checked
-// request), and a serial closed loop coalesces nothing — with one client
-// there is never a concurrent identical read in flight to share.
-func verifyFetch(sc loadgen.Scenario, r *loadgen.Report, dep *loadgen.Deployment) error {
+// request), and on a run without injected faults every path a monitor
+// fetched is one cloud GET, at any client count — no request shares a
+// read with another.
+func verifyFetch(r *loadgen.Report, dep *loadgen.Deployment, faulted bool) error {
 	if r.Fetch == nil || r.Fetch.Requests == 0 {
 		return nil
 	}
@@ -660,9 +661,9 @@ func verifyFetch(sc loadgen.Scenario, r *loadgen.Report, dep *loadgen.Deployment
 		return fmt.Errorf("verify: %d cloud GETs for %d checked requests exceeds the whole-snapshot bound %d (2 snapshots × %d paths each)",
 			r.Fetch.CloudGets, r.Fetch.Requests, bound, perRequest/2)
 	}
-	if sc.Clients == 1 && sc.Rate == 0 && r.Fetch.Coalesced != 0 {
-		return fmt.Errorf("verify: serial closed loop coalesced %d fetches (nothing can be in flight to share)",
-			r.Fetch.Coalesced)
+	if !faulted && r.Fetch.PathsFetched != r.Fetch.CloudGets {
+		return fmt.Errorf("verify: %d paths fetched but %d cloud GETs (each path fetch must be one GET of its own)",
+			r.Fetch.PathsFetched, r.Fetch.CloudGets)
 	}
 	return nil
 }

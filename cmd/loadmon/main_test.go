@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cloudmon/internal/evidence"
+	"cloudmon/internal/loadgen"
 	"cloudmon/internal/obs"
 )
 
@@ -168,5 +169,29 @@ func TestEmptyTrailsAndPacks(t *testing.T) {
 		} else if _, err := os.Stat(filepath.Join(pack, c.manifest, evidence.ManifestName)); err != nil {
 			t.Errorf("run(%v): no pack where expected: %v\n%s", args, err, out.String())
 		}
+	}
+}
+
+// TestVerifyFetchExact: without injected faults every path fetch must be
+// one cloud GET, so -verify fails a run whose counts differ; a faulted
+// run, whose failed reads may be counted either way, is held only to the
+// whole-snapshot bound.
+func TestVerifyFetchExact(t *testing.T) {
+	dep, err := loadgen.Deploy(loadgen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	report := func(paths, gets int) *loadgen.Report {
+		return &loadgen.Report{Fetch: &loadgen.FetchEconomy{Requests: 2, PathsFetched: paths, CloudGets: gets}}
+	}
+	if err := verifyFetch(report(10, 10), dep, false); err != nil {
+		t.Errorf("equal counts: %v", err)
+	}
+	if err := verifyFetch(report(10, 9), dep, false); err == nil || !strings.Contains(err.Error(), "10 paths fetched but 9 cloud GETs") {
+		t.Errorf("unequal counts without faults: err %v, want a paths-vs-GETs failure", err)
+	}
+	if err := verifyFetch(report(10, 9), dep, true); err != nil {
+		t.Errorf("unequal counts under faults: %v", err)
 	}
 }

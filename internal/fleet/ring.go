@@ -1,9 +1,9 @@
 // Package fleet shards the cloud monitor horizontally: a thin front tier
 // routes each request to one of N monitor instances by rendezvous hashing
 // on the project key, so every instance owns a disjoint slice of projects
-// and its per-project machinery — the flight-coalescing groups, the
-// async-post queues — stays shared-nothing. The package also carries the
-// /metrics federation the front serves over per-instance scrapes.
+// and its per-project machinery — the async-post queues and the write
+// fence — stays shared-nothing. The package also carries the /metrics
+// federation the front serves over per-instance scrapes.
 package fleet
 
 import (

@@ -216,17 +216,17 @@ var _ http.Handler = (*Router)(nil)
 func (rt *Router) Handle(method, pattern string, handler HandlerFunc) {
 	rt.routes = append(rt.routes, route{
 		method:   method,
-		segments: splitPath(pattern),
+		segments: SplitPath(pattern),
 		handler:  handler,
 	})
 }
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	segs := splitPath(r.URL.Path)
+	segs := SplitPath(r.URL.Path)
 	methodSeen := false
 	for _, rte := range rt.routes {
-		params, ok := matchSegments(rte.segments, segs)
+		params, ok := MatchSegments(rte.segments, segs)
 		if !ok {
 			continue
 		}
@@ -251,8 +251,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	WriteError(w, NotFound("no route for %s %s", r.Method, r.URL.Path))
 }
 
-// splitPath splits a URL path into non-empty segments.
-func splitPath(p string) []string {
+// SplitPath splits a URL path into non-empty segments.
+func SplitPath(p string) []string {
 	parts := strings.Split(strings.Trim(p, "/"), "/")
 	if len(parts) == 1 && parts[0] == "" {
 		return nil
@@ -260,9 +260,9 @@ func splitPath(p string) []string {
 	return parts
 }
 
-// matchSegments matches concrete path segments against a pattern, returning
-// captured `{name}` parameters.
-func matchSegments(pattern, segs []string) (map[string]string, bool) {
+// MatchSegments matches concrete path segments against a pattern, returning
+// captured `{name}` parameters (nil when the pattern captures nothing).
+func MatchSegments(pattern, segs []string) (map[string]string, bool) {
 	if len(pattern) != len(segs) {
 		return nil, false
 	}

@@ -98,8 +98,8 @@ type Deployment struct {
 // Deploy builds the paper's example deployment in process: the simulated
 // cloud seeded with Table I's role groups and one user per role, one
 // client token per role and tenant, and the monitor instances over it —
-// each with its own transport chain to the cloud, flight groups,
-// async-post queue, metric registry and audit trail.
+// each with its own transport chain to the cloud, async-post queue,
+// metric registry and audit trail.
 func Deploy(opts Options) (*Deployment, error) {
 	if opts.Instances < 0 {
 		return nil, fmt.Errorf("loadgen: deploy: negative instance count %d", opts.Instances)
@@ -301,7 +301,6 @@ func (d *Deployment) FetchEconomy() FetchEconomy {
 		fs := in.Sys.Monitor.FetchStats()
 		fe.Requests += int(fs.Requests)
 		fe.PathsFetched += int(fs.PathsFetched)
-		fe.Coalesced += int(fs.Coalesced)
 		fe.Waves += int(fs.Waves)
 		fe.CloudGets += int(in.Sys.Provider.Stats().Gets)
 	}

@@ -153,7 +153,7 @@ type Target struct {
 	// audit tallies can be cross-checked against the verdict tallies.
 	Audit func() map[string]int
 	// Fetch, if set, supplies the cumulative fetch-economy counters
-	// (monitor path fetches, coalesced flights, provider cloud GETs); Run
+	// (monitor path fetches, waves, provider cloud GETs); Run
 	// diffs it around the run — warmup requests included, prepopulation
 	// excluded (it runs before the capture).
 	Fetch func() FetchEconomy
@@ -169,15 +169,13 @@ type Target struct {
 }
 
 // FetchEconomy is the cloud-read cost of a run: how many state paths the
-// monitor fetched, how many of those fetches were coalesced onto another
-// request's in-flight read, and how many REST GETs actually hit the cloud.
+// monitor fetched, in how many waves, and how many REST GETs actually hit
+// the cloud.
 type FetchEconomy struct {
 	// Requests counts verdicts with fetch accounting.
 	Requests int `json:"requests"`
 	// PathsFetched is the total provider path reads across them.
 	PathsFetched int `json:"paths_fetched"`
-	// Coalesced counts fetches served by another request's in-flight read.
-	Coalesced int `json:"coalesced"`
 	// Waves counts pre-state Snapshot calls that carried several of a
 	// clause's paths (monitor.FetchStats.Waves).
 	Waves int `json:"waves"`
@@ -189,7 +187,6 @@ func (f FetchEconomy) sub(before FetchEconomy) FetchEconomy {
 	return FetchEconomy{
 		Requests:     f.Requests - before.Requests,
 		PathsFetched: f.PathsFetched - before.PathsFetched,
-		Coalesced:    f.Coalesced - before.Coalesced,
 		Waves:        f.Waves - before.Waves,
 		CloudGets:    f.CloudGets - before.CloudGets,
 	}

@@ -347,8 +347,8 @@ func TestFetchEconomyWaves(t *testing.T) {
 // TestFetchEconomySerial runs a serial workload and checks the report's
 // fetch-economy section against the whole-snapshot arithmetic: the monitor
 // reads strictly less of the cloud than reading every contract path before
-// each forward and again after each checked effect would, a serial loop
-// coalesces nothing, and in process every path fetch is one cloud GET.
+// each forward and again after each checked effect would, and in process
+// every path fetch is one cloud GET.
 func TestFetchEconomySerial(t *testing.T) {
 	sink := &verdictSink{}
 	dep, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce, OnVerdict: sink.add}})
@@ -389,9 +389,6 @@ func TestFetchEconomySerial(t *testing.T) {
 	if fetched >= whole {
 		t.Errorf("the monitor fetched %d paths, the whole-snapshot workflow %d — demand must read strictly less",
 			fetched, whole)
-	}
-	if report.Fetch.Coalesced != 0 {
-		t.Errorf("serial run coalesced %d fetches", report.Fetch.Coalesced)
 	}
 	if report.Fetch.PathsFetched != report.Fetch.CloudGets {
 		t.Errorf("%d paths fetched but %d cloud GETs", report.Fetch.PathsFetched, report.Fetch.CloudGets)

@@ -210,10 +210,10 @@ func (r *Report) Text() string {
 		sb.WriteByte('\n')
 	}
 	if f := r.Fetch; f != nil && f.Requests > 0 {
-		fmt.Fprintf(&sb, "  fetch economy: %d cloud GETs (%.2f/req), %d paths fetched (%.2f/req), %d coalesced, %d waves\n",
+		fmt.Fprintf(&sb, "  fetch economy: %d cloud GETs (%.2f/req), %d paths fetched (%.2f/req), %d waves\n",
 			f.CloudGets, float64(f.CloudGets)/float64(f.Requests),
 			f.PathsFetched, float64(f.PathsFetched)/float64(f.Requests),
-			f.Coalesced, f.Waves)
+			f.Waves)
 	}
 	if ap := r.AsyncPost; ap != nil {
 		fmt.Fprintf(&sb, "  async post: %d enqueued, %d shed, %d late violations; lag µs: p50 %.0f  p95 %.0f  p99 %.0f\n",

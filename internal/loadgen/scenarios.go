@@ -31,7 +31,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:        "cinder-read-heavy",
-			Description: "GET-dominated traffic, where concurrent identical reads coalesce",
+			Description: "GET-dominated traffic — each GET reads its own pre- and post-state",
 			Mix: []OpSpec{
 				{Op: OpGetVolume, Role: RoleAdmin, Weight: 30},
 				{Op: OpGetVolume, Role: RoleMember, Weight: 30},

@@ -190,8 +190,7 @@ func checkVerdictInvariants(t *testing.T, log []monitor.Verdict, mode monitor.Mo
 
 // runSoak deploys in process, hammers the monitor with ≥32 concurrent
 // clients, and checks every recorded verdict. Run under -race this is the
-// concurrency proof for the verdict hook, the snapshot fan-out and the
-// flights.
+// concurrency proof for the verdict hook and the snapshot fan-out.
 func runSoak(t *testing.T, opts Options, mode monitor.Mode) *Deployment {
 	t.Helper()
 	clients, requests := 32, 4000

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"cloudmon/internal/contract"
@@ -21,95 +19,18 @@ type fetchError struct{ err error }
 func (e *fetchError) Error() string { return e.err.Error() }
 func (e *fetchError) Unwrap() error { return e.err }
 
-// flightGroup coalesces identical concurrent cloud GETs: the first caller
-// for a key becomes the flight leader and performs the fetch; callers
-// arriving while the flight is open wait for the leader's result. A flight
-// is keyed by (path, token, params), so only requests that would read the
-// same cloud state share one. Post-state fetches never join a flight: a
-// request must observe its own forwarded effect, not a read that started
-// before it.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[flightKey]*flight
-}
-
-// flightKey identifies a read: the state path, the requester's token
-// (which partitions requester-dependent paths such as user.id.groups) and
-// the request's captures as paramsCacheKey flattens them (which partition
-// resource-dependent ones). Distinct triples are distinct keys.
-type flightKey struct {
-	path, token, params string
-}
-
-type flight struct {
-	done    chan struct{}
-	val     ocl.Value
-	present bool
-	err     error
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[flightKey]*flight)}
-}
-
-// join returns key's open flight, opening it when there is none; lead
-// reports that the caller opened it and must complete it with land.
-func (g *flightGroup) join(key flightKey) (fl *flight, lead bool) {
-	g.mu.Lock()
-	if fl, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		return fl, false
-	}
-	fl = &flight{done: make(chan struct{})}
-	g.m[key] = fl
-	g.mu.Unlock()
-	return fl, true
-}
-
-// land completes a flight the caller leads: its result is final and every
-// waiter wakes to it.
-func (g *flightGroup) land(key flightKey, fl *flight) {
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(fl.done)
-}
-
-// paramsCacheKey flattens the URI captures into a stable string that
-// tells every capture set apart: names and values are length-prefixed, so
-// no value can pose as a separator (a captured "p1;volume_id=v1" must not
-// share a key with {p1, v1}).
-func paramsCacheKey(params map[string]string) string {
-	if len(params) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b []byte
-	for _, k := range keys {
-		for _, s := range [2]string{k, params[k]} {
-			b = strconv.AppendInt(b, int64(len(s)), 10)
-			b = append(b, ':')
-			b = append(b, s...)
-		}
-	}
-	return string(b)
-}
-
 // errUnresolved is the result of every path a failed Snapshot call carried
 // when it carried several: the call's error belongs to no path in
 // particular, so whoever needs one of them reads it on its own.
 var errUnresolved = errors.New("monitor: a failed multi-path read left this path unresolved")
 
 // fetcher performs the per-path cloud reads of one check, filling the
-// request's frame and accounting fetch counts and time per phase.
+// request's frame and accounting fetch counts and time per phase. Every
+// read it sends is its own: no request shares a read with another, so a
+// verdict rests on state read after its request arrived.
 type fetcher struct {
 	m      *Monitor
 	reqCtx *RequestContext
-	pk     string
 	// fr is the request's one state store: its current bank holds the
 	// pre-state until postVerify turns it around for the post-state.
 	fr *contract.Frame
@@ -122,54 +43,55 @@ type fetcher struct {
 	// path enters the frame only when demanded, so evaluation, the top-up
 	// and post reuse see exactly the paths a one-path-per-call loop would
 	// have read.
-	ahead map[string]*flight
+	ahead map[string]pathRead
 
 	fetched int
 	preDur  time.Duration
 	postDur time.Duration
 }
 
+// pathRead is one path's result from a Snapshot call.
+type pathRead struct {
+	val     ocl.Value
+	present bool
+	err     error
+}
+
 // fetchPre resolves one pre-state path into the frame: a result a wave
-// already brought, else a coalesced provider read — a wave with the
-// current clause's other unfetched paths, or the path alone outside a
-// clause and after a failed multi-path read.
+// already brought, else a wave with the current clause's other unfetched
+// paths, and the path alone outside a clause or after a failed multi-path
+// read left it unresolved.
 func (f *fetcher) fetchPre(path string) error {
-	clause := f.clause
-	fl := f.ahead[path]
-	if fl != nil {
+	rd, ok := f.ahead[path]
+	if ok {
 		delete(f.ahead, path)
-		clause = nil
+	} else {
+		rd = f.fetchWave(path, f.clause)
 	}
-	for fl == nil || fl.err == errUnresolved {
-		fl = f.fetchWave(path, clause)
-		clause = nil
+	if rd.err == errUnresolved {
+		rd = f.fetchWave(path, nil)
 	}
-	if fl.err != nil {
-		return fl.err
+	if rd.err != nil {
+		return rd.err
 	}
-	f.fr.SetCur(path, fl.val, fl.present)
+	f.fr.SetCur(path, rd.val, rd.present)
 	return nil
 }
 
-// wavePath is one path of a wave: a flight the wave leads, or one another
-// request leads that the wave waits on.
-type wavePath struct {
-	path string
-	key  flightKey
-	fl   *flight
-	lead bool
-}
-
 // fetchWave reads a demanded pre-state path together with clause's other
-// unfetched paths, and returns the demanded path's flight. The wave opens
-// a flight for every path no other request is reading, sends one Snapshot
-// for all of them and completes those flights before it waits on anyone
-// else's, so two waves that lead each other's paths cannot deadlock. Only
-// the demanded path's result is returned and can fail the clause; the
-// others wait in ahead for their own demand.
-func (f *fetcher) fetchWave(demanded string, clause []string) *flight {
+// unfetched paths in one Snapshot call, and returns the demanded path's
+// result. Only that result can fail the clause; the others wait in ahead
+// for their own demand. When a call carrying several paths fails, each of
+// its paths is left errUnresolved: nothing re-reads them now, and a demand
+// for one later reads it alone, so every fail-policy decision rests on
+// that path's own result, as in a one-path-per-call loop, and a failing
+// cloud sees at most one read more per path than that loop sends it.
+// FetchedPaths counts every path a call carried: exact for a provider that
+// reads them all, as osbinding's fan-out does; for one that stops at its
+// first failure it overstates a failed call.
+func (f *fetcher) fetchWave(demanded string, clause []string) pathRead {
 	t0 := time.Now()
-	wave := []wavePath{f.board(demanded)}
+	paths := []string{demanded}
 	for _, p := range clause {
 		if p == demanded {
 			continue
@@ -180,94 +102,37 @@ func (f *fetcher) fetchWave(demanded string, clause []string) *flight {
 		if _, ok := f.ahead[p]; ok {
 			continue
 		}
-		wave = append(wave, f.board(p))
-	}
-	f.fly(wave)
-	f.preDur += time.Since(t0)
-	for _, w := range wave[1:] {
-		f.stash(w.path, w.fl)
-	}
-	return wave[0].fl
-}
-
-// board joins path's flight for a wave.
-func (f *fetcher) board(path string) wavePath {
-	key := flightKey{path: path, token: f.reqCtx.Token, params: f.pk}
-	fl, lead := f.m.flights.join(key)
-	return wavePath{path: path, key: key, fl: fl, lead: lead}
-}
-
-// stash keeps a wave result for a path's later demand.
-func (f *fetcher) stash(path string, fl *flight) {
-	if f.ahead == nil {
-		f.ahead = make(map[string]*flight, 4)
-	}
-	f.ahead[path] = fl
-}
-
-// fly reads every path the wave leads in one Snapshot call and completes
-// their flights, and only then waits for the flights it follows: a wave
-// never waits while it holds a flight open. A follow counts as coalesced
-// when it brings a result.
-func (f *fetcher) fly(wave []wavePath) {
-	f.lead(wave)
-	for _, w := range wave {
-		if !w.lead {
-			<-w.fl.done
-			if w.fl.err != errUnresolved {
-				f.m.coalesced.Inc()
-			}
-		}
-	}
-}
-
-// lead sends one Snapshot call for the paths the wave leads and completes
-// their flights. When a call carrying several paths fails, each of its
-// flights lands errUnresolved: nothing re-reads them now, and a request
-// that demands one later (this one or a waiter) reads it alone, so every
-// fail-policy decision rests on that path's own result, as in a
-// one-path-per-call loop, and a failing cloud sees at most one read more
-// per path than that loop sends it. FetchedPaths counts every path a call
-// carried: exact for a provider that reads them all, as osbinding's fan-out
-// does; for one that stops at its first failure it overstates a failed
-// call.
-func (f *fetcher) lead(wave []wavePath) {
-	m := f.m
-	paths := make([]string, 0, len(wave))
-	for _, w := range wave {
-		if w.lead {
-			paths = append(paths, w.path)
-		}
-	}
-	if len(paths) == 0 {
-		return
+		paths = append(paths, p)
 	}
 	f.fetched += len(paths)
 	if len(paths) > 1 {
-		m.waves.Inc()
+		f.m.waves.Inc()
 	}
-	snap, err := m.provider.Snapshot(f.reqCtx, paths)
-	for _, w := range wave {
-		if !w.lead {
-			continue
-		}
-		fl := w.fl
-		switch {
-		case err == nil:
-			fl.val, fl.present = snap[w.path]
-		case len(paths) == 1:
-			fl.err = err
-		default:
-			fl.err = errUnresolved
-		}
-		m.flights.land(w.key, fl)
+	snap, err := f.m.provider.Snapshot(f.reqCtx, paths)
+	f.preDur += time.Since(t0)
+	if err != nil && len(paths) > 1 {
+		err = errUnresolved
 	}
+	for _, p := range paths[1:] {
+		if f.ahead == nil {
+			f.ahead = make(map[string]pathRead, 4)
+		}
+		f.ahead[p] = readOf(snap, p, err)
+	}
+	return readOf(snap, demanded, err)
+}
+
+// readOf is path's result from a Snapshot call that returned snap and err.
+func readOf(snap ocl.MapEnv, path string, err error) pathRead {
+	if err != nil {
+		return pathRead{err: err}
+	}
+	val, present := snap[path]
+	return pathRead{val: val, present: present}
 }
 
 // fetchPost resolves one post-state path straight from the cloud into the
-// frame — no coalescing: the post-condition verifies this request's own
-// effect, so joining a read that started before the forward would compare
-// against stale state.
+// frame: the post-condition verifies this request's own effect.
 func (f *fetcher) fetchPost(path string) error {
 	t0 := time.Now()
 	f.fetched++
@@ -348,7 +213,6 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 	f := &fetcher{
 		m:      m,
 		reqCtx: reqCtx,
-		pk:     paramsCacheKey(params),
 		fr:     comp.NewFrame(),
 	}
 	// The frame goes back to the pool when the verdict is final: here,

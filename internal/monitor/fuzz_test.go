@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cloudmon/internal/contract"
+	"cloudmon/internal/httpkit"
 	"cloudmon/internal/paper"
 )
 
@@ -83,7 +84,7 @@ func FuzzRouteMatch(f *testing.F) {
 		}
 		// Substituting the captures back into the pattern must reproduce
 		// the request's segment split — otherwise a request was mis-routed.
-		segs := splitPath(path)
+		segs := httpkit.SplitPath(path)
 		if len(segs) != len(cr.segments) {
 			t.Fatalf("matched %d-segment pattern against %d-segment path", len(cr.segments), len(segs))
 		}

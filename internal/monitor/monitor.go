@@ -272,8 +272,8 @@ type Verdict struct {
 	// checks before comparing outcomes.
 	ContractDigest string
 	// FetchedPaths counts the state-path reads this verdict issued to the
-	// provider (pre and post phases; coalesced waits are free and not
-	// counted).
+	// provider, pre and post phases. Every one is the request's own read:
+	// no read is shared with another request.
 	FetchedPaths int
 	// ReusedPaths counts post-state paths served from the pre-state
 	// snapshot because no active transition's effect could touch them.
@@ -399,8 +399,6 @@ type Monitor struct {
 	onVerdict  func(Verdict)
 	audit      *obs.AuditLog
 	instanceID string
-	// flights coalesces identical concurrent pre-state GETs.
-	flights *flightGroup
 	// waves counts the pre-state Snapshot calls that carried several of a
 	// clause's paths.
 	waves obs.Counter
@@ -417,10 +415,8 @@ type Monitor struct {
 	outcomes      [numOutcomes]obs.Counter
 	coverage      obs.KeyedCounter
 	transCoverage obs.KeyedCounter
-	// pathsFetched distributes per-request provider path reads; coalesced
-	// counts pre-state fetches that joined another request's flight.
+	// pathsFetched distributes per-request provider path reads.
 	pathsFetched *obs.Histogram
-	coalesced    obs.Counter
 }
 
 // numOutcomes sizes the outcome counter array (outcomes are 1-based).
@@ -495,7 +491,6 @@ func New(cfg Config) (*Monitor, error) {
 		audit:        cfg.Audit,
 		instanceID:   cfg.InstanceID,
 		tracer:       obs.NewTracer(),
-		flights:      newFlightGroup(),
 		pathsFetched: obs.NewCountHistogram(),
 
 		post:             post,
@@ -530,7 +525,7 @@ func New(cfg Config) (*Monitor, error) {
 		}
 		m.routes = append(m.routes, compiledRoute{
 			route:       r,
-			segments:    splitPath(r.Pattern),
+			segments:    httpkit.SplitPath(r.Pattern),
 			contract:    c,
 			plan:        c.Plan(),
 			digest:      c.Digest(),
@@ -600,9 +595,9 @@ func (m *Monitor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // match finds the route for the request.
 func (m *Monitor) match(r *http.Request) (*compiledRoute, map[string]string, bool) {
-	segs := splitPath(r.URL.Path)
+	segs := httpkit.SplitPath(r.URL.Path)
 	for _, cr := range m.byMethod[r.Method] {
-		if params, ok := matchSegments(cr.segments, segs); ok {
+		if params, ok := httpkit.MatchSegments(cr.segments, segs); ok {
 			if params == nil {
 				params = map[string]string{}
 			}
@@ -801,9 +796,6 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 		w.Histogram("cloudmon_snapshot_paths_fetched",
 			"State paths fetched from the provider per monitored request (count histogram: 1 unit = 1 path).",
 			m.pathsFetched)
-		w.Counter("cloudmon_snapshot_coalesced_total",
-			"Pre-state path fetches that joined another request's in-flight cloud read.",
-			float64(m.coalesced.Value()))
 		w.Counter("cloudmon_snapshot_waves_total",
 			"Pre-state Snapshot calls that fetched several of a clause's paths at once.",
 			float64(m.waves.Value()))
@@ -847,7 +839,6 @@ func (m *Monitor) ResetLog() {
 	m.transCoverage.Reset()
 	m.tracer.Reset()
 	m.pathsFetched.Reset()
-	m.coalesced.Reset()
 	m.waves.Reset()
 	if ap := m.asyncPost; ap != nil {
 		ap.enqueued.Reset()
@@ -859,14 +850,15 @@ func (m *Monitor) ResetLog() {
 }
 
 // FetchStats are the monitor-side fetch-economy counters: how many state
-// paths requests actually read and how often concurrent reads coalesced.
+// paths requests actually read, and in how many waves.
 type FetchStats struct {
 	// Requests is the number of verdicts with fetch accounting.
 	Requests uint64 `json:"requests"`
 	// PathsFetched is the total provider path reads across them.
 	PathsFetched uint64 `json:"paths_fetched"`
-	// Coalesced counts pre-state fetches served by another request's
-	// in-flight read.
+	// Coalesced is always 0: every request reads its own pre-state, so no
+	// fetch is served by another request's read. The field stays only
+	// because the end-to-end benchmark under bench/ still reads it.
 	Coalesced uint64 `json:"coalesced"`
 	// Waves counts pre-state Snapshot calls that carried several of a
 	// clause's paths.
@@ -879,40 +871,8 @@ func (m *Monitor) FetchStats() FetchStats {
 	return FetchStats{
 		Requests:     snap.Count,
 		PathsFetched: uint64(snap.Sum + 0.5),
-		Coalesced:    m.coalesced.Value(),
 		Waves:        m.waves.Value(),
 	}
-}
-
-// splitPath splits a URL path into non-empty segments.
-func splitPath(p string) []string {
-	parts := strings.Split(strings.Trim(p, "/"), "/")
-	if len(parts) == 1 && parts[0] == "" {
-		return nil
-	}
-	return parts
-}
-
-// matchSegments matches concrete path segments against a pattern with
-// `{name}` captures.
-func matchSegments(pattern, segs []string) (map[string]string, bool) {
-	if len(pattern) != len(segs) {
-		return nil, false
-	}
-	var params map[string]string
-	for i, p := range pattern {
-		if strings.HasPrefix(p, "{") && strings.HasSuffix(p, "}") {
-			if params == nil {
-				params = make(map[string]string, 2)
-			}
-			params[p[1:len(p)-1]] = segs[i]
-			continue
-		}
-		if p != segs[i] {
-			return nil, false
-		}
-	}
-	return params, true
 }
 
 // HTTPForwarder is the default Forwarder: it substitutes the captured

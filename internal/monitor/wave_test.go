@@ -591,107 +591,6 @@ func TestWaveShape(t *testing.T) {
 	}
 }
 
-// TestWaveMutualLead has two requests' waves lead each other's paths: each
-// opens one flight and follows the other's. Each wave must send its own
-// call while it holds its flight, and only then wait, or the two block
-// each other for good. The provider answers neither call until both have
-// arrived, so a wave that waited before sending would hang the test.
-// Run with -race -count=10.
-func TestWaveMutualLead(t *testing.T) {
-	state := env(2, 10, "available", "admin")
-	both := make(chan struct{})
-	var arrived atomic.Int32
-	p := &waveProvider{pre: state, hold: func() {
-		if arrived.Add(1) == 2 {
-			close(both)
-		}
-		<-both
-	}}
-	m, _ := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
-	params := map[string]string{"project_id": "p1", "volume_id": "v1"}
-	newFetcher := func() *fetcher {
-		return &fetcher{m: m, pk: paramsCacheKey(params),
-			reqCtx: &RequestContext{Method: uml.GET, Resource: "volume", Params: params, Token: "tok", Phase: PhasePre}}
-	}
-	a, b := newFetcher(), newFetcher()
-	const pa, pb = "project.id", "project.volumes"
-	// Interleave the boarding so that each wave leads one path and
-	// follows the other's.
-	waveA := []wavePath{a.board(pa)}
-	waveB := []wavePath{b.board(pb)}
-	waveA = append(waveA, a.board(pb))
-	waveB = append(waveB, b.board(pa))
-	if !waveA[0].lead || !waveB[0].lead || waveA[1].lead || waveB[1].lead {
-		t.Fatal("boarding did not produce mutual leads")
-	}
-	done := make(chan struct{}, 2)
-	go func() { a.fly(waveA); done <- struct{}{} }()
-	go func() { b.fly(waveB); done <- struct{}{} }()
-	for range 2 {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("waves that lead each other's paths deadlocked")
-		}
-	}
-	for name, wave := range map[string][]wavePath{"a": waveA, "b": waveB} {
-		for _, w := range wave {
-			if w.fl.err != nil || !w.fl.present || !w.fl.val.Equal(state[w.path]) {
-				t.Errorf("wave %s: %s = %v (present %v, err %v), want %v",
-					name, w.path, w.fl.val, w.fl.present, w.fl.err, state[w.path])
-			}
-		}
-	}
-	if got := m.FetchStats().Coalesced; got != 2 {
-		t.Errorf("coalesced %d reads, want 2 (each wave follows one path)", got)
-	}
-	calls := p.take()
-	if len(calls) != 2 || len(calls[0].paths) != 1 || len(calls[1].paths) != 1 {
-		t.Errorf("provider calls %v, want one one-path call per wave", calls)
-	}
-	if a.fetched+b.fetched != 2 {
-		t.Errorf("fetched %d+%d paths, want one each", a.fetched, b.fetched)
-	}
-}
-
-// TestParamsCacheKeyInjective: distinct capture sets never share a key,
-// however their values are spelled — a value may contain any byte a URL
-// path segment can carry, separators included — and equal sets always do.
-func TestParamsCacheKeyInjective(t *testing.T) {
-	sets := []map[string]string{
-		nil,
-		{"project_id": "p1"},
-		{"project_id": "p1;volume_id=v1"},
-		{"project_id": "p1", "volume_id": "v1"},
-		{"project_id": "p1;", "volume_id": "v1"},
-		{"project_id": "p1", "volume_id": ";v1"},
-		{"project_id": "p1=volume_id", "volume_id": "v1"},
-		{"a": "1", "b": ""},
-		{"a": "1;b="},
-		{"a": "1", "b": "2"},
-		{"a": "12", "b": ""},
-		{"a=1;b": "2"},
-		{"a": "1:2"},
-		{"a": "1", "1:2": ""},
-		{"": ""},
-	}
-	seen := map[string]int{}
-	for i, params := range sets {
-		key := paramsCacheKey(params)
-		if j, dup := seen[key]; dup {
-			t.Errorf("capture sets %v and %v share key %q", sets[j], params, key)
-		}
-		seen[key] = i
-		clone := map[string]string{}
-		for k, v := range params {
-			clone[k] = v
-		}
-		if again := paramsCacheKey(clone); again != key {
-			t.Errorf("equal capture sets %v keyed %q and %q", params, key, again)
-		}
-	}
-}
-
 // projectProvider serves a pre- and post-state per project and counts
 // each project's reads per phase. hold, when set, runs before each call
 // is served.
@@ -723,15 +622,14 @@ func (p *projectProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.Map
 	return out, nil
 }
 
-// TestWaveFlightsKeepLookalikeCapturesApart runs a GET of volume v1 in
-// project p1 and a POST to the project whose id is the literal
-// "p1;volume_id=v1" at the same time. The two capture sets read different
-// cloud state, so neither request may join the other's flights: each
-// reads its own pre-state and is judged on it. The provider holds the
-// GET's first read open until the POST's has started, so a POST that
-// followed the GET's flights instead of reading would hang the test. Run
-// with -race -count=10.
-func TestWaveFlightsKeepLookalikeCapturesApart(t *testing.T) {
+// TestWaveKeepsLookalikeCapturesApart runs a GET of volume v1 in project
+// p1 and a POST to the project whose id is the literal "p1;volume_id=v1"
+// at the same time. The two capture sets read different cloud state, and
+// each request must read its own pre-state and be judged on it. The
+// provider holds the GET's first read open until the POST's has started,
+// so a POST that waited on the GET's reads instead of sending its own
+// would hang the test. Run with -race -count=10.
+func TestWaveKeepsLookalikeCapturesApart(t *testing.T) {
 	const other = "p1;volume_id=v1"
 	var arrived atomic.Int32
 	first, both := make(chan struct{}), make(chan struct{})
@@ -774,7 +672,7 @@ func TestWaveFlightsKeepLookalikeCapturesApart(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
-			t.Fatal("the POST waited on the GET's flights instead of reading its own state")
+			t.Fatal("the POST waited on the GET's reads instead of reading its own state")
 		}
 	}
 	for _, v := range sink.all() {
@@ -789,17 +687,14 @@ func TestWaveFlightsKeepLookalikeCapturesApart(t *testing.T) {
 			t.Errorf("no pre-state read for project %q", project)
 		}
 	}
-	if got := m.FetchStats().Coalesced; got != 0 {
-		t.Errorf("coalesced %d reads across distinct capture sets, want 0", got)
-	}
 }
 
 // TestWaveConcurrentRequests runs a GET and a DELETE for the same volume
-// with the same token through one monitor. The GET's wave leads its
-// clause's four paths and is held in the provider until the DELETE's
-// wave, which follows those four and leads volume.status, arrives with
-// its own call: both waves are then open at once. Both verdicts must be
-// right and the DELETE's four follows counted. Run with -race -count=10.
+// with the same token through one monitor. The GET's wave is held in the
+// provider until the DELETE's wave arrives with its own call: both waves
+// are then open at once. Both verdicts must be right, and each request
+// must have read its own pre-state in its own wave. Run with -race
+// -count=10.
 func TestWaveConcurrentRequests(t *testing.T) {
 	state := env(2, 10, "available", "admin")
 	var arrived atomic.Int32
@@ -857,8 +752,140 @@ func TestWaveConcurrentRequests(t *testing.T) {
 	if outcomes[uml.GET] != OK || outcomes[uml.DELETE] != OK {
 		t.Errorf("outcomes %v, want both ok", outcomes)
 	}
-	// The DELETE's wave leads only volume.status, a one-path call.
-	if fs := m.FetchStats(); fs.Coalesced != 4 || fs.Waves != 1 {
-		t.Errorf("coalesced %d, waves %d; want the DELETE to follow the GET's 4-path wave", fs.Coalesced, fs.Waves)
+	if fs := m.FetchStats(); fs.Waves != 2 {
+		t.Errorf("%d waves, want one per request", fs.Waves)
+	}
+	// Both requests demand every path of the GET's first clause, and
+	// each reads them itself.
+	pre := p.reads(PhasePre)
+	for _, path := range m.routes[0].plan.Pre[0].Paths {
+		if pre[path] != 2 {
+			t.Errorf("pre-phase reads of %s: %d, want 2 (one per request)", path, pre[path])
+		}
+	}
+}
+
+// volumeCloud is a stateful fake cloud for project p1: it serves state
+// reads from its volume list and applies the forwarded POSTs and DELETEs
+// to it. hold, when set, runs after a read's reply is made and before it
+// returns, as a reply delayed in transit.
+type volumeCloud struct {
+	mu      sync.Mutex
+	volumes []string
+	hold    func(*RequestContext)
+}
+
+func (c *volumeCloud) Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error) {
+	c.mu.Lock()
+	vols := make([]ocl.Value, len(c.volumes))
+	for i, id := range c.volumes {
+		vols[i] = ocl.StringVal(id)
+	}
+	c.mu.Unlock()
+	state := env(0, 10, "available", "admin")
+	state["project.volumes"] = ocl.CollectionVal(vols...)
+	out := make(ocl.MapEnv, len(paths))
+	for _, path := range paths {
+		out[path] = state[path]
+	}
+	if c.hold != nil {
+		c.hold(ctx)
+	}
+	return out, nil
+}
+
+func (c *volumeCloud) Forward(r *http.Request, _ *Route, params map[string]string) (*BackendResponse, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch r.Method {
+	case http.MethodPost:
+		c.volumes = append(c.volumes, fmt.Sprintf("v%d", len(c.volumes)+1))
+	case http.MethodDelete:
+		for i, id := range c.volumes {
+			if id == params["volume_id"] {
+				c.volumes = append(c.volumes[:i], c.volumes[i+1:]...)
+				break
+			}
+		}
+	}
+	return &BackendResponse{StatusCode: 200, Header: http.Header{}, Body: []byte("{}")}, nil
+}
+
+// TestWaveReadsOwnPreState holds a GET's pre-state reply for volume v1 of
+// project p1 (two volumes) in transit. Meanwhile a POST to p1 with the
+// same token completes (three volumes), and a DELETE of v1 with that
+// token sends its pre-state read; only then is the GET's reply released.
+// The DELETE arrived after the POST completed, so its pre-state must be
+// its own read of three volumes, and with the two left after it the
+// cloud is correct: a DELETE judged on the GET's older read of two would
+// be a false violation:postcondition. Run with -race -count=10.
+func TestWaveReadsOwnPreState(t *testing.T) {
+	c := &volumeCloud{volumes: []string{"v1", "v2"}}
+	held, release := make(chan struct{}), make(chan struct{})
+	var getHeld atomic.Bool
+	var releaseOnce sync.Once
+	c.hold = func(ctx *RequestContext) {
+		if ctx.Phase != PhasePre {
+			return
+		}
+		switch ctx.Method {
+		case uml.GET:
+			if getHeld.CompareAndSwap(false, true) {
+				close(held)
+				<-release
+			}
+		case uml.DELETE:
+			releaseOnce.Do(func() { close(release) })
+		}
+	}
+	m, sink := newMonitor(t, Enforce, c, c)
+	send := func(method, path string) <-chan int {
+		code := make(chan int, 1)
+		go func() {
+			req := httptest.NewRequest(method, path, nil)
+			req.Header.Set("X-Auth-Token", "tok")
+			rec := httptest.NewRecorder()
+			m.ServeHTTP(rec, req)
+			code <- rec.Code
+		}()
+		return code
+	}
+	wait := func(what string, code <-chan int) {
+		t.Helper()
+		select {
+		case <-code:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the %s never returned", what)
+		}
+	}
+	getDone := send(http.MethodGet, "/projects/p1/volumes/v1")
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the GET never read its pre-state")
+	}
+	wait("POST", send(http.MethodPost, "/projects/p1/volumes"))
+	deleteDone := send(http.MethodDelete, "/projects/p1/volumes/v1")
+	wait("DELETE", deleteDone)
+	wait("GET", getDone)
+	var del *Verdict
+	for _, v := range sink.all() {
+		switch v.Trigger.Method {
+		case uml.POST:
+			if v.Outcome != OK {
+				t.Errorf("POST: outcome %s (%s), want ok", v.Outcome, v.Detail)
+			}
+		case uml.DELETE:
+			del = &v
+		}
+	}
+	if del == nil {
+		t.Fatal("no DELETE verdict")
+	}
+	if n := del.PreSnapshot["project.volumes"].Size(); n != 3 {
+		t.Errorf("the DELETE's pre-state holds %d volumes, want its own read of 3", n)
+	}
+	if del.Outcome != OK {
+		t.Errorf("DELETE: outcome %s, want ok", del.Outcome)
 	}
 }
