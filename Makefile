@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet lint test race cover bench benchsmoke planbench compbench asyncbench fleetbench fleet fleet-oop examples experiments artifacts fuzz chaos obs evidence
+.PHONY: all build vet lint test race cover bench benchsmoke planbench compbench readbench asyncbench fleetbench fleet fleet-oop examples experiments artifacts fuzz chaos obs evidence
 
 all: build vet lint test
 
@@ -53,6 +53,13 @@ planbench:
 # on the in-process OK path (see EXPERIMENTS.md).
 compbench:
 	go test -run XXX -bench BenchmarkCompiledEval -benchmem .
+
+# E31: the state provider's path-directed scanner on the simulated
+# cloud's answers (a 16-volume listing, a volume, the quota set and a
+# token) and the json.Unmarshal fallback on the listing, with ns/op and
+# allocs/op (see EXPERIMENTS.md).
+readbench:
+	go test -run XXX -bench BenchmarkBindingDecode -benchmem ./internal/osbinding/
 
 # E18: synchronous vs deferred (async) post-verification on a mutating
 # create/delete workload at 1 ms simulated RTT, with p99 detection lag

@@ -59,7 +59,11 @@ type Options struct {
 	// monitor.AuditWriter's Record method); see monitor.Config.OnVerdict.
 	OnVerdict func(monitor.Verdict)
 	// HTTPClient overrides the client of the state reads and the
-	// forwards (tests inject the httptest client here).
+	// forwards (tests inject the httptest client here). Each read and
+	// each forward is one round trip on its transport (httpkit.Send): its
+	// Timeout bounds it as a context deadline, and its redirect policy and
+	// cookie jar are not used, so a cloud's redirect is the answer the
+	// verdict judges.
 	HTTPClient *http.Client
 	// Audit, when non-nil, is the append-only audit sink the monitor
 	// writes every violation and Unverified outcome to (see obs.AuditLog).

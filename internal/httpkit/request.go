@@ -71,19 +71,21 @@ func (e *Endpoint) Request(ctx context.Context, method, target string, body io.R
 	if err := setPath(u, p); err != nil {
 		return e.parsedRequest(ctx, method, target, body)
 	}
-	r := http.Request{
-		Method:     method,
-		URL:        u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     make(http.Header, 2),
-		Host:       u.Host,
+	// A request without a context of its own reads as Background, so a
+	// Background request is built in place rather than copied to set it.
+	var r *http.Request
+	if ctx == context.Background() {
+		r = new(http.Request)
+	} else {
+		r = (&http.Request{}).WithContext(ctx)
 	}
+	r.Method, r.URL, r.Host = method, u, u.Host
+	r.Proto, r.ProtoMajor, r.ProtoMinor = "HTTP/1.1", 1, 1
+	r.Header = make(http.Header, 2)
 	if br != nil {
-		setBody(&r, br)
+		setBody(r, br)
 	}
-	return r.WithContext(ctx), nil
+	return r, nil
 }
 
 // parsedRequest is Request by way of the full parse, for what the

@@ -14,13 +14,14 @@ func Analyzers() []*Analyzer {
 
 // hotFuncs names the per-request hot path, per package: the monitor's
 // demand loop, which runs once per clause and re-enters once per demanded
-// path, and the per-path pre-state read (a result a wave already brought
-// returns from it without leaving); the compiled engine's slot accessors and program
+// path, the per-path pre-state read (a result a wave already brought
+// returns from it without leaving) and the wave that reads a clause's
+// paths together; the compiled engine's slot accessors and program
 // entry, which every clause closure funnels through, where a stray
 // allocation multiplies by the atom count; the state provider's wave,
 // per-read resolver and response scanner, which runs over every body the
-// cloud returns; and every cloud round trip's request constructor and
-// bounded reply read, with the forward that uses them.
+// cloud returns; and every cloud round trip's request constructor, send
+// and bounded reply read, with the forward that uses them.
 // Everything reachable per request but outside these (stage timing, the
 // provider's retry loop, verdict recording) allocates or reads the clock
 // by design. TestHotFuncsNameRealFunctions keeps every entry pointing at
@@ -29,6 +30,7 @@ var hotFuncs = map[string]map[string]bool{
 	"monitor": {
 		"evalProgram":              true,
 		"(*fetcher).fetchPre":      true,
+		"(*fetcher).fetchWave":     true,
 		"(*HTTPForwarder).Forward": true,
 	},
 	"contract": {
@@ -43,6 +45,7 @@ var hotFuncs = map[string]map[string]bool{
 	},
 	"httpkit": {
 		"(*Endpoint).Request": true,
+		"Send":                true,
 		"ReadBounded":         true,
 	},
 	"osbinding": {
@@ -61,13 +64,14 @@ var hotFuncs = map[string]map[string]bool{
 
 // HotPath forbids wall-clock reads, string formatting, map allocation,
 // URL parsing, request construction through net/http's URL-parsing
-// constructors, and io.ReadAll's regrown buffers inside the monitor's
-// hot-path functions. Each of those has shown up in the monitor's CPU
-// profiles; the rule keeps them from creeping back.
+// constructors, io.ReadAll's regrown buffers and errors.As, whose target
+// escapes to the heap on every call, inside the monitor's hot-path
+// functions. Each of those has shown up in the monitor's CPU or
+// allocation profiles; the rule keeps them from creeping back.
 func HotPath() *Analyzer {
 	return &Analyzer{
 		Name: "hotpath",
-		Doc:  "no time.Now, fmt.Sprintf, map allocation, url.Parse, http.NewRequest or io.ReadAll in the monitor hot path",
+		Doc:  "no time.Now, fmt.Sprintf, map allocation, url.Parse, http.NewRequest, io.ReadAll or errors.As in the monitor hot path",
 		Run:  runHotPath,
 	}
 }
@@ -81,6 +85,7 @@ var hotCalls = []struct{ pkg, fn, advice string }{
 	{"http", "NewRequest", "build the request from a parsed httpkit.Endpoint"},
 	{"http", "NewRequestWithContext", "build the request from a parsed httpkit.Endpoint"},
 	{"io", "ReadAll", "read through httpkit.ReadBounded, sized by the declared length"},
+	{"errors", "As", "its target escapes on every call; type-assert an error returned unwrapped"},
 }
 
 func runHotPath(p *Pass) {

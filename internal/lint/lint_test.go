@@ -93,6 +93,65 @@ func (p *Program) Run() { _ = make(map[string]int) }
 	}
 }
 
+// TestHotPathForbidsErrorsAs: errors.As boxes its target on every call,
+// so the demand loop may not use it to tell a demand from a failure.
+func TestHotPathForbidsErrorsAs(t *testing.T) {
+	findings := lintSrc(t, `package monitor
+
+import "errors"
+
+type Demand struct{}
+
+func (*Demand) Error() string { return "" }
+
+func evalProgram(err error) bool {
+	var d *Demand
+	return errors.As(err, &d)
+}
+`)
+	wantFinding(t, findings, "hotpath", "evalProgram calls errors.As")
+	if len(findings) != 1 {
+		t.Fatalf("got %d findings, want 1: %v", len(findings), findings)
+	}
+}
+
+// TestHotPathCoversWaveAndSend: the wave's clock read and its map of
+// results read ahead stay out of it, and the shared cloud send may not
+// regrow a reply's buffer.
+func TestHotPathCoversWaveAndSend(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`package monitor
+
+import "time"
+
+type fetcher struct{}
+
+func (f *fetcher) fetchWave() { _ = time.Now() }
+`, "(*fetcher).fetchWave calls time.Now"},
+		{`package monitor
+
+type fetcher struct{ ahead map[string]int }
+
+func (f *fetcher) fetchWave() { f.ahead = make(map[string]int, 4) }
+`, "(*fetcher).fetchWave allocates a map"},
+		{`package httpkit
+
+import (
+	"io"
+	"net/http"
+)
+
+func Send(resp *http.Response) { _, _ = io.ReadAll(resp.Body) }
+`, "Send calls io.ReadAll"},
+	} {
+		findings := lintSrc(t, tc.src)
+		wantFinding(t, findings, "hotpath", tc.want)
+		if len(findings) != 1 {
+			t.Errorf("got %d findings, want 1: %v", len(findings), findings)
+		}
+	}
+}
+
 // TestHotPathForbidsReparseAndRegrowth: a cloud round trip's hot
 // functions may neither parse a URL, nor build a request through the
 // net/http constructors that parse one, nor read a body into a buffer

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -42,8 +43,9 @@ type fetcher struct {
 	// ahead holds the results of wave reads no demand has consumed yet. A
 	// path enters the frame only when demanded, so evaluation, the top-up
 	// and post reuse see exactly the paths a one-path-per-call loop would
-	// have read.
-	ahead map[string]pathRead
+	// have read. A wave carries a clause's few paths, so a slice searched
+	// in order serves.
+	ahead []aheadRead
 
 	fetched int
 	preDur  time.Duration
@@ -57,14 +59,34 @@ type pathRead struct {
 	err     error
 }
 
+// aheadRead is a wave's result for a path not yet demanded.
+type aheadRead struct {
+	path string
+	rd   pathRead
+}
+
+// aheadIndex returns the index of path's result in ahead, or -1.
+func (f *fetcher) aheadIndex(path string) int {
+	for i := range f.ahead {
+		if f.ahead[i].path == path {
+			return i
+		}
+	}
+	return -1
+}
+
 // fetchPre resolves one pre-state path into the frame: a result a wave
 // already brought, else a wave with the current clause's other unfetched
 // paths, and the path alone outside a clause or after a failed multi-path
 // read left it unresolved.
 func (f *fetcher) fetchPre(path string) error {
-	rd, ok := f.ahead[path]
-	if ok {
-		delete(f.ahead, path)
+	var rd pathRead
+	if i := f.aheadIndex(path); i >= 0 {
+		rd = f.ahead[i].rd
+		last := len(f.ahead) - 1
+		f.ahead[i] = f.ahead[last]
+		f.ahead[last] = aheadRead{}
+		f.ahead = f.ahead[:last]
 	} else {
 		rd = f.fetchWave(path, f.clause)
 	}
@@ -90,8 +112,7 @@ func (f *fetcher) fetchPre(path string) error {
 // reads them all, as osbinding's fan-out does; for one that stops at its
 // first failure it overstates a failed call.
 func (f *fetcher) fetchWave(demanded string, clause []string) pathRead {
-	t0 := time.Now()
-	paths := []string{demanded}
+	paths := append(make([]string, 0, 1+len(clause)), demanded)
 	for _, p := range clause {
 		if p == demanded {
 			continue
@@ -99,7 +120,7 @@ func (f *fetcher) fetchWave(demanded string, clause []string) pathRead {
 		if _, _, filled := f.fr.Cur(p); filled {
 			continue
 		}
-		if _, ok := f.ahead[p]; ok {
+		if f.aheadIndex(p) >= 0 {
 			continue
 		}
 		paths = append(paths, p)
@@ -108,18 +129,24 @@ func (f *fetcher) fetchWave(demanded string, clause []string) pathRead {
 	if len(paths) > 1 {
 		f.m.waves.Inc()
 	}
-	snap, err := f.m.provider.Snapshot(f.reqCtx, paths)
-	f.preDur += time.Since(t0)
+	snap, err := f.snapshot(paths, &f.preDur)
 	if err != nil && len(paths) > 1 {
 		err = errUnresolved
 	}
+	f.ahead = slices.Grow(f.ahead, len(paths)-1)
 	for _, p := range paths[1:] {
-		if f.ahead == nil {
-			f.ahead = make(map[string]pathRead, 4)
-		}
-		f.ahead[p] = readOf(snap, p, err)
+		f.ahead = append(f.ahead, aheadRead{path: p, rd: readOf(snap, p, err)})
 	}
 	return readOf(snap, demanded, err)
+}
+
+// snapshot reads paths in one Snapshot call and adds the call's time to
+// *dur, the phase's fetch time.
+func (f *fetcher) snapshot(paths []string, dur *time.Duration) (ocl.MapEnv, error) {
+	t0 := time.Now()
+	snap, err := f.m.provider.Snapshot(f.reqCtx, paths)
+	*dur += time.Since(t0)
+	return snap, err
 }
 
 // readOf is path's result from a Snapshot call that returned snap and err.
@@ -134,10 +161,8 @@ func readOf(snap ocl.MapEnv, path string, err error) pathRead {
 // fetchPost resolves one post-state path straight from the cloud into the
 // frame: the post-condition verifies this request's own effect.
 func (f *fetcher) fetchPost(path string) error {
-	t0 := time.Now()
 	f.fetched++
-	snap, err := f.m.provider.Snapshot(f.reqCtx, []string{path})
-	f.postDur += time.Since(t0)
+	snap, err := f.snapshot([]string{path}, &f.postDur)
 	if err != nil {
 		return err
 	}
@@ -150,15 +175,17 @@ func (f *fetcher) fetchPost(path string) error {
 // the moment a slot demand surfaces and re-running the program. The loop
 // terminates because every successful fetch fills its slot, and a filled
 // slot cannot demand again. Fetch failures come back wrapped in
-// fetchError; all other errors are genuine evaluation errors.
+// fetchError; all other errors are genuine evaluation errors. A program
+// returns its demands unwrapped, so a type assertion finds them without
+// errors.As, whose target would escape on every run.
 func evalProgram(prog *contract.Program, fr *contract.Frame, fetch func(*contract.Demand) error) (ocl.Value, error) {
 	for {
 		val, err := prog.Run(fr)
 		if err == nil {
 			return val, nil
 		}
-		var d *contract.Demand
-		if !errors.As(err, &d) {
+		d, ok := err.(*contract.Demand)
+		if !ok {
 			return ocl.Value{}, err
 		}
 		if fr.Filled(d) {

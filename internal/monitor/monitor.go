@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/textproto"
 	"net/url"
 	"strings"
 	"sync"
@@ -643,8 +644,13 @@ func (m *Monitor) respond(w http.ResponseWriter, v Verdict, resp *BackendRespons
 	}
 }
 
+// writeBackend writes the cloud's response to the client, less the
+// headers of the cloud's connection to the monitor.
 func writeBackend(w http.ResponseWriter, resp *BackendResponse) {
 	for k, vals := range resp.Header {
+		if hopByHop(resp.Header, http.CanonicalHeaderKey(k)) {
+			continue
+		}
 		for _, val := range vals {
 			w.Header().Add(k, val)
 		}
@@ -655,6 +661,26 @@ func writeBackend(w http.ResponseWriter, resp *BackendResponse) {
 		// the body for this one client.
 		_, _ = w.Write(resp.Body)
 	}
+}
+
+// hopByHop reports whether key, a key of header h, is a header of one
+// connection, here the cloud's to the monitor rather than the monitor's to
+// its client: a hop-by-hop header of RFC 7230 §6.1 (with the others
+// httputil.ReverseProxy drops), or one h's Connection header names.
+func hopByHop(h http.Header, key string) bool {
+	switch key {
+	case "Connection", "Proxy-Connection", "Keep-Alive", "Proxy-Authenticate",
+		"Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade":
+		return true
+	}
+	for _, v := range h["Connection"] {
+		for _, name := range strings.Split(v, ",") {
+			if http.CanonicalHeaderKey(textproto.TrimString(name)) == key {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // record updates the lock-free counters and stage histograms, feeds the
@@ -876,13 +902,17 @@ func (m *Monitor) FetchStats() FetchStats {
 }
 
 // HTTPForwarder is the default Forwarder: it substitutes the captured
-// params into the route's backend template (see backendPath) and issues
-// the request against BaseURL with Client.
+// params into the route's backend template (see backendPath) and sends
+// the request to BaseURL in one round trip on Client's transport
+// (httpkit.Send), as a reverse proxy does: the cloud's answer, a redirect
+// included, is what the client gets and what the verdict judges.
 type HTTPForwarder struct {
 	// BaseURL is the private cloud's root URL. It is read on the first
 	// forward and must not change after it.
 	BaseURL string
-	// Client defaults to a pooled client bounded by the shared
+	// Client's transport carries each forward, and its Timeout, when set,
+	// bounds it; its redirect policy and cookie jar are not used. It
+	// defaults to a pooled client bounded by the shared
 	// httpkit.DefaultCloudTimeout knob.
 	Client *http.Client
 	// Timeout, when positive, bounds each forwarded request with a
@@ -954,14 +984,9 @@ func (f *HTTPForwarder) Forward(r *http.Request, route *Route, params map[string
 	if client == nil {
 		client = defaultForwardClient
 	}
-	resp, err := client.Do(req)
+	resp, data, err := httpkit.Send(client, req, maxForwardBody)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: backend request: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := httpkit.ReadBounded(resp.Body, maxForwardBody, resp.ContentLength)
-	if err != nil {
-		return nil, fmt.Errorf("monitor: read backend response: %w", err)
 	}
 	// The response is ours alone once its body is read, so its header map
 	// is kept rather than copied.

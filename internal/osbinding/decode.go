@@ -1,6 +1,8 @@
 package osbinding
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"reflect"
 	"strings"
 	"time"
@@ -21,6 +23,14 @@ import (
 // typed client decodes it. Both routes therefore read the same value out
 // of any body, and a body json.Unmarshal rejects fails with the same
 // error as before.
+//
+// Most of a body is keys and strings, so the pass spends least on them.
+// encoding/json writes a struct's fields in declaration order, so each
+// key is first compared with the one the last declared key predicts, and
+// looked up among the fields only when it is not that key byte for byte.
+// String bytes are checked eight at a time, and white space, which an
+// encoder writes none of between tokens, costs one comparison when there
+// is none.
 
 // fieldKind is a declared field's JSON type, as its Go type dictates.
 type fieldKind uint8
@@ -35,9 +45,15 @@ const (
 
 // field is one JSON field json.Unmarshal fills in the response type.
 type field struct {
-	name  string
-	kind  fieldKind
-	index int // the Go struct field's index
+	name string
+	// key is the name as an encoder writes it before the value, "name":,
+	// and head and tail its first and last eight bytes as little-endian
+	// words; a key of under eight bytes has head zero-padded, and mask
+	// keeps its bytes of a word.
+	key              string
+	head, tail, mask uint64
+	kind             fieldKind
+	index            int // the Go struct field's index
 	// bound marks the fields from the root to the bound value: those are
 	// read, not just checked, and may not be null.
 	bound bool
@@ -109,14 +125,32 @@ func fieldsOf(t reflect.Type) []field {
 		if name == "" {
 			name = sf.Name
 		}
+		for _, prev := range fields {
+			if prev.name == name {
+				// json.Unmarshal fills neither of two fields of one name; a
+				// predicted key would read the second.
+				panic("osbinding: " + t.String() + " declares the JSON field " + name + " twice")
+			}
+		}
 		f := fieldOf(sf.Type)
 		f.name, f.index = name, i
+		f.setKey(`"` + name + `":`)
 		fields = append(fields, f)
 	}
 	if len(fields) > 64 {
 		panic("osbinding: " + t.String() + " declares over 64 fields")
 	}
 	return fields
+}
+
+// setKey sets f's key and the words key compares a body's bytes with.
+func (f *field) setKey(key string) {
+	var head [8]byte
+	n := copy(head[:], key)
+	f.key, f.head, f.mask = key, binary.LittleEndian.Uint64(head[:]), ^uint64(0)>>(64-8*n)
+	if len(key) > 8 {
+		f.tail = binary.LittleEndian.Uint64([]byte(key[len(key)-8:]))
+	}
 }
 
 // fieldOf maps a Go field type onto the JSON it decodes from.
@@ -214,6 +248,8 @@ type scanner struct {
 	nspans int
 	first  [32]span
 	more   []span
+	// total is the bound strings' length together.
+	total int
 }
 
 // add records a bound string.
@@ -224,6 +260,7 @@ func (sc *scanner) add(sp span) {
 		sc.more = append(sc.more, sp)
 	}
 	sc.nspans++
+	sc.total += sp.hi - sp.lo
 }
 
 // span returns the i-th bound string's span.
@@ -241,13 +278,8 @@ const maxSkipDepth = 64
 // collection copies the bound strings out of the body into one string
 // and returns them as an exact-length collection over it.
 func (sc *scanner) collection() ocl.Value {
-	total := 0
-	for i := 0; i < sc.nspans; i++ {
-		sp := sc.span(i)
-		total += sp.hi - sp.lo
-	}
 	var b strings.Builder
-	b.Grow(total)
+	b.Grow(sc.total)
 	for i := 0; i < sc.nspans; i++ {
 		sp := sc.span(i)
 		b.Write(sc.data[sp.lo:sp.hi])
@@ -264,28 +296,38 @@ func (sc *scanner) collection() ocl.Value {
 	return ocl.Value{Kind: ocl.KindCollection, Elems: elems}
 }
 
-// object scans an object of the declared fields.
+// object scans an object of the declared fields. Each key is first taken
+// as the field after the last declared one read (the first field at the
+// start), written as an encoder writes it, and looked up only when the
+// bytes differ.
 func (sc *scanner) object(fields []field) bool {
-	if !sc.eat('{') {
+	data := sc.data
+	if sc.pos >= len(data) || data[sc.pos] != '{' {
 		return false
 	}
-	sc.ws()
-	if sc.eat('}') {
+	pos := space(data, sc.pos+1)
+	if pos < len(data) && data[pos] == '}' {
+		sc.pos = pos + 1
 		return true
 	}
 	var seen uint64
+	next := 0
 	for {
-		sc.ws()
-		lo, hi, ok := sc.plain()
-		if !ok {
-			return false
+		sc.pos = space(data, pos)
+		i := next
+		if next >= len(fields) || !sc.key(&fields[next]) {
+			lo, hi, ok := sc.plain()
+			if !ok {
+				return false
+			}
+			i = lookup(fields, data[lo:hi])
+			sc.ws()
+			if !sc.eat(':') {
+				return false
+			}
 		}
 		sc.ws()
-		if !sc.eat(':') {
-			return false
-		}
-		sc.ws()
-		switch i := lookup(fields, sc.data[lo:hi]); {
+		switch {
 		case i >= 0:
 			if seen&(1<<i) != 0 {
 				return false
@@ -294,6 +336,7 @@ func (sc *scanner) object(fields []field) bool {
 			if !sc.value(&fields[i]) {
 				return false
 			}
+			next = i + 1
 		case i == undeclared:
 			if !sc.skip() {
 				return false
@@ -301,11 +344,40 @@ func (sc *scanner) object(fields []field) bool {
 		default:
 			return false
 		}
-		sc.ws()
-		if !sc.eat(',') {
-			return sc.eat('}')
+		pos = space(data, sc.pos)
+		if pos >= len(data) {
+			return false
+		}
+		switch data[pos] {
+		case ',':
+			pos++
+		case '}':
+			sc.pos = pos + 1
+			return true
+		default:
+			return false
 		}
 	}
+}
+
+// key moves past f's key if it comes next, byte for byte. A key of up to
+// sixteen bytes is compared as one or two words. A declared name holds no
+// byte a plain string stops at, so plain and lookup would have found the
+// same field.
+func (sc *scanner) key(f *field) bool {
+	rest, n := sc.data[sc.pos:], len(f.key)
+	switch {
+	case len(rest) < 8 || n > 16:
+		if len(rest) < n || string(rest[:n]) != f.key {
+			return false
+		}
+	case binary.LittleEndian.Uint64(rest)&f.mask != f.head:
+		return false
+	case n > 8 && (len(rest) < n || binary.LittleEndian.Uint64(rest[n-8:]) != f.tail):
+		return false
+	}
+	sc.pos += n
+	return true
 }
 
 const (
@@ -333,6 +405,22 @@ func lookup(fields []field, key []byte) int {
 
 // value scans a declared field's value.
 func (sc *scanner) value(f *field) bool {
+	if f.kind == kindString && sc.pos < len(sc.data) && sc.data[sc.pos] == '"' {
+		// A string without escapes, the usual one, ends at the first byte
+		// words stops at; any other is scanned below from its start.
+		var high uint64
+		if f.bound {
+			high = highBits
+		}
+		lo := sc.pos + 1
+		if hi := words(sc.data, lo, high); hi < len(sc.data) && sc.data[hi] == '"' {
+			sc.pos = hi + 1
+			if f.bound {
+				sc.add(span{lo, hi})
+			}
+			return true
+		}
+	}
 	if sc.pos < len(sc.data) && sc.data[sc.pos] == 'n' {
 		// json.Unmarshal leaves a field it reads as null untouched, so off
 		// the bound path null reads as absent; on it, the body goes to
@@ -453,6 +541,7 @@ func (sc *scanner) plain() (lo, hi int, ok bool) {
 		return 0, 0, false
 	}
 	lo = sc.pos
+	sc.pos = words(sc.data, sc.pos, highBits)
 	for sc.pos < len(sc.data) {
 		c := sc.data[sc.pos]
 		if c == '"' {
@@ -472,7 +561,11 @@ func (sc *scanner) str() bool {
 	if !sc.eat('"') {
 		return false
 	}
-	for sc.pos < len(sc.data) {
+	for {
+		sc.pos = words(sc.data, sc.pos, 0)
+		if sc.pos >= len(sc.data) {
+			return false
+		}
 		c := sc.data[sc.pos]
 		sc.pos++
 		switch {
@@ -503,7 +596,30 @@ func (sc *scanner) str() bool {
 			}
 		}
 	}
-	return false
+}
+
+// Masks of a 64-bit word's eight bytes: the lowest bit and the highest.
+const (
+	lowBits  = 0x0101010101010101
+	highBits = 0x8080808080808080
+)
+
+// words returns the index of the first byte from pos on that is '"',
+// '\\', a control byte or, when high is highBits, non-ASCII, testing eight
+// bytes at a time; it stops at the last eight bytes, which the caller's
+// byte loop reads. A byte b is below n (n <= 0x80) exactly when
+// (b-n) &^ b has its high bit set, and the borrow such a byte lends the
+// next can only set bits above it, so the lowest set bit marks the first
+// byte that stops the scan.
+func words(data []byte, pos int, high uint64) int {
+	for ; pos+8 <= len(data); pos += 8 {
+		w := binary.LittleEndian.Uint64(data[pos:])
+		q, s := w^(lowBits*'"'), w^(lowBits*'\\')
+		if stop := ((w-lowBits*0x20)&^w | (q-lowBits)&^q | (s-lowBits)&^s | w&high) & highBits; stop != 0 {
+			return pos + bits.TrailingZeros64(stop)/8
+		}
+	}
+	return pos
 }
 
 // integer scans a JSON integer that fits an int; a fraction or exponent
@@ -582,15 +698,22 @@ func (sc *scanner) eat(c byte) bool {
 	return false
 }
 
-func (sc *scanner) ws() {
-	for sc.pos < len(sc.data) {
-		switch sc.data[sc.pos] {
+// ws moves past white space.
+func (sc *scanner) ws() { sc.pos = space(sc.data, sc.pos) }
+
+// space returns the index of the first byte from pos on that is not white
+// space. A byte above ' ' is none, so the usual case, a token right after
+// the last, ends it at the first comparison.
+func space(data []byte, pos int) int {
+	for pos < len(data) && data[pos] <= ' ' {
+		switch data[pos] {
 		case ' ', '\t', '\n', '\r':
-			sc.pos++
+			pos++
 		default:
-			return
+			return pos
 		}
 	}
+	return pos
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }

@@ -149,20 +149,21 @@ func cloudBodies(t testing.TB) map[string][]byte {
 	if _, err := c.Authenticate("alice", "pw", pid); err != nil {
 		t.Fatal(err)
 	}
-	get := func(path, header, value string) []byte {
+	reader := NewProviderWithClient(c.BaseURL, ServiceAccount{}, c.HTTPClient)
+	get := func(path, subject string) []byte {
 		t.Helper()
-		body, err := c.GetRaw(path, header, value)
+		body, err := reader.get([]string{c.Token}, path, subject)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		return body
 	}
 	bodies := map[string][]byte{
-		"project":     get("/identity/v3/projects/"+pid, "", ""),
-		"quota":       get("/volume/v3/"+pid+"/quota_sets", "", ""),
-		"volumes-0":   get("/volume/v3/"+pid+"/volumes", "", ""),
-		"servers-0":   get("/compute/v2.1/"+pid+"/servers", "", ""),
-		"token-admin": get("/identity/v3/auth/tokens", "X-Subject-Token", c.Token),
+		"project":     get("/identity/v3/projects/"+pid, ""),
+		"quota":       get("/volume/v3/"+pid+"/quota_sets", ""),
+		"volumes-0":   get("/volume/v3/"+pid+"/volumes", ""),
+		"servers-0":   get("/compute/v2.1/"+pid+"/servers", ""),
+		"token-admin": get("/identity/v3/auth/tokens", c.Token),
 	}
 	for name, user := range map[string]string{"token-member": "bob", "token-none": "eve"} {
 		u := osclient.Client{BaseURL: c.BaseURL, HTTPClient: c.HTTPClient}
@@ -170,7 +171,7 @@ func cloudBodies(t testing.TB) map[string][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bodies[name] = get("/identity/v3/auth/tokens", "X-Subject-Token", tok)
+		bodies[name] = get("/identity/v3/auth/tokens", tok)
 	}
 	var vols []*cinder.Volume
 	for i := 0; i < 40; i++ {
@@ -180,17 +181,17 @@ func cloudBodies(t testing.TB) map[string][]byte {
 		}
 		vols = append(vols, v)
 	}
-	bodies["volumes-40"] = get("/volume/v3/"+pid+"/volumes", "", "")
-	bodies["volume"] = get("/volume/v3/"+pid+"/volumes/"+vols[0].ID, "", "")
+	bodies["volumes-40"] = get("/volume/v3/"+pid+"/volumes", "")
+	bodies["volume"] = get("/volume/v3/"+pid+"/volumes/"+vols[0].ID, "")
 	bare := cloud.Compute.CreateServer(pid, "web")
-	bodies["server-bare"] = get("/compute/v2.1/"+pid+"/servers/"+bare.ID, "", "")
+	bodies["server-bare"] = get("/compute/v2.1/"+pid+"/servers/"+bare.ID, "")
 	attached := cloud.Compute.CreateServer(pid, "db")
 	if err := cloud.Compute.Attach(pid, attached.ID, vols[1].ID); err != nil {
 		t.Fatal(err)
 	}
-	bodies["server-attached"] = get("/compute/v2.1/"+pid+"/servers/"+attached.ID, "", "")
-	bodies["volume-in-use"] = get("/volume/v3/"+pid+"/volumes/"+vols[1].ID, "", "")
-	bodies["servers-2"] = get("/compute/v2.1/"+pid+"/servers", "", "")
+	bodies["server-attached"] = get("/compute/v2.1/"+pid+"/servers/"+attached.ID, "")
+	bodies["volume-in-use"] = get("/volume/v3/"+pid+"/volumes/"+vols[1].ID, "")
+	bodies["servers-2"] = get("/compute/v2.1/"+pid+"/servers", "")
 	return bodies
 }
 
@@ -346,6 +347,14 @@ func FuzzBindingDecode(f *testing.F) {
 		`{"project":{"id":"p","name":{"nested":[[[]]]}}}`,
 		`{"volume":{"status":"available"}}  `,
 		`{"volume":{"status":"available"}}}`,
+		// The predicted key and each way it misses: fields out of
+		// declaration order, a declared key twice, a case-folded key, white
+		// space before the colon, an undeclared key between declared ones.
+		`{"volumes":[{"status":"in-use","size":2,"name":"n","id":"a"}]}`,
+		`{"volumes":[{"id":"a","name":"n","id":"b"}]}`,
+		`{"volumes":[{"id":"a","Name":"n","size":1}]}`,
+		`{"volumes":[{"id" :"a","name"` + "\t" + `:"n"}]}`,
+		`{"volumes":[{"id":"a","extra":[1,{"id":"x"}],"name":"n","size":1}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -357,31 +366,94 @@ func FuzzBindingDecode(f *testing.F) {
 // decodeSink keeps the benchmarked decodes from being optimized away.
 var decodeSink ocl.Value
 
-// BenchmarkBindingDecode compares the scanner with the json.Unmarshal
-// fallback on the simulated cloud's listing of 16 volumes.
-func BenchmarkBindingDecode(b *testing.B) {
+// benchBodies are the simulated cloud's answers the scanner reads on every
+// monitored request: a listing of 16 volumes, a volume, the quota set and
+// a token validation. The listing is json.Marshal's, as the cloud's
+// encoder writes it.
+func benchBodies(tb testing.TB) map[string][]byte {
+	tb.Helper()
 	cloud := openstack.New(openstack.Config{})
-	pid := cloud.ApplySeed(openstack.Seed{ProjectName: "p", Quota: cinder.QuotaSet{Volumes: 100, Gigabytes: 100}}).ProjectID
+	res := cloud.ApplySeed(openstack.Seed{
+		ProjectName: "p",
+		Quota:       cinder.QuotaSet{Volumes: 100, Gigabytes: 100},
+		GroupRoles:  paper.GroupRole(),
+		Users:       []openstack.SeedUser{{Name: "alice", Password: "pw", Group: paper.GroupProjAdministrator}},
+	})
+	pid := res.ProjectID
 	for i := 0; i < 16; i++ {
 		if _, err := cloud.Volumes.Create(pid, fmt.Sprintf("c0-%d", i), 1); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	vols := cloud.Volumes.Volumes(pid)
-	body, err := json.Marshal(map[string]any{"volumes": vols})
+	listing, err := json.Marshal(map[string]any{"volumes": vols})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	s := &bindings["project.volumes"].shape
-	if v, ok := s.scan(body); !ok || v.Size() != 16 {
-		b.Fatalf("the scanner reads %v, %v from %s", v, ok, body)
+	c := osclient.New("http://cloud.internal")
+	c.HTTPClient = httpkit.HandlerClient(cloud)
+	tok, err := c.Authenticate("alice", "pw", pid)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.Run("scan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			decodeSink, _ = s.scan(body)
+	reader := NewProviderWithClient(c.BaseURL, ServiceAccount{}, c.HTTPClient)
+	get := func(path, subject string) []byte {
+		body, err := reader.get([]string{tok}, path, subject)
+		if err != nil {
+			tb.Fatalf("GET %s: %v", path, err)
 		}
-	})
+		return body
+	}
+	return map[string][]byte{
+		"project.volumes":   listing,
+		"volume.status":     get("/volume/v3/"+pid+"/volumes/"+vols[0].ID, ""),
+		"quota_sets.volume": get("/volume/v3/"+pid+"/quota_sets", ""),
+		"user.id.groups":    get("/identity/v3/auth/tokens", tok),
+	}
+}
+
+// TestScanAllocs pins what a scan allocates: the 16-volume listing's ids
+// take two allocations (one string holding them all and the collection
+// over it), a status at most one (its string), and a quota none.
+func TestScanAllocs(t *testing.T) {
+	bodies := benchBodies(t)
+	for path, max := range map[string]float64{"project.volumes": 2, "volume.status": 1, "quota_sets.volume": 0} {
+		s, body := &bindings[path].shape, bodies[path]
+		if _, ok := s.scan(body); !ok {
+			t.Fatalf("%s: the scanner rejects %s", path, body)
+		}
+		if n := testing.AllocsPerRun(100, func() { decodeSink, _ = s.scan(body) }); n > max {
+			t.Errorf("%s: a scan allocates %v times, want at most %v", path, n, max)
+		}
+	}
+}
+
+// BenchmarkBindingDecode times the scanner on the cloud's answers, and
+// the json.Unmarshal fallback on the 16-volume listing: scan and fallback
+// read the listing, the others their path's body.
+func BenchmarkBindingDecode(b *testing.B) {
+	bodies := benchBodies(b)
+	for _, bc := range []struct{ name, path string }{
+		{"scan", "project.volumes"},
+		{"status", "volume.status"},
+		{"quota", "quota_sets.volume"},
+		{"token", "user.id.groups"},
+	} {
+		s, body := &bindings[bc.path].shape, bodies[bc.path]
+		if _, ok := s.scan(body); !ok {
+			b.Fatalf("%s: the scanner rejects %s", bc.path, body)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				decodeSink, _ = s.scan(body)
+			}
+		})
+	}
+	s, body := &bindings["project.volumes"].shape, bodies["project.volumes"]
+	if v, _ := s.scan(body); v.Size() != 16 {
+		b.Fatalf("the scanner reads %v from %s", v, body)
+	}
 	b.Run("fallback", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -28,6 +28,7 @@
 package osbinding
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -40,6 +41,7 @@ import (
 	"time"
 
 	"cloudmon/internal/contract"
+	"cloudmon/internal/httpkit"
 	"cloudmon/internal/monitor"
 	"cloudmon/internal/obs"
 	"cloudmon/internal/ocl"
@@ -60,8 +62,14 @@ type ServiceAccount struct {
 
 // Provider implements monitor.StateProvider over the cloud's REST APIs.
 type Provider struct {
+	// client authenticates the service account, and its Timeout bounds
+	// each read attempt.
 	client  *osclient.Client
 	account ServiceAccount
+	// hc and ep send the reads: the client's HTTP client, and its BaseURL
+	// parsed once.
+	hc *http.Client
+	ep *httpkit.Endpoint
 
 	// Parallel resolves the paths of one Snapshot call concurrently, on
 	// at most DefaultMaxParallel workers: the call then costs the slowest
@@ -72,10 +80,12 @@ type Provider struct {
 	// spans) still can. Unset, a call stops at its first failed path.
 	Parallel bool
 
-	mu sync.Mutex
-	// authed is the client carrying the cached service-account token;
-	// nil until the account authenticates and after a 401.
-	authed *osclient.Client
+	// token is the service-account token as the X-Auth-Token header value
+	// every read shares, read-only; nil until the account authenticates and
+	// after a 401. A read loads it without a lock; mu serializes the
+	// authentication that fills it.
+	token atomic.Pointer[[]string]
+	mu    sync.Mutex
 
 	// Lock-free observability counters over the read loop (exported via
 	// RegisterMetrics).
@@ -130,42 +140,43 @@ func (p *Provider) RegisterMetrics(reg *obs.Registry) {
 
 var _ monitor.StateProvider = (*Provider)(nil)
 
-// NewProvider returns a provider that reads the cloud through c,
-// authenticating with the service account on demand. c's Timeout, when
-// set, is the deadline of each read attempt.
+// NewProvider returns a provider that reads the cloud through c's HTTP
+// client, authenticating with the service account on demand. Each read
+// is one round trip (httpkit.Send): the HTTP client's Timeout and c's
+// Timeout, when set, bound each attempt, and a redirect is the read's
+// answer, not followed.
 func NewProvider(c *osclient.Client, account ServiceAccount) *Provider {
 	client := *c
-	return &Provider{client: &client, account: account}
+	return &Provider{client: &client, account: account, hc: client.HTTP(), ep: httpkit.NewEndpoint(client.BaseURL)}
 }
 
 // NewProviderWithClient returns a provider for the cloud at baseURL whose
-// reads go through httpClient (nil selects osclient's pooled default).
+// reads go through httpClient's transport, one round trip each, under
+// its Timeout; nil selects osclient's pooled default.
 func NewProviderWithClient(baseURL string, account ServiceAccount, httpClient *http.Client) *Provider {
 	c := osclient.New(baseURL)
 	c.HTTPClient = httpClient
 	return NewProvider(c, account)
 }
 
-// authedClient returns a client carrying a valid service token,
-// re-authenticating if needed.
-func (p *Provider) authedClient() (*osclient.Client, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.authed == nil {
-		tok, err := p.client.Authenticate(p.account.User, p.account.Password, p.account.ProjectID)
-		if err != nil {
-			return nil, fmt.Errorf("osbinding: service-account auth: %w", err)
-		}
-		p.authed = p.client.WithToken(tok)
+// serviceToken returns the cached service token, authenticating the
+// account first when there is none.
+func (p *Provider) serviceToken() (*[]string, error) {
+	if tok := p.token.Load(); tok != nil {
+		return tok, nil
 	}
-	return p.authed, nil
-}
-
-// invalidateToken drops the cached token after a 401.
-func (p *Provider) invalidateToken() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.authed = nil
+	if tok := p.token.Load(); tok != nil {
+		return tok, nil
+	}
+	id, err := p.client.Authenticate(p.account.User, p.account.Password, p.account.ProjectID)
+	if err != nil {
+		return nil, fmt.Errorf("osbinding: service-account auth: %w", err)
+	}
+	tok := &[]string{id}
+	p.token.Store(tok)
+	return tok, nil
 }
 
 // The read schedule: a cloud read gets readAttempts tries. The sleep
@@ -215,23 +226,24 @@ func retryable(err error) bool {
 	return false
 }
 
-// read runs fn, one GET against the cloud, with an authenticated client
-// under the read schedule, re-authenticating after a 401.
-func (p *Provider) read(fn func(c *osclient.Client) error) error {
+// read runs fn, one GET against the cloud with the service token's header
+// value, under the read schedule. A 401 drops the token it was sent with,
+// so the next attempt authenticates again.
+func (p *Provider) read(fn func(token []string) error) error {
 	for attempt := 1; ; attempt++ {
 		p.attempts.Inc()
 		if attempt > 1 {
 			p.retries.Inc()
 		}
-		c, err := p.authedClient()
+		tok, err := p.serviceToken()
 		if err == nil {
-			err = fn(c)
+			err = fn(*tok)
 		}
 		if err == nil {
 			return nil
 		}
 		if osclient.IsStatus(err, http.StatusUnauthorized) {
-			p.invalidateToken()
+			p.token.CompareAndSwap(tok, nil)
 			p.authRefreshes.Inc()
 		}
 		if attempt == readAttempts || !retryable(err) {
@@ -239,6 +251,36 @@ func (p *Provider) read(fn func(c *osclient.Client) error) error {
 		}
 		time.Sleep(backoff(attempt, rand.Float64))
 	}
+}
+
+// get GETs target, sending token as X-Auth-Token and subject, when set,
+// as X-Subject-Token, and returns the 2xx reply's body; any other reply is
+// a *osclient.StatusError.
+func (p *Provider) get(token []string, target, subject string) ([]byte, error) {
+	// No context unless an attempt has a deadline: a request then carries
+	// none, and an in-process transport serves it on this goroutine.
+	ctx := context.Background()
+	if p.client.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.client.Timeout)
+		defer cancel()
+	}
+	req, err := p.ep.Request(ctx, http.MethodGet, target, nil)
+	if err != nil {
+		return nil, fmt.Errorf("osbinding: new request: %w", err)
+	}
+	req.Header["X-Auth-Token"] = token
+	if subject != "" {
+		req.Header["X-Subject-Token"] = []string{subject}
+	}
+	resp, body, err := httpkit.Send(p.hc, req, httpkit.MaxBodyBytes)
+	if err != nil {
+		return nil, fmt.Errorf("osbinding: GET %s: %w", target, err)
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return nil, osclient.StatusErrorOf(resp.StatusCode, body)
+	}
+	return body, nil
 }
 
 // Snapshot implements monitor.StateProvider. Paths are independent REST
@@ -405,13 +447,13 @@ func (p *Provider) resolve(ctx *monitor.RequestContext, path string) (ocl.Value,
 	if !ok {
 		return ocl.Undefined(), nil
 	}
-	var header string
+	var subject string
 	if b.subject {
-		header = "X-Subject-Token"
+		subject = ctx.Token
 	}
 	var out ocl.Value
-	err := p.read(func(c *osclient.Client) error {
-		body, err := c.GetRaw(target, header, ctx.Token)
+	err := p.read(func(token []string) error {
+		body, err := p.get(token, target, subject)
 		if err != nil {
 			return err
 		}

@@ -166,10 +166,7 @@ func TestServiceTokenRefreshAfterRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Revoke every token (including the provider's) out from under it.
-	f.provider.mu.Lock()
-	cached := f.provider.authed.Token
-	f.provider.mu.Unlock()
-	f.cloud.Identity.Revoke(cached)
+	f.cloud.Identity.Revoke((*f.provider.token.Load())[0])
 	// The provider must re-authenticate transparently.
 	env, err := f.provider.Snapshot(f.ctx(""), []string{"project.volumes"})
 	if err != nil {
@@ -177,6 +174,36 @@ func TestServiceTokenRefreshAfterRevocation(t *testing.T) {
 	}
 	if env["project.volumes"].Kind != ocl.KindCollection {
 		t.Errorf("project.volumes = %v", env["project.volumes"])
+	}
+}
+
+// TestServiceTokenRefreshUnderConcurrency: reads that find the cached
+// token revoked at once each drop it and re-authenticate; every read
+// succeeds, and the token they end with is a live one. Run with -race.
+func TestServiceTokenRefreshUnderConcurrency(t *testing.T) {
+	f := newFixture(t)
+	f.provider.Parallel = true
+	paths := []string{"project.volumes", "project.id", "quota_sets.volume", "user.id.groups"}
+	if _, err := f.provider.Snapshot(f.ctx(""), paths); err != nil {
+		t.Fatal(err)
+	}
+	f.cloud.Identity.Revoke((*f.provider.token.Load())[0])
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := f.provider.Snapshot(f.ctx(""), paths); err != nil {
+				t.Errorf("snapshot after revocation: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := f.cloud.Identity.Validate((*f.provider.token.Load())[0]); err != nil {
+		t.Errorf("the cached token after the refresh is not live: %v", err)
+	}
+	if n := f.provider.Stats().AuthRefreshes; n == 0 {
+		t.Error("no read re-authenticated after the revocation")
 	}
 }
 

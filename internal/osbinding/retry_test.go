@@ -67,8 +67,8 @@ func TestReadRetriesInfrastructureFailures(t *testing.T) {
 	}}
 	p := scriptedProvider(cloud)
 
-	err := p.read(func(c *osclient.Client) error {
-		_, err := c.Do(http.MethodGet, "/volume/v3/p1/volumes", nil, nil, nil)
+	err := p.read(func(token []string) error {
+		_, err := p.get(token, "/volume/v3/p1/volumes", "")
 		return err
 	})
 	if err != nil {
@@ -102,8 +102,8 @@ func TestPerAttemptDeadlineHonored(t *testing.T) {
 	p := NewProvider(c, ServiceAccount{User: "svc", Password: "pw", ProjectID: "p1"})
 
 	start := time.Now()
-	err := p.read(func(c *osclient.Client) error {
-		_, err := c.Do(http.MethodGet, "/volume/v3/p1/volumes", nil, nil, nil)
+	err := p.read(func(token []string) error {
+		_, err := p.get(token, "/volume/v3/p1/volumes", "")
 		return err
 	})
 	elapsed := time.Since(start)

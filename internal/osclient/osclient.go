@@ -89,7 +89,9 @@ var defaultTransport = func() *http.Transport {
 // (httpkit.DefaultCloudTimeout) the monitor's forwarder also uses.
 var defaultClient = &http.Client{Timeout: httpkit.DefaultCloudTimeout, Transport: defaultTransport}
 
-func (c *Client) httpClient() *http.Client {
+// HTTP returns the http.Client the client's requests go through:
+// HTTPClient, or the pooled default.
+func (c *Client) HTTP() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
@@ -135,26 +137,6 @@ func (c *Client) DoCtx(ctx context.Context, method, path string, in, out any, ex
 	return status, Decode(data, out)
 }
 
-// GetRaw GETs path and returns the 2xx response's body undecoded, for a
-// caller that decodes only part of it. header, when non-empty, is sent
-// with value (e.g. X-Subject-Token). A non-2xx response is a
-// *StatusError, as from Do.
-func (c *Client) GetRaw(path, header, value string) ([]byte, error) {
-	// No context unless Timeout asks for one: a request then carries no
-	// cancellable context, just like Do's.
-	ctx, cancel := c.attemptContext(context.Background())
-	defer cancel()
-	req, err := c.request(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	if header != "" {
-		req.Header.Set(header, value)
-	}
-	_, data, err := c.send(req, path)
-	return data, err
-}
-
 // attemptContext arms the client's per-request deadline on ctx, if any.
 func (c *Client) attemptContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if c.Timeout > 0 {
@@ -186,7 +168,7 @@ func (c *Client) endpoint() *httpkit.Endpoint {
 // send issues req and reads the body, bounded by httpkit.MaxBodyBytes. A
 // non-2xx status is a *StatusError carrying the body's error message.
 func (c *Client) send(req *http.Request, path string) (int, []byte, error) {
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.HTTP().Do(req)
 	if err != nil {
 		return 0, nil, fmt.Errorf("osclient: %s %s: %w", req.Method, path, err)
 	}
@@ -196,8 +178,7 @@ func (c *Client) send(req *http.Request, path string) (int, []byte, error) {
 		return resp.StatusCode, nil, fmt.Errorf("osclient: read response: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		msg := extractErrorMessage(data)
-		return resp.StatusCode, nil, &StatusError{Status: resp.StatusCode, Message: msg}
+		return resp.StatusCode, nil, StatusErrorOf(resp.StatusCode, data)
 	}
 	return resp.StatusCode, data, nil
 }
@@ -211,6 +192,12 @@ func Decode(data []byte, out any) error {
 		}
 	}
 	return nil
+}
+
+// StatusErrorOf returns the *StatusError of a non-2xx response with body
+// data: its message is the body's OpenStack error message, or the body.
+func StatusErrorOf(status int, data []byte) *StatusError {
+	return &StatusError{Status: status, Message: extractErrorMessage(data)}
 }
 
 // extractErrorMessage pulls the message out of an OpenStack-style error
@@ -265,7 +252,7 @@ func (c *Client) Authenticate(userName, password, projectID string) (string, err
 		return "", fmt.Errorf("osclient: new auth request: %w", err)
 	}
 	httpReq.Header["Content-Type"] = []string{"application/json"}
-	resp, err := c.httpClient().Do(httpReq)
+	resp, err := c.HTTP().Do(httpReq)
 	if err != nil {
 		return "", fmt.Errorf("osclient: auth: %w", err)
 	}
@@ -275,7 +262,7 @@ func (c *Client) Authenticate(userName, password, projectID string) (string, err
 		return "", fmt.Errorf("osclient: read auth response: %w", err)
 	}
 	if resp.StatusCode != http.StatusCreated {
-		return "", &StatusError{Status: resp.StatusCode, Message: extractErrorMessage(data)}
+		return "", StatusErrorOf(resp.StatusCode, data)
 	}
 	tok := resp.Header.Get("X-Subject-Token")
 	if tok == "" {
