@@ -828,7 +828,6 @@ func BenchmarkAsyncPost(b *testing.B) {
 				d.sys.Monitor.DrainPost()
 				st := d.sys.Monitor.AsyncPostStats()
 				b.ReportMetric(float64(st.Lag.Quantile(0.99).Microseconds())/1e3, "p99-lag-ms")
-				b.ReportMetric(float64(st.Shed), "shed")
 			}
 		})
 	}

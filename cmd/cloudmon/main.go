@@ -77,9 +77,6 @@ func run(args []string) error {
 	inspectAddr := fs.String("inspect-addr", "", "optional listen address for the coverage/outcome API (e.g. 127.0.0.1:8001)")
 	levelName := fs.String("level", "full", "contract check level: full | pre-only")
 	postName := fs.String("post", "sync", "post-verification mode: sync | async (defer post-checks to a bounded worker queue)")
-	postQueue := fs.Int("post-queue", 0, "async post queue capacity (0 = default)")
-	postWorkers := fs.Int("post-workers", 0, "async post worker pool size (0 = default)")
-	backpressureName := fs.String("post-backpressure", "block", "saturated async queue policy: block | shed")
 	logFile := fs.String("log-file", "", "append verdicts as NDJSON to this file")
 	metricsAddr := fs.String("metrics-addr", "", "optional listen address for the Prometheus-text /metrics endpoint (e.g. 127.0.0.1:8002)")
 	auditDir := fs.String("audit-dir", "", "directory for the append-only audit trail (violations and Unverified outcomes)")
@@ -127,10 +124,6 @@ func run(args []string) error {
 		return err
 	}
 	postMode, err := monitor.ParsePostMode(*postName)
-	if err != nil {
-		return err
-	}
-	backpressure, err := monitor.ParseBackpressure(*backpressureName)
 	if err != nil {
 		return err
 	}
@@ -186,15 +179,12 @@ func run(args []string) error {
 		ServiceAccount: osbinding.ServiceAccount{
 			User: *svcUser, Password: *svcPass, ProjectID: *project,
 		},
-		InstanceID:       *instance,
-		Mode:             mode,
-		Level:            level,
-		Post:             postMode,
-		PostQueueCap:     *postQueue,
-		PostWorkers:      *postWorkers,
-		PostBackpressure: backpressure,
-		OnVerdict:        onVerdict,
-		Audit:            audit,
+		InstanceID: *instance,
+		Mode:       mode,
+		Level:      level,
+		Post:       postMode,
+		OnVerdict:  onVerdict,
+		Audit:      audit,
 	})
 	if err != nil {
 		return err

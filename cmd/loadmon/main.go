@@ -67,9 +67,6 @@ func run(args []string, out io.Writer) error {
 	modeName := fs.String("mode", "enforce", "monitor mode for the in-process deployment: enforce | observe")
 	levelName := fs.String("level", "full", "check level for the in-process deployment: full | pre-only")
 	postName := fs.String("post", "sync", "post-verification mode: sync | async (defer post-checks to a bounded worker queue)")
-	postQueue := fs.Int("post-queue", 0, "async post queue capacity (0 = default)")
-	postWorkers := fs.Int("post-workers", 0, "async post worker pool size (0 = default)")
-	backpressureName := fs.String("post-backpressure", "block", "saturated async queue policy: block | shed")
 	faultsPath := fs.String("faults", "", "fault-injection profile (JSON) for the in-process cloud")
 	fleetN := fs.Int("fleet", 0, "deploy a sharded fleet of this many monitor instances behind a consistent-hash front (in-process only)")
 	fleetProjects := fs.Int("fleet-projects", 0, "tenant projects the fleet workload spreads across (needs -fleet; 0 = 4 × fleet size)")
@@ -132,10 +129,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	backpressure, err := monitor.ParseBackpressure(*backpressureName)
-	if err != nil {
-		return err
-	}
 
 	if *fleetN == 0 {
 		// The fleet knobs shape a fleet; a lone monitor would ignore them.
@@ -178,14 +171,11 @@ func run(args []string, out io.Writer) error {
 		}
 		opts = loadgen.Options{
 			Monitor: core.Options{
-				Mode:             mode,
-				Level:            level,
-				FailPolicy:       policy,
-				Post:             postMode,
-				PostQueueCap:     *postQueue,
-				PostWorkers:      *postWorkers,
-				PostBackpressure: backpressure,
-				CloudTimeout:     *cloudTimeout,
+				Mode:         mode,
+				Level:        level,
+				FailPolicy:   policy,
+				Post:         postMode,
+				CloudTimeout: *cloudTimeout,
 			},
 			Instances:   *fleetN,
 			TenantCount: *fleetProjects,
@@ -372,7 +362,7 @@ func scrapeMetrics(addr string, r *loadgen.Report, out io.Writer) error {
 // verdicts, the merged trail replays clean, the fetch economy and the
 // async pipeline. A fleet adds the front's checks.
 func verifyRun(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scenario, r *loadgen.Report, out io.Writer) error {
-	if err := verifyReport(sc, r, opts.Monitor.FailPolicy, opts.Monitor.Post); err != nil {
+	if err := verifyReport(sc, r, opts.Monitor.FailPolicy); err != nil {
 		return err
 	}
 	// Every instance's verdict counters, read back through the merged
@@ -405,7 +395,7 @@ func verifyRun(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scenari
 		return fmt.Errorf("verify: build replayer: %w", err)
 	}
 	var merged []obs.AuditRecord
-	var tally trailTally
+	lateViolations := 0
 	packs := 0
 	for _, in := range dep.Instances {
 		for outcome, n := range in.Sys.Monitor.Outcomes() {
@@ -413,7 +403,7 @@ func verifyRun(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scenari
 				return fmt.Errorf("verify: %s/metrics reports %s=%d, monitor counters say %d", who(in), outcome, got, n)
 			}
 		}
-		empty, err := verifyTrail(in, &tally)
+		empty, err := verifyTrail(in, &lateViolations)
 		if err != nil {
 			return err
 		}
@@ -450,7 +440,7 @@ func verifyRun(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scenari
 	if err := verifyFetch(r, dep, opts.Faults != nil); err != nil {
 		return err
 	}
-	if err := verifyAsync(dep, opts, sc, r, tally, out); err != nil {
+	if err := verifyAsync(dep, opts, sc, r, lateViolations, out); err != nil {
 		return err
 	}
 	if packs > 0 {
@@ -468,17 +458,13 @@ func verifyRun(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scenari
 	return verifyFront(dep, opts, out)
 }
 
-// trailTally counts the async records across every instance's trail.
-type trailTally struct {
-	shed, lateViolations int
-}
-
 // verifyTrail checks one instance's trail on disk: the chain verifies
 // (contiguous, no torn lines), every record carries the instance's stamp,
 // every Rejected record names at least one SecReq — the trail's purpose
 // is tracing violations back to requirements — and every async record is
-// well-formed. It reports whether the trail is empty.
-func verifyTrail(in *loadgen.Instance, tally *trailTally) (bool, error) {
+// well-formed. It adds the trail's late postcondition violations to
+// lateViolations and reports whether the trail is empty.
+func verifyTrail(in *loadgen.Instance, lateViolations *int) (bool, error) {
 	if err := in.Audit.Sync(); err != nil {
 		return false, fmt.Errorf("verify: %ssync audit log: %w", who(in), err)
 	}
@@ -496,19 +482,13 @@ func verifyTrail(in *loadgen.Instance, tally *trailTally) (bool, error) {
 		case rec.Outcome == monitor.Rejected.String() && len(rec.SecReqs) == 0:
 			return false, fmt.Errorf("verify: %saudit record %d (%s %s) is Rejected but names no SecReq",
 				who(in), rec.Seq, rec.Trigger, rec.Resource)
-		case rec.Shed && rec.Outcome != monitor.Unverified.String():
-			return false, fmt.Errorf("verify: %saudit record %d is shed but %s, want %s",
-				who(in), rec.Seq, rec.Outcome, monitor.Unverified)
 		case rec.Late && rec.LagNanos < 0:
 			return false, fmt.Errorf("verify: %saudit record %d has negative detection lag %d ns", who(in), rec.Seq, rec.LagNanos)
 		case rec.Late && rec.ReturnUnixNano <= 0:
 			return false, fmt.Errorf("verify: %slate audit record %d lacks a response-return timestamp", who(in), rec.Seq)
 		}
-		if rec.Shed {
-			tally.shed++
-		}
 		if rec.Late && rec.Outcome == monitor.ViolationPostcondition.String() {
-			tally.lateViolations++
+			*lateViolations++
 		}
 	}
 	return len(read.Segments) == 0, nil
@@ -553,10 +533,10 @@ func packReplay(in *loadgen.Instance, sc loadgen.Scenario, path string, priv ed2
 // verifyReport asserts the structural verdict invariants a chaotic run
 // must preserve: the monitor answered every request (no transport
 // errors), every issued request produced exactly one verdict, and a
-// fail-closed monitor never recorded an unverified forward — except the
-// explicitly accounted async-queue sheds, which must match the shed
-// counter one-for-one.
-func verifyReport(sc loadgen.Scenario, r *loadgen.Report, policy monitor.FailPolicy, post monitor.PostMode) error {
+// fail-closed monitor never recorded an unverified forward — a failed
+// read is an Error there, and every deferred post phase runs, under sync
+// and async post alike.
+func verifyReport(sc loadgen.Scenario, r *loadgen.Report, policy monitor.FailPolicy) error {
 	if r.Errors > 0 {
 		return fmt.Errorf("verify: %d transport errors — the monitor itself failed under faults", r.Errors)
 	}
@@ -569,33 +549,20 @@ func verifyReport(sc loadgen.Scenario, r *loadgen.Report, policy monitor.FailPol
 			return fmt.Errorf("verify: verdict counters sum to %d, want %d (one per issued request)", sum, sc.Requests)
 		}
 	}
-	if policy == monitor.FailClosed {
-		unverified := r.Verdicts[monitor.Unverified.String()]
-		// Fail-closed synchronous checks turn snapshot failures into
-		// Error, never Unverified — so under async post every Unverified
-		// verdict must be an accounted queue shed, and without async
-		// there must be none at all.
-		var shed int
-		if post == monitor.PostAsync && r.AsyncPost != nil {
-			shed = int(r.AsyncPost.Shed)
-		}
-		if unverified != shed {
-			return fmt.Errorf("verify: fail-closed run recorded %d unverified verdicts, want %d (= async sheds)",
-				unverified, shed)
-		}
+	if n := r.Verdicts[monitor.Unverified.String()]; policy == monitor.FailClosed && n != 0 {
+		return fmt.Errorf("verify: fail-closed run recorded %d unverified verdicts, want 0", n)
 	}
 	return nil
 }
 
 // verifyAsync asserts the deferred-verification invariants (all zero
 // under synchronous post): the queues drained, every accepted capture
-// landed one lag histogram sample, and the trails hold one shed-tagged
-// record per shed capture and one late postcondition violation per
-// counted one. On a serial, fault-free async run it then replays the
-// identical scenario against a synchronous twin deployment and requires
-// the verdict multisets to be identical — the async pipeline may delay
-// verdicts, never change them.
-func verifyAsync(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scenario, r *loadgen.Report, tally trailTally, out io.Writer) error {
+// landed one lag histogram sample, and the trails hold one late
+// postcondition violation per counted one. On a serial, fault-free async
+// run it then replays the identical scenario against a synchronous twin
+// deployment and requires the verdict multisets to be identical — the
+// async pipeline may delay verdicts, never change them.
+func verifyAsync(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scenario, r *loadgen.Report, lateViolations int, out io.Writer) error {
 	st := dep.AsyncPostStats()
 	if st.Pending != 0 {
 		return fmt.Errorf("verify: async post queues still hold %d captures after drain", st.Pending)
@@ -603,21 +570,16 @@ func verifyAsync(dep *loadgen.Deployment, opts loadgen.Options, sc loadgen.Scena
 	if st.Lag.Count != st.Enqueued {
 		return fmt.Errorf("verify: %d captures enqueued but %d lag samples observed", st.Enqueued, st.Lag.Count)
 	}
-	if tally.shed != int(st.Shed) {
-		return fmt.Errorf("verify: monitors shed %d captures but the trails hold %d shed records", st.Shed, tally.shed)
-	}
-	if tally.lateViolations != int(st.LateViolations) {
-		return fmt.Errorf("verify: monitors counted %d late violations but the trails hold %d", st.LateViolations, tally.lateViolations)
+	if lateViolations != int(st.LateViolations) {
+		return fmt.Errorf("verify: monitors counted %d late violations but the trails hold %d", st.LateViolations, lateViolations)
 	}
 	// The sync twin needs a deterministic replay: one client, closed
-	// loop, no fault injection, nothing shed (a shed abandons a post
-	// phase the twin will evaluate, so the multisets could not match).
-	if opts.Monitor.Post != monitor.PostAsync || sc.Clients != 1 || sc.Rate != 0 || opts.Faults != nil || st.Shed != 0 {
+	// loop, no fault injection.
+	if opts.Monitor.Post != monitor.PostAsync || sc.Clients != 1 || sc.Rate != 0 || opts.Faults != nil {
 		return nil
 	}
 	twin := opts
 	twin.Monitor.Post = monitor.PostSync
-	twin.Monitor.PostQueueCap, twin.Monitor.PostWorkers, twin.Monitor.PostBackpressure = 0, 0, 0
 	twin.AuditDir = ""
 	tdep, err := loadgen.Deploy(twin)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"cloudmon/internal/evidence"
 	"cloudmon/internal/loadgen"
+	"cloudmon/internal/monitor"
 	"cloudmon/internal/obs"
 )
 
@@ -193,5 +194,24 @@ func TestVerifyFetchExact(t *testing.T) {
 	}
 	if err := verifyFetch(report(10, 9), dep, true); err != nil {
 		t.Errorf("unequal counts under faults: %v", err)
+	}
+}
+
+// TestVerifyFailClosedAsyncUnverified: a fail-closed run records no
+// Unverified verdict under async post either, since every deferred post
+// phase runs, so -verify fails a fail-closed async report holding one;
+// under fail-open the same report passes.
+func TestVerifyFailClosedAsyncUnverified(t *testing.T) {
+	sc := loadgen.Scenario{Requests: 10}
+	r := &loadgen.Report{
+		Verdicts:  map[string]int{monitor.OK.String(): 9, monitor.Unverified.String(): 1},
+		AsyncPost: &loadgen.AsyncPostReport{Enqueued: 10},
+	}
+	err := verifyReport(sc, r, monitor.FailClosed)
+	if err == nil || !strings.Contains(err.Error(), "1 unverified verdicts, want 0") {
+		t.Errorf("fail-closed async report with an Unverified verdict: err %v, want an unverified failure", err)
+	}
+	if err := verifyReport(sc, r, monitor.FailOpen); err != nil {
+		t.Errorf("fail-open async report with an Unverified verdict: %v", err)
 	}
 }

@@ -46,11 +46,6 @@ type Options struct {
 	// monitor.PostSync; PostAsync defers them to a bounded worker queue
 	// and returns responses as soon as the forward completes).
 	Post monitor.PostMode
-	// PostQueueCap / PostWorkers / PostBackpressure tune the async post
-	// pipeline (see the matching monitor.Config fields).
-	PostQueueCap     int
-	PostWorkers      int
-	PostBackpressure monitor.BackpressurePolicy
 	// CloudTimeout is the one knob both cloud-facing paths derive their
 	// deadline from: the deadline of each state-read attempt and of each
 	// forward (0 = httpkit.DefaultCloudTimeout via the default clients).
@@ -125,16 +120,13 @@ func Build(opts Options) (*System, error) {
 			Client:  opts.HTTPClient,
 			Timeout: opts.CloudTimeout,
 		},
-		Mode:             opts.Mode,
-		Level:            opts.Level,
-		FailPolicy:       opts.FailPolicy,
-		Post:             opts.Post,
-		PostQueueCap:     opts.PostQueueCap,
-		PostWorkers:      opts.PostWorkers,
-		PostBackpressure: opts.PostBackpressure,
-		OnVerdict:        opts.OnVerdict,
-		Audit:            opts.Audit,
-		InstanceID:       opts.InstanceID,
+		Mode:       opts.Mode,
+		Level:      opts.Level,
+		FailPolicy: opts.FailPolicy,
+		Post:       opts.Post,
+		OnVerdict:  opts.OnVerdict,
+		Audit:      opts.Audit,
+		InstanceID: opts.InstanceID,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -8,8 +8,9 @@ import (
 
 // Send sends req over c's transport as httputil.ReverseProxy sends a
 // proxied request, and reads the reply's body, failing past limit bytes
-// (ReadBounded). It is the monitor's way to the cloud, for its state reads
-// and its forwards alike:
+// (ReadBounded). It is the monitor's way to the cloud, for its state reads,
+// its service-account login and its forwards alike, and osclient's for
+// every request:
 //
 //   - One RoundTrip. A redirect is the cloud's answer, never followed: a
 //     Location host sees neither the request nor its tokens, and a

@@ -28,7 +28,7 @@ const quotaVolumes = 1000000
 // behind a consistent-hash front.
 type Options struct {
 	// Monitor holds every instance's monitor knobs (mode, check level,
-	// fail policy, post mode, retry, OnVerdict, ...). Deploy owns and
+	// fail policy, post mode, cloud timeout, OnVerdict). Deploy owns and
 	// overwrites Model, CloudURL, ServiceAccount, HTTPClient, Audit and
 	// InstanceID.
 	Monitor core.Options
@@ -338,7 +338,6 @@ func (d *Deployment) AsyncPostStats() monitor.AsyncPostStats {
 	for _, in := range d.Instances {
 		st := in.Sys.Monitor.AsyncPostStats()
 		agg.Enqueued += st.Enqueued
-		agg.Shed += st.Shed
 		agg.LateViolations += st.LateViolations
 		agg.FenceWaits += st.FenceWaits
 		agg.Pending += st.Pending

@@ -164,7 +164,7 @@ type Target struct {
 	Drain func()
 	// AsyncPost, if set, supplies the monitor's async post pipeline
 	// counters (monitor.AsyncPostStats), sampled after the drain for the
-	// report's lag percentiles and shed counts.
+	// report's lag percentiles and late-violation count.
 	AsyncPost func() monitor.AsyncPostStats
 }
 
@@ -400,10 +400,9 @@ func Run(sc Scenario, tgt Target) (*Report, error) {
 		rep.Fetch = &f
 	}
 	if tgt.AsyncPost != nil {
-		if st := tgt.AsyncPost(); st.Enqueued > 0 || st.Shed > 0 {
+		if st := tgt.AsyncPost(); st.Enqueued > 0 {
 			rep.AsyncPost = &AsyncPostReport{
 				Enqueued:       st.Enqueued,
-				Shed:           st.Shed,
 				LateViolations: st.LateViolations,
 				LagP50US:       us(st.Lag.Quantile(0.50)),
 				LagP95US:       us(st.Lag.Quantile(0.95)),

@@ -68,15 +68,15 @@ type Report struct {
 	Fetch *FetchEconomy `json:"fetch,omitempty"`
 	// AsyncPost summarizes the deferred post-verification pipeline
 	// (present when the target runs -post async and saw traffic): how
-	// many captures were queued or shed and the detection-lag
-	// percentiles, measured from response return to verdict record.
+	// many captures were queued, how many late violations they found and
+	// the detection-lag percentiles, measured from response return to
+	// verdict record.
 	AsyncPost *AsyncPostReport `json:"async_post,omitempty"`
 }
 
 // AsyncPostReport is the async post section of the run summary.
 type AsyncPostReport struct {
 	Enqueued       uint64  `json:"enqueued"`
-	Shed           uint64  `json:"shed"`
 	LateViolations uint64  `json:"late_violations"`
 	LagP50US       float64 `json:"lag_p50_us"`
 	LagP95US       float64 `json:"lag_p95_us"`
@@ -216,8 +216,8 @@ func (r *Report) Text() string {
 			f.Waves)
 	}
 	if ap := r.AsyncPost; ap != nil {
-		fmt.Fprintf(&sb, "  async post: %d enqueued, %d shed, %d late violations; lag µs: p50 %.0f  p95 %.0f  p99 %.0f\n",
-			ap.Enqueued, ap.Shed, ap.LateViolations, ap.LagP50US, ap.LagP95US, ap.LagP99US)
+		fmt.Fprintf(&sb, "  async post: %d enqueued, %d late violations; lag µs: p50 %.0f  p95 %.0f  p99 %.0f\n",
+			ap.Enqueued, ap.LateViolations, ap.LagP50US, ap.LagP95US, ap.LagP99US)
 	}
 	if len(r.Stages) > 0 {
 		for _, name := range obs.StageNames() {

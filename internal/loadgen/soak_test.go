@@ -163,9 +163,7 @@ func checkVerdictInvariants(t *testing.T, log []monitor.Verdict, mode monitor.Mo
 				fail("fail-closed forwarded a request whose pre-state snapshot failed")
 			}
 		case monitor.Unverified:
-			// Shed async captures are the one legitimate Unverified under
-			// fail-closed: the queue, not the fail policy, declined the check.
-			if policy == monitor.FailClosed && !v.Shed {
+			if policy == monitor.FailClosed {
 				fail("Unverified under fail-closed")
 			}
 			if !v.Forwarded {
@@ -173,9 +171,6 @@ func checkVerdictInvariants(t *testing.T, log []monitor.Verdict, mode monitor.Mo
 			}
 		default:
 			fail("unknown outcome")
-		}
-		if v.Shed && !v.Late {
-			fail("Shed implies Late (a shed verdict is a deferred one)")
 		}
 		if v.Late {
 			if v.Returned.IsZero() {
@@ -232,7 +227,7 @@ func TestSoakObserve(t *testing.T) {
 }
 
 // TestSoakAsyncPost is the async-pipeline concurrency soak: 32 clients,
-// deferred post verification under the block policy. Run under -race this
+// deferred post verification. Run under -race this
 // proves the capture hand-off, the write fence, the worker pool and the
 // pending accounting against the full mixed matrix; the drain guarantee
 // is checked by the counter cross-check in runSoak (Run drains before
@@ -246,9 +241,6 @@ func TestSoakAsyncPost(t *testing.T) {
 	}
 	if st.Pending != 0 {
 		t.Fatalf("pending %d after drained run", st.Pending)
-	}
-	if st.Shed != 0 {
-		t.Fatalf("block policy shed %d captures", st.Shed)
 	}
 	if st.Lag.Count != st.Enqueued {
 		t.Fatalf("lag histogram holds %d samples for %d enqueued", st.Lag.Count, st.Enqueued)
@@ -315,24 +307,24 @@ func TestSoakChaosAsyncFailOpen(t *testing.T) {
 	}
 }
 
-// TestSoakChaosAsyncShed saturates a one-slot queue with one worker under
-// chaos and the shed policy: every rejected capture must surface as a
-// shed Unverified verdict — the only Unverified a fail-closed monitor may
-// record — and the counts must agree exactly.
-func TestSoakChaosAsyncShed(t *testing.T) {
+// TestSoakChaosAsyncFailClosed runs the ~20% fault profile against a
+// fail-closed monitor with async post verification: a deferred post phase
+// whose read fails is an Error, never a forwarded-but-unchecked verdict,
+// so the run records no Unverified verdict (checkVerdictInvariants
+// asserts it per verdict) and leaves nothing pending.
+func TestSoakChaosAsyncFailClosed(t *testing.T) {
 	opts := chaosOpts(t, monitor.FailClosed)
 	opts.Monitor.Post = monitor.PostAsync
-	opts.Monitor.PostQueueCap = 1
-	opts.Monitor.PostWorkers = 1
-	opts.Monitor.PostBackpressure = monitor.BackpressureShed
 	dep := runSoak(t, opts, monitor.Enforce)
 	defer dep.Close()
-	mon := dep.Instances[0].Sys.Monitor
-	st := mon.AsyncPostStats()
-	if st.Shed == 0 {
-		t.Fatal("one-slot queue under 32 clients shed nothing")
+	if dep.Injector == nil || dep.Injector.Total() == 0 {
+		t.Fatal("chaos soak injected no faults; the profile is not wired in")
 	}
-	if got := mon.Outcomes()[monitor.Unverified]; got != int(st.Shed) {
-		t.Fatalf("Unverified verdicts %d, shed counter %d", got, st.Shed)
+	mon := dep.Instances[0].Sys.Monitor
+	if n := mon.Outcomes()[monitor.Unverified]; n != 0 {
+		t.Fatalf("fail-closed async run recorded %d Unverified verdicts, want 0", n)
+	}
+	if st := mon.AsyncPostStats(); st.Enqueued == 0 || st.Pending != 0 {
+		t.Fatalf("async stats after chaos soak: %+v, want captures enqueued and none pending", st)
 	}
 }

@@ -51,54 +51,21 @@ func ParsePostMode(s string) (PostMode, error) {
 	return 0, fmt.Errorf("monitor: unknown post mode %q (sync|async)", s)
 }
 
-// BackpressurePolicy decides what a saturated async post queue does to the
-// response path, mirroring FailPolicy's stance on unverifiable requests.
-type BackpressurePolicy int
-
-// Backpressure policies.
+// The async pipeline's shape: a queue of postQueueCap captures drained
+// by postWorkers workers. A full queue blocks the enqueuing request until
+// a worker takes a capture, so the response path feels the backpressure
+// and nothing is dropped or reordered.
 const (
-	// BackpressureBlock (the default) applies backpressure: the enqueue
-	// waits for a queue slot, so every forwarded effect is eventually
-	// verified and records are never dropped or reordered against their
-	// responses. Detection lag is bounded by queue capacity × service
-	// time; response latency degrades under sustained overload.
-	BackpressureBlock BackpressurePolicy = iota + 1
-	// BackpressureShed keeps the response path non-blocking: when the
-	// queue is full the request's post phase is abandoned and an
-	// Unverified verdict is recorded — counted and audited (shed=true),
-	// never silently dropped.
-	BackpressureShed
+	postQueueCap = 1024
+	postWorkers  = 4
 )
-
-// String returns the policy name.
-func (b BackpressurePolicy) String() string {
-	switch b {
-	case BackpressureBlock:
-		return "block"
-	case BackpressureShed:
-		return "shed"
-	}
-	return fmt.Sprintf("BackpressurePolicy(%d)", int(b))
-}
-
-// ParseBackpressure parses a -post-backpressure flag value.
-func ParseBackpressure(s string) (BackpressurePolicy, error) {
-	switch s {
-	case "block":
-		return BackpressureBlock, nil
-	case "shed":
-		return BackpressureShed, nil
-	}
-	return 0, fmt.Errorf("monitor: unknown backpressure policy %q (block|shed)", s)
-}
 
 // asyncPost is the bounded post-verification pipeline: a channel of
 // captured records drained by a fixed worker pool. Lifecycle: ServeHTTP
 // enqueues before the response is written, workers run the identical
 // post-evaluation the synchronous path uses (postVerify), and every
-// capture ends as exactly one recorded verdict — verified, or shed as
-// Unverified by the caller when the queue is saturated under the shed
-// policy.
+// capture ends as exactly one recorded verdict — verified by a worker,
+// or, once the pipeline is closed, on the request's own goroutine.
 type asyncPost struct {
 	queue chan *postCapture
 	wg    sync.WaitGroup
@@ -111,8 +78,8 @@ type asyncPost struct {
 	// pending counts captures created but not yet recorded. It is
 	// incremented the moment check defers a verdict — before the
 	// response is written — so the write fence and DrainPost see every
-	// outstanding capture, and decremented only after the verdict (verified
-	// or shed) is in the counters, the audit trail and the OnVerdict hook.
+	// outstanding capture, and decremented only after its verdict is in
+	// the counters, the audit trail and the OnVerdict hook.
 	pending atomic.Int64
 	// idle is broadcast, under idleMu, each time pending drops to zero:
 	// the write fence and DrainPost wait on it.
@@ -120,7 +87,6 @@ type asyncPost struct {
 	idle   sync.Cond
 
 	enqueued   obs.Counter
-	shed       obs.Counter
 	lateViol   obs.Counter
 	fenceWaits obs.Counter
 	lag        *obs.Histogram
@@ -144,26 +110,17 @@ func newAsyncPost(m *Monitor, capacity, workers int) *asyncPost {
 	return ap
 }
 
-// enqueue hands a capture to the worker pool. Under the block policy the
-// send waits for a slot; under shed it fails fast when the queue is full.
-// Returns false when the capture was not accepted (full queue under shed,
-// or the monitor is closing) — the caller must then record the capture as
-// a shed Unverified verdict so no request ever goes unaccounted.
-func (ap *asyncPost) enqueue(pc *postCapture, policy BackpressurePolicy) bool {
+// enqueue hands a capture to the worker pool, waiting for a slot when the
+// queue is full. It returns false, having taken nothing, once the pipeline
+// is closed: the caller then verifies the capture itself (completePost),
+// so no request goes unverified.
+func (ap *asyncPost) enqueue(pc *postCapture) bool {
 	ap.mu.RLock()
 	defer ap.mu.RUnlock()
 	if ap.closed.Load() {
 		return false
 	}
-	if policy == BackpressureShed {
-		select {
-		case ap.queue <- pc:
-		default:
-			return false
-		}
-	} else {
-		ap.queue <- pc
-	}
+	ap.queue <- pc
 	ap.enqueued.Inc()
 	return true
 }
@@ -232,29 +189,6 @@ func (m *Monitor) completePost(pc *postCapture) {
 	m.asyncPost.settle()
 }
 
-// shedVerdict finalizes a capture the queue did not accept: the post phase
-// is abandoned, the capture's frame is released, and the request is
-// recorded as Unverified — the same "forwarded but unchecked" outcome a
-// fail-open snapshot failure yields — tagged Shed so audits can tell
-// saturation from fault-policy decisions.
-func (m *Monitor) shedVerdict(pc *postCapture) {
-	pc.release()
-	m.asyncPost.shed.Inc()
-	v := pc.v
-	v.Outcome = Unverified
-	v.Detail = "post-verification shed: async queue full"
-	v.Late = true
-	v.Shed = true
-	v.Returned = pc.returned
-	v.Elapsed = time.Since(pc.start)
-	v.FetchedPaths = pc.f.fetched
-	pc.trace[obs.StagePreSnapshot] = pc.f.preDur
-	pc.trace[obs.StagePreEval] = pc.preEvalDur
-	v.Trace = pc.trace
-	m.record(v)
-	m.asyncPost.settle()
-}
-
 // DrainPost blocks until every enqueued capture has been verified and
 // recorded. Non-destructive: the workers stay up and the monitor keeps
 // accepting requests — load harnesses call it before diffing counters.
@@ -266,9 +200,11 @@ func (m *Monitor) DrainPost() {
 	ap.waitIdle()
 }
 
-// Close gracefully shuts the async post pipeline down: no new captures are
-// accepted (late arrivals shed), the queue is drained, and every worker
-// exits. Safe to call more than once; a synchronous monitor is a no-op.
+// Close gracefully shuts the async post pipeline down: the queue takes no
+// new captures, what it holds is drained, and every worker exits. A
+// capture that arrives later is verified on its request's goroutine, after
+// the response is written. Safe to call more than once; a synchronous
+// monitor is a no-op.
 func (m *Monitor) Close() {
 	ap := m.asyncPost
 	if ap == nil || !ap.closed.CompareAndSwap(false, true) {
@@ -287,8 +223,9 @@ func (m *Monitor) Close() {
 type AsyncPostStats struct {
 	// Enqueued counts captures accepted onto the queue.
 	Enqueued uint64 `json:"enqueued"`
-	// Shed counts captures rejected by a saturated queue under the shed
-	// policy; each one is an Unverified verdict with an audit record.
+	// Shed is always 0: a full queue blocks, and no capture is dropped.
+	// The field stays only because the end-to-end benchmark under bench/
+	// still reads it.
 	Shed uint64 `json:"shed"`
 	// LateViolations counts violations detected after the response
 	// returned.
@@ -312,7 +249,6 @@ func (m *Monitor) AsyncPostStats() AsyncPostStats {
 	}
 	return AsyncPostStats{
 		Enqueued:       ap.enqueued.Value(),
-		Shed:           ap.shed.Value(),
 		LateViolations: ap.lateViol.Value(),
 		FenceWaits:     ap.fenceWaits.Value(),
 		Pending:        ap.pending.Load(),

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"fmt"
 	"net/http"
 	"os"
 	"reflect"
@@ -37,8 +36,8 @@ func (p *slowPostProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.Ma
 	return out, nil
 }
 
-// newAsyncMonitor builds a monitor with the async post pipeline and the
-// given knobs over the standard test routes.
+// newAsyncMonitor builds a monitor with the async post pipeline over the
+// standard test routes.
 func newAsyncMonitor(t *testing.T, cfg Config) (*Monitor, *verdictSink) {
 	t.Helper()
 	cfg.Post = PostAsync
@@ -50,107 +49,115 @@ func newAsyncMonitor(t *testing.T, cfg Config) (*Monitor, *verdictSink) {
 	return m, sink
 }
 
-// TestAsyncBackpressureMatrix crosses both backpressure policies with both
-// fail policies under a saturated queue: capacity one, one worker,
-// and a post-phase read slow enough that a serial burst outruns it. The
-// invariants per cell: exactly one verdict per request; under shed every
-// rejected capture becomes an audited Unverified verdict tagged shed=true
-// (counted, never silently dropped); under block nothing is shed or
-// dropped and verdicts land in response order.
+// newSaturatedMonitor builds an async monitor over the standard test
+// routes whose pipeline is a one-slot queue drained by one worker, so a
+// serial burst outruns it: every enqueue past the second waits for the
+// worker to take the capture ahead of it.
+func newSaturatedMonitor(t *testing.T, cfg Config) (*Monitor, *verdictSink) {
+	t.Helper()
+	cfg.Mode = Enforce
+	m, sink := newPolicyMonitor(t, cfg)
+	m.post = PostAsync
+	m.asyncPost = newAsyncPost(m, 1, 1)
+	t.Cleanup(m.Close)
+	return m, sink
+}
+
+// TestAsyncBackpressureMatrix runs both fail policies under a saturated
+// queue: capacity one, one worker, and a post-phase read slow enough that
+// a serial burst outruns it. A full queue blocks the request until the
+// worker frees the slot, so per cell: the burst's responses wait out the
+// post reads ahead of them, every request gets exactly one verdict, OK
+// and verified (none Unverified), and verdicts land in response order.
 func TestAsyncBackpressureMatrix(t *testing.T) {
-	const burst = 8
-	policies := []BackpressurePolicy{BackpressureBlock, BackpressureShed}
-	failPolicies := []FailPolicy{FailClosed, FailOpen}
-	for _, bp := range policies {
-		for _, fp := range failPolicies {
-			t.Run(fmt.Sprintf("%s/%s", bp, fp), func(t *testing.T) {
-				dir := t.TempDir()
-				audit, err := obs.OpenAuditLog(dir, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer audit.Close()
-				e := env(1, 10, "available", "admin")
-				cfg := Config{
-					Provider:         &slowPostProvider{pre: e, post: e, delay: 3 * time.Millisecond},
-					Forward:          &fakeForwarder{status: 200},
-					FailPolicy:       fp,
-					PostQueueCap:     1,
-					PostWorkers:      1,
-					PostBackpressure: bp,
-					Audit:            audit,
-				}
-				m, sink := newAsyncMonitor(t, cfg)
-				for i := 0; i < burst; i++ {
-					if rec := doGet(t, m); rec.Code != 200 {
-						t.Fatalf("request %d: status %d, want 200", i, rec.Code)
-					}
-				}
-				m.DrainPost()
-				st := m.AsyncPostStats()
-				outcomes := m.Outcomes()
-				total := 0
-				for _, n := range outcomes {
-					total += n
-				}
-				if total != burst {
-					t.Fatalf("recorded %d verdicts for %d requests: %v", total, burst, outcomes)
-				}
-				if st.Pending != 0 {
-					t.Fatalf("pending %d after drain", st.Pending)
-				}
-				switch bp {
-				case BackpressureShed:
-					if st.Shed == 0 {
-						t.Fatal("saturated queue shed nothing")
-					}
-					if got := outcomes[Unverified]; got != int(st.Shed) {
-						t.Fatalf("Unverified verdicts %d, shed counter %d", got, st.Shed)
-					}
-					shedRecs := 0
-					res, err := obs.ReadAuditDir(dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, rec := range res.Records {
-						if rec.Shed {
-							shedRecs++
-							if rec.Outcome != Unverified.String() {
-								t.Errorf("shed audit record outcome %q, want unverified", rec.Outcome)
-							}
-							if !rec.Late {
-								t.Error("shed audit record not tagged late")
-							}
-						}
-					}
-					if shedRecs != int(st.Shed) {
-						t.Fatalf("audit has %d shed records, counter says %d", shedRecs, st.Shed)
-					}
-				case BackpressureBlock:
-					if st.Shed != 0 {
-						t.Fatalf("block policy shed %d captures", st.Shed)
-					}
-					if got := outcomes[OK]; got != burst {
-						t.Fatalf("block policy verified %d of %d: %v", got, burst, outcomes)
-					}
-					if st.Lag.Count != uint64(burst) {
-						t.Fatalf("lag histogram holds %d samples, want %d", st.Lag.Count, burst)
-					}
-					// One worker drains FIFO: verdicts must land in the order
-					// the responses returned — block never reorders.
-					var last time.Time
-					for i, v := range sink.all() {
-						if !v.Late {
-							t.Fatalf("verdict %d not late under async", i)
-						}
-						if v.Returned.Before(last) {
-							t.Fatalf("verdict %d recorded out of response order", i)
-						}
-						last = v.Returned
-					}
-				}
+	const (
+		burst = 8
+		delay = 3 * time.Millisecond
+	)
+	for _, fp := range []FailPolicy{FailClosed, FailOpen} {
+		t.Run("block/"+fp.String(), func(t *testing.T) {
+			e := env(1, 10, "available", "admin")
+			m, sink := newSaturatedMonitor(t, Config{
+				Provider:   &slowPostProvider{pre: e, post: e, delay: delay},
+				Forward:    &fakeForwarder{status: 200},
+				FailPolicy: fp,
 			})
-		}
+			start := time.Now()
+			for i := 0; i < burst; i++ {
+				if rec := doGet(t, m); rec.Code != 200 {
+					t.Fatalf("request %d: status %d, want 200", i, rec.Code)
+				}
+			}
+			// The worker holds one capture and the slot another; each
+			// later enqueue waits for the worker to finish a post read.
+			if took := time.Since(start); took < (burst-2)*delay {
+				t.Fatalf("burst answered in %v, under the %v its post reads hold a full queue", took, (burst-2)*delay)
+			}
+			m.DrainPost()
+			st := m.AsyncPostStats()
+			if outcomes := m.Outcomes(); outcomes[OK] != burst || len(outcomes) != 1 {
+				t.Fatalf("outcomes %v, want %d OK and nothing else", outcomes, burst)
+			}
+			if st.Enqueued != burst || st.Pending != 0 || st.Lag.Count != burst {
+				t.Fatalf("stats %+v, want %d enqueued and lag samples, none pending", st, burst)
+			}
+			// One worker drains FIFO: verdicts must land in the order the
+			// responses returned.
+			verdicts := sink.all()
+			if len(verdicts) != burst {
+				t.Fatalf("hook saw %d verdicts, want %d", len(verdicts), burst)
+			}
+			var last time.Time
+			for i, v := range verdicts {
+				if !v.Late || !v.PostOK || v.Shed {
+					t.Fatalf("verdict %d: Late=%v PostOK=%v Shed=%v, want a verified late verdict", i, v.Late, v.PostOK, v.Shed)
+				}
+				if v.Returned.Before(last) {
+					t.Fatalf("verdict %d recorded out of response order", i)
+				}
+				last = v.Returned
+			}
+		})
+	}
+}
+
+// TestAsyncCaptureAfterCloseIsVerified: a request that reaches a closed
+// pipeline still gets the cloud's answer and exactly one late verdict,
+// verified on the request's own goroutine: a correct DELETE is OK, and a
+// DELETE the cloud did not apply is the postcondition violation.
+func TestAsyncCaptureAfterCloseIsVerified(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		post ocl.MapEnv
+		want Outcome
+	}{
+		{"applied", env(1, 10, "available", "admin"), OK},
+		{"not applied", env(2, 10, "available", "admin"), ViolationPostcondition},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, sink := newAsyncMonitor(t, Config{
+				Provider: &fakeProvider{pre: env(2, 10, "available", "admin"), post: tc.post},
+				Forward:  &fakeForwarder{status: 204},
+			})
+			m.Close()
+			if rec := doDelete(t, m); rec.Code != 204 {
+				t.Fatalf("DELETE after Close: status %d, want the backend's 204", rec.Code)
+			}
+			verdicts := sink.all()
+			if len(verdicts) != 1 {
+				t.Fatalf("%d verdicts once the handler returned, want 1", len(verdicts))
+			}
+			v := verdicts[0]
+			if v.Outcome != tc.want || !v.Late || v.Shed {
+				t.Fatalf("verdict %s (Late=%v Shed=%v), want a late %s", v.Outcome, v.Late, v.Shed, tc.want)
+			}
+			if v.Returned.IsZero() || v.DetectionLag < 0 {
+				t.Fatalf("Returned %v, DetectionLag %v", v.Returned, v.DetectionLag)
+			}
+			if st := m.AsyncPostStats(); st.Enqueued != 0 || st.Pending != 0 || st.Lag.Count != 1 {
+				t.Fatalf("stats %+v, want nothing enqueued or pending and one lag sample", st)
+			}
+		})
 	}
 }
 
@@ -394,7 +401,7 @@ func TestFenceHoldsWriteUntilPendingVerdict(t *testing.T) {
 func TestFenceDrainPostWaitsForLastVerdict(t *testing.T) {
 	const reads = 5
 	p := &gatedPostProvider{env: env(1, 10, "available", "admin"), gate: make(chan struct{})}
-	m, sink := newAsyncMonitor(t, Config{Provider: p, Forward: okForwarder{}, PostWorkers: 2})
+	m, sink := newAsyncMonitor(t, Config{Provider: p, Forward: okForwarder{}})
 	release := sync.OnceFunc(func() { close(p.gate) })
 	t.Cleanup(release)
 	for i := 0; i < reads; i++ {

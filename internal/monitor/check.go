@@ -223,7 +223,7 @@ func boolValue(v ocl.Value) (bool, bool) {
 // The third return value is non-nil only under PostAsync: the pre phase
 // and the forward are complete, the verdict is deferred, and the capture
 // carries everything postVerify needs to finish it off the response path.
-// The caller must enqueue or shed it: either ends by releasing its frame.
+// The caller hands it to completePost, whose postVerify releases its frame.
 func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]string, trace *obs.Trace) (Verdict, *BackendResponse, *postCapture) {
 	start := time.Now()
 	c := cr.contract
@@ -243,8 +243,7 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 		fr:     comp.NewFrame(),
 	}
 	// The frame goes back to the pool when the verdict is final: here,
-	// unless a post capture takes it over — then postVerify or
-	// shedVerdict releases it.
+	// unless a post capture takes it over — then postVerify releases it.
 	captured := false
 	defer func() {
 		if !captured {
@@ -435,7 +434,7 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 // completed. The verdict inside carries the final pre-phase fields
 // (coverage, antecedents, fetch accounting); postVerify finishes it. The
 // capture owns the request's frame (through its fetcher) until
-// postVerify or shedVerdict releases it.
+// postVerify releases it.
 type postCapture struct {
 	cr         *compiledRoute
 	v          Verdict
@@ -452,21 +451,18 @@ type postCapture struct {
 	returned time.Time
 }
 
-// release returns the capture's frame to its pool.
-func (cap *postCapture) release() { cap.cr.plan.Compiled.Release(cap.f.fr) }
-
 // postVerify is the post phase shared verbatim by the synchronous check
 // and the async workers, over the same frame the pre phase filled. The
 // effect frame is the union of what the active transitions may change;
 // post-state reads outside it reuse the pre-state (the forwarded call
 // cannot have moved them). It releases the frame.
 func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace) Verdict {
-	defer cap.release()
 	c := cap.cr.contract
 	plan := cap.cr.plan
 	comp := plan.Compiled
 	f := cap.f
 	fr := f.fr
+	defer comp.Release(fr)
 	anteVals := cap.anteVals
 	v := &cap.v
 	var postEvalDur time.Duration

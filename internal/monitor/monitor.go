@@ -286,10 +286,9 @@ type Verdict struct {
 	// Late marks a verdict whose post phase ran asynchronously, after the
 	// response had already returned to the client (PostAsync).
 	Late bool
-	// Shed marks an Unverified verdict recorded because the async post
-	// queue was saturated under the shed backpressure policy: the
-	// response stood, the post phase was abandoned, and this verdict is
-	// the accounted (never silent) record of that.
+	// Shed is always false: every deferred post phase runs. The field
+	// stays only because the end-to-end benchmark under bench/ still
+	// reads it.
 	Shed bool
 	// Returned is when the response was handed back to the client (late
 	// verdicts only; zero for synchronous ones).
@@ -373,13 +372,6 @@ type Config struct {
 	// forward completes and verifies the effect on a bounded worker
 	// queue, emitting late verdicts with detection-lag accounting.
 	Post PostMode
-	// PostQueueCap bounds the async post queue (default 1024).
-	PostQueueCap int
-	// PostWorkers sizes the async post worker pool (default 4).
-	PostWorkers int
-	// PostBackpressure decides what a saturated queue does to the
-	// response path (defaults to BackpressureBlock).
-	PostBackpressure BackpressurePolicy
 	// InstanceID names this monitor within a fleet. It is stamped on
 	// every audit record (obs.AuditRecord.Instance) so evidence packs cut
 	// from a fleet's merged trails attribute each verdict to the engine
@@ -403,11 +395,10 @@ type Monitor struct {
 	// waves counts the pre-state Snapshot calls that carried several of a
 	// clause's paths.
 	waves obs.Counter
-	// post/postBackpressure/asyncPost form the deferred post-verification
-	// pipeline (asyncpost.go); asyncPost is nil under PostSync.
-	post             PostMode
-	postBackpressure BackpressurePolicy
-	asyncPost        *asyncPost
+	// post/asyncPost form the deferred post-verification pipeline
+	// (asyncpost.go); asyncPost is nil under PostSync.
+	post      PostMode
+	asyncPost *asyncPost
 
 	// Counters and per-stage latency histograms live in lock-free obs
 	// types — the single source of truth ResetLog, Outcomes(), the
@@ -474,10 +465,6 @@ func New(cfg Config) (*Monitor, error) {
 	if post == 0 {
 		post = PostSync
 	}
-	backpressure := cfg.PostBackpressure
-	if backpressure == 0 {
-		backpressure = BackpressureBlock
-	}
 	if post == PostAsync && level == CheckPreOnly {
 		return nil, fmt.Errorf("monitor: post mode %s is meaningless at check level %s", post, level)
 	}
@@ -493,20 +480,10 @@ func New(cfg Config) (*Monitor, error) {
 		instanceID:   cfg.InstanceID,
 		tracer:       obs.NewTracer(),
 		pathsFetched: obs.NewCountHistogram(),
-
-		post:             post,
-		postBackpressure: backpressure,
+		post:         post,
 	}
 	if post == PostAsync {
-		queueCap := cfg.PostQueueCap
-		if queueCap <= 0 {
-			queueCap = 1024
-		}
-		workers := cfg.PostWorkers
-		if workers <= 0 {
-			workers = 4
-		}
-		m.asyncPost = newAsyncPost(m, queueCap, workers)
+		m.asyncPost = newAsyncPost(m, postQueueCap, postWorkers)
 	}
 	seen := make(map[string]bool, len(cfg.Routes))
 	for _, r := range cfg.Routes {
@@ -577,16 +554,17 @@ func (m *Monitor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if cap != nil {
 		// PostAsync: the pre phase passed and the forward succeeded; the
 		// post phase is deferred. The capture owns its trace copy from
-		// here; the enqueue runs before the response is written so the
-		// block policy's backpressure reaches the client and queue order
-		// matches response order. Exactly one verdict is recorded per
-		// request — by the worker, or as a shed Unverified here.
+		// here; the enqueue runs before the response is written so a full
+		// queue's backpressure reaches the client and queue order matches
+		// response order. Exactly one verdict is recorded per request — by
+		// a worker, or here once the pipeline is closed.
 		cap.trace = trace
 		cap.returned = time.Now()
-		if !m.asyncPost.enqueue(cap, m.postBackpressure) {
-			m.shedVerdict(cap)
-		}
+		queued := m.asyncPost.enqueue(cap)
 		writeBackend(w, resp)
+		if !queued {
+			m.completePost(cap)
+		}
 		return
 	}
 	verdict.Trace = trace
@@ -733,7 +711,6 @@ func auditRecord(v *Verdict) *obs.AuditRecord {
 	}
 	if v.Late {
 		rec.Late = true
-		rec.Shed = v.Shed
 		rec.ReturnUnixNano = v.Returned.UnixNano()
 		rec.LagNanos = int64(v.DetectionLag)
 	}
@@ -835,9 +812,6 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 			w.Counter("cloudmon_post_enqueued_total",
 				"Captures accepted onto the async post queue.",
 				float64(ap.enqueued.Value()))
-			w.Counter("cloudmon_post_shed_total",
-				"Async post captures shed by a saturated queue (each is an audited Unverified verdict).",
-				float64(ap.shed.Value()))
 			w.Counter("cloudmon_post_late_violations_total",
 				"Violations detected after the response returned (async post).",
 				float64(ap.lateViol.Value()))
@@ -868,7 +842,6 @@ func (m *Monitor) ResetLog() {
 	m.waves.Reset()
 	if ap := m.asyncPost; ap != nil {
 		ap.enqueued.Reset()
-		ap.shed.Reset()
 		ap.lateViol.Reset()
 		ap.fenceWaits.Reset()
 		ap.lag.Reset()

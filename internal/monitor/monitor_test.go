@@ -453,7 +453,6 @@ func TestParseOptions(t *testing.T) {
 		{"level", parser(ParseCheckLevel), map[string]any{"full": CheckFull, "pre-only": CheckPreOnly}},
 		{"fail policy", parser(ParseFailPolicy), map[string]any{"closed": FailClosed, "": FailClosed, "open": FailOpen}},
 		{"post", parser(ParsePostMode), map[string]any{"sync": PostSync, "async": PostAsync}},
-		{"backpressure", parser(ParseBackpressure), map[string]any{"block": BackpressureBlock, "shed": BackpressureShed}},
 	} {
 		for in, want := range tc.values {
 			if got, err := tc.parse(in); err != nil || got != want {

@@ -200,13 +200,12 @@ func TestResetLogClearsObsState(t *testing.T) {
 	gate := make(chan struct{})
 	gp := &gatedPostProvider{env: env(2, 10, "available", "admin"), gate: gate}
 	am, err := New(Config{
-		Contracts:   m.contracts,
-		Routes:      diffRoutes(),
-		Provider:    gp,
-		Forward:     &fakeForwarder{status: http.StatusNoContent},
-		Mode:        Enforce,
-		Post:        PostAsync,
-		PostWorkers: 1,
+		Contracts: m.contracts,
+		Routes:    diffRoutes(),
+		Provider:  gp,
+		Forward:   &fakeForwarder{status: http.StatusNoContent},
+		Mode:      Enforce,
+		Post:      PostAsync,
 	})
 	if err != nil {
 		t.Fatal(err)

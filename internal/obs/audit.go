@@ -75,10 +75,12 @@ type AuditRecord struct {
 	// StageNanos are the per-stage trace timings.
 	StageNanos map[string]int64 `json:"stage_nanos,omitempty"`
 	// Late marks a verdict whose post phase ran after the response
-	// returned (async post-verification); Shed marks a late verdict whose
-	// post phase was abandoned by a saturated queue under the shed
-	// backpressure policy.
+	// returned (async post-verification).
 	Late bool `json:"late,omitempty"`
+	// Shed marked a late verdict whose post phase a saturated queue
+	// abandoned, which the monitor no longer does. New records never set
+	// it; it stays so trails written with it still read, verify and
+	// replay.
 	Shed bool `json:"shed,omitempty"`
 	// ReturnUnixNano is when the response returned to the client (late
 	// records only); LagNanos is the detection lag — record time minus

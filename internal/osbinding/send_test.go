@@ -20,9 +20,10 @@ import (
 	"cloudmon/internal/paper"
 )
 
-// Each state read is one round trip on the HTTP client's transport
-// (httpkit.Send). These tests hold the reads to what a reverse proxy does
-// and to the request http.Client.Do would have sent.
+// Each state read, and the service-account login, is one round trip on
+// the HTTP client's transport (httpkit.Send). These tests hold them to
+// what a reverse proxy does and to the request http.Client.Do would have
+// sent.
 
 // captureTransport keeps the request it is handed and answers 204.
 type captureTransport struct{ got *http.Request }
@@ -131,6 +132,47 @@ func TestReadRedirectIsFinal(t *testing.T) {
 	for _, h := range leaked {
 		t.Errorf("the Location's server got a request with X-Auth-Token %q, X-Subject-Token %q",
 			h.Get("X-Auth-Token"), h.Get("X-Subject-Token"))
+	}
+}
+
+// TestLoginRedirectIsFinal: the service-account login answered 307 is
+// the cloud's final answer too. The read fails with a StatusError naming
+// 307 after one attempt, and the Location's server receives no request,
+// so neither the login's body, password included, nor any token.
+func TestLoginRedirectIsFinal(t *testing.T) {
+	var mu sync.Mutex
+	var leaked []string
+	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		leaked = append(leaked, r.Method+" "+r.URL.Path+" "+string(body))
+		mu.Unlock()
+		w.Header().Set("X-Subject-Token", "forged-token")
+		w.WriteHeader(http.StatusCreated)
+	}))
+	defer other.Close()
+	cloud := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/identity/v3/auth/tokens" {
+			http.Redirect(w, r, other.URL+r.URL.Path, http.StatusTemporaryRedirect)
+			return
+		}
+		_, _ = w.Write([]byte(`{"token":{"roles":["admin"]}}`))
+	}))
+	defer cloud.Close()
+
+	p := NewProviderWithClient(cloud.URL, ServiceAccount{User: "svc", Password: "secret-pw", ProjectID: "p1"}, nil)
+	ctx := &monitor.RequestContext{Params: map[string]string{"project_id": "p1"}, Token: "requester-token"}
+	_, err := p.Snapshot(ctx, []string{"user.id.groups"})
+	if !osclient.IsStatus(err, http.StatusTemporaryRedirect) || !strings.Contains(err.Error(), "307") {
+		t.Errorf("a login answered 307: %v, want a StatusError naming 307", err)
+	}
+	if st := p.Stats(); st.Attempts != 1 || st.Retries != 0 {
+		t.Errorf("a login answered 307 took %d attempts, %d retries; want 1, 0", st.Attempts, st.Retries)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, req := range leaked {
+		t.Errorf("the Location's server got %s", req)
 	}
 }
 

@@ -47,7 +47,9 @@ type Client struct {
 	// Token is sent as X-Auth-Token when non-empty.
 	Token string
 	// HTTPClient defaults to a pooled client bounded by
-	// httpkit.DefaultCloudTimeout.
+	// httpkit.DefaultCloudTimeout. Each request is one round trip on its
+	// transport (httpkit.Send) under its Timeout; its redirect policy and
+	// cookie jar are not consulted.
 	HTTPClient *http.Client
 	// Timeout, when positive, bounds each individual request with a
 	// context deadline — the state provider's per-attempt deadline. It
@@ -100,8 +102,9 @@ func (c *Client) HTTP() *http.Client {
 
 // Do performs a JSON request. in (if non-nil) is marshaled as the body;
 // out (if non-nil) receives the decoded response body. It returns the
-// response status code; non-2xx responses additionally return a
-// *StatusError. extraHeaders are applied verbatim.
+// response status code (0 when the reply could not be read); non-2xx
+// responses, redirects included, additionally return a *StatusError.
+// extraHeaders are applied verbatim.
 func (c *Client) Do(method, path string, in, out any, extraHeaders map[string]string) (int, error) {
 	return c.DoCtx(context.Background(), method, path, in, out, extraHeaders)
 }
@@ -130,11 +133,14 @@ func (c *Client) DoCtx(ctx context.Context, method, path string, in, out any, ex
 	for k, v := range extraHeaders {
 		req.Header.Set(k, v)
 	}
-	status, data, err := c.send(req, path)
-	if err != nil {
-		return status, err
+	resp, data, err := c.send(req, path)
+	if err == nil {
+		err = Decode(data, out)
 	}
-	return status, Decode(data, out)
+	if resp == nil {
+		return 0, err
+	}
+	return resp.StatusCode, err
 }
 
 // attemptContext arms the client's per-request deadline on ctx, if any.
@@ -165,22 +171,21 @@ func (c *Client) endpoint() *httpkit.Endpoint {
 	return httpkit.NewEndpoint(c.BaseURL)
 }
 
-// send issues req and reads the body, bounded by httpkit.MaxBodyBytes. A
-// non-2xx status is a *StatusError carrying the body's error message.
-func (c *Client) send(req *http.Request, path string) (int, []byte, error) {
-	resp, err := c.HTTP().Do(req)
+// send issues req, one round trip (httpkit.Send), and reads the body,
+// bounded by httpkit.MaxBodyBytes. A reply outside 2xx is a *StatusError
+// carrying the body's error message, returned with the reply. A 3xx is
+// such an answer too: its Location is never followed, so no request body
+// (a login's password) or token is re-sent to another host. The reply is
+// nil when it could not be read.
+func (c *Client) send(req *http.Request, path string) (*http.Response, []byte, error) {
+	resp, data, err := httpkit.Send(c.HTTP(), req, httpkit.MaxBodyBytes)
 	if err != nil {
-		return 0, nil, fmt.Errorf("osclient: %s %s: %w", req.Method, path, err)
-	}
-	defer resp.Body.Close()
-	data, err := httpkit.ReadBounded(resp.Body, httpkit.MaxBodyBytes, resp.ContentLength)
-	if err != nil {
-		return resp.StatusCode, nil, fmt.Errorf("osclient: read response: %w", err)
+		return nil, nil, fmt.Errorf("osclient: %s %s: %w", req.Method, path, err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return resp.StatusCode, nil, StatusErrorOf(resp.StatusCode, data)
+		return resp, nil, StatusErrorOf(resp.StatusCode, data)
 	}
-	return resp.StatusCode, data, nil
+	return resp, data, nil
 }
 
 // Decode decodes a 2xx response body into out, as Do does: an empty body
@@ -245,21 +250,17 @@ func (c *Client) Authenticate(userName, password, projectID string) (string, err
 	if err != nil {
 		return "", fmt.Errorf("osclient: marshal auth: %w", err)
 	}
+	const path = "/identity/v3/auth/tokens"
 	ctx, cancel := c.attemptContext(context.Background())
 	defer cancel()
-	httpReq, err := c.endpoint().Request(ctx, http.MethodPost, "/identity/v3/auth/tokens", bytes.NewReader(body))
+	httpReq, err := c.endpoint().Request(ctx, http.MethodPost, path, bytes.NewReader(body))
 	if err != nil {
 		return "", fmt.Errorf("osclient: new auth request: %w", err)
 	}
 	httpReq.Header["Content-Type"] = []string{"application/json"}
-	resp, err := c.HTTP().Do(httpReq)
+	resp, data, err := c.send(httpReq, path)
 	if err != nil {
-		return "", fmt.Errorf("osclient: auth: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := httpkit.ReadBounded(resp.Body, httpkit.MaxBodyBytes, resp.ContentLength)
-	if err != nil {
-		return "", fmt.Errorf("osclient: read auth response: %w", err)
+		return "", err
 	}
 	if resp.StatusCode != http.StatusCreated {
 		return "", StatusErrorOf(resp.StatusCode, data)
