@@ -69,7 +69,7 @@ asyncbench:
 
 # E20: aggregate throughput of the sharded fleet at N=1 and N=4
 # instances behind the consistent-hash front, each instance throttled to
-# a small backend connection budget at 1 ms simulated RTT (see
+# a small backend connection budget at 4 ms simulated RTT (see
 # EXPERIMENTS.md), in three rounds of alternating order. The experiment
 # logs every round as JSON and fails if the median N=4/N=1 ratio is
 # below 2.5×.

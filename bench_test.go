@@ -231,8 +231,8 @@ func newThroughputDeployment(b testing.TB, delay time.Duration, mutate func(*cor
 // workload. The in-process variant measures software overhead under
 // contention (lock-free counters, precomputed state paths) against the direct
 // cloud call; the netsim variant adds 1ms of simulated network latency per
-// backend request, where each pre clause's paths travel in one concurrent
-// wave, so a GET pays two snapshot round trips instead of five.
+// backend request, where a request's pre-state paths travel in one
+// concurrent call, so a GET pays two snapshot round trips instead of five.
 func BenchmarkMonitorThroughput(b *testing.B) {
 	b.Run("GET/direct", func(b *testing.B) {
 		d := newThroughputDeployment(b, 0, nil)
@@ -260,8 +260,8 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 		})
 	})
 
-	// Simulated network latency: the deployment regime waves exist for.
-	// Sequential client, latency-bound.
+	// Simulated network latency: the deployment regime the one pre-phase
+	// call exists for. Sequential client, latency-bound.
 	b.Run("netsim-1ms/default", func(b *testing.B) {
 		d := newThroughputDeployment(b, time.Millisecond, nil)
 		path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
@@ -271,8 +271,6 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(d.sys.Monitor.FetchStats().Waves)/float64(b.N), "waves/op")
 	})
 }
 
@@ -555,7 +553,7 @@ func BenchmarkOCLEvalPaperDelete(b *testing.B) {
 // BenchmarkCompiledEval (E17) pits the compiled closure-chain engine
 // against the single-pass tree walk on the in-process OK path: the full
 // pre-check of the paper's DELETE(volume) contract — clause programs in
-// plan order to the first true disjunct — over an already-fetched state.
+// model order to the first true disjunct — over an already-fetched state.
 // The compiled arm resets and refills a pooled slot frame every
 // iteration (that refill is part of the engine's per-request cost) and
 // must run allocation-free; the tree-walk arm evaluates the same clauses

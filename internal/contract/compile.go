@@ -92,8 +92,8 @@ func (cp *Compiled) Release(fr *Frame) {
 // compileContract builds the contract's compiled evaluator set: one
 // program per case's pre-condition disjunct and post-condition
 // consequent. It then gives every path the plan names a slot too: the
-// pre clauses' paths (what waves read), the post clauses' pre-state
-// paths (what the top-up reads) and effect frames, so the frame holds
+// pre clauses' paths and the post clauses' pre-state paths (together the
+// monitor's one pre-phase read) and effect frames, so the frame holds
 // whatever the monitor fetches even where a program does not read it (a
 // hand-built contract's effect need not be part of its post-condition).
 func compileContract(c *Contract, p *Plan) *Compiled {

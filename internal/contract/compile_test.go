@@ -195,9 +195,9 @@ func TestCompiledExprMatchesTreeWalkOnContracts(t *testing.T) {
 }
 
 // TestCompiledSlotsCoverPlanPaths: every path the plan names has a frame
-// slot — each pre clause's paths (what a wave reads), each post clause's
-// CurPaths, PrePaths (what the pre-state top-up reads) and Touched (the
-// effect frame post reuse checks) — so a value the monitor fetched always
+// slot — each pre clause's paths and each post clause's PrePaths (the
+// monitor's pre-phase read), CurPaths and Touched (the effect frame post
+// reuse checks) — so a value the monitor fetched always
 // lands in the frame and so in the verdict's snapshot of record. The
 // synthetic contract's effect names a path no program reads.
 func TestCompiledSlotsCoverPlanPaths(t *testing.T) {

@@ -3,17 +3,13 @@
 // Eager checking snapshots the union of every path a contract could ever
 // mention — twice per request. The plan decomposes the contract back into
 // the clauses Generate built it from (pre(m)'s disjuncts, post(m)'s
-// per-transition implications), records exactly which state paths each
-// clause reads and in which context (current vs pre-state), and orders the
-// pre-clauses cheapest-first so that evaluation fetches as little of the
-// cloud as a verdict actually needs.
+// per-transition implications) and records exactly which state paths each
+// clause reads and in which context (current vs pre-state), so the monitor
+// reads the pre-state in one call and re-reads after the forward only what
+// an active transition may have changed.
 package contract
 
-import (
-	"sort"
-
-	"cloudmon/internal/ocl"
-)
+import "cloudmon/internal/ocl"
 
 // PreClause is one disjunct of pre(m): inv(source) and guard for a single
 // transition. All its paths read the current state (guards and invariants
@@ -24,19 +20,10 @@ type PreClause struct {
 	// Paths are the distinct current-state paths the disjunct reads, in
 	// first-use order.
 	Paths []string
-	// Added are the paths this clause needs beyond everything earlier
-	// clauses in plan order already fetched — the clause's marginal fetch
-	// cost when the plan runs front to back.
-	Added []string
-	// Cost is the static size of the disjunct (AST node count), the
-	// tie-breaker for ordering clauses with equal path demands.
-	Cost int
 }
 
 // PostClause is one conjunct of post(m): casePre implies
-// (inv(target) and effect) for a single transition. Post-clauses stay in
-// model order — the antecedent's truth is already known from the pre-check,
-// so ordering buys nothing and model order keeps attribution stable.
+// (inv(target) and effect) for a single transition.
 type PostClause struct {
 	// Index is the clause's position in Contract.Cases.
 	Index int
@@ -54,19 +41,17 @@ type PostClause struct {
 	// paths outside every active clause's frame can be reused from the
 	// pre-state snapshot instead of re-fetched.
 	Touched []string
-	// Cost is the static size of the full implication.
-	Cost int
 }
 
-// Plan is a contract compiled for demand-driven evaluation.
+// Plan is a contract compiled for demand-driven evaluation. Both clause
+// lists are in model order, so attribution follows the model.
 type Plan struct {
-	// Pre holds the pre-condition disjuncts ordered cheapest-first:
-	// ascending by number of paths, then static cost, then model order.
+	// Pre holds the pre-condition disjuncts.
 	Pre []PreClause
-	// Post holds the post-condition implications in model order.
+	// Post holds the post-condition implications.
 	Post []PostClause
-	// PrePaths is the union of all pre-clause paths in plan order — equal
-	// as a set to the paths a whole pre-condition snapshot fetches.
+	// PrePaths is the union of all pre-clause paths in first-use order —
+	// equal as a set to the paths a whole pre-condition snapshot fetches.
 	PrePaths []string
 	// Compiled is the closure-chain evaluator set (see compile.go):
 	// every clause translated once into a slot-model program, with a
@@ -86,30 +71,13 @@ func (c *Contract) Plan() *Plan {
 // compilePlan decomposes the contract into per-clause path demands.
 func compilePlan(c *Contract) *Plan {
 	p := &Plan{}
+	seen := make(map[string]bool)
 	for i, cs := range c.Cases {
 		cur, _ := ocl.ContextPaths(cs.Pre)
-		p.Pre = append(p.Pre, PreClause{
-			Index: i,
-			Paths: cur,
-			Cost:  ocl.StaticCost(cs.Pre),
-		})
-	}
-	sort.SliceStable(p.Pre, func(a, b int) bool {
-		pa, pb := p.Pre[a], p.Pre[b]
-		if len(pa.Paths) != len(pb.Paths) {
-			return len(pa.Paths) < len(pb.Paths)
-		}
-		if pa.Cost != pb.Cost {
-			return pa.Cost < pb.Cost
-		}
-		return pa.Index < pb.Index
-	})
-	fetched := make(map[string]bool)
-	for i := range p.Pre {
-		for _, path := range p.Pre[i].Paths {
-			if !fetched[path] {
-				fetched[path] = true
-				p.Pre[i].Added = append(p.Pre[i].Added, path)
+		p.Pre = append(p.Pre, PreClause{Index: i, Paths: cur})
+		for _, path := range cur {
+			if !seen[path] {
+				seen[path] = true
 				p.PrePaths = append(p.PrePaths, path)
 			}
 		}
@@ -125,7 +93,6 @@ func compilePlan(c *Contract) *Plan {
 			CurPaths: cur,
 			PrePaths: pre,
 			Touched:  touched,
-			Cost:     ocl.StaticCost(cs.Post),
 		})
 	}
 	p.Compiled = compileContract(c, p)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"cloudmon/internal/ocl"
 	"cloudmon/internal/uml"
 )
 
@@ -68,57 +67,28 @@ func TestPlanCoversEveryCase(t *testing.T) {
 	}
 }
 
-// TestPlanPreOrderingOnPaperModel: the DELETE contract's three disjuncts
-// share one path set, so ordering falls to static cost — the
-// quota-exhausted disjunct (no size guard) is smallest and runs first.
+// TestPlanPreOrderingOnPaperModel: pre clauses stay in model order on
+// every paper contract, and PrePaths lists their paths in first-use
+// order: the DELETE contract's three disjuncts share one path set, so it
+// is the first disjunct's.
 func TestPlanPreOrderingOnPaperModel(t *testing.T) {
 	set := generate(t)
+	for _, c := range set.Contracts {
+		for i, cl := range c.Plan().Pre {
+			if cl.Index != i {
+				t.Errorf("%s: pre clause %d out of model order (index %d)", c.Trigger, i, cl.Index)
+			}
+		}
+	}
 	c, _ := set.For(uml.Trigger{Method: uml.DELETE, Resource: "volume"})
 	p := c.Plan()
-	for i := 1; i < len(p.Pre); i++ {
-		a, b := p.Pre[i-1], p.Pre[i]
-		if len(a.Paths) > len(b.Paths) {
-			t.Errorf("pre clauses out of order: %d paths before %d", len(a.Paths), len(b.Paths))
-		}
-		if len(a.Paths) == len(b.Paths) && a.Cost > b.Cost {
-			t.Errorf("pre clauses out of cost order: cost %d before %d", a.Cost, b.Cost)
+	for _, cl := range p.Pre {
+		if !reflect.DeepEqual(cl.Paths, p.Pre[0].Paths) {
+			t.Errorf("clause %d reads %v, clause 0 %v; want one shared path set", cl.Index, cl.Paths, p.Pre[0].Paths)
 		}
 	}
-	// First clause pays for every path; the rest (same path set) add none.
-	if !reflect.DeepEqual(p.Pre[0].Added, p.Pre[0].Paths) {
-		t.Errorf("first clause Added = %v, want its full path set %v", p.Pre[0].Added, p.Pre[0].Paths)
-	}
-	for _, cl := range p.Pre[1:] {
-		if len(cl.Added) != 0 {
-			t.Errorf("clause %d Added = %v, want none (paths already fetched)", cl.Index, cl.Added)
-		}
-	}
-}
-
-// TestPlanOrdersCheapDisjunctFirst: a synthetic contract where one disjunct
-// reads strictly fewer paths — it must lead the plan regardless of model
-// order, and the wide clause's Added holds only its marginal paths.
-func TestPlanOrdersCheapDisjunctFirst(t *testing.T) {
-	wide := ocl.MustParse("a.b = 1 and c.d = 2 and e.f = 3")
-	narrow := ocl.MustParse("a.b = 1")
-	c := &Contract{
-		Cases: []Case{
-			{Pre: wide, Post: ocl.MustParse("a.b = 1")},
-			{Pre: narrow, Post: ocl.MustParse("a.b = 1")},
-		},
-	}
-	p := c.Plan()
-	if p.Pre[0].Index != 1 {
-		t.Fatalf("plan leads with clause %d, want the narrow clause 1", p.Pre[0].Index)
-	}
-	if want := []string{"a.b"}; !reflect.DeepEqual(p.Pre[0].Added, want) {
-		t.Errorf("narrow clause Added = %v, want %v", p.Pre[0].Added, want)
-	}
-	if want := []string{"c.d", "e.f"}; !reflect.DeepEqual(p.Pre[1].Added, want) {
-		t.Errorf("wide clause Added = %v, want marginal %v", p.Pre[1].Added, want)
-	}
-	if want := []string{"a.b", "c.d", "e.f"}; !reflect.DeepEqual(p.PrePaths, want) {
-		t.Errorf("PrePaths = %v, want %v", p.PrePaths, want)
+	if !reflect.DeepEqual(p.PrePaths, p.Pre[0].Paths) {
+		t.Errorf("PrePaths = %v, want the first clause's paths %v", p.PrePaths, p.Pre[0].Paths)
 	}
 }
 

@@ -107,9 +107,9 @@ func Build(opts Options) (*System, error) {
 	client.HTTPClient = opts.HTTPClient
 	client.Timeout = opts.CloudTimeout
 	provider := osbinding.NewProvider(client, opts.ServiceAccount)
-	// The monitor reads each pre clause's paths in one Snapshot call (a
-	// wave), which pays off at deployment RTT only if they travel
-	// concurrently. One-path calls never reach the fan-out.
+	// The monitor reads a request's pre-state in one Snapshot call, which
+	// pays off at deployment RTT only if its paths travel concurrently.
+	// One-path calls never reach the fan-out.
 	provider.Parallel = true
 	mon, err := monitor.New(monitor.Config{
 		Contracts: set,

@@ -14,14 +14,14 @@ func Analyzers() []*Analyzer {
 
 // hotFuncs names the per-request hot path, per package: the monitor's
 // demand loop, which runs once per clause and re-enters once per demanded
-// path, the per-path pre-state read (a result a wave already brought
-// returns from it without leaving) and the wave that reads a clause's
-// paths together; the compiled engine's slot accessors and program
-// entry, which every clause closure funnels through, where a stray
-// allocation multiplies by the atom count; the state provider's wave,
-// per-read resolver and response scanner, which runs over every body the
-// cloud returns; and every cloud round trip's request constructor, send
-// and bounded reply read, with the forward that uses them.
+// path, the pre read that fills the frame with a request's pre-state in
+// one call, and the one-path pre-state read a failed pre read leaves to
+// demands; the compiled engine's slot accessors and program entry, which
+// every clause closure funnels through, where a stray allocation
+// multiplies by the atom count; the state provider's snapshot, per-read
+// resolver and response scanner, which runs over every body the cloud
+// returns; and every cloud round trip's request constructor, send and
+// bounded reply read, with the forward that uses them.
 // Everything reachable per request but outside these (stage timing, the
 // provider's retry loop, verdict recording) allocates or reads the clock
 // by design. TestHotFuncsNameRealFunctions keeps every entry pointing at
@@ -29,8 +29,8 @@ func Analyzers() []*Analyzer {
 var hotFuncs = map[string]map[string]bool{
 	"monitor": {
 		"evalProgram":              true,
+		"(*fetcher).readPre":       true,
 		"(*fetcher).fetchPre":      true,
-		"(*fetcher).fetchWave":     true,
 		"(*HTTPForwarder).Forward": true,
 	},
 	"contract": {

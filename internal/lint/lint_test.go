@@ -115,10 +115,10 @@ func evalProgram(err error) bool {
 	}
 }
 
-// TestHotPathCoversWaveAndSend: the wave's clock read and its map of
-// results read ahead stay out of it, and the shared cloud send may not
-// regrow a reply's buffer.
-func TestHotPathCoversWaveAndSend(t *testing.T) {
+// TestHotPathCoversPreReadAndSend: the pre read may neither read the
+// clock nor allocate a map, and the shared cloud send may not regrow a
+// reply's buffer.
+func TestHotPathCoversPreReadAndSend(t *testing.T) {
 	for _, tc := range []struct{ src, want string }{
 		{`package monitor
 
@@ -126,14 +126,14 @@ import "time"
 
 type fetcher struct{}
 
-func (f *fetcher) fetchWave() { _ = time.Now() }
-`, "(*fetcher).fetchWave calls time.Now"},
+func (f *fetcher) readPre() { _ = time.Now() }
+`, "(*fetcher).readPre calls time.Now"},
 		{`package monitor
 
-type fetcher struct{ ahead map[string]int }
+type fetcher struct{ got map[string]int }
 
-func (f *fetcher) fetchWave() { f.ahead = make(map[string]int, 4) }
-`, "(*fetcher).fetchWave allocates a map"},
+func (f *fetcher) readPre() { f.got = make(map[string]int, 4) }
+`, "(*fetcher).readPre allocates a map"},
 		{`package httpkit
 
 import (

@@ -301,7 +301,6 @@ func (d *Deployment) FetchEconomy() FetchEconomy {
 		fs := in.Sys.Monitor.FetchStats()
 		fe.Requests += int(fs.Requests)
 		fe.PathsFetched += int(fs.PathsFetched)
-		fe.Waves += int(fs.Waves)
 		fe.CloudGets += int(in.Sys.Provider.Stats().Gets)
 	}
 	return fe

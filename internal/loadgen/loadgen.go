@@ -153,9 +153,9 @@ type Target struct {
 	// audit tallies can be cross-checked against the verdict tallies.
 	Audit func() map[string]int
 	// Fetch, if set, supplies the cumulative fetch-economy counters
-	// (monitor path fetches, waves, provider cloud GETs); Run
-	// diffs it around the run — warmup requests included, prepopulation
-	// excluded (it runs before the capture).
+	// (monitor path fetches, provider cloud GETs); Run diffs it around
+	// the run — warmup requests included, prepopulation excluded (it runs
+	// before the capture).
 	Fetch func() FetchEconomy
 	// Drain, if set, is called after the workers finish and before any
 	// counters are sampled — async post-verification targets block here
@@ -169,16 +169,12 @@ type Target struct {
 }
 
 // FetchEconomy is the cloud-read cost of a run: how many state paths the
-// monitor fetched, in how many waves, and how many REST GETs actually hit
-// the cloud.
+// monitor fetched, and how many REST GETs actually hit the cloud.
 type FetchEconomy struct {
 	// Requests counts verdicts with fetch accounting.
 	Requests int `json:"requests"`
 	// PathsFetched is the total provider path reads across them.
 	PathsFetched int `json:"paths_fetched"`
-	// Waves counts pre-state Snapshot calls that carried several of a
-	// clause's paths (monitor.FetchStats.Waves).
-	Waves int `json:"waves"`
 	// CloudGets counts the provider's REST GETs (before retries).
 	CloudGets int `json:"cloud_gets"`
 }
@@ -187,7 +183,6 @@ func (f FetchEconomy) sub(before FetchEconomy) FetchEconomy {
 	return FetchEconomy{
 		Requests:     f.Requests - before.Requests,
 		PathsFetched: f.PathsFetched - before.PathsFetched,
-		Waves:        f.Waves - before.Waves,
 		CloudGets:    f.CloudGets - before.CloudGets,
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cloudmon/internal/core"
 	"cloudmon/internal/monitor"
+	"cloudmon/internal/obs"
 )
 
 func TestLookup(t *testing.T) {
@@ -293,14 +295,17 @@ func TestDeployValidation(t *testing.T) {
 	}
 }
 
-// TestFetchEconomyWaves runs one serial workload in process and against
-// a lone monitor whose cloud is 1 ms away. Both monitors send
-// waves. On these passing requests every path a wave reads is demanded,
-// so both read the cloud exactly as often, and each counts every cloud
-// GET as a fetched path.
-func TestFetchEconomyWaves(t *testing.T) {
+// TestFetchEconomyPreCalls runs one serial workload in process and
+// against a lone monitor whose cloud is 2 ms away. Both read the cloud
+// exactly as often, and each counts every cloud GET as a fetched path.
+// At RTT a request's pre-phase reads take at least one round trip per
+// Snapshot call, so the verdicts' pre-snapshot stage times count the
+// calls: the median request must take under two round trips there, one
+// call whose paths travel together.
+func TestFetchEconomyPreCalls(t *testing.T) {
+	const rtt = 2 * time.Millisecond
 	sc := Scenario{
-		Name: "economy-waves",
+		Name: "economy-pre-calls",
 		Mix: []OpSpec{
 			{Op: OpGetVolume, Role: RoleMember, Weight: 3},
 			{Op: OpDeleteVolume, Role: RoleAdmin, Weight: 1},
@@ -329,18 +334,32 @@ func TestFetchEconomyWaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := run(dep.Target)
-	far, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce}, RTT: time.Millisecond})
+	sink := &verdictSink{}
+	far, err := Deploy(Options{Monitor: core.Options{Mode: monitor.Enforce, OnVerdict: sink.add}, RTT: rtt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer far.Close()
 	remote := run(far.Target)
-	t.Logf("waves: %d in process, %d at 1 ms RTT", local.Fetch.Waves, remote.Fetch.Waves)
-	if local.Fetch.Waves == 0 || remote.Fetch.Waves == 0 {
-		t.Error("a monitor sent no waves")
-	}
 	if local.Fetch.CloudGets != remote.Fetch.CloudGets {
-		t.Errorf("cloud GETs: %d in process, %d with waves", local.Fetch.CloudGets, remote.Fetch.CloudGets)
+		t.Errorf("cloud GETs: %d in process, %d at %s RTT", local.Fetch.CloudGets, remote.Fetch.CloudGets, rtt)
+	}
+	var pre []time.Duration
+	for _, v := range sink.all() {
+		if v.Trace[obs.StagePreSnapshot] > 0 {
+			pre = append(pre, v.Trace[obs.StagePreSnapshot])
+		}
+	}
+	if len(pre) == 0 {
+		t.Fatal("no verdict read a pre-state")
+	}
+	slices.Sort(pre)
+	median := pre[len(pre)/2]
+	t.Logf("pre-snapshot stage over %d requests at %s RTT: min %s, median %s, max %s",
+		len(pre), rtt, pre[0], median, pre[len(pre)-1])
+	if median < rtt || median >= 2*rtt {
+		t.Errorf("median pre-snapshot stage %s, want one round trip (%s up to %s): one pre-phase call per request",
+			median, rtt, 2*rtt)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"sort"
 	"time"
 
@@ -20,124 +19,73 @@ type fetchError struct{ err error }
 func (e *fetchError) Error() string { return e.err.Error() }
 func (e *fetchError) Unwrap() error { return e.err }
 
-// errUnresolved is the result of every path a failed Snapshot call carried
-// when it carried several: the call's error belongs to no path in
-// particular, so whoever needs one of them reads it on its own.
-var errUnresolved = errors.New("monitor: a failed multi-path read left this path unresolved")
-
-// fetcher performs the per-path cloud reads of one check, filling the
-// request's frame and accounting fetch counts and time per phase. Every
-// read it sends is its own: no request shares a read with another, so a
-// verdict rests on state read after its request arrived.
+// fetcher performs the cloud reads of one check, filling the request's
+// frame and accounting fetch counts and time per phase. Every read it
+// sends is its own: no request shares a read with another, so a verdict
+// rests on state read after its request arrived.
 type fetcher struct {
 	m      *Monitor
 	reqCtx *RequestContext
 	// fr is the request's one state store: its current bank holds the
 	// pre-state until postVerify turns it around for the post-state.
 	fr *contract.Frame
-
-	// clause holds the paths of the pre clause under evaluation (nil for
-	// top-up reads): a demand for one of them fetches the clause's other
-	// unfetched paths in the same Snapshot call.
-	clause []string
-	// ahead holds the results of wave reads no demand has consumed yet. A
-	// path enters the frame only when demanded, so evaluation, the top-up
-	// and post reuse see exactly the paths a one-path-per-call loop would
-	// have read. A wave carries a clause's few paths, so a slice searched
-	// in order serves.
-	ahead []aheadRead
+	// loneErr is the error of a failed pre read that carried one path:
+	// that call was the path's own read, so its failure is final.
+	loneErr error
 
 	fetched int
 	preDur  time.Duration
 	postDur time.Duration
 }
 
-// pathRead is one path's result from a Snapshot call.
-type pathRead struct {
-	val     ocl.Value
-	present bool
-	err     error
-}
-
-// aheadRead is a wave's result for a path not yet demanded.
-type aheadRead struct {
-	path string
-	rd   pathRead
-}
-
-// aheadIndex returns the index of path's result in ahead, or -1.
-func (f *fetcher) aheadIndex(path string) int {
-	for i := range f.ahead {
-		if f.ahead[i].path == path {
-			return i
-		}
-	}
-	return -1
-}
-
-// fetchPre resolves one pre-state path into the frame: a result a wave
-// already brought, else a wave with the current clause's other unfetched
-// paths, and the path alone outside a clause or after a failed multi-path
-// read left it unresolved.
-func (f *fetcher) fetchPre(path string) error {
-	var rd pathRead
-	if i := f.aheadIndex(path); i >= 0 {
-		rd = f.ahead[i].rd
-		last := len(f.ahead) - 1
-		f.ahead[i] = f.ahead[last]
-		f.ahead[last] = aheadRead{}
-		f.ahead = f.ahead[:last]
-	} else {
-		rd = f.fetchWave(path, f.clause)
-	}
-	if rd.err == errUnresolved {
-		rd = f.fetchWave(path, nil)
-	}
-	if rd.err != nil {
-		return rd.err
-	}
-	f.fr.SetCur(path, rd.val, rd.present)
-	return nil
-}
-
-// fetchWave reads a demanded pre-state path together with clause's other
-// unfetched paths in one Snapshot call, and returns the demanded path's
-// result. Only that result can fail the clause; the others wait in ahead
-// for their own demand. When a call carrying several paths fails, each of
-// its paths is left errUnresolved: nothing re-reads them now, and a demand
-// for one later reads it alone, so every fail-policy decision rests on
-// that path's own result, as in a one-path-per-call loop, and a failing
-// cloud sees at most one read more per path than that loop sends it.
-// FetchedPaths counts every path a call carried: exact for a provider that
-// reads them all, as osbinding's fan-out does; for one that stops at its
-// first failure it overstates a failed call.
-func (f *fetcher) fetchWave(demanded string, clause []string) pathRead {
-	paths := append(make([]string, 0, 1+len(clause)), demanded)
-	for _, p := range clause {
-		if p == demanded {
-			continue
-		}
-		if _, _, filled := f.fr.Cur(p); filled {
-			continue
-		}
-		if f.aheadIndex(p) >= 0 {
-			continue
-		}
-		paths = append(paths, p)
+// readPre reads a route's pre read set in one Snapshot call and fills the
+// frame with every value it returns, so each pre clause then runs once
+// over a full frame and the verdict's pre-state holds everything the
+// request read. A failed call fills nothing: each path a clause or the
+// top-up then demands is read alone (fetchPre) and that read's result is
+// final, so every fail-policy decision rests on the path's own read, as
+// when every call carries one path, and a failing cloud sees at most one
+// read more per path. FetchedPaths counts every path a call carried:
+// exact for a provider that reads them all, as osbinding's fan-out does;
+// for one that stops at its first failure it overstates a failed call.
+func (f *fetcher) readPre(paths []string) {
+	if len(paths) == 0 {
+		return
 	}
 	f.fetched += len(paths)
-	if len(paths) > 1 {
-		f.m.waves.Inc()
-	}
 	snap, err := f.snapshot(paths, &f.preDur)
-	if err != nil && len(paths) > 1 {
-		err = errUnresolved
+	if err != nil {
+		if len(paths) == 1 {
+			f.loneErr = err
+		}
+		return
 	}
-	f.ahead = slices.Grow(f.ahead, len(paths)-1)
-	for _, p := range paths[1:] {
-		f.ahead = append(f.ahead, aheadRead{path: p, rd: readOf(snap, p, err)})
+	for _, p := range paths {
+		v, ok := snap[p]
+		f.fr.SetCur(p, v, ok)
 	}
-	return readOf(snap, demanded, err)
+}
+
+// fetchPre resolves a pre-state path the pre read left unfilled: it reads
+// the path alone, unless the failed pre read was already its own.
+func (f *fetcher) fetchPre(path string) error {
+	if f.loneErr != nil {
+		return f.loneErr
+	}
+	return f.fetchOne(path, &f.preDur)
+}
+
+// fetchOne reads one path straight from the cloud into the frame and adds
+// the call's time to *dur, the phase's fetch time.
+func (f *fetcher) fetchOne(path string, dur *time.Duration) error {
+	f.fetched++
+	snap, err := f.snapshot([]string{path}, dur)
+	if err != nil {
+		return err
+	}
+	v, ok := snap[path]
+	f.fr.SetCur(path, v, ok)
+	return nil
 }
 
 // snapshot reads paths in one Snapshot call and adds the call's time to
@@ -147,28 +95,6 @@ func (f *fetcher) snapshot(paths []string, dur *time.Duration) (ocl.MapEnv, erro
 	snap, err := f.m.provider.Snapshot(f.reqCtx, paths)
 	*dur += time.Since(t0)
 	return snap, err
-}
-
-// readOf is path's result from a Snapshot call that returned snap and err.
-func readOf(snap ocl.MapEnv, path string, err error) pathRead {
-	if err != nil {
-		return pathRead{err: err}
-	}
-	val, present := snap[path]
-	return pathRead{val: val, present: present}
-}
-
-// fetchPost resolves one post-state path straight from the cloud into the
-// frame: the post-condition verifies this request's own effect.
-func (f *fetcher) fetchPost(path string) error {
-	f.fetched++
-	snap, err := f.snapshot([]string{path}, &f.postDur)
-	if err != nil {
-		return err
-	}
-	v, ok := snap[path]
-	f.fr.SetCur(path, v, ok)
-	return nil
 }
 
 // evalProgram runs a clause's closure-chain program, fetching a state path
@@ -206,19 +132,18 @@ func boolValue(v ocl.Value) (bool, bool) {
 
 // check runs the monitoring workflow for a matched request and returns the
 // verdict plus the backend response (nil when not forwarded). It is the
-// paper's workflow (snapshot, pre, forward, re-query, post) with the
-// snapshots taken on demand: each clause's compiled program runs over the
-// request's frame and fetches a state path the first time it reads one,
-// so a verdict costs only the cloud reads it needs. The differential
-// suites hold it to the whole-snapshot workflow verdict for verdict.
+// paper's workflow (snapshot, pre, forward, re-query, post): each
+// clause's compiled program runs over the request's frame, and a state
+// path the frame does not hold yet is fetched the moment a program reads
+// it. The differential suites hold it to the whole-snapshot workflow
+// verdict for verdict.
 //
-// Pre-check: every disjunct is evaluated (coverage attribution needs each
-// case's truth, Section IV.C) in plan order, but demand-driven — a failed
-// source invariant never fetches the guard's paths, and disjuncts sharing
-// paths pay once. Post-check: implications whose antecedent was false in
-// the pre-state are skipped outright; active consequents re-fetch only
-// paths inside the transitions' effect frame and reuse the pre-state
-// for untouched paths.
+// Pre-check: the route's pre read set arrives in one call (readPre), then
+// every disjunct is evaluated once, in model order (coverage attribution
+// needs each case's truth, Section IV.C). Post-check: implications whose
+// antecedent was false in the pre-state are skipped outright; active
+// consequents re-fetch only paths inside the transitions' effect frame
+// and reuse the pre-state for untouched paths.
 //
 // The third return value is non-nil only under PostAsync: the pre phase
 // and the forward are complete, the verdict is deferred, and the capture
@@ -285,20 +210,17 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 		return finish(Error, fmt.Sprintf("pre-state snapshot: %v", err)), nil, nil
 	}
 
-	// Pre phase: evaluate every disjunct, cheapest-planned first. The
-	// tri-state value is kept per case: the post-check derives each
-	// implication's antecedent from it without re-reading the pre-state.
+	// Pre phase: read the pre-state, then evaluate every disjunct in
+	// model order. The tri-state value is kept per case: the post-check
+	// derives each implication's antecedent from it without re-reading
+	// the pre-state.
 	preStart := time.Now()
+	f.readPre(cr.preReads)
 	anteVals := make([]ocl.Value, len(c.Cases))
 	fr := f.fr
 	demandPre := func(d *contract.Demand) error { return f.fetchPre(d.Path) }
-	for _, cl := range plan.Pre {
-		i := cl.Index
-		// A demand fetches the clause's other unfetched paths with it.
-		// Top-up reads stay one path per call.
-		f.clause = cl.Paths
+	for i := range c.Cases {
 		val, err := evalProgram(comp.PreProgram(i), fr, demandPre)
-		f.clause = nil
 		if err != nil {
 			preEvalDur = time.Since(preStart) - f.preDur
 			var fe *fetchError
@@ -334,10 +256,11 @@ func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]st
 	v.MatchedTransitions = matchedTrans
 
 	// Pre-state top-up: pre-context paths of active consequents are
-	// unobservable once the request is forwarded, so capture any the
-	// disjunct evaluation did not already touch. An implication whose
-	// antecedent is definitely false is skipped entirely — its consequent
-	// is never evaluated, so its old values are never read.
+	// unobservable once the request is forwarded, so capture any the pre
+	// read did not fill, which only a failed pre read leaves. An
+	// implication whose antecedent is definitely false is skipped entirely
+	// — its consequent is never evaluated, so its old values are never
+	// read.
 	var topErr error
 	if preOK && m.level == CheckFull {
 		topStart := time.Now()
@@ -507,7 +430,7 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace) Verdict {
 				return nil
 			}
 		}
-		return f.fetchPost(d.Path)
+		return f.fetchOne(d.Path, &f.postDur)
 	}
 	sawUndef := false
 	postOK := true

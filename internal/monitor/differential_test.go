@@ -399,8 +399,8 @@ func TestDifferentialFailPolicies(t *testing.T) {
 	}
 	good := env(2, 10, "available", "admin")
 	shapes := map[string]func(policy FailPolicy) (Verdict, int){
-		// Pre-phase outage from the first request: the DELETE's first
-		// clause wave fails, then its demanded path alone.
+		// Pre-phase outage from the first request: the DELETE's pre read
+		// fails, then its first demanded path alone.
 		"pre-fault": func(policy FailPolicy) (Verdict, int) {
 			prov := &switchProvider{env: good}
 			prov.fail.Store(true)

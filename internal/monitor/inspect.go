@@ -41,15 +41,12 @@ func (m *Monitor) InspectHandler() http.Handler {
 		type preClauseDoc struct {
 			Case  int      `json:"case"`
 			Paths []string `json:"paths"`
-			Added []string `json:"added,omitempty"`
-			Cost  int      `json:"cost"`
 		}
 		type postClauseDoc struct {
 			Case     int      `json:"case"`
 			CurPaths []string `json:"cur_paths,omitempty"`
 			PrePaths []string `json:"pre_paths,omitempty"`
 			Touched  []string `json:"touched,omitempty"`
-			Cost     int      `json:"cost"`
 		}
 		type planDoc struct {
 			Pre      []preClauseDoc  `json:"pre"`
@@ -70,14 +67,12 @@ func (m *Monitor) InspectHandler() http.Handler {
 			plan := c.Plan()
 			pd := planDoc{PrePaths: plan.PrePaths}
 			for _, cl := range plan.Pre {
-				pd.Pre = append(pd.Pre, preClauseDoc{
-					Case: cl.Index, Paths: cl.Paths, Added: cl.Added, Cost: cl.Cost,
-				})
+				pd.Pre = append(pd.Pre, preClauseDoc{Case: cl.Index, Paths: cl.Paths})
 			}
 			for _, cl := range plan.Post {
 				pd.Post = append(pd.Post, postClauseDoc{
 					Case: cl.Index, CurPaths: cl.CurPaths, PrePaths: cl.PrePaths,
-					Touched: cl.Touched, Cost: cl.Cost,
+					Touched: cl.Touched,
 				})
 			}
 			docs = append(docs, contractDoc{

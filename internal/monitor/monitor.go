@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"net/textproto"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -208,6 +209,8 @@ type RequestContext struct {
 // monitored cloud over REST (see package osbinding); tests use fakes.
 // Paths that navigate through missing resources must resolve to
 // ocl.Undefined; only infrastructure failures should return an error.
+// Concurrent requests share a route's paths slice, so Snapshot must not
+// modify it.
 type StateProvider interface {
 	Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error)
 }
@@ -392,9 +395,6 @@ type Monitor struct {
 	onVerdict  func(Verdict)
 	audit      *obs.AuditLog
 	instanceID string
-	// waves counts the pre-state Snapshot calls that carried several of a
-	// clause's paths.
-	waves obs.Counter
 	// post/asyncPost form the deferred post-verification pipeline
 	// (asyncpost.go); asyncPost is nil under PostSync.
 	post      PostMode
@@ -420,6 +420,9 @@ type compiledRoute struct {
 	contract *contract.Contract
 	// plan is the contract's compiled evaluation plan.
 	plan *contract.Plan
+	// preReads is the route's pre read set, which a request reads in one
+	// Snapshot call before any pre clause runs (see preReadSet).
+	preReads []string
 	// digest is the contract's content digest, computed once at build time
 	// and stamped on every verdict (and audit record) the route produces.
 	digest string
@@ -506,6 +509,7 @@ func New(cfg Config) (*Monitor, error) {
 			segments:    httpkit.SplitPath(r.Pattern),
 			contract:    c,
 			plan:        c.Plan(),
+			preReads:    preReadSet(c.Plan(), level),
 			digest:      c.Digest(),
 			preText:     strings.Clone(c.Pre.String()),
 			postText:    strings.Clone(c.Post.String()),
@@ -522,6 +526,26 @@ func New(cfg Config) (*Monitor, error) {
 		m.byMethod[meth] = append(m.byMethod[meth], cr)
 	}
 	return m, nil
+}
+
+// preReadSet is every pre-state path a request can read: each pre
+// clause's paths and, when the post-condition is checked, each path a
+// consequent reads through pre(), which the forward makes unobservable.
+// Reading them all in one call costs one round trip where reading each
+// path as a program first demands it costs one per path; on the Cinder
+// and Nova models every pre clause reads the whole set anyway.
+func preReadSet(plan *contract.Plan, level CheckLevel) []string {
+	reads := slices.Clone(plan.PrePaths)
+	if level == CheckFull {
+		for _, pc := range plan.Post {
+			for _, p := range pc.PrePaths {
+				if !slices.Contains(reads, p) {
+					reads = append(reads, p)
+				}
+			}
+		}
+	}
+	return reads
 }
 
 // Mode returns the monitor's mode.
@@ -799,9 +823,6 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 		w.Histogram("cloudmon_snapshot_paths_fetched",
 			"State paths fetched from the provider per monitored request (count histogram: 1 unit = 1 path).",
 			m.pathsFetched)
-		w.Counter("cloudmon_snapshot_waves_total",
-			"Pre-state Snapshot calls that fetched several of a clause's paths at once.",
-			float64(m.waves.Value()))
 		if ap := m.asyncPost; ap != nil {
 			w.Histogram("cloudmon_post_lag_seconds",
 				"Detection lag of async post verdicts (verdict time minus response-return time).",
@@ -839,7 +860,6 @@ func (m *Monitor) ResetLog() {
 	m.transCoverage.Reset()
 	m.tracer.Reset()
 	m.pathsFetched.Reset()
-	m.waves.Reset()
 	if ap := m.asyncPost; ap != nil {
 		ap.enqueued.Reset()
 		ap.lateViol.Reset()
@@ -849,7 +869,7 @@ func (m *Monitor) ResetLog() {
 }
 
 // FetchStats are the monitor-side fetch-economy counters: how many state
-// paths requests actually read, and in how many waves.
+// paths requests actually read.
 type FetchStats struct {
 	// Requests is the number of verdicts with fetch accounting.
 	Requests uint64 `json:"requests"`
@@ -859,9 +879,6 @@ type FetchStats struct {
 	// fetch is served by another request's read. The field stays only
 	// because the end-to-end benchmark under bench/ still reads it.
 	Coalesced uint64 `json:"coalesced"`
-	// Waves counts pre-state Snapshot calls that carried several of a
-	// clause's paths.
-	Waves uint64 `json:"waves"`
 }
 
 // FetchStats returns the fetch-economy counters.
@@ -870,7 +887,6 @@ func (m *Monitor) FetchStats() FetchStats {
 	return FetchStats{
 		Requests:     snap.Count,
 		PathsFetched: uint64(snap.Sum + 0.5),
-		Waves:        m.waves.Value(),
 	}
 }
 

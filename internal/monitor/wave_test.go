@@ -18,21 +18,20 @@ import (
 	"cloudmon/internal/uml"
 )
 
-// Waves change only which pre-state paths travel together in one Snapshot
-// call. These tests hold them to one path per call, which oneByOne gives a
-// monitor: same verdicts and evaluation counters, every extra read
-// accounted for, and at most one read more per path when the cloud fails.
+// The pre phase reads a route's pre read set in one Snapshot call, a
+// wave (readPre). These tests hold it to the loop that reads each
+// pre-state path alone when a program first demands it, which oneByOne
+// gives a monitor: same verdicts and evaluation counters, a pre-state
+// that holds the loop's values plus any a short-circuit spared it, every
+// extra read accounted for, and at most one read more per path when the
+// cloud fails.
 
-// oneByOne turns m into the oracle waves are held to: with no pre clause
-// naming its paths, every wave carries the demanded path alone.
+// oneByOne turns m into the reference the wave is held to: with no read
+// set, a request reads each pre-state path alone when a pre clause or the
+// top-up first demands it.
 func oneByOne(m *Monitor) {
 	for i := range m.routes {
-		plan := *m.routes[i].plan
-		plan.Pre = append([]contract.PreClause(nil), plan.Pre...)
-		for j := range plan.Pre {
-			plan.Pre[j].Paths = nil
-		}
-		m.routes[i].plan = &plan
+		m.routes[i].preReads = nil
 	}
 }
 
@@ -121,12 +120,19 @@ func (p *waveProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv
 	return out, nil
 }
 
-// take returns and clears the recorded calls.
-func (p *waveProvider) take() []recordedCall {
+// take returns and clears the recorded calls of one phase.
+func (p *waveProvider) take(phase string) []recordedCall {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := p.calls
-	p.calls = nil
+	var out, rest []recordedCall
+	for _, c := range p.calls {
+		if c.phase == phase {
+			out = append(out, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	p.calls = rest
 	return out
 }
 
@@ -172,14 +178,13 @@ func (p *waveProvider) failedCalls() int {
 
 // waveRun is one request's outcome and the reads behind it.
 type waveRun struct {
-	v     Verdict
-	code  int
-	waves uint64
-	prov  *waveProvider
+	v    Verdict
+	code int
+	prov *waveProvider
 }
 
 // runWaves is runEngine with the provider's reads recorded, on a monitor
-// that sends waves or, with one set, reads one path per call, and that
+// that sends a wave or, with one set, reads one path per call, and that
 // reuses post paths outside the effect frame or, with recheck set,
 // re-reads them all.
 func runWaves(t *testing.T, set *contract.Set, recheck bool, mode Mode,
@@ -208,12 +213,13 @@ func runWaves(t *testing.T, set *contract.Set, recheck bool, mode Mode,
 	req.Header.Set("X-Auth-Token", "tok")
 	rec := httptest.NewRecorder()
 	m.ServeHTTP(rec, req)
-	return waveRun{v: sink.last(t), code: rec.Code, waves: m.FetchStats().Waves, prov: prov}
+	return waveRun{v: sink.last(t), code: rec.Code, prov: prov}
 }
 
 // waveCompare asserts the wave arm's contract against the one-path arm:
-// every evaluation result and counter identical, and at least as many
-// reads (exactly as many when exact is set).
+// every evaluation result and counter identical, a pre-state that holds
+// every value the one-path arm's holds, and at least as many reads
+// (exactly as many when exact is set).
 func waveCompare(t *testing.T, name string, seq, wave Verdict, seqCode, waveCode int, exact bool) {
 	t.Helper()
 	fail := func(field string, s, w interface{}) {
@@ -237,12 +243,16 @@ func waveCompare(t *testing.T, name string, seq, wave Verdict, seqCode, waveCode
 		{"MatchedSecReqs", seq.MatchedSecReqs, wave.MatchedSecReqs},
 		{"MatchedTransitions", seq.MatchedTransitions, wave.MatchedTransitions},
 		{"ReusedPaths", seq.ReusedPaths, wave.ReusedPaths},
-		{"PreSnapshot", seq.PreSnapshot, wave.PreSnapshot},
 		{"PostSnapshot", seq.PostSnapshot, wave.PostSnapshot},
 	}
 	for _, c := range same {
 		if !reflect.DeepEqual(c.s, c.w) {
 			fail(c.field, c.s, c.w)
+		}
+	}
+	for path, sv := range seq.PreSnapshot {
+		if wv, ok := wave.PreSnapshot[path]; !ok || !reflect.DeepEqual(sv, wv) {
+			fail("PreSnapshot["+path+"]", sv, wave.PreSnapshot)
 		}
 	}
 	if wave.FetchedPaths < seq.FetchedPaths {
@@ -294,11 +304,13 @@ var waveArms = []struct {
 }
 
 // TestDifferentialWavesExampleStates runs the differential suite's example
-// corpus with waves against the one-path loop (oneByOne). Where the clauses
-// evaluated reach every path they name — the passing and role-blocked
-// states, the shapes a correct cloud serves — the read counts agree too.
-// Elsewhere a false conjunct or an evaluation error spares the one-path
-// loop a clause's later paths, which the wave has already read.
+// corpus with the wave against the one-path loop (oneByOne). Where the
+// clauses evaluated reach every path they name — the passing and
+// role-blocked states, the shapes a correct cloud serves — the read counts
+// agree too. Elsewhere a false conjunct or an evaluation error spares the
+// one-path loop a clause's later paths, which the wave has already read.
+// Every wave request sends one pre-phase call; the one-path arm sends
+// none with several paths.
 func TestDifferentialWavesExampleStates(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -326,7 +338,6 @@ func TestDifferentialWavesExampleStates(t *testing.T) {
 		{"empty-project", env(0, 10, "available", "admin"), env(0, 10, "available", "admin"), 204, false},
 		{"ill-typed-quota", illTyped, illTyped, 204, false},
 	}
-	var waves uint64
 	for _, arm := range waveArms {
 		for _, mode := range []Mode{Enforce, Observe} {
 			for _, rq := range diffRequests() {
@@ -338,16 +349,17 @@ func TestDifferentialWavesExampleStates(t *testing.T) {
 						rq.method, rq.path, st.pre, st.post, st.status, false)
 					waveCompare(t, name, seq.v, wave.v, seq.code, wave.code, st.exact)
 					waveReads(t, name, seq, wave)
-					if seq.waves != 0 {
-						t.Errorf("%s: the one-path arm sent %d waves", name, seq.waves)
+					if calls := wave.prov.take(PhasePre); len(calls) != 1 {
+						t.Errorf("%s: the wave request sent %d pre-phase calls, want 1", name, len(calls))
 					}
-					waves += wave.waves
+					for _, c := range seq.prov.take(PhasePre) {
+						if len(c.paths) != 1 {
+							t.Errorf("%s: the one-path arm read %v in one call", name, c.paths)
+						}
+					}
 				}
 			}
 		}
-	}
-	if waves == 0 {
-		t.Fatal("no request fetched a wave")
 	}
 }
 
@@ -477,7 +489,9 @@ func TestWaveFailPolicies(t *testing.T) {
 // the GET's clause reads after others. Against the one-path loop a wave
 // request reads each path at most once more — the failed wave, then the
 // path on its own when demanded — and so spends at most one more failing
-// call and one more retry budget, under FailClosed and FailOpen alike.
+// call and one more retry budget, under FailClosed and FailOpen alike. A
+// wave that carries one path is that path's own read: when it fails, the
+// request reads the path once, as the one-path loop does, not twice.
 func TestWaveFailureCost(t *testing.T) {
 	const budget = 20 * time.Millisecond
 	set, err := contract.Generate(paper.CinderModel())
@@ -489,12 +503,15 @@ func TestWaveFailureCost(t *testing.T) {
 	for path := range good {
 		outage[path] = true
 	}
+	quotaDown := map[string]bool{"quota_sets.volume": true}
 	cells := []struct {
 		name string
+		set  *contract.Set
 		fail map[string]bool
 	}{
-		{"outage", outage},
-		{"one-path-down", map[string]bool{"quota_sets.volume": true}},
+		{"outage", set, outage},
+		{"one-path-down", set, quotaDown},
+		{"one-path-read-set", loneQuotaSet(), quotaDown},
 	}
 	for _, policy := range []FailPolicy{FailClosed, FailOpen} {
 		for _, cell := range cells {
@@ -505,8 +522,8 @@ func TestWaveFailureCost(t *testing.T) {
 				p.broken.Store(true)
 				var sink verdictSink
 				m, err := New(Config{
-					Contracts:  set,
-					Routes:     diffRoutes(),
+					Contracts:  cell.set,
+					Routes:     diffRoutes()[:1],
 					Provider:   p,
 					Forward:    &fakeForwarder{status: 200},
 					FailPolicy: policy,
@@ -538,6 +555,12 @@ func TestWaveFailureCost(t *testing.T) {
 			if fs, fw := ps.failedCalls(), pw.failedCalls(); fw > fs+1 {
 				t.Errorf("%s: waves made %d failing calls, the one-path loop %d", name, fw, fs)
 			}
+			if cell.set != set {
+				if n := pw.reads(PhasePre)["quota_sets.volume"]; n != 1 || pw.failedCalls() != 1 {
+					t.Errorf("%s: the one-path read set was read %d times in %d failing calls, want once",
+						name, n, pw.failedCalls())
+				}
+			}
 			// One extra budget, plus one of slack for a loaded host.
 			if vw.Elapsed > vs.Elapsed+2*budget {
 				t.Errorf("%s: waves took %s, the one-path loop %s; more than one extra retry budget (%s)",
@@ -547,47 +570,149 @@ func TestWaveFailureCost(t *testing.T) {
 	}
 }
 
-// TestWaveShape pins what waves send on the paper's Cinder model: a clean
-// GET reads its whole first clause in one pre-phase call and its post
-// path alone, five paths in all as one path per call reads, and the call
-// shows in FetchStats.Waves and on /metrics.
+// loneQuotaSet is a contract set whose one contract, GET volume, reads a
+// single state path: its read set is quota_sets.volume alone.
+func loneQuotaSet() *contract.Set {
+	trigger := uml.Trigger{Method: uml.GET, Resource: "volume"}
+	cond := ocl.MustParse("quota_sets.volume > 0")
+	return &contract.Set{Contracts: []*contract.Contract{{
+		Trigger: trigger,
+		Cases: []contract.Case{{
+			Transition: &uml.Transition{From: "Quota", To: "Quota", Trigger: trigger},
+			Pre:        cond,
+			Post:       cond,
+			Guard:      ocl.MustParse("true"),
+			Effect:     ocl.MustParse("true"),
+		}},
+		Pre:  cond,
+		Post: cond,
+	}}}
+}
+
+// TestWaveShape pins what a request sends on the paper's Cinder model: a
+// GET, POST, PUT and DELETE each send one pre-phase call carrying the
+// route's read set, the paths its pre clauses read, whether the
+// pre-condition holds or fails; after the forward each call carries one
+// path, and a clean GET reads five paths in all.
 func TestWaveShape(t *testing.T) {
-	state := env(2, 10, "available", "admin")
-	p := &waveProvider{pre: state, post: map[uml.HTTPMethod]ocl.MapEnv{uml.GET: state}}
-	m, sink := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
-	doGet(t, m)
-	v := sink.last(t)
-	if v.Outcome != OK {
-		t.Fatalf("outcome %s (%s), want ok", v.Outcome, v.Detail)
+	admin := env(2, 10, "available", "admin")
+	post := map[uml.HTTPMethod]ocl.MapEnv{
+		uml.GET:    admin,
+		uml.PUT:    admin,
+		uml.POST:   env(3, 10, "available", "admin"),
+		uml.DELETE: env(1, 10, "available", "admin"),
 	}
-	var pre, post []recordedCall
-	for _, c := range p.take() {
-		if c.phase == PhasePre {
-			pre = append(pre, c)
-		} else {
-			post = append(post, c)
+	states := []struct {
+		name string
+		pre  ocl.MapEnv
+		want Outcome
+	}{
+		{"ok", admin, OK},
+		{"pre-fail", env(2, 10, "available", "intruder"), Blocked},
+	}
+	for _, st := range states {
+		for _, rq := range diffRequests() {
+			name := st.name + "/" + rq.method
+			p := &waveProvider{pre: st.pre, post: post}
+			m, sink := newMonitor(t, Enforce, p, &fakeForwarder{status: http.StatusOK})
+			req := httptest.NewRequest(rq.method, rq.path, nil)
+			req.Header.Set("X-Auth-Token", "tok")
+			cr, _, ok := m.match(req)
+			if !ok {
+				t.Fatalf("%s: no route", name)
+			}
+			m.ServeHTTP(httptest.NewRecorder(), req)
+			v := sink.last(t)
+			if v.Outcome != st.want {
+				t.Errorf("%s: outcome %s (%s), want %s", name, v.Outcome, v.Detail, st.want)
+			}
+			if !reflect.DeepEqual(cr.preReads, cr.plan.PrePaths) {
+				t.Errorf("%s: read set %v, want the pre clauses' paths %v", name, cr.preReads, cr.plan.PrePaths)
+			}
+			if pre := p.take(PhasePre); len(pre) != 1 || !reflect.DeepEqual(pre[0].paths, cr.preReads) {
+				t.Errorf("%s: pre-phase calls %v, want one call for the read set %v", name, pre, cr.preReads)
+			}
+			for _, c := range p.take(PhasePost) {
+				if len(c.paths) != 1 {
+					t.Errorf("%s: post-phase call %v, want one path per call", name, c.paths)
+				}
+			}
+			if name == "ok/GET" && v.FetchedPaths != 5 {
+				t.Errorf("%s: fetched %d paths, want 5", name, v.FetchedPaths)
+			}
 		}
 	}
-	first := m.routes[0].plan.Pre[0].Paths
-	if len(pre) != 1 || !reflect.DeepEqual(pre[0].paths, first) {
-		t.Errorf("pre-phase calls %v, want one call for the first clause's paths %v", pre, first)
-	}
-	if len(post) != 1 || len(post[0].paths) != 1 {
-		t.Errorf("post-phase calls %v, want one path per call", post)
-	}
-	if v.FetchedPaths != 5 {
-		t.Errorf("wave GET fetched %d paths, want 5", v.FetchedPaths)
-	}
+}
 
-	reg := &obs.Registry{}
-	m.RegisterMetrics(reg)
-	samples, err := obs.ParseText([]byte(reg.Render()))
+// TestWavePreStateHoldsEveryRead: a verdict's pre-state of record is every
+// value its request read, also where the clauses short-circuit before
+// reaching most of them. The empty-project and in-use DELETEs are blocked
+// after their clauses reach two and four of the route's five paths; the
+// verdict and its audit record's pre hold all five, and the record
+// replays.
+func TestWavePreStateHoldsEveryRead(t *testing.T) {
+	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waves := obs.Find(samples, "cloudmon_snapshot_waves_total")
-	if fs := m.FetchStats(); len(waves) != 1 || uint64(waves[0].Value) != fs.Waves || fs.Waves != 1 {
-		t.Errorf("waves counter %v, FetchStats.Waves %d; want one wave", waves, fs.Waves)
+	for _, st := range []struct {
+		name string
+		pre  ocl.MapEnv
+	}{
+		{"empty-project", env(0, 10, "available", "admin")},
+		{"pre-fail-in-use", env(2, 10, "in-use", "admin")},
+	} {
+		dir := t.TempDir()
+		log, err := obs.OpenAuditLog(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sink verdictSink
+		m, err := New(Config{
+			Contracts: set,
+			Routes:    diffRoutes(),
+			Provider:  &waveProvider{pre: st.pre, post: samePost(st.pre)},
+			Forward:   &fakeForwarder{status: 204},
+			Mode:      Enforce,
+			OnVerdict: sink.add,
+			Audit:     log,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodDelete, "/projects/p1/volumes/v1", nil)
+		req.Header.Set("X-Auth-Token", "tok")
+		m.ServeHTTP(httptest.NewRecorder(), req)
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		v := sink.last(t)
+		if v.Outcome != Blocked {
+			t.Errorf("%s: outcome %s (%s), want blocked", st.name, v.Outcome, v.Detail)
+		}
+		if !reflect.DeepEqual(v.PreSnapshot, st.pre) {
+			t.Errorf("%s: verdict pre-state %v, want every path read %v", st.name, v.PreSnapshot, st.pre)
+		}
+		res, err := obs.ReadAuditDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Records) != 1 {
+			t.Fatalf("%s: %d audit records, want 1", st.name, len(res.Records))
+		}
+		rec := res.Records[0]
+		for path := range st.pre {
+			if _, ok := rec.Pre[path]; !ok {
+				t.Errorf("%s: audit record pre %v lacks %s", st.name, rec.Pre, path)
+			}
+		}
+		r, err := NewReplayer(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := r.ReplayAll(res.Records); !sum.OK() || sum.Matched != 1 {
+			t.Errorf("%s: replay summary %+v (failures %+v)", st.name, sum, sum.Failures)
+		}
 	}
 }
 
@@ -752,16 +877,16 @@ func TestWaveConcurrentRequests(t *testing.T) {
 	if outcomes[uml.GET] != OK || outcomes[uml.DELETE] != OK {
 		t.Errorf("outcomes %v, want both ok", outcomes)
 	}
-	if fs := m.FetchStats(); fs.Waves != 2 {
-		t.Errorf("%d waves, want one per request", fs.Waves)
-	}
-	// Both requests demand every path of the GET's first clause, and
-	// each reads them itself.
+	// The DELETE's read set holds the GET's, and each request reads it
+	// itself, in a wave of its own.
 	pre := p.reads(PhasePre)
-	for _, path := range m.routes[0].plan.Pre[0].Paths {
+	for _, path := range m.routes[0].preReads {
 		if pre[path] != 2 {
 			t.Errorf("pre-phase reads of %s: %d, want 2 (one per request)", path, pre[path])
 		}
+	}
+	if calls := p.take(PhasePre); len(calls) != 2 {
+		t.Errorf("%d pre-phase calls, want one per request", len(calls))
 	}
 }
 

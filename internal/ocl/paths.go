@@ -56,12 +56,3 @@ func collectContextPaths(e Expr, inPre bool, bound map[string]int, report func(s
 		collectContextPaths(n.Expr, true, bound, report)
 	}
 }
-
-// StaticCost is a rough size measure of an expression — the node count of
-// its tree. The contract planner uses it as a tie-breaker when ordering
-// clauses with equal path demands: smaller formulas are cheaper to decide.
-func StaticCost(e Expr) int {
-	n := 0
-	Walk(e, func(Expr) bool { n++; return true })
-	return n
-}

@@ -60,12 +60,3 @@ func TestContextPathsNestedPreCoversWholeSubtree(t *testing.T) {
 		t.Errorf("pre = %v, want %v", pre, want)
 	}
 }
-
-func TestStaticCostCountsNodes(t *testing.T) {
-	small := MustParse("a.b = 1")
-	big := MustParse("a.b = 1 and c.d = 2 and e.f->size() >= 3")
-	cs, cb := StaticCost(small), StaticCost(big)
-	if cs <= 0 || cb <= cs {
-		t.Errorf("StaticCost small=%d big=%d, want 0 < small < big", cs, cb)
-	}
-}

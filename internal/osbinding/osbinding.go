@@ -74,7 +74,7 @@ type Provider struct {
 	// Parallel resolves the paths of one Snapshot call concurrently, on
 	// at most DefaultMaxParallel workers: the call then costs the slowest
 	// read instead of the sum, and reads every path even when one fails.
-	// core.Build sets it, since the monitor reads each pre clause's paths
+	// core.Build sets it, since the monitor reads a request's pre-state
 	// in one call; the constructors leave it off, so a caller that times
 	// each call as one sequence of reads (a tracer subtracting nested
 	// spans) still can. Unset, a call stops at its first failed path.
@@ -305,7 +305,7 @@ func (p *Provider) Snapshot(ctx *monitor.RequestContext, paths []string) (ocl.Ma
 	// The calling goroutine and its helpers pull path indices off one
 	// counter until the list is drained. A read that does not block (an
 	// in-process cloud) finishes before a helper is scheduled, so the
-	// wave mostly runs on the caller; one that waits on the network lets
+	// call mostly runs on the caller; one that waits on the network lets
 	// the helpers take the other paths meanwhile.
 	var next atomic.Int64
 	drain := func() {

@@ -143,9 +143,9 @@ func TestParallelSnapshotOverlapsLatency(t *testing.T) {
 	}
 }
 
-// TestParallelSnapshotReadsEveryPathWhenOneFails: a wave's failed read
-// fails the call but cuts no other read short — every path still reaches
-// the cloud, whichever goroutine (the caller or a helper) takes it.
+// TestParallelSnapshotReadsEveryPathWhenOneFails: one failed read fails
+// the call but cuts no other read short — every path still reaches the
+// cloud, whichever goroutine (the caller or a helper) takes it.
 func TestParallelSnapshotReadsEveryPathWhenOneFails(t *testing.T) {
 	f := newFixture(t)
 	vol, err := f.cloud.Volumes.Create(f.projectID, "data", 1)
@@ -169,7 +169,7 @@ func TestParallelSnapshotReadsEveryPathWhenOneFails(t *testing.T) {
 	}, cloud)
 	provider.Parallel = true
 	if _, err := provider.Snapshot(f.ctx(vol.ID), allPaths); err == nil {
-		t.Fatal("a wave with a failed read succeeded")
+		t.Fatal("a call with a failed read succeeded")
 	}
 	want := []string{
 		"GET /identity/v3/projects/" + f.projectID,
@@ -182,7 +182,7 @@ func TestParallelSnapshotReadsEveryPathWhenOneFails(t *testing.T) {
 	defer mu.Unlock()
 	for _, p := range want {
 		if !read[p] {
-			t.Errorf("the wave never read %s; it read %v", p, read)
+			t.Errorf("the call never read %s; it read %v", p, read)
 		}
 	}
 }
