@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet lint test race cover bench benchsmoke planbench compbench readbench asyncbench fleetbench fleet fleet-oop examples experiments artifacts fuzz chaos obs evidence
+.PHONY: all build vet lint test race cover bench benchsmoke planbench compbench readbench setupbench asyncbench fleetbench fleet fleet-oop examples experiments artifacts fuzz chaos obs evidence
 
 all: build vet lint test
 
@@ -60,6 +60,13 @@ compbench:
 # allocs/op (see EXPERIMENTS.md).
 readbench:
 	go test -run XXX -bench BenchmarkBindingDecode -benchmem ./internal/osbinding/
+
+# E34: one whole assembly (core.Build: validation, contract generation,
+# compiled plans, provider and monitor) on the Cinder and Nova models,
+# with ns/op and allocs/op — the set-up cost behind the end-to-end
+# benchmark's setup_s (see EXPERIMENTS.md).
+setupbench:
+	go test -run XXX -bench BenchmarkCoreBuild -benchmem .
 
 # E18: synchronous vs deferred (async) post-verification on a mutating
 # create/delete workload at 1 ms simulated RTT, with p99 detection lag

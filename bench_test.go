@@ -10,6 +10,8 @@
 //	    cloud-GET economy, serial and concurrent, under simulated latency
 //	E17 BenchmarkCompiledEval       closure-chain compiled clauses vs the
 //	    tree-walking reference on the in-process OK path
+//	E34 BenchmarkCoreBuild          one whole assembly (core.Build) on the
+//	    Cinder and Nova models
 //
 // plus supporting micro-benchmarks for the substrate (policy checks,
 // XMI round-trips, router dispatch).
@@ -826,6 +828,32 @@ func BenchmarkAsyncPost(b *testing.B) {
 				d.sys.Monitor.DrainPost()
 				st := d.sys.Monitor.AsyncPostStats()
 				b.ReportMetric(float64(st.Lag.Quantile(0.99).Microseconds())/1e3, "p99-lag-ms")
+			}
+		})
+	}
+}
+
+// BenchmarkCoreBuild (E34) times one whole assembly — model, validation,
+// contract generation, compiled plans, routes, state provider and
+// monitor — on each shipped model: the set-up the end-to-end benchmark's
+// setup_s reports. Every iteration builds its own model (~4 µs), as a
+// deployment does, so nothing one assembly derives can serve the next.
+func BenchmarkCoreBuild(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		model func() *uml.Model
+	}{
+		{"cinder", paper.CinderModel},
+		{"nova", paper.NovaModel},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys, err := core.Build(core.Options{Model: tc.model(), CloudURL: "http://cloud.internal"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Monitor.Close()
 			}
 		})
 	}

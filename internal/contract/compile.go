@@ -2,7 +2,8 @@
 // at plan-compile time, into a chain of Go closures over the Frame's
 // flat slot model (frame.go). State paths resolve to slot indexes fixed
 // at compile time and iterator variables to registers indexed by lexical
-// depth. Each clause compiles as it stands in the contract.
+// depth. Each clause compiles as it stands in the contract, and the
+// invariant, guard or effect a contract's cases share compiles once.
 //
 // Soundness is not argued node-by-node here: every coercion rule is a
 // call into the ocl evaluation kernel (ocl/kernel.go), the same
@@ -15,7 +16,6 @@ package contract
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"cloudmon/internal/ocl"
@@ -102,8 +102,8 @@ func compileContract(c *Contract, p *Plan) *Compiled {
 	cp.pre = make([]*Program, len(c.Cases))
 	cp.post = make([]*Program, len(c.Cases))
 	for i, cs := range c.Cases {
-		cp.pre[i] = co.program(cs.Pre)
-		cp.post[i] = co.program(cs.Post)
+		cp.pre[i] = co.clause(cs.Pre)
+		cp.post[i] = co.clause(cs.Post)
 	}
 	for _, pc := range p.Pre {
 		co.ensurePaths(pc.Paths)
@@ -215,10 +215,16 @@ type compiler struct {
 	scope   []string
 	maxRegs int
 	mutant  string
+	// shared holds each case-clause operand compiled so far (see clause).
+	shared map[ocl.Expr]evalFn
 }
 
 func newCompiler(mutant string) *compiler {
-	return &compiler{cp: &Compiled{idx: make(map[string]int)}, mutant: mutant}
+	return &compiler{
+		cp:     &Compiled{idx: make(map[string]int)},
+		mutant: mutant,
+		shared: make(map[ocl.Expr]evalFn),
+	}
 }
 
 // seal finalizes the artifact once every program is compiled: the slot
@@ -263,6 +269,23 @@ func (co *compiler) ensurePath(key string) int {
 	return i
 }
 
+// slot interns a navigation path into the slot table, joining its
+// segments into a new string only for a path the table lacks.
+func (co *compiler) slot(path []string) int {
+	var buf [64]byte
+	key := buf[:0]
+	for i, seg := range path {
+		if i > 0 {
+			key = append(key, '.')
+		}
+		key = append(key, seg...)
+	}
+	if i, ok := co.cp.idx[string(key)]; ok {
+		return i
+	}
+	return co.ensurePath(string(key))
+}
+
 // lookupVar resolves an iterator variable to its register, innermost
 // binding first — the lexical mirror of the evaluator's scope stack.
 func (co *compiler) lookupVar(name string) (int, bool) {
@@ -272,6 +295,30 @@ func (co *compiler) lookupVar(name string) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// clause compiles a case's pre-condition disjunct or consequent. Generate
+// builds each as the conjunction of an invariant with a guard or an
+// effect, and the contract's cases share those operands' ASTs: each
+// operand compiles once per contract, in the current-state bank and
+// outside every iterator, and every clause that conjoins it runs the same
+// closure.
+func (co *compiler) clause(e ocl.Expr) *Program {
+	if n, ok := e.(*ocl.Binary); ok && n.Op == ocl.OpAnd {
+		return &Program{fn: co.logic(n, co.operand(n.L), co.operand(n.R))}
+	}
+	return &Program{fn: co.operand(e)}
+}
+
+// operand compiles a case-clause operand the first time the contract
+// meets it and reuses that closure after.
+func (co *compiler) operand(e ocl.Expr) evalFn {
+	if f, ok := co.shared[e]; ok {
+		return f
+	}
+	f := co.compile(e, false)
+	co.shared[e] = f
+	return f
 }
 
 // compile translates a node. inPre is true inside pre(...) — navigation
@@ -321,7 +368,7 @@ func (co *compiler) compileNav(n *ocl.Nav, inPre bool) evalFn {
 		}
 		return func(fr *Frame) (ocl.Value, error) { return fr.regs[reg], nil }
 	}
-	i := co.ensurePath(strings.Join(n.Path, "."))
+	i := co.slot(n.Path)
 	usePre := inPre || n.AtPre
 	if co.mutant == "pre-as-cur" && usePre {
 		usePre = false
@@ -389,7 +436,7 @@ func (co *compiler) compileUnary(n *ocl.Unary, inPre bool) evalFn {
 func (co *compiler) compileBinary(n *ocl.Binary, inPre bool) evalFn {
 	switch n.Op {
 	case ocl.OpAnd, ocl.OpOr, ocl.OpImplies, ocl.OpXor:
-		return co.compileLogic(n, inPre)
+		return co.logic(n, co.compile(n.L, inPre), co.compile(n.R, inPre))
 	}
 	lf := co.compile(n.L, inPre)
 	rf := co.compile(n.R, inPre)
@@ -562,11 +609,10 @@ func evalPair(fr *Frame, lf, rf evalFn) (ocl.Value, ocl.Value, error) {
 	return l, r, nil
 }
 
-// compileLogic compiles the short-circuiting three-valued connectives,
-// including the left-first evaluation order the demand loop depends on.
-func (co *compiler) compileLogic(n *ocl.Binary, inPre bool) evalFn {
-	lf := co.compile(n.L, inPre)
-	rf := co.compile(n.R, inPre)
+// logic compiles the short-circuiting three-valued connectives over
+// their compiled operands, including the left-first evaluation order the
+// demand loop depends on.
+func (co *compiler) logic(n *ocl.Binary, lf, rf evalFn) evalFn {
 	op := n.Op
 	if co.mutant == "xor-as-or" && op == ocl.OpXor {
 		op = ocl.OpOr

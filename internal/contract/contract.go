@@ -20,6 +20,7 @@ package contract
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -70,6 +71,27 @@ type Contract struct {
 	statePaths []string
 	// plan caches the compiled evaluation plan (see Plan).
 	plan *Plan
+	// preText, postText and digest are the contract's one rendering and
+	// its digest, which Generate fills (see PreText, PostText, Digest).
+	preText, postText, digest string
+}
+
+// PreText returns the rendered pre-condition, Pre.String(). Contracts
+// built by Generate carry it rendered once, as the digest hashed it.
+func (c *Contract) PreText() string {
+	if c.preText != "" {
+		return c.preText
+	}
+	return c.Pre.String()
+}
+
+// PostText returns the rendered post-condition, Post.String(). Contracts
+// built by Generate carry it rendered once, as the digest hashed it.
+func (c *Contract) PostText() string {
+	if c.postText != "" {
+		return c.postText
+	}
+	return c.Post.String()
 }
 
 // StatePaths returns the distinct navigation paths the contract needs from
@@ -87,15 +109,7 @@ func (c *Contract) StatePaths() []string {
 // computeStatePaths walks Pre and Post collecting distinct paths in
 // first-use order.
 func computeStatePaths(c *Contract) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range append(ocl.NavPaths(c.Pre), ocl.NavPaths(c.Post)...) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
+	return appendNew(ocl.NavPaths(c.Pre), ocl.NavPaths(c.Post)...)
 }
 
 // Set is the full collection of generated contracts for a model.
@@ -133,25 +147,24 @@ func (s *Set) SecReqs() []string {
 	return out
 }
 
-// Generate derives the contract set from a validated model. It parses every
-// OCL fragment once, validates the paper's well-formedness rules (guards and
-// invariants must not use pre(); navigation heads must be model resources or
-// the `user` authorization context) and combines transitions per trigger.
+// Generate derives the contract set from a validated model. It validates
+// the paper's well-formedness rules (guards and invariants must not use
+// pre(); navigation heads must be model resources or the `user`
+// authorization context) and combines transitions per trigger. It does
+// each piece of that work once: every distinct guard, effect and
+// invariant text is parsed, walked for its paths and vocabulary, and
+// rendered once, and the cases share the resulting ASTs; each case's
+// clauses, each contract's combined conditions and its digest are built
+// from those parts.
 func Generate(m *uml.Model) (*Set, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("contract: invalid model: %w", err)
 	}
-	vocab := VocabularyOf(m.Resource)
-	invs := make(map[string]ocl.Expr, len(m.Behavioral.States))
+	g := newGenerator(VocabularyOf(m.Resource))
+	invs := make(map[string]*clause, len(m.Behavioral.States))
 	for _, s := range m.Behavioral.States {
-		inv, err := ocl.Parse(s.Invariant)
+		inv, err := g.formula(s.Invariant, true)
 		if err != nil {
-			return nil, fmt.Errorf("contract: state %s invariant: %w", s.Name, err)
-		}
-		if err := ocl.CheckNoPre(inv); err != nil {
-			return nil, fmt.Errorf("contract: state %s invariant: %w", s.Name, err)
-		}
-		if err := ocl.CheckVocabulary(inv, vocab); err != nil {
 			return nil, fmt.Errorf("contract: state %s invariant: %w", s.Name, err)
 		}
 		invs[s.Name] = inv
@@ -161,41 +174,47 @@ func Generate(m *uml.Model) (*Set, error) {
 	set := &Set{Model: m}
 	for _, tr := range m.Behavioral.Triggers() {
 		transitions := m.Behavioral.TransitionsFor(tr)
-		c := &Contract{Trigger: tr, URI: uris[tr.Resource]}
+		c := &Contract{Trigger: tr, URI: uris[tr.Resource], Cases: make([]Case, 0, len(transitions))}
 		secSet := make(map[string]bool)
 		pres := make([]ocl.Expr, 0, len(transitions))
 		posts := make([]ocl.Expr, 0, len(transitions))
+		cps := make([]casePaths, 0, len(transitions))
+		postNavs := make([][]string, 0, len(transitions))
+		// The combined conditions' lengths: each case's texts, joiners,
+		// "pre(", ") implies " and parentheses.
+		preSize, postSize := 0, 0
 		for _, t := range transitions {
-			guard, err := ocl.Parse(t.Guard)
+			guard, err := g.formula(t.Guard, true)
 			if err != nil {
 				return nil, fmt.Errorf("contract: %s guard: %w", tr, err)
 			}
-			if err := ocl.CheckNoPre(guard); err != nil {
-				return nil, fmt.Errorf("contract: %s guard: %w", tr, err)
-			}
-			if err := ocl.CheckVocabulary(guard, vocab); err != nil {
-				return nil, fmt.Errorf("contract: %s guard: %w", tr, err)
-			}
-			effect, err := ocl.Parse(t.Effect)
+			effect, err := g.formula(t.Effect, false)
 			if err != nil {
 				return nil, fmt.Errorf("contract: %s effect: %w", tr, err)
 			}
-			if err := ocl.CheckVocabulary(effect, vocab); err != nil {
-				return nil, fmt.Errorf("contract: %s effect: %w", tr, err)
-			}
-			casePre := conj(invs[t.From], guard)
-			casePost := conj(invs[t.To], effect)
+			casePre := g.conj(invs[t.From], guard)
+			casePost := g.conj(invs[t.To], effect)
 			c.Cases = append(c.Cases, Case{
 				Transition: t,
-				Pre:        casePre,
-				Post:       casePost,
-				Guard:      guard,
-				Effect:     effect,
+				Pre:        casePre.expr,
+				Post:       casePost.expr,
+				Guard:      guard.expr,
+				Effect:     effect.expr,
 			})
-			pres = append(pres, casePre)
+			pres = append(pres, casePre.expr)
 			// The antecedent refers to the state before the call: wrap it
 			// in pre() so evaluation reads the snapshot.
-			posts = append(posts, ocl.Implies(&ocl.PreExpr{Expr: casePre}, casePost))
+			posts = append(posts, ocl.Implies(&ocl.PreExpr{Expr: casePre.expr}, casePost.expr))
+			cps = append(cps, casePaths{
+				pre:     casePre.cur,
+				postCur: casePost.cur,
+				postPre: casePost.pre,
+				touched: effect.cur,
+			})
+			c.statePaths = appendNew(c.statePaths, casePre.nav...)
+			postNavs = append(postNavs, casePost.nav)
+			preSize += len(g.text(casePre.expr)) + 6
+			postSize += len(g.text(casePre.expr)) + len(g.text(casePost.expr)) + 23
 			for _, s := range t.SecReqs {
 				secSet[s] = true
 			}
@@ -206,8 +225,16 @@ func Generate(m *uml.Model) (*Set, error) {
 			c.SecReqs = append(c.SecReqs, s)
 		}
 		sort.Strings(c.SecReqs)
-		c.statePaths = computeStatePaths(c)
-		c.plan = compilePlan(c)
+		c.preText, c.postText = g.render(c.Pre, preSize), g.render(c.Post, postSize)
+		// The digest hashes every case's texts and the combined ones.
+		g.buf = c.appendDigestInput(slices.Grow(g.buf[:0], 2*(preSize+postSize)), g.text)
+		c.digest = digestOf(g.buf)
+		// Every consequent's paths come after every pre clause's, as
+		// NavPaths(Pre) then NavPaths(Post) list them.
+		for _, nav := range postNavs {
+			c.statePaths = appendNew(c.statePaths, nav...)
+		}
+		c.plan = compilePlan(c, cps)
 		set.Contracts = append(set.Contracts, c)
 	}
 	return set, nil

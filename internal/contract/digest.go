@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+
+	"cloudmon/internal/ocl"
 )
 
 // Digest returns a stable content digest of the contract: SHA-256 over a
@@ -14,16 +16,46 @@ import (
 // when they would make the same decisions, so the digest — stamped on
 // every audit record — binds a verdict to the contract version that
 // produced it; evidence replay refuses to compare across versions.
+// Generate computes it once, from the contract's one rendering.
 func (c *Contract) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "cloudmon.contract/v1\ntrigger %s\nuri %s\n", c.Trigger, c.URI)
-	for _, cs := range c.Cases {
-		fmt.Fprintf(h, "case %s->%s on %s\n", cs.Transition.From, cs.Transition.To, cs.Transition.Trigger)
-		fmt.Fprintf(h, "secreqs %s\n", strings.Join(cs.Transition.SecReqs, ","))
-		fmt.Fprintf(h, "pre %s\npost %s\nguard %s\neffect %s\n", cs.Pre, cs.Post, cs.Guard, cs.Effect)
+	if c.digest != "" {
+		return c.digest
 	}
-	fmt.Fprintf(h, "pre %s\npost %s\nsecreqs %s\n", c.Pre, c.Post, strings.Join(c.SecReqs, ","))
-	return "sha256:" + hex.EncodeToString(h.Sum(nil))
+	return digestOf(c.appendDigestInput(nil, func(e ocl.Expr) string { return fmt.Sprintf("%s", e) }))
+}
+
+// appendDigestInput appends the text the contract digest hashes to b,
+// text giving each formula's rendering.
+func (c *Contract) appendDigestInput(b []byte, text func(ocl.Expr) string) []byte {
+	b = appendLine(b, "cloudmon.contract/v1")
+	b = appendLine(b, "trigger ", string(c.Trigger.Method), "(", c.Trigger.Resource, ")")
+	b = appendLine(b, "uri ", c.URI)
+	for _, cs := range c.Cases {
+		t := cs.Transition
+		b = appendLine(b, "case ", t.From, "->", t.To, " on ", string(t.Trigger.Method), "(", t.Trigger.Resource, ")")
+		b = appendLine(b, "secreqs ", strings.Join(t.SecReqs, ","))
+		b = appendLine(b, "pre ", text(cs.Pre))
+		b = appendLine(b, "post ", text(cs.Post))
+		b = appendLine(b, "guard ", text(cs.Guard))
+		b = appendLine(b, "effect ", text(cs.Effect))
+	}
+	b = appendLine(b, "pre ", text(c.Pre))
+	b = appendLine(b, "post ", text(c.Post))
+	return appendLine(b, "secreqs ", strings.Join(c.SecReqs, ","))
+}
+
+// appendLine appends the parts and a newline to b.
+func appendLine(b []byte, parts ...string) []byte {
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return append(b, '\n')
+}
+
+// digestOf returns the "sha256:<hex>" digest of input.
+func digestOf(input []byte) string {
+	sum := sha256.Sum256(input)
+	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
 // Digest returns a stable content digest of the whole set: SHA-256 over

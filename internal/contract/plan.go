@@ -63,37 +63,43 @@ type Plan struct {
 // by Generate the plan is precomputed; callers must not mutate it.
 func (c *Contract) Plan() *Plan {
 	if c.plan == nil {
-		c.plan = compilePlan(c)
+		cps := make([]casePaths, len(c.Cases))
+		for i, cs := range c.Cases {
+			cps[i].pre, _ = ocl.ContextPaths(cs.Pre)
+			cps[i].postCur, cps[i].postPre = ocl.ContextPaths(cs.Post)
+			cps[i].touched, _ = ocl.ContextPaths(cs.Effect)
+		}
+		c.plan = compilePlan(c, cps)
 	}
 	return c.plan
 }
 
-// compilePlan decomposes the contract into per-clause path demands.
-func compilePlan(c *Contract) *Plan {
-	p := &Plan{}
-	seen := make(map[string]bool)
-	for i, cs := range c.Cases {
-		cur, _ := ocl.ContextPaths(cs.Pre)
-		p.Pre = append(p.Pre, PreClause{Index: i, Paths: cur})
-		for _, path := range cur {
-			if !seen[path] {
-				seen[path] = true
-				p.PrePaths = append(p.PrePaths, path)
-			}
-		}
+// casePaths are the state paths one case's clauses read, each list in
+// first-use order: its pre-condition disjunct's, its consequent's in the
+// current and in the pre-state, and its effect's current-state paths.
+type casePaths struct {
+	pre, postCur, postPre, touched []string
+}
+
+// compilePlan decomposes the contract into per-clause path demands, one
+// casePaths per case.
+func compilePlan(c *Contract, cps []casePaths) *Plan {
+	p := &Plan{
+		Pre:  make([]PreClause, len(cps)),
+		Post: make([]PostClause, len(cps)),
 	}
-	for i, cs := range c.Cases {
+	for i, cp := range cps {
+		p.Pre[i] = PreClause{Index: i, Paths: cp.pre}
+		p.PrePaths = appendNew(p.PrePaths, cp.pre...)
 		// Only the consequent runs at post time — the antecedent's verdict
 		// is carried over from the pre-check, so its paths never need a
 		// post-state (or top-up) fetch.
-		cur, pre := ocl.ContextPaths(cs.Post)
-		touched, _ := ocl.ContextPaths(cs.Effect)
-		p.Post = append(p.Post, PostClause{
+		p.Post[i] = PostClause{
 			Index:    i,
-			CurPaths: cur,
-			PrePaths: pre,
-			Touched:  touched,
-		})
+			CurPaths: cp.postCur,
+			PrePaths: cp.postPre,
+			Touched:  cp.touched,
+		}
 	}
 	p.Compiled = compileContract(c, p)
 	return p

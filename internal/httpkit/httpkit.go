@@ -143,7 +143,15 @@ func (e *BodyTooLargeError) Error() string {
 // it is read into one allocation, one that is longer or shorter is read
 // all the same, and a hint over limit allocates no more than limit+1
 // bytes.
+//
+// An empty body allocates nothing: a zero-length read comes first, and a
+// reader already at its end (http.NoBody, an empty bytes.Reader) answers
+// it with io.EOF before any buffer exists. Any other answer is left to
+// the reads that follow.
 func ReadBounded(r io.Reader, limit int, sizeHint ...int64) ([]byte, error) {
+	if _, err := r.Read(nil); err == io.EOF {
+		return []byte{}, nil
+	}
 	size := int64(bytes.MinRead)
 	if len(sizeHint) > 0 && sizeHint[0] >= 0 {
 		// One byte past the body, so the read that finds its end needs no

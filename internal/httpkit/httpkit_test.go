@@ -290,6 +290,28 @@ func TestReadBoundedSizeHint(t *testing.T) {
 	}
 }
 
+// TestReadBoundedEmptyBodyAllocatesNothing: a body that is empty from the
+// start — what net/http hands a GET or DELETE, and what the in-memory
+// transport hands one, an empty bytes.Reader behind io.NopCloser — is
+// read without a buffer.
+func TestReadBoundedEmptyBodyAllocatesNothing(t *testing.T) {
+	for name, body := range map[string]io.Reader{
+		"http.NoBody":          http.NoBody,
+		"empty bytes.Reader":   bytes.NewReader(nil),
+		"NopCloser(empty)":     io.NopCloser(bytes.NewReader(nil)),
+		"empty strings.Reader": strings.NewReader(""),
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if data, err := ReadBounded(body, MaxBodyBytes); err != nil || len(data) != 0 {
+				t.Fatalf("%s: read %d bytes, %v", name, len(data), err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per read, want 0", name, allocs)
+		}
+	}
+}
+
 // TestReadBoundedExactHintAllocatesOnce: a body whose declared length is
 // right is read into one allocation.
 func TestReadBoundedExactHintAllocatesOnce(t *testing.T) {

@@ -286,19 +286,8 @@ func Run(sc Scenario, tgt Target) (*Report, error) {
 	if prepopulate == 0 {
 		prepopulate = 8
 	}
-	// Every tenant gets the full prepopulation so read/delete cells have
-	// targets regardless of how the mix lands across tenants.
-	for ti, tn := range tenants {
-		admin := tenantClient(tgt, tn, RoleAdmin)
-		for i := 0; i < prepopulate; i++ {
-			id, status, err := createVolume(admin, tn.ProjectID, fmt.Sprintf("seed-%d", i))
-			if err != nil && status == 0 {
-				return nil, fmt.Errorf("loadgen: prepopulate %s: %w", tn.ProjectID, err)
-			}
-			if id != "" {
-				pools[ti].add(id)
-			}
-		}
+	if err := prepopulateTenants(tgt, tenants, pools, prepopulate, clients); err != nil {
+		return nil, err
 	}
 
 	if tgt.Drain != nil {
@@ -424,6 +413,55 @@ func dispatch(arrivals chan<- time.Time, rate float64, budget int, deadline time
 		}
 	}
 	close(arrivals)
+}
+
+// prepopulateTenants gives every tenant n volumes before the run, so
+// read and delete cells have targets however the mix lands across
+// tenants. Up to workers tenants fill at once; each tenant's volumes are
+// created in order on its own project, so no two prepopulation writes
+// share a project. Once every tenant is done it returns the error of the
+// first tenant, in tenant order, that failed.
+func prepopulateTenants(tgt Target, tenants []Tenant, pools []*volumePool, n, workers int) error {
+	errs := make([]error, len(tenants))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(tenants)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				ti := int(next.Add(1)) - 1
+				if ti >= len(tenants) {
+					return
+				}
+				errs[ti] = prepopulateTenant(tgt, tenants[ti], pools[ti], n)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// prepopulateTenant creates n volumes as the tenant's admin, one after
+// another. A refused create leaves the pool a volume short; a transport
+// failure stops the tenant.
+func prepopulateTenant(tgt Target, tn Tenant, pool *volumePool, n int) error {
+	admin := tenantClient(tgt, tn, RoleAdmin)
+	for i := 0; i < n; i++ {
+		id, status, err := createVolume(admin, tn.ProjectID, fmt.Sprintf("seed-%d", i))
+		if err != nil && status == 0 {
+			return fmt.Errorf("loadgen: prepopulate %s: %w", tn.ProjectID, err)
+		}
+		if id != "" {
+			pool.add(id)
+		}
+	}
+	return nil
 }
 
 // tenantClient builds a fresh osclient for the role within the tenant

@@ -78,8 +78,8 @@ func (m *Monitor) InspectHandler() http.Handler {
 			docs = append(docs, contractDoc{
 				Trigger:    c.Trigger.String(),
 				URI:        c.URI,
-				Pre:        c.Pre.String(),
-				Post:       c.Post.String(),
+				Pre:        c.PreText(),
+				Post:       c.PostText(),
 				SecReqs:    c.SecReqs,
 				StatePaths: c.StatePaths(),
 				Plan:       pd,

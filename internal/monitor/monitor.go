@@ -423,15 +423,14 @@ type compiledRoute struct {
 	// preReads is the route's pre read set, which a request reads in one
 	// Snapshot call before any pre clause runs (see preReadSet).
 	preReads []string
-	// digest is the contract's content digest, computed once at build time
-	// and stamped on every verdict (and audit record) the route produces.
+	// digest is the contract's content digest, stamped on every verdict
+	// (and audit record) the route produces.
 	digest string
-	// preText and postText render the contract's pre- and post-condition
-	// for the verdicts they decide, and transitions labels each case's
-	// transition "From->To on Trigger" for coverage: rendered once here,
-	// not per request. The clause texts are cloned to their length, since
-	// a rendered text's buffer can be up to twice as long and the route
-	// keeps them for the monitor's life.
+	// preText and postText are the contract's rendered pre- and
+	// post-condition for the verdicts they decide — the texts its digest
+	// hashed, rendered once by Generate — and transitions labels each
+	// case's transition "From->To on Trigger" for coverage, built once
+	// here, not per request.
 	preText, postText string
 	transitions       []string
 }
@@ -511,8 +510,8 @@ func New(cfg Config) (*Monitor, error) {
 			plan:        c.Plan(),
 			preReads:    preReadSet(c.Plan(), level),
 			digest:      c.Digest(),
-			preText:     strings.Clone(c.Pre.String()),
-			postText:    strings.Clone(c.Post.String()),
+			preText:     c.PreText(),
+			postText:    c.PostText(),
 			transitions: transitions,
 		})
 	}

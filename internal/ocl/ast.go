@@ -202,14 +202,31 @@ func (p *PreExpr) String() string { return render(p) }
 // render writes e's canonical source into one buffer: a contract's
 // clause is a deep tree, and joining a string per node cost hundreds of
 // allocations per clause.
-func render(e Expr) string {
+func render(e Expr) string { return Render(e, nil, 0) }
+
+// Render returns e's canonical source, the text e.String() returns, but
+// takes the source of every subtree in known from there instead of
+// rendering that subtree again. A formula assembled from parts that are
+// already rendered — a contract from its cases, a case from its invariant
+// and guard — so costs only the nodes that join the parts. size is the
+// expected length of the text: when it suffices, the text is written into
+// one buffer of that size.
+func Render(e Expr, known map[Expr]string, size int) string {
 	var b strings.Builder
-	write(&b, e)
+	b.Grow(size)
+	write(&b, e, known)
 	return b.String()
 }
 
-// write appends e's canonical source to b.
-func write(b *strings.Builder, e Expr) {
+// write appends e's canonical source to b, taking any subtree in known
+// from there.
+func write(b *strings.Builder, e Expr, known map[Expr]string) {
+	if known != nil {
+		if text, ok := known[e]; ok {
+			b.WriteString(text)
+			return
+		}
+	}
 	switch n := e.(type) {
 	case *Lit:
 		b.WriteString(n.Value.String())
@@ -229,17 +246,17 @@ func write(b *strings.Builder, e Expr) {
 		} else {
 			b.WriteByte('-')
 		}
-		writeOperand(b, n.Expr, 7)
+		writeOperand(b, n.Expr, 7, known)
 	case *Binary:
 		p := n.Op.precedence()
 		// Left-associative: right operand needs parens at equal precedence.
-		writeOperand(b, n.L, p)
+		writeOperand(b, n.L, p, known)
 		b.WriteByte(' ')
 		b.WriteString(n.Op.String())
 		b.WriteByte(' ')
-		writeOperand(b, n.R, p+1)
+		writeOperand(b, n.R, p+1, known)
 	case *CollOp:
-		writeOperand(b, n.Recv, 7)
+		writeOperand(b, n.Recv, 7, known)
 		b.WriteString("->")
 		b.WriteString(n.Name)
 		b.WriteByte('(')
@@ -247,35 +264,35 @@ func write(b *strings.Builder, e Expr) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			write(b, a)
+			write(b, a, known)
 		}
 		b.WriteByte(')')
 	case *IterOp:
-		writeOperand(b, n.Recv, 7)
+		writeOperand(b, n.Recv, 7, known)
 		b.WriteString("->")
 		b.WriteString(n.Name)
 		b.WriteByte('(')
 		b.WriteString(n.Var)
 		b.WriteString(" | ")
-		write(b, n.Body)
+		write(b, n.Body, known)
 		b.WriteByte(')')
 	case *PreExpr:
 		b.WriteString("pre(")
-		write(b, n.Expr)
+		write(b, n.Expr, known)
 		b.WriteByte(')')
 	}
 }
 
 // writeOperand writes e, wrapped in parentheses when e binds looser than
 // the context precedence.
-func writeOperand(b *strings.Builder, e Expr, ctx int) {
+func writeOperand(b *strings.Builder, e Expr, ctx int, known map[Expr]string) {
 	if bin, ok := e.(*Binary); ok && bin.Op.precedence() < ctx {
 		b.WriteByte('(')
-		write(b, bin)
+		write(b, bin, known)
 		b.WriteByte(')')
 		return
 	}
-	write(b, e)
+	write(b, e, known)
 }
 
 // Walk visits every node of the expression tree in depth-first pre-order.
@@ -312,41 +329,13 @@ func Walk(e Expr, fn func(Expr) bool) {
 func NavPaths(e Expr) []string {
 	var out []string
 	seen := make(map[string]bool)
-	collectNavPaths(e, map[string]int{}, func(key string) {
-		if !seen[key] {
+	FreeNavs(e, func(n *Nav, _ bool) {
+		if key := strings.Join(n.Path, "."); !seen[key] {
 			seen[key] = true
 			out = append(out, key)
 		}
 	})
 	return out
-}
-
-// collectNavPaths walks the tree carrying the set of bound iterator
-// variables, reporting each free navigation path.
-func collectNavPaths(e Expr, bound map[string]int, report func(string)) {
-	switch n := e.(type) {
-	case *Nav:
-		if bound[n.Path[0]] == 0 {
-			report(strings.Join(n.Path, "."))
-		}
-	case *Unary:
-		collectNavPaths(n.Expr, bound, report)
-	case *Binary:
-		collectNavPaths(n.L, bound, report)
-		collectNavPaths(n.R, bound, report)
-	case *CollOp:
-		collectNavPaths(n.Recv, bound, report)
-		for _, a := range n.Args {
-			collectNavPaths(a, bound, report)
-		}
-	case *IterOp:
-		collectNavPaths(n.Recv, bound, report)
-		bound[n.Var]++
-		collectNavPaths(n.Body, bound, report)
-		bound[n.Var]--
-	case *PreExpr:
-		collectNavPaths(n.Expr, bound, report)
-	}
 }
 
 // UsesPre reports whether the expression contains a pre(...) or @pre

@@ -17,12 +17,13 @@ type VocabularyFunc func(path []string) bool
 func UnknownPaths(e Expr, known VocabularyFunc) []string {
 	seen := make(map[string]bool)
 	var bad []string
-	collectNavPaths(e, map[string]int{}, func(dotted string) {
+	FreeNavs(e, func(n *Nav, _ bool) {
+		dotted := strings.Join(n.Path, ".")
 		if seen[dotted] {
 			return
 		}
 		seen[dotted] = true
-		if !known(strings.Split(dotted, ".")) {
+		if !known(n.Path) {
 			bad = append(bad, dotted)
 		}
 	})

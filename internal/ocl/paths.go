@@ -1,6 +1,9 @@
 package ocl
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // ContextPaths splits the navigation paths of an expression by the
 // environment they resolve against: cur holds paths read from the current
@@ -12,7 +15,8 @@ import "strings"
 func ContextPaths(e Expr) (cur, pre []string) {
 	seenCur := make(map[string]bool)
 	seenPre := make(map[string]bool)
-	collectContextPaths(e, false, map[string]int{}, func(key string, inPre bool) {
+	FreeNavs(e, func(n *Nav, inPre bool) {
+		key := strings.Join(n.Path, ".")
 		if inPre {
 			if !seenPre[key] {
 				seenPre[key] = true
@@ -28,31 +32,37 @@ func ContextPaths(e Expr) (cur, pre []string) {
 	return cur, pre
 }
 
-// collectContextPaths walks the tree carrying the pre(...) nesting flag and
-// the set of bound iterator variables, reporting each free navigation path
-// with the context it resolves in.
-func collectContextPaths(e Expr, inPre bool, bound map[string]int, report func(string, bool)) {
+// FreeNavs calls visit for every free navigation node of e — one whose
+// head is not a bound iterator variable — in depth-first, left-to-right
+// order, with whether it reads the pre-state (inside pre(...) or suffixed
+// @pre). NavPaths, ContextPaths and UnknownPaths are built on it, and the
+// contract generator walks each formula once with it.
+func FreeNavs(e Expr, visit func(n *Nav, inPre bool)) {
+	freeNavs(e, false, nil, visit)
+}
+
+// freeNavs walks the tree carrying the pre(...) nesting flag and the
+// bound iterator variables, innermost last.
+func freeNavs(e Expr, inPre bool, bound []string, visit func(*Nav, bool)) {
 	switch n := e.(type) {
 	case *Nav:
-		if bound[n.Path[0]] == 0 {
-			report(strings.Join(n.Path, "."), inPre || n.AtPre)
+		if !slices.Contains(bound, n.Path[0]) {
+			visit(n, inPre || n.AtPre)
 		}
 	case *Unary:
-		collectContextPaths(n.Expr, inPre, bound, report)
+		freeNavs(n.Expr, inPre, bound, visit)
 	case *Binary:
-		collectContextPaths(n.L, inPre, bound, report)
-		collectContextPaths(n.R, inPre, bound, report)
+		freeNavs(n.L, inPre, bound, visit)
+		freeNavs(n.R, inPre, bound, visit)
 	case *CollOp:
-		collectContextPaths(n.Recv, inPre, bound, report)
+		freeNavs(n.Recv, inPre, bound, visit)
 		for _, a := range n.Args {
-			collectContextPaths(a, inPre, bound, report)
+			freeNavs(a, inPre, bound, visit)
 		}
 	case *IterOp:
-		collectContextPaths(n.Recv, inPre, bound, report)
-		bound[n.Var]++
-		collectContextPaths(n.Body, inPre, bound, report)
-		bound[n.Var]--
+		freeNavs(n.Recv, inPre, bound, visit)
+		freeNavs(n.Body, inPre, append(bound, n.Var), visit)
 	case *PreExpr:
-		collectContextPaths(n.Expr, true, bound, report)
+		freeNavs(n.Expr, true, bound, visit)
 	}
 }
