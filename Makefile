@@ -96,8 +96,9 @@ fleet:
 	go run ./cmd/loadmon -fleet 2 -fleet-projects 4 -requests 300 \
 		-clients 1 -post async -verify
 
-# The fleet out of process: cloudsim, two `cloudmon -instance` members
-# and a `cloudmon -fleet-front`, each its own process on a loopback port,
+# The fleet out of process: cloudsim, two members (`cloudmon -instance`
+# and the Cinder monitor uml2go generates, built offline) and a `cloudmon
+# -fleet-front`, each its own process on a loopback port,
 # driven by `loadmon -target` through the front. Fails on any request
 # error or a member missing from the front's federated /metrics.
 fleet-oop:

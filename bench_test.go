@@ -746,7 +746,7 @@ func BenchmarkCodegen(b *testing.B) {
 			m := syntheticResourceModel(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := codegen.Generate(m, codegen.Options{Project: "bench"}); err != nil {
+				if _, err := codegen.Generate(m, codegen.Options{Project: "bench", Runtime: "."}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,14 +1,22 @@
-// Command uml2go generates a runnable cloud-monitor skeleton from design
-// models, mirroring the paper's invocation:
+// Command uml2go generates a runnable cloud monitor from design models,
+// mirroring the paper's invocation:
 //
 //	uml2go ProjectName DiagramsFile.xmi
+//
+// The output is a Go module (go.mod, model.xmi, contracts.go, main.go)
+// whose binary runs cloudmon's pipeline and command line on the model. It
+// builds against the cloudmon checkout uml2go runs in, found from the
+// working directory as the go tool finds a module root, so uml2go must
+// run inside a checkout:
+//
+//	uml2go ProjectName DiagramsFile.xmi && cd ProjectName && go build
 //
 // Flags:
 //
 //	-out DIR     output directory (default: ./<ProjectName>)
-//	-cloud URL   backend cloud URL baked into the skeleton
 //	-contracts   also print the generated contracts (Listing-1 format)
 //	-lenient     generate even when static analysis reports errors
+//	-dot PATH    also write a Graphviz rendering of the models
 //	-emit-example PATH  write the bundled Cinder example model as XMI and exit
 package main
 
@@ -34,7 +42,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("uml2go", flag.ContinueOnError)
 	out := fs.String("out", "", "output directory (default ./<ProjectName>)")
-	cloudURL := fs.String("cloud", "http://127.0.0.1:8776", "private cloud base URL")
 	printContracts := fs.Bool("contracts", false, "print generated contracts")
 	emitExample := fs.String("emit-example", "", "write the bundled Cinder example model as XMI to PATH and exit")
 	lenient := fs.Bool("lenient", false, "generate even when static analysis (modelvet) reports errors")
@@ -54,6 +61,10 @@ func run(args []string) error {
 	}
 	project, xmiPath := fs.Arg(0), fs.Arg(1)
 
+	runtime, err := codegen.FindRuntime(".")
+	if err != nil {
+		return err
+	}
 	model, err := xmi.ReadFile(xmiPath)
 	if err != nil {
 		return err
@@ -66,7 +77,7 @@ func run(args []string) error {
 	}
 	res, err := codegen.Generate(model, codegen.Options{
 		Project:     project,
-		CloudURL:    *cloudURL,
+		Runtime:     runtime,
 		Lenient:     *lenient,
 		AnalysisLog: os.Stderr,
 	})

@@ -1,7 +1,8 @@
 // uml2go end to end: export the paper's models as XMI (the MagicDraw step
-// of the paper's toolchain), read the XMI back, and generate the Django-
-// style monitor skeleton — resources.go / routes.go / handlers.go — into a
-// temporary directory.
+// of the paper's toolchain), read the XMI back, and generate the runnable
+// monitor — go.mod, model.xmi, contracts.go and main.go over cloudmon's
+// pipeline — into a temporary directory. Run it from the checkout, which
+// the generated module builds against:
 //
 //	go run ./examples/codegen
 package main
@@ -12,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"cloudmon/internal/codegen"
 	"cloudmon/internal/paper"
@@ -43,15 +43,16 @@ func run() error {
 	}
 	fmt.Printf("exported design models to %s (%d bytes)\n", xmiPath, info.Size())
 
-	// 2. uml2go consumes the XMI.
+	// 2. uml2go consumes the XMI and generates against this checkout.
 	model, err := xmi.ReadFile(xmiPath)
 	if err != nil {
 		return err
 	}
-	res, err := codegen.Generate(model, codegen.Options{
-		Project:  "cindermon",
-		CloudURL: "http://127.0.0.1:8776",
-	})
+	runtime, err := codegen.FindRuntime(".")
+	if err != nil {
+		return err
+	}
+	res, err := codegen.Generate(model, codegen.Options{Project: "cindermon", Runtime: runtime})
 	if err != nil {
 		return err
 	}
@@ -65,24 +66,16 @@ func run() error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Printf("generated skeleton (%d files):\n", len(names))
+	fmt.Printf("generated monitor (%d files):\n", len(names))
 	for _, name := range names {
 		fmt.Printf("  %-13s %5d bytes\n", name, len(res.Files[name]))
 	}
 
-	// 3. Show the generated URI table (the urls.py analogue) and the head
-	// of the DELETE handler (the views.py analogue with contract checks).
-	fmt.Println("\n--- routes.go ---")
-	fmt.Print(string(res.Files["routes.go"]))
-
-	handlers := string(res.Files["handlers.go"])
-	if idx := strings.Index(handlers, "// handleDeleteVolume"); idx >= 0 {
-		rest := handlers[idx:]
-		if end := strings.Index(rest, "\n}\n"); end >= 0 {
-			rest = rest[:end+3]
-		}
-		fmt.Println("--- handlers.go (DELETE view) ---")
-		fmt.Print(rest)
+	// 3. Show the contracts with their URI table (the urls.py analogue)
+	// and the entry point that runs cloudmon's pipeline on the model.
+	for _, name := range []string{"contracts.go", "main.go"} {
+		fmt.Printf("\n--- %s ---\n", name)
+		fmt.Print(string(res.Files[name]))
 	}
 	return nil
 }

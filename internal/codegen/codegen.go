@@ -1,18 +1,24 @@
 // Package codegen implements uml2go, the paper's uml2django analogue
-// (Section VI): from the design models it generates the file structure of a
-// runnable cloud-monitor skeleton. The Django trio maps onto Go files:
+// (Section VI): from the design models it generates a runnable cloud
+// monitor. The output is a Go module of four files over cloudmon's one
+// pipeline:
 //
-//	models.py -> resources.go   local mirror structs of the resources
-//	urls.py   -> routes.go      the URI table derived from the class diagram
-//	views.py  -> handlers.go    per-method handlers embedding the generated
-//	                            pre-/post-conditions, the authorization
-//	                            guards, and the SecReq traceability
-//	                            variables, with TODO gaps for the
-//	                            developer's own code
+//	go.mod        module cloudmon/gen/<project>, building against the
+//	              cloudmon checkout it was generated in (a local replace,
+//	              so nothing is downloaded)
+//	model.xmi     the model, embedded into the binary
+//	contracts.go  the Listing-1 contracts with their SecReqs, the URI
+//	              table with each route's cloud API (the urls.py
+//	              analogue) and the digest of the contracts
+//	main.go       decodes the embedded model, refuses it unless its
+//	              contracts have the recorded digest, and runs cloudmon's
+//	              command line on it (internal/monitorcmd)
 //
-// plus contracts.go (the Listing-1 contracts as constants), main.go and
-// go.mod, so the output is a self-contained module that compiles with the
-// standard library alone.
+// The views.py analogue is the runtime's check of each pre- and
+// post-condition around the forward, so the generated monitor enforces
+// exactly what cloudmon enforces. There is no models.py analogue: the
+// monitor reads the cloud's state on each request rather than keep a
+// local mirror of it.
 package codegen
 
 import (
@@ -22,22 +28,25 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"unicode"
 
 	"cloudmon/internal/analysis"
 	"cloudmon/internal/contract"
+	"cloudmon/internal/osbinding"
 	"cloudmon/internal/uml"
+	"cloudmon/internal/xmi"
 )
 
 // Options configures generation.
 type Options struct {
-	// Project is the generated module and package name (the ProjectName
-	// argument of `uml2go ProjectName diagrams.xmi`).
+	// Project names the generated module (cloudmon/gen/<Project>) and
+	// command (the ProjectName argument of `uml2go ProjectName
+	// diagrams.xmi`).
 	Project string
-	// CloudURL is the default backend the generated monitor proxies to.
-	CloudURL string
+	// Runtime is the root of the cloudmon checkout the generated module
+	// builds against (see FindRuntime).
+	Runtime string
 	// Lenient downgrades static-analysis errors from refusal to a
 	// warning: generation proceeds even when modelvet reports errors.
 	Lenient bool
@@ -49,17 +58,40 @@ type Options struct {
 // Result is the generated file set, keyed by file name.
 type Result struct {
 	Files map[string][]byte
-	// Contracts is the generated contract set the files embed.
+	// Contracts is the contract set the generated monitor enforces.
 	Contracts *contract.Set
 }
 
-// Generate produces the skeleton from a validated model.
+// Generate produces the monitor from a validated model. Everything it
+// generates comes from the model as model.xmi encodes it, since that is
+// what the monitor runs.
 func Generate(m *uml.Model, opts Options) (*Result, error) {
 	if opts.Project == "" {
 		return nil, fmt.Errorf("codegen: missing project name")
 	}
 	if !validIdent(opts.Project) {
 		return nil, fmt.Errorf("codegen: project name %q is not a valid Go identifier", opts.Project)
+	}
+	if opts.Runtime == "" {
+		return nil, fmt.Errorf("codegen: missing runtime path (the cloudmon checkout; see FindRuntime)")
+	}
+	runtime, err := filepath.Abs(opts.Runtime)
+	if err != nil {
+		return nil, fmt.Errorf("codegen: %w", err)
+	}
+	// The generated module's go line is the runtime's, which a module
+	// requiring it may not undercut.
+	goMod := filepath.Join(runtime, "go.mod")
+	goVersion := goModLine(goMod, "go")
+	if goModLine(goMod, "module") != "cloudmon" || goVersion == "" {
+		return nil, fmt.Errorf("codegen: runtime %s is not a cloudmon checkout (its go.mod must declare module cloudmon and a go version)", runtime)
+	}
+	model, err := xmi.Encode(m)
+	if err != nil {
+		return nil, fmt.Errorf("codegen: %w", err)
+	}
+	if m, err = xmi.Decode(model); err != nil {
+		return nil, fmt.Errorf("codegen: %w", err)
 	}
 	report := analysis.Analyze(m, analysis.Config{})
 	if len(report.Diagnostics) > 0 && opts.AnalysisLog != nil {
@@ -73,13 +105,25 @@ func Generate(m *uml.Model, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
-	cloudURL := opts.CloudURL
-	if cloudURL == "" {
-		cloudURL = "http://127.0.0.1:8776"
+	data := templateData{
+		Project:   opts.Project,
+		Runtime:   runtime,
+		GoVersion: goVersion,
+		ModelName: m.Resource.Name,
+		Digest:    set.Digest(),
 	}
-	data := buildTemplateData(m, set, opts.Project, cloudURL)
+	for _, c := range set.Contracts {
+		data.Contracts = append(data.Contracts, contractData{
+			Trigger: c.Trigger.String(),
+			SecReqs: strings.Join(c.SecReqs, ", "),
+			Listing: strings.Split(strings.TrimSuffix(contract.RenderListing(c, contract.StyleConjunction), "\n"), "\n"),
+		})
+	}
+	for _, r := range osbinding.Routes(set) {
+		data.Routes = append(data.Routes, fmt.Sprintf("%-6s %-45s -> %s", r.Trigger.Method, r.Pattern, r.Backend))
+	}
 
-	files := make(map[string][]byte, 6)
+	files := map[string][]byte{"model.xmi": model}
 	for name, tmpl := range templates {
 		var buf bytes.Buffer
 		if err := tmpl.Execute(&buf, data); err != nil {
@@ -98,6 +142,38 @@ func Generate(m *uml.Model, opts Options) (*Result, error) {
 	return &Result{Files: files, Contracts: set}, nil
 }
 
+// FindRuntime returns the root of the cloudmon checkout dir lies in: the
+// nearest directory at or above dir whose go.mod declares module
+// cloudmon, found as the go tool finds a module root.
+func FindRuntime(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return "", fmt.Errorf("codegen: %w", err)
+	}
+	for d := dir; ; {
+		if goModLine(filepath.Join(d, "go.mod"), "module") == "cloudmon" {
+			return d, nil
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", fmt.Errorf("codegen: %s is not inside a cloudmon checkout (no go.mod declaring module cloudmon in it or above it); run uml2go from the checkout, whose packages the generated monitor builds against", dir)
+		}
+		d = parent
+	}
+}
+
+// goModLine returns the argument of the first directive named verb
+// ("module", "go") in the go.mod file at path, or "" if there is none.
+func goModLine(path, verb string) string {
+	data, _ := os.ReadFile(path)
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), verb+" "); ok {
+			return strings.Trim(strings.TrimSpace(rest), `"`)
+		}
+	}
+	return ""
+}
+
 // WriteFiles writes the generated files into dir, creating it if needed.
 func WriteFiles(dir string, files map[string][]byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -111,135 +187,23 @@ func WriteFiles(dir string, files map[string][]byte) error {
 	return nil
 }
 
-// templateData is the input to all file templates.
+// templateData is the input to the file templates.
 type templateData struct {
 	Project   string
-	CloudURL  string
+	Runtime   string
+	GoVersion string
 	ModelName string
-	Resources []resourceData
-	Routes    []routeData
-	Handlers  []handlerData
-	SecReqs   []string
+	Digest    string
+	Contracts []contractData
+	// Routes are the URI table's lines, one per route.
+	Routes []string
 }
 
-type resourceData struct {
-	GoName string
-	Name   string
-	Kind   string
-	Fields []fieldData
-}
-
-type fieldData struct {
-	GoName string
-	Name   string
-	GoType string
-}
-
-type handlerData struct {
-	FuncName   string
-	Method     string
-	Resource   string
-	Pattern    string
-	Backend    string
-	PreConst   string
-	PostConst  string
-	Pre        string
-	Post       string
-	StatePaths []string
-	SecReqs    []string
-	Guards     []string
-}
-
-type routeData struct {
-	Method   string
-	Pattern  string
-	FuncName string
-}
-
-func buildTemplateData(m *uml.Model, set *contract.Set, project, cloudURL string) templateData {
-	data := templateData{
-		Project:   project,
-		CloudURL:  cloudURL,
-		ModelName: m.Resource.Name,
-		SecReqs:   set.SecReqs(),
-	}
-	for _, r := range m.Resource.Resources {
-		rd := resourceData{
-			GoName: exportName(r.Name),
-			Name:   r.Name,
-			Kind:   r.Kind.String(),
-		}
-		for _, a := range r.Attributes {
-			rd.Fields = append(rd.Fields, fieldData{
-				GoName: exportName(a.Name),
-				Name:   a.Name,
-				GoType: goType(a.Type),
-			})
-		}
-		data.Resources = append(data.Resources, rd)
-	}
-	for _, c := range set.Contracts {
-		pattern := c.URI
-		if c.Trigger.Method == uml.POST {
-			if idx := strings.LastIndex(pattern, "/"); idx > 0 {
-				pattern = pattern[:idx]
-			}
-		}
-		fn := "handle" + exportName(strings.ToLower(string(c.Trigger.Method))) + exportName(c.Trigger.Resource)
-		var guards []string
-		for _, cs := range c.Cases {
-			guards = append(guards, cs.Transition.Guard)
-		}
-		hd := handlerData{
-			FuncName:   fn,
-			Method:     string(c.Trigger.Method),
-			Resource:   c.Trigger.Resource,
-			Pattern:    pattern,
-			Backend:    backendTemplate(pattern),
-			PreConst:   "pre" + exportName(strings.ToLower(string(c.Trigger.Method))) + exportName(c.Trigger.Resource),
-			PostConst:  "post" + exportName(strings.ToLower(string(c.Trigger.Method))) + exportName(c.Trigger.Resource),
-			Pre:        c.Pre.String(),
-			Post:       c.Post.String(),
-			StatePaths: c.StatePaths(),
-			SecReqs:    c.SecReqs,
-		}
-		hd.Guards = guards
-		data.Handlers = append(data.Handlers, hd)
-		data.Routes = append(data.Routes, routeData{
-			Method:   string(c.Trigger.Method),
-			Pattern:  pattern,
-			FuncName: fn,
-		})
-	}
-	sort.Slice(data.Routes, func(i, j int) bool {
-		if data.Routes[i].Pattern != data.Routes[j].Pattern {
-			return data.Routes[i].Pattern < data.Routes[j].Pattern
-		}
-		return data.Routes[i].Method < data.Routes[j].Method
-	})
-	return data
-}
-
-// backendTemplate maps the model URI to the OpenStack cinder URI, matching
-// the deployment the paper monitors.
-func backendTemplate(pattern string) string {
-	const prefix = "/projects/"
-	if !strings.HasPrefix(pattern, prefix) {
-		return pattern
-	}
-	return "/volume/v3/" + pattern[len(prefix):]
-}
-
-// exportName converts snake_case to an exported Go identifier.
-func exportName(s string) string {
-	parts := strings.FieldsFunc(s, func(r rune) bool { return r == '_' || r == '-' })
-	var sb strings.Builder
-	for _, p := range parts {
-		runes := []rune(p)
-		runes[0] = unicode.ToUpper(runes[0])
-		sb.WriteString(string(runes))
-	}
-	return sb.String()
+type contractData struct {
+	Trigger string
+	SecReqs string
+	// Listing is the contract's Listing-1 rendering, one line each.
+	Listing []string
 }
 
 // validIdent reports whether s can serve as a Go identifier/module name.
@@ -256,15 +220,4 @@ func validIdent(s string) bool {
 		}
 	}
 	return true
-}
-
-func goType(t uml.AttrType) string {
-	switch t {
-	case uml.TypeInteger:
-		return "int"
-	case uml.TypeBoolean:
-		return "bool"
-	default:
-		return "string"
-	}
 }

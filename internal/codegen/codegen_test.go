@@ -1,48 +1,102 @@
 package codegen
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"cloudmon/internal/contract"
 	"cloudmon/internal/paper"
+	"cloudmon/internal/uml"
+	"cloudmon/internal/xmi"
 )
 
-func generatePaper(t *testing.T) *Result {
+// runtime returns the checkout the tests run in.
+func runtime(t *testing.T) string {
 	t.Helper()
-	res, err := Generate(paper.CinderModel(), Options{
-		Project:  "cindermon",
-		CloudURL: "http://127.0.0.1:8776",
-	})
+	rt, err := FindRuntime(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+func generate(t *testing.T, m *uml.Model) *Result {
+	t.Helper()
+	res, err := Generate(m, Options{Project: "cindermon", Runtime: runtime(t)})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
 	return res
 }
 
+func generatePaper(t *testing.T) *Result {
+	t.Helper()
+	return generate(t, paper.CinderModel())
+}
+
+// TestGenerateProducesAllFiles: the output is exactly the module, the
+// model and the two Go files; nothing else is generated.
 func TestGenerateProducesAllFiles(t *testing.T) {
 	res := generatePaper(t)
-	for _, name := range []string{"go.mod", "resources.go", "contracts.go", "routes.go", "handlers.go", "main.go"} {
-		if _, ok := res.Files[name]; !ok {
-			t.Errorf("missing generated file %s", name)
+	var names []string
+	for name := range res.Files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if got := strings.Join(names, " "); got != "contracts.go go.mod main.go model.xmi" {
+		t.Errorf("generated files %s, want contracts.go go.mod main.go model.xmi", got)
+	}
+	mod := string(res.Files["go.mod"])
+	for _, want := range []string{
+		"module cloudmon/gen/cindermon\n",
+		"go " + goModLine(filepath.Join(runtime(t), "go.mod"), "go") + "\n",
+		"require cloudmon v0.0.0\n",
+		"replace cloudmon => " + strconv.Quote(runtime(t)) + "\n",
+	} {
+		if !strings.Contains(mod, want) {
+			t.Errorf("go.mod lacks %q:\n%s", want, mod)
 		}
 	}
 }
 
+// TestGeneratedResourcesMirrorModel: model.xmi, the model the generated
+// monitor embeds, carries the model's resources and decodes to the
+// contracts the generator recorded.
 func TestGeneratedResourcesMirrorModel(t *testing.T) {
-	res := generatePaper(t)
-	src := string(res.Files["resources.go"])
-	for _, want := range []string{
-		"type Volume struct",
-		"type QuotaSets struct",
-		"type Projects struct",
-		"`json:\"status\"`",
-		"Volume int `json:\"volume\"`",
-	} {
-		if !strings.Contains(src, want) {
-			t.Errorf("resources.go missing %q", want)
+	for _, m := range []*uml.Model{paper.CinderModel(), paper.NovaModel()} {
+		res := generate(t, m)
+		got, err := xmi.Decode(res.Files["model.xmi"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Resource.Resources) != len(m.Resource.Resources) {
+			t.Fatalf("%s: model.xmi has %d resources, want %d", m.Resource.Name, len(got.Resource.Resources), len(m.Resource.Resources))
+		}
+		for i, r := range m.Resource.Resources {
+			g := got.Resource.Resources[i]
+			if g.Name != r.Name || g.Kind != r.Kind || len(g.Attributes) != len(r.Attributes) {
+				t.Errorf("%s: resource %d is %s/%s with %d attributes, want %s/%s with %d", m.Resource.Name, i,
+					g.Name, g.Kind, len(g.Attributes), r.Name, r.Kind, len(r.Attributes))
+			}
+		}
+		want, err := contract.Generate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := contract.Generate(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Digest() != want.Digest() || res.Contracts.Digest() != want.Digest() {
+			t.Errorf("%s: model.xmi's contracts digest %s, recorded %s, the model's %s", m.Resource.Name,
+				set.Digest(), res.Contracts.Digest(), want.Digest())
 		}
 	}
 }
@@ -51,13 +105,13 @@ func TestGeneratedContractsEmbedOCL(t *testing.T) {
 	res := generatePaper(t)
 	src := string(res.Files["contracts.go"])
 	for _, want := range []string{
-		"preDeleteVolume",
-		"postDeleteVolume",
+		"//\tPreCondition(DELETE(/projects/{project_id}/volumes/{volume_id})):",
+		"//\tPostCondition(DELETE(/projects/{project_id}/volumes/{volume_id})):",
 		"volume.status <> 'in-use'",
 		"user.id.groups = 'admin'",
-		"SecReq 1.4",
-		`"project.volumes"`,
-		`secReqs = []string{"1.1", "1.2", "1.3", "1.4"}`,
+		"// DELETE(volume), security requirements: SecReq 1.4",
+		"// POST(volume), security requirements: SecReq 1.3",
+		"const contractsDigest = " + strconv.Quote(res.Contracts.Digest()),
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("contracts.go missing %q", want)
@@ -65,41 +119,67 @@ func TestGeneratedContractsEmbedOCL(t *testing.T) {
 	}
 }
 
+// TestGeneratedRoutesUseModelURIs: the URI table names each route by its
+// model URI and the cloud API the runtime forwards it to, the compute API
+// for the Nova model's servers.
 func TestGeneratedRoutesUseModelURIs(t *testing.T) {
-	res := generatePaper(t)
-	src := string(res.Files["routes.go"])
-	for _, want := range []string{
-		`mux.HandleFunc("DELETE /projects/{project_id}/volumes/{volume_id}", handleDeleteVolume)`,
-		`mux.HandleFunc("POST /projects/{project_id}/volumes", handlePostVolume)`,
-		`mux.HandleFunc("GET /projects/{project_id}/volumes/{volume_id}", handleGetVolume)`,
-		`mux.HandleFunc("PUT /projects/{project_id}/volumes/{volume_id}", handlePutVolume)`,
+	for _, c := range []struct {
+		model  *uml.Model
+		routes [][3]string
+	}{
+		{paper.CinderModel(), [][3]string{
+			{"DELETE", "/projects/{project_id}/volumes/{volume_id}", "/volume/v3/{project_id}/volumes/{volume_id}"},
+			{"GET", "/projects/{project_id}/volumes/{volume_id}", "/volume/v3/{project_id}/volumes/{volume_id}"},
+			{"POST", "/projects/{project_id}/volumes", "/volume/v3/{project_id}/volumes"},
+			{"PUT", "/projects/{project_id}/volumes/{volume_id}", "/volume/v3/{project_id}/volumes/{volume_id}"},
+		}},
+		{paper.NovaModel(), [][3]string{
+			{"POST", "/projects/{project_id}/servers", "/compute/v2.1/{project_id}/servers"},
+			{"DELETE", "/projects/{project_id}/servers/{server_id}", "/compute/v2.1/{project_id}/servers/{server_id}"},
+		}},
 	} {
-		if !strings.Contains(src, want) {
-			t.Errorf("routes.go missing %q", want)
+		src := string(generate(t, c.model).Files["contracts.go"])
+		lines := map[string]bool{}
+		for _, line := range strings.Split(src, "\n") {
+			lines[strings.Join(strings.Fields(line), " ")] = true
+		}
+		for _, r := range c.routes {
+			if want := "// " + r[0] + " " + r[1] + " -> " + r[2]; !lines[want] {
+				t.Errorf("%s: contracts.go has no route line %q", c.model.Resource.Name, want)
+			}
 		}
 	}
 }
 
-func TestGeneratedHandlersHaveSkeletonMarkers(t *testing.T) {
+// TestGeneratedCodeImportsOnlyTheRuntime: the generated Go files carry
+// no proxy of their own. main.go imports the runtime's command line and
+// nothing that could forward a request or evaluate a contract, and
+// contracts.go imports nothing.
+func TestGeneratedCodeImportsOnlyTheRuntime(t *testing.T) {
 	res := generatePaper(t)
-	src := string(res.Files["handlers.go"])
-	for _, want := range []string{
-		"func handleDeleteVolume(w http.ResponseWriter, r *http.Request)",
-		"TODO: add the desired implementation",
-		"checkContract(preDeleteVolume, r)",
-		"checkContract(postDeleteVolume, r)",
-		"/volume/v3/{project_id}/volumes/{volume_id}",
-		"r.PathValue(name)",
-		`coveredSecReqs := []string{"1.4"}`,
+	for name, want := range map[string]string{
+		"main.go":      "cloudmon/internal/monitorcmd embed fmt os",
+		"contracts.go": "",
 	} {
-		if !strings.Contains(src, want) {
-			t.Errorf("handlers.go missing %q", want)
+		f, err := parser.ParseFile(token.NewFileSet(), name, res.Files[name], parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var imports []string
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			imports = append(imports, path)
+		}
+		sort.Strings(imports)
+		if got := strings.Join(imports, " "); got != want {
+			t.Errorf("%s imports %q, want %q", name, got, want)
 		}
 	}
 }
 
-// TestGeneratedCodeCompiles writes the skeleton to disk and builds it with
-// the Go toolchain — the generated module must be self-contained.
+// TestGeneratedCodeCompiles writes the monitor to disk and builds it with
+// a plain go build, downloads off: the module needs nothing beyond the
+// checkout it was generated in.
 func TestGeneratedCodeCompiles(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not available")
@@ -109,60 +189,61 @@ func TestGeneratedCodeCompiles(t *testing.T) {
 	if err := WriteFiles(dir, res.Files); err != nil {
 		t.Fatalf("WriteFiles: %v", err)
 	}
-	cmd := exec.Command("go", "build", "./...")
+	cmd := exec.Command("go", "build", "-o", filepath.Join(dir, "cindermon"), ".")
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GO111MODULE=on")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
+	cmd.Env = append(os.Environ(), "GOFLAGS=", "GOPROXY=off", "GOWORK=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("generated code does not compile: %v\n%s", err, out)
-	}
-	if err := cmd.Err; err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestGenerateValidation(t *testing.T) {
-	if _, err := Generate(paper.CinderModel(), Options{}); err == nil {
+	rt := runtime(t)
+	if _, err := Generate(paper.CinderModel(), Options{Runtime: rt}); err == nil {
 		t.Error("missing project name accepted")
 	}
-	if _, err := Generate(paper.CinderModel(), Options{Project: "9bad"}); err == nil {
+	if _, err := Generate(paper.CinderModel(), Options{Project: "9bad", Runtime: rt}); err == nil {
 		t.Error("invalid identifier accepted")
 	}
-	if _, err := Generate(paper.CinderModel(), Options{Project: "with space"}); err == nil {
+	if _, err := Generate(paper.CinderModel(), Options{Project: "with space", Runtime: rt}); err == nil {
 		t.Error("identifier with space accepted")
+	}
+	if _, err := Generate(paper.CinderModel(), Options{Project: "x"}); err == nil {
+		t.Error("missing runtime path accepted")
+	}
+	if _, err := Generate(paper.CinderModel(), Options{Project: "x", Runtime: t.TempDir()}); err == nil {
+		t.Error("a runtime path outside a checkout accepted")
 	}
 	bad := paper.CinderModel()
 	bad.Behavioral.Transitions[0].Guard = "((("
-	if _, err := Generate(bad, Options{Project: "x"}); err == nil {
+	if _, err := Generate(bad, Options{Project: "x", Runtime: rt}); err == nil {
 		t.Error("malformed model accepted")
 	}
 }
 
-func TestDefaultCloudURL(t *testing.T) {
-	res, err := Generate(paper.CinderModel(), Options{Project: "x"})
-	if err != nil {
+// TestFindRuntime: the runtime is the nearest directory declaring module
+// cloudmon, past nested modules of other names; outside a checkout there
+// is none.
+func TestFindRuntime(t *testing.T) {
+	root := runtime(t)
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil || !strings.HasPrefix(string(data), "module cloudmon\n") {
+		t.Fatalf("FindRuntime(.) = %s, whose go.mod is %q (%v)", root, data, err)
+	}
+	nested := filepath.Join(t.TempDir(), "gen", "out")
+	if err := WriteFiles(nested, map[string][]byte{"go.mod": []byte("module cloudmon/gen/out\n")}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(res.Files["handlers.go"]), "http://127.0.0.1:8776") {
-		t.Error("default cloud URL not applied")
+	if got, err := FindRuntime(nested); err == nil {
+		t.Errorf("FindRuntime outside a checkout = %s, want an error", got)
+	} else if !strings.Contains(err.Error(), "not inside a cloudmon checkout") {
+		t.Errorf("FindRuntime outside a checkout: %v", err)
 	}
-}
-
-func TestExportName(t *testing.T) {
-	tests := []struct{ in, want string }{
-		{"volume", "Volume"},
-		{"quota_sets", "QuotaSets"},
-		{"usergroup", "Usergroup"},
-		{"a_b_c", "ABC"},
-		{"with-dash", "WithDash"},
+	if err := os.WriteFile(filepath.Join(filepath.Dir(filepath.Dir(nested)), "go.mod"), []byte("module \"cloudmon\"\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, tt := range tests {
-		if got := exportName(tt.in); got != tt.want {
-			t.Errorf("exportName(%q) = %q, want %q", tt.in, got, tt.want)
-		}
+	if got, err := FindRuntime(nested); err != nil || got != filepath.Dir(filepath.Dir(nested)) {
+		t.Errorf("FindRuntime below a checkout = %s, %v", got, err)
 	}
 }
 
@@ -182,7 +263,8 @@ func TestGenerateRefusesAnalyzerErrors(t *testing.T) {
 	// refuse, lenient generation must proceed and log the report.
 	m := paper.CinderModel()
 	m.Behavioral.States[0].Invariant = "volumes->size( = 1"
-	_, err := Generate(m, Options{Project: "broken"})
+	rt := runtime(t)
+	_, err := Generate(m, Options{Project: "broken", Runtime: rt})
 	if err == nil || !strings.Contains(err.Error(), "static analysis") {
 		t.Fatalf("Generate on broken model: err = %v, want static-analysis refusal", err)
 	}
@@ -191,7 +273,7 @@ func TestGenerateRefusesAnalyzerErrors(t *testing.T) {
 	}
 
 	var log strings.Builder
-	res, err := Generate(m, Options{Project: "broken", Lenient: true, AnalysisLog: &log})
+	res, err := Generate(m, Options{Project: "broken", Runtime: rt, Lenient: true, AnalysisLog: &log})
 	if err == nil {
 		// Lenient passes the analyzer gate; contract generation itself
 		// may still fail on the unparsable OCL, which is acceptable.

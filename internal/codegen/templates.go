@@ -1,254 +1,87 @@
 package codegen
 
-import (
-	"strings"
-	"text/template"
-)
+import "text/template"
 
-// templates maps generated file names to their templates. Generated .go
-// files are gofmt-ed after rendering, so template whitespace only needs to
-// be approximately right.
+// templates maps the generated file names, model.xmi aside, to their
+// templates. Generated .go files are gofmt-ed after rendering.
 var templates = map[string]*template.Template{
 	"go.mod":       tmplGoMod,
-	"resources.go": tmplResources,
 	"contracts.go": tmplContracts,
-	"routes.go":    tmplRoutes,
-	"handlers.go":  tmplHandlers,
 	"main.go":      tmplMain,
 }
 
 var tmplGoMod = template.Must(template.New("go.mod").Parse(
-	`module {{.Project}}
+	`// Generated by uml2go. The monitor builds against the cloudmon checkout
+// it was generated in; nothing is downloaded.
+module cloudmon/gen/{{.Project}}
 
-go 1.22
+go {{.GoVersion}}
+
+require cloudmon v0.0.0
+
+replace cloudmon => {{printf "%q" .Runtime}}
 `))
-
-var tmplResources = template.Must(template.New("resources.go").Parse(
-	`// Code generated by uml2go from the {{.ModelName}} resource model. Edit the
-// TODO sections only.
-
-package main
-
-// Local mirror of the monitored resource structures (the models.py
-// analogue): one struct per resource definition in the class diagram.
-{{range .Resources}}
-// {{.GoName}} mirrors the {{.Kind}} resource "{{.Name}}".
-type {{.GoName}} struct {
-{{- range .Fields}}
-	{{.GoName}} {{.GoType}} ` + "`json:\"{{.Name}}\"`" + `
-{{- end}}
-{{- if not .Fields}}
-	// collection resources carry no attributes of their own
-{{- end}}
-}
-{{end}}`))
 
 var tmplContracts = template.Must(template.New("contracts.go").Parse(
-	`// Code generated by uml2go from the {{.ModelName}} behavioral model.
+	`// Code generated by uml2go from the {{.ModelName}} model. DO NOT EDIT.
 
 package main
 
-// Method contracts generated from the state machine (Section V of the
-// paper): for every method, the disjunction of (source-state invariant and
-// guard) forms the pre-condition; the conjunction of (pre implies
-// target-state invariant and effect) forms the post-condition. pre(...)
-// refers to values snapshotted before the request was forwarded.
-const (
-{{- range .Handlers}}
-	// {{.Method}}({{.Resource}}) — security requirements: {{range $i, $s := .SecReqs}}{{if $i}}, {{end}}SecReq {{$s}}{{end}}
-	{{.PreConst}} = {{printf "%q" .Pre}}
-	{{.PostConst}} = {{printf "%q" .Post}}
+// The method contracts the monitor checks around each forward, generated
+// from the state machine in model.xmi (Section V of the paper) and shown
+// in the form of its Listing 1. A pre-condition is the disjunction of
+// (source-state invariant and guard) over the method's transitions; a
+// post-condition conjoins (pre implies target-state invariant and effect),
+// where pre(...) is the state the monitor read before it forwarded the
+// request.
+{{- range .Contracts}}
+//
+// {{.Trigger}}, security requirements: SecReq {{.SecReqs}}
+//
+{{- range .Listing}}
+//	{{.}}
 {{- end}}
-)
-
-// statePaths lists, per method, the navigation paths whose values the
-// monitor must snapshot before forwarding — "only the values that
-// constitute the guards and invariants".
-var statePaths = map[string][]string{
-{{- range .Handlers}}
-	"{{.Method}} {{.Pattern}}": { {{- range $i, $p := .StatePaths}}{{if $i}}, {{end}}{{printf "%q" $p}}{{end -}} },
 {{- end}}
-}
 
-// secReqs are the security requirements traced through the generated code
-// (Section IV.C); coverage of each is observable during validation.
-var secReqs = []string{ {{- range $i, $s := .SecReqs}}{{if $i}}, {{end}}{{printf "%q" $s}}{{end -}} }
-`))
-
-var tmplRoutes = template.Must(template.New("routes.go").Parse(
-	`// Code generated by uml2go from the {{.ModelName}} resource model.
-
-package main
-
-import "net/http"
-
-// registerRoutes installs the URI table derived from the class diagram
-// (the urls.py analogue). Patterns use Go 1.22 http.ServeMux placeholders;
-// the placeholder names match the association role names in the model.
-func registerRoutes(mux *http.ServeMux) {
+// The URI table: each request the monitor checks, by its model URI, and
+// the cloud API the monitor forwards it to.
+//
 {{- range .Routes}}
-	mux.HandleFunc("{{.Method}} {{.Pattern}}", {{.FuncName}})
+//	{{.}}
 {{- end}}
-}
+
+// contractsDigest is the digest of the contracts above (contract.Set
+// Digest). The monitor refuses to start on an embedded model whose
+// contracts digest otherwise.
+const contractsDigest = {{printf "%q" .Digest}}
 `))
-
-// handlerFuncs are helpers available inside the handlers template.
-var handlerFuncs = template.FuncMap{
-	// pathParams extracts the {name} placeholders of a URI pattern, used
-	// to rewrite backend URIs from request path values.
-	"pathParams": func(pattern string) []string {
-		var out []string
-		for _, seg := range strings.Split(pattern, "/") {
-			if strings.HasPrefix(seg, "{") && strings.HasSuffix(seg, "}") {
-				out = append(out, seg[1:len(seg)-1])
-			}
-		}
-		return out
-	},
-}
-
-var tmplHandlers = template.Must(template.New("handlers.go").Funcs(handlerFuncs).Parse(
-	`// Code generated by uml2go from the {{.ModelName}} behavioral model.
-// Fill in the TODO sections with the desired implementation; everything
-// else (contract checks, forwarding, traceability) is generated.
-
-package main
-
-import (
-	"fmt"
-	"io"
-	"net/http"
-	"strings"
-)
-
-// cloudBaseURL is the private cloud this monitor proxies to.
-var cloudBaseURL = {{printf "%q" .CloudURL}}
-
-// checkContract is the hook evaluating an OCL contract against the cloud
-// state. The generated skeleton ships with a permissive default; plug in
-// an OCL evaluator (e.g. the cloudmon library) for full enforcement.
-var checkContract = func(formula string, r *http.Request) (bool, error) {
-	// TODO: connect an OCL evaluator; the default accepts everything.
-	_ = formula
-	return true, nil
-}
-
-// forward proxies the request to the private cloud and relays the response.
-func forward(w http.ResponseWriter, r *http.Request, backend string) (int, error) {
-	var body io.Reader
-	if r.Body != nil {
-		data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			return 0, err
-		}
-		if len(data) > 0 {
-			body = strings.NewReader(string(data))
-		}
-	}
-	req, err := http.NewRequest(r.Method, cloudBaseURL+backend, body)
-	if err != nil {
-		return 0, err
-	}
-	for _, h := range []string{"X-Auth-Token", "Content-Type", "Accept"} {
-		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
-		}
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return resp.StatusCode, err
-	}
-	w.WriteHeader(resp.StatusCode)
-	if len(data) > 0 {
-		if _, err := w.Write(data); err != nil {
-			return resp.StatusCode, err
-		}
-	}
-	return resp.StatusCode, nil
-}
-
-func contractViolation(w http.ResponseWriter, phase, detail string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusPreconditionFailed)
-	fmt.Fprintf(w, "{\"violation\":{\"phase\":%q,\"detail\":%q}}", phase, detail)
-}
-{{range .Handlers}}
-// {{.FuncName}} monitors {{.Method}}({{.Resource}}).
-// Security requirements: {{range $i, $s := .SecReqs}}{{if $i}}, {{end}}SecReq {{$s}}{{end}}.
-// Authorization guards from the behavioral model:
-{{- range .Guards}}
-//   - {{.}}
-{{- end}}
-func {{.FuncName}}(w http.ResponseWriter, r *http.Request) {
-	// Traceability variables (Section IV.C).
-	coveredSecReqs := []string{ {{- range $i, $s := .SecReqs}}{{if $i}}, {{end}}{{printf "%q" $s}}{{end -}} }
-	_ = coveredSecReqs
-
-	// 1. Pre-condition.
-	ok, err := checkContract({{.PreConst}}, r)
-	if err != nil {
-		contractViolation(w, "pre", err.Error())
-		return
-	}
-	if !ok {
-		contractViolation(w, "pre", "pre-condition of {{.Method}}({{.Resource}}) failed")
-		return
-	}
-
-	// TODO: add the desired implementation before forwarding (validation,
-	// logging, request shaping, ...).
-
-	// 2. Forward to the private cloud.
-	backend := "{{.Backend}}"
-	for _, name := range []string{ {{- range $i, $p := pathParams .Pattern}}{{if $i}}, {{end}}{{printf "%q" $p}}{{end -}} } {
-		backend = strings.ReplaceAll(backend, "{"+name+"}", r.PathValue(name))
-	}
-	if _, err := forward(w, r, backend); err != nil {
-		contractViolation(w, "forward", err.Error())
-		return
-	}
-
-	// 3. Post-condition (evaluated against the refreshed cloud state).
-	if ok, err := checkContract({{.PostConst}}, r); err != nil || !ok {
-		// The response has been relayed already; violations are reported
-		// out of band.
-		// TODO: route post-condition violations to your alerting channel.
-		_ = ok
-	}
-}
-{{end}}`))
 
 var tmplMain = template.Must(template.New("main.go").Parse(
-	`// Code generated by uml2go. The entry point of the generated cloud
-// monitor for the {{.ModelName}} model.
+	`// Code generated by uml2go from the {{.ModelName}} model. DO NOT EDIT.
 
+// Command {{.Project}} is the cloud monitor generated from model.xmi. It
+// takes cloudmon's flags and runs cloudmon's pipeline on the embedded
+// model, after checking that the model's contracts still have the digest
+// recorded in contracts.go:
+//
+//	{{.Project}} -cloud http://127.0.0.1:8776 -project <id> -addr :8000
 package main
 
 import (
+	_ "embed"
 	"fmt"
-	"log"
-	"net/http"
 	"os"
+
+	"cloudmon/internal/monitorcmd"
 )
 
+//go:embed model.xmi
+var model []byte
+
 func main() {
-	if url := os.Getenv("CLOUD_URL"); url != "" {
-		cloudBaseURL = url
+	if err := monitorcmd.RunModel(os.Args[1:], model, contractsDigest, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "{{.Project}}:", err)
+		os.Exit(1)
 	}
-	addr := os.Getenv("MONITOR_ADDR")
-	if addr == "" {
-		addr = ":8000"
-	}
-	mux := http.NewServeMux()
-	registerRoutes(mux)
-	fmt.Printf("cloud monitor {{.Project}} proxying %s on %s\n", cloudBaseURL, addr)
-	fmt.Printf("traced security requirements: %v\n", secReqs)
-	fmt.Printf("monitored state paths: %d methods\n", len(statePaths))
-	log.Fatal(http.ListenAndServe(addr, mux))
 }
 `))

@@ -52,7 +52,7 @@ func NewLab() (*Lab, error) {
 
 // NewLabWithOptions builds a lab with the given options.
 func NewLabWithOptions(opts LabOptions) (*Lab, error) {
-	env, err := newLabEnv(paper.CinderModel(), openstack.Seed{Quota: labQuota}, opts.Level)
+	env, err := newLabEnv(paper.CinderModel(), openstack.Seed{Quota: labQuota}, opts.Level, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,8 @@ func NewLabWithOptions(opts LabOptions) (*Lab, error) {
 type labEnv struct {
 	// Cloud is the simulated private cloud (mutants are applied to it).
 	Cloud *openstack.Cloud
-	// Sys is the generated monitoring pipeline.
+	// Sys is the generated monitoring pipeline, built in process; nil
+	// when the lab drives a monitor started outside it.
 	Sys *core.System
 	// ProjectID is the seeded project.
 	ProjectID string
@@ -75,7 +76,17 @@ type labEnv struct {
 	tokens      map[string]string // role -> token
 	requests    int
 	capture     *violationCapture
+	// external counts the violation verdicts of a monitor started
+	// outside the lab.
+	external func() int
 }
+
+// startFunc starts a monitor of the lab's model outside the lab, in
+// front of the cloud, with the lab's service account scoped to project.
+// It returns the monitor's base URL and a count of its violation
+// verdicts. A lab given none builds its monitor in process with
+// core.Build.
+type startFunc func(cloud http.Handler, project string) (url string, violations func() int, err error)
 
 // violationCapture is a lab monitor's OnVerdict hook. It keeps the first
 // violation, the detection a campaign reports; the hook may be called
@@ -96,40 +107,49 @@ func (c *violationCapture) record(v monitor.Verdict) {
 	c.mu.Unlock()
 }
 
-// newLabEnv seeds a cloud and builds the monitor for the model over it.
-func newLabEnv(model *uml.Model, seed openstack.Seed, level monitor.CheckLevel) (*labEnv, error) {
+// newLabEnv seeds a cloud and deploys the monitor for the model over it:
+// started by start when that is set, otherwise built in process.
+func newLabEnv(model *uml.Model, seed openstack.Seed, level monitor.CheckLevel, start startFunc) (*labEnv, error) {
 	cloud := openstack.New(openstack.Config{})
 	seed.ProjectName = "myProject"
 	seed.GroupRoles = paper.GroupRole()
 	seed.Users = labUsers
 	res := cloud.ApplySeed(seed)
 	cloudHTTP := httpkit.HandlerClient(cloud)
-	capture := &violationCapture{}
-	sys, err := core.Build(core.Options{
-		Model:    model,
-		CloudURL: "http://cloud.internal",
-		ServiceAccount: osbinding.ServiceAccount{
-			User: "cm-svc", Password: "pw-svc", ProjectID: res.ProjectID,
-		},
-		Mode:       monitor.Observe,
-		Level:      level,
-		HTTPClient: cloudHTTP,
-		OnVerdict:  capture.record,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mutation: build monitor: %w", err)
-	}
 	env := &labEnv{
 		Cloud:     cloud,
-		Sys:       sys,
 		ProjectID: res.ProjectID,
 		tokens:    make(map[string]string, 3),
-		capture:   capture,
+		capture:   &violationCapture{},
 	}
 	env.cloudClient = osclient.New("http://cloud.internal")
 	env.cloudClient.HTTPClient = cloudHTTP
-	env.monClient = osclient.New("http://monitor.internal")
-	env.monClient.HTTPClient = httpkit.HandlerClient(sys.Monitor)
+	if start != nil {
+		url, violations, err := start(cloud, res.ProjectID)
+		if err != nil {
+			return nil, fmt.Errorf("mutation: start monitor: %w", err)
+		}
+		env.monClient = osclient.New(url)
+		env.external = violations
+	} else {
+		sys, err := core.Build(core.Options{
+			Model:    model,
+			CloudURL: "http://cloud.internal",
+			ServiceAccount: osbinding.ServiceAccount{
+				User: "cm-svc", Password: "pw-svc", ProjectID: res.ProjectID,
+			},
+			Mode:       monitor.Observe,
+			Level:      level,
+			HTTPClient: cloudHTTP,
+			OnVerdict:  env.capture.record,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("mutation: build monitor: %w", err)
+		}
+		env.Sys = sys
+		env.monClient = osclient.New("http://monitor.internal")
+		env.monClient.HTTPClient = httpkit.HandlerClient(sys.Monitor)
+	}
 
 	for user, role := range map[string]string{
 		"alice": paper.RoleAdmin, "bob": paper.RoleMember, "carol": paper.RoleUser,
@@ -146,8 +166,11 @@ func newLabEnv(model *uml.Model, seed openstack.Seed, level monitor.CheckLevel) 
 
 // violations returns the number of violation verdicts the lab's monitor
 // recorded, read from its outcome counters, and the first one's outcome
-// and trigger.
+// and trigger (in-process monitors only).
 func (l *labEnv) violations() (int, string) {
+	if l.external != nil {
+		return l.external(), ""
+	}
 	n := 0
 	for outcome, count := range l.Sys.Monitor.Outcomes() {
 		if outcome.IsViolation() {

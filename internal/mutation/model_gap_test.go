@@ -27,7 +27,7 @@ func TestFigure3ModelGapDeleteAtQuotaOne(t *testing.T) {
 		{2, ""},
 	} {
 		env, err := newLabEnv(paper.CinderModel(),
-			openstack.Seed{Quota: cinder.QuotaSet{Volumes: c.quota, Gigabytes: 1000}}, monitor.CheckFull)
+			openstack.Seed{Quota: cinder.QuotaSet{Volumes: c.quota, Gigabytes: 1000}}, monitor.CheckFull, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ type NovaLab struct {
 
 // NewNovaLab builds the compute-model deployment.
 func NewNovaLab() (*NovaLab, error) {
-	env, err := newLabEnv(paper.NovaModel(), openstack.Seed{}, 0)
+	env, err := newLabEnv(paper.NovaModel(), openstack.Seed{}, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Out-of-process fleet smoke. Builds the binaries, then runs cloudsim, two
-# `cloudmon -instance` members and a `cloudmon -fleet-front`, each its own
-# process on a loopback port, and drives `loadmon -target` through the
-# front. Fails unless the load report counts no request errors and the
-# front's federated /metrics carries cloudmon_verdicts_total for both
-# members and the front's fleet_routed_total. Every process it starts is
-# stopped on exit, pass or fail.
+# Out-of-process fleet smoke. Builds the binaries, generates the Cinder
+# monitor with uml2go from the example XMI and builds it offline, then
+# runs cloudsim, two fleet members (`cloudmon -instance` as m-00, the
+# generated monitor with the same flags as m-01) and a `cloudmon
+# -fleet-front`, each its own process on a loopback port, and drives
+# `loadmon -target` through the front. Fails unless the load report
+# counts no request errors and the front's federated /metrics carries
+# cloudmon_verdicts_total for both members and the front's
+# fleet_routed_total. Every process it starts is stopped on exit, pass or
+# fail. Run it from the root of the checkout, which the generated monitor
+# builds against.
 #
 #   bash scripts/fleet-oop.sh        (or: make fleet-oop)
 set -euo pipefail
@@ -57,7 +61,11 @@ await() {
 	fail "nothing answers on $1"
 }
 
-go build -o "$work/" ./cmd/cloudsim ./cmd/cloudmon ./cmd/loadmon
+go build -o "$work/" ./cmd/cloudsim ./cmd/cloudmon ./cmd/loadmon ./cmd/uml2go
+"$work/uml2go" -emit-example "$work/cinder.xmi" >/dev/null
+"$work/uml2go" -out "$work/cindermon" cindermon "$work/cinder.xmi" >/dev/null
+(cd "$work/cindermon" && GOFLAGS= GOPROXY=off go build -o "$work/cindermon/cindermon" .) ||
+	fail "the generated monitor does not build offline"
 
 # The quota is far above what 200 requests of cinder-mixed can create.
 start cloudsim "$work/cloudsim" -addr "$CLOUD" -quota 100000
@@ -67,7 +75,7 @@ project=$(sed -n 's/^  project myProject: \([^ ]*\) .*/\1/p' "$work/cloudsim.log
 
 start m-00 "$work/cloudmon" -cloud "http://$CLOUD" -project "$project" \
 	-addr "$M0_PROXY" -inspect-addr "$M0_INSPECT" -instance m-00
-start m-01 "$work/cloudmon" -cloud "http://$CLOUD" -project "$project" \
+start m-01 "$work/cindermon/cindermon" -cloud "http://$CLOUD" -project "$project" \
 	-addr "$M1_PROXY" -inspect-addr "$M1_INSPECT" -instance m-01
 start front "$work/cloudmon" \
 	-fleet-front "m-00=http://$M0_PROXY|http://$M0_INSPECT,m-01=http://$M1_PROXY|http://$M1_INSPECT" \
@@ -90,4 +98,4 @@ for id in m-00 m-01; do
 done
 grep -q '^fleet_routed_total' "$work/federated.txt" ||
 	fail "federated /metrics has no fleet_routed_total"
-echo "fleet-oop: 200 requests through the front, no errors; both members federate"
+echo "fleet-oop: 200 requests through the front, no errors; both members, one generated, federate"
